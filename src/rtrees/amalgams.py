@@ -105,9 +105,8 @@ def glue_family(spec: GlueSpec, r) -> TreeSkeleton:
         prepared.append((mat_sub.tree, anchor, at_base))
 
     mat_base = materialize(base, attach_base_pts, prefix="gl")
-    edges = list(mat_base.tree.edges())
-    labels = {n: names for n, names in mat_base.tree.labels.items()}
-    extra = list(mat_base.tree.nodes())
+    edges: list[tuple[str, str, Fraction]] = []
+    labels: dict[str, set[str]] = {}
     taken = set(mat_base.tree.nodes())
 
     for idx, (sub_tree, anchor, at_base) in enumerate(prepared):
@@ -122,15 +121,10 @@ def glue_family(spec: GlueSpec, r) -> TreeSkeleton:
         for u, v, w in sub_tree.edges():
             edges.append((rn(u), rn(v), w))
         for n, names in sub_tree.labels.items():
-            key = rn(n)
-            merged = tuple(sorted(set(labels.get(key, ())) | set(names)))
-            labels[key] = merged
-        for n in sub_tree.nodes():
-            taken.add(rn(n))
-            extra.append(rn(n))
+            labels.setdefault(rn(n), set()).update(names)
+        taken.update(rn(n) for n in sub_tree.nodes())
 
-    glued = TreeSkeleton(base.basepoint, edges, labels=labels, extra_nodes=extra)
-    glued = canonicalize(glued)
+    glued = canonicalize(mat_base.graft(edges, labels))
     report = validate(glued, r)
     if not report.ok:
         raise MalformedSpecError(f"glued tree invalid: {report}")
@@ -295,11 +289,8 @@ def amalgamate(
         m1_pt = inv.map_point(m2_pt)
         attach_pts_left.append(_rename_point(normalize_point(m1, m1_pt), "left:"))
     mat_left = materialize(left, attach_pts_left, prefix="am")
-
-    edges = list(mat_left.tree.edges())
-    labels = dict(mat_left.tree.labels)
-    extra = list(mat_left.tree.nodes())
-
+    edges: list[tuple[str, str, Fraction]] = []
+    labels: dict[str, tuple[str, ...]] = {}
     for (attach, comp_edges, nodes), left_pt in zip(comps, attach_pts_left):
         attach_node = mat_left.node_for(normalize_point(left, left_pt))
 
@@ -309,13 +300,10 @@ def amalgamate(
         for u, v, w in comp_edges:
             edges.append((rn(u), rn(v), w))
         for n in nodes:
-            extra.append(rn(n))
-            names = work2.labels_of(n)
-            if names:
-                key = rn(n)
-                labels[key] = tuple(sorted(set(labels.get(key, ())) | set(names)))
+            if work2.labels_of(n):
+                labels[rn(n)] = work2.labels_of(n)
 
-    amalgam = TreeSkeleton("left:" + m1.basepoint, edges, labels=labels, extra_nodes=extra)
+    amalgam = mat_left.graft(edges, labels)
     report = validate(amalgam, r)
     for viol in report.violations:
         if viol.kind == "radius_exceeded":

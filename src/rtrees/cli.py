@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .rationals import as_rat, format_rat
 from .skeleton import (
+    EdgePoint,
     PointRef,
     TreeSkeleton,
     Vertex,
@@ -81,6 +82,17 @@ def _load_doc(path: str) -> treeio.TreeDocument:
         raise CliError(f"{path}: {exc}")
 
 
+def _load_matrix(path: str) -> MetricMatrix:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            labels, entries = treeio.parse_matrix_text(fh.read())
+    except FileNotFoundError:
+        raise CliError(f"no such file: {path}")
+    except treeio.FormatError as exc:
+        raise CliError(f"{path}: {exc}")
+    return MetricMatrix(labels, tuple(tuple(row) for row in entries))
+
+
 def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
     """Point syntax: a declared point name, a node id, ``node:<id>``, or
     ``edge:<u>:<v>:<offset>``."""
@@ -92,8 +104,6 @@ def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
         parts = spec.split(":")
         if len(parts) != 4:
             raise CliError(f"bad edge point spec {spec!r}")
-        from .skeleton import EdgePoint
-
         return normalize_point(
             doc.tree, EdgePoint(parts[1], parts[2], as_rat(parts[3]))
         )
@@ -173,16 +183,9 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    m = _load_matrix(args.matrix)
     try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            labels, entries = treeio.parse_matrix_text(fh.read())
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.matrix}")
-    except treeio.FormatError as exc:
-        raise CliError(f"{args.matrix}: {exc}")
-    m = MetricMatrix(labels, tuple(tuple(row) for row in entries))
-    try:
-        tree = realize_tree(m, args.basepoint or labels[0])
+        tree = realize_tree(m, args.basepoint or m.labels[0])
     except FourPointViolation as exc:
         w = exc.witness
         _emit(
@@ -197,13 +200,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            labels, entries = treeio.parse_matrix_text(fh.read())
-    except treeio.FormatError as exc:
-        raise CliError(f"{args.matrix}: {exc}")
-    m = MetricMatrix(labels, tuple(tuple(row) for row in entries))
-    _emit(format_rat(delta_hyperbolicity(m)))
+    _emit(format_rat(delta_hyperbolicity(_load_matrix(args.matrix))))
     return 0
 
 
@@ -280,6 +277,8 @@ def _cmd_type(args) -> int:
             q2 = OneTypeDescriptor(ctx, radius, Vertex("p"), as_rat(args.t))
             _emit(format_rat(one_type_distance(q1, q2)))
             return 0
+        if not args.q1 or not args.q2:
+            raise CliError("type dist needs --ctx empty or both --q1 and --q2")
         q1 = _descriptor_from_file(args.q1)
         q2 = _descriptor_from_file(args.q2)
         mesh = _default_mesh(args, q1.radius)
@@ -348,7 +347,10 @@ def _cmd_generate(args) -> int:
         _fs, tree = au_sample_ball(args.mu, args.count, radius, args.seed)
     elif args.family == "primitive":
         params = [as_rat(x) for x in (args.params.split(",") if args.params else [])]
-        tree = build_primitive(args.kind, params)
+        try:
+            tree = build_primitive(args.kind, params)
+        except ValueError as exc:
+            raise CliError(str(exc))
     else:
         raise CliError(f"unknown family {args.family!r}")
     report = validate(tree, radius)

@@ -50,11 +50,12 @@ from .skeleton import (
     TreeSkeleton,
     Vertex,
     distance,
+    grid_points,
     materialize,
     normalize_point,
     point_on_segment,
 )
-from .formulas import PL, grid_points
+from .formulas import PL, _distance_profile
 
 
 def _g(t: Fraction, reach: Fraction, l: Fraction) -> Fraction:
@@ -339,8 +340,6 @@ def psi_grid_oracle(tree: TreeSkeleton, x: PointRef, r, mesh) -> Fraction:
 def _certificate_profile(tree: TreeSkeleton, edge, r: Fraction, witnesses) -> PL:
     """Objective of a fixed witness triple as a PL function of the edge
     offset; a valid upper bound for psi along the whole edge."""
-    from .formulas import _distance_profile
-
     u, v = edge
     length = tree.edge_length(u, v)
     pp = _distance_profile(tree, (u, v), Vertex(tree.basepoint))
@@ -373,8 +372,6 @@ def _family_certificate(
     result upper-bounds psi everywhere on the edge and captures the
     fractional-slope envelope pieces that frozen witness triples cannot.
     """
-    from .formulas import _distance_profile
-
     u, v = edge
     length = tree.edge_length(u, v)
     zero = PL.const(Fraction(0), length, Fraction(0))
@@ -423,8 +420,6 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
     r = as_rat(r)
     if not tree.edges():
         return psi_at(tree, Vertex(tree.basepoint), r)
-
-    from .formulas import _distance_profile
 
     cache: dict[str, tuple[Fraction, tuple]] = {}
 

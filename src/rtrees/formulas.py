@@ -24,6 +24,7 @@ from .skeleton import (
     TreeSkeleton,
     Vertex,
     distance,
+    grid_points,
     normalize_point,
 )
 from .geometry import interpolate
@@ -523,23 +524,6 @@ class CertifiedValue:
         if self.exact:
             return format_rat(self.lower)
         return f"[{format_rat(self.lower)}, {format_rat(self.upper)}]"
-
-
-def grid_points(
-    tree: TreeSkeleton, mesh: Fraction, anchors: tuple[PointRef, ...] = ()
-) -> list[PointRef]:
-    """Vertices, points spaced <= mesh along every edge, and the anchors."""
-    pts: list[PointRef] = [Vertex(n) for n in tree.nodes()]
-    for u, v, length in tree.edges():
-        k = 1
-        while k * mesh < length:
-            pts.append(EdgePoint(u, v, k * mesh))
-            k += 1
-    for a in anchors:
-        a = normalize_point(tree, a)
-        if a not in pts:
-            pts.append(a)
-    return pts
 
 
 def _exact_single_block(

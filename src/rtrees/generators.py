@@ -5,10 +5,11 @@ All generators are deterministic functions of their parameters and seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .rationals import as_rat
 from .skeleton import (
@@ -16,8 +17,10 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
+    canonicalize,
     distance,
     gensym,
+    grid_points,
     materialize,
     normalize_point,
 )
@@ -70,12 +73,16 @@ def caterpillar(spine: Sequence, legs: Sequence, basepoint: str = "p") -> TreeSk
     return TreeSkeleton(basepoint, edges)
 
 
+# kind -> (number of parameters, or None for any; maker)
 _PRIMITIVES = {
-    "segment": lambda params: segment(*params),
-    "tripod": lambda params: tripod(*params),
-    "k-star": lambda params: k_star(int(params[0]), params[1]),
-    "caterpillar": lambda params: caterpillar(
-        params[: (len(params) + 1) // 2], params[(len(params) + 1) // 2:]
+    "segment": (1, segment),
+    "tripod": (3, tripod),
+    "k-star": (2, lambda k, r: k_star(int(k), r)),
+    "caterpillar": (
+        None,
+        lambda *params: caterpillar(
+            params[: (len(params) + 1) // 2], params[(len(params) + 1) // 2:]
+        ),
     ),
 }
 
@@ -83,10 +90,12 @@ _PRIMITIVES = {
 def build_primitive(kind: str, params: Sequence) -> TreeSkeleton:
     """Dispatch for the named primitive shapes."""
     try:
-        maker = _PRIMITIVES[kind]
+        arity, maker = _PRIMITIVES[kind]
     except KeyError:
         raise ValueError(f"unknown primitive {kind!r}") from None
-    return maker(list(params))
+    if arity is not None and len(params) != arity:
+        raise ValueError(f"primitive {kind!r} takes {arity} parameters, got {len(params)}")
+    return maker(*params)
 
 
 # -- random corpus ----------------------------------------------------------------
@@ -126,12 +135,8 @@ def random_tree(
             continue
         mat = materialize(tree, [pt], prefix=f"j{counter}_")
         node = mat.node_for(normalize_point(tree, pt))
-        leaf = f"n{counter}"
+        tree = mat.graft([(node, f"n{counter}", length)])
         counter += 1
-        edges = list(mat.tree.edges()) + [(node, leaf, length)]
-        tree = TreeSkeleton("p", edges, labels=dict(mat.tree.labels))
-    from .skeleton import canonicalize
-
     return canonicalize(tree)
 
 
@@ -151,6 +156,31 @@ def random_point(rng: random.Random, tree: TreeSkeleton) -> PointRef:
 # -- richly branching extension -----------------------------------------------------
 
 
+def _hang_at_net(
+    tree: TreeSkeleton,
+    r: Fraction,
+    net: list[PointRef],
+    prefix: str,
+    tip_prefixes: Iterator[str],
+    count: Callable[[TreeSkeleton, str, Fraction], int],
+) -> TreeSkeleton:
+    """Cut ``tree`` at the net points and hang ``count(work, node, l)`` fresh
+    edges of length ``l = r - d(p, x)`` at each net point ``x`` strictly
+    inside the radius sphere, one tip name from ``tip_prefixes`` per edge."""
+    mat = materialize(tree, net, prefix=prefix)
+    work = mat.tree
+    taken = set(work.nodes())
+    fresh = []
+    for pt in net:
+        node = mat.node_for(normalize_point(tree, pt))
+        l = r - work.dist_to_basepoint(node)
+        if l <= 0:
+            continue
+        for _ in range(count(work, node, l)):
+            fresh.append((node, gensym(taken, next(tip_prefixes)), l))
+    return mat.graft(fresh)
+
+
 def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     """Attach sphere-reaching witness branches at every net point.
 
@@ -162,35 +192,13 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     r = as_rat(r)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    mesh = r / (2 ** depth)
 
-    net: list[PointRef] = [Vertex(n) for n in tree.nodes()]
-    for u, v, length in tree.edges():
-        k = 1
-        while k * mesh < length:
-            net.append(EdgePoint(u, v, k * mesh))
-            k += 1
+    def missing(work: TreeSkeleton, node: str, l: Fraction) -> int:
+        return 3 - sum(1 for reach in work.reaches_at(node) if reach >= l)
 
-    mat = materialize(tree, net, prefix="net")
-    work = mat.tree
-    reach = work.directional_reach()
-
-    edges = list(work.edges())
-    labels = dict(work.labels)
-    taken = set(work.nodes())
-    counter = 1
-    for pt in net:
-        node = mat.node_for(normalize_point(tree, pt))
-        l = r - work.dist_to_basepoint(node)
-        if l <= 0:
-            continue
-        full = sum(1 for nb in work.neighbors(node) if reach[(node, nb)] >= l)
-        for _ in range(3 - full):
-            tip = gensym(taken, f"w{counter}_")
-            counter += 1
-            edges.append((node, tip, l))
-    out = TreeSkeleton(tree.basepoint, edges, labels=labels, extra_nodes=list(taken))
-    return out
+    net = grid_points(tree, r / (2 ** depth))
+    tips = (f"w{i}_" for i in itertools.count(1))
+    return _hang_at_net(tree, r, net, "net", tips, missing)
 
 
 # -- degree families ----------------------------------------------------------------
@@ -226,32 +234,17 @@ def degree_family_tree(cfg: GeneratorConfig) -> TreeSkeleton:
     degrees = cfg.degree_set
     mesh0 = cfg.mesh if cfg.mesh is not None else r / 2
     tree = segment(r, basepoint="p", tip="z0")
-    counter = 1
+    tips = (f"r{i}_" for i in itertools.count(1))
     for j in range(cfg.depth + 1):
         k_j = degrees[j % len(degrees)]
-        delta = mesh0 / (2 ** j)
-        net: list[PointRef] = []
-        for u, v, length in tree.edges():
-            k = 1
-            while k * delta < length:
-                net.append(EdgePoint(u, v, k * delta))
-                k += 1
-        mat = materialize(tree, net, prefix=f"d{j}_")
-        work = mat.tree
-        edges = list(work.edges())
-        taken = set(work.nodes())
-        for pt in net:
-            node = mat.node_for(normalize_point(tree, pt))
-            if work.degree(node) != 2:
-                continue  # already enriched in an earlier round
-            l = r - work.dist_to_basepoint(node)
-            if l <= 0:
-                continue
-            for _ in range(k_j - 2):
-                tip = gensym(taken, f"r{counter}_")
-                counter += 1
-                edges.append((node, tip, l))
-        tree = TreeSkeleton("p", edges, labels=dict(work.labels))
+
+        def enrich(work: TreeSkeleton, node: str, l: Fraction) -> int:
+            # points enriched in an earlier round already have their degree
+            return k_j - 2 if work.degree(node) == 2 else 0
+
+        grid = grid_points(tree, mesh0 / (2 ** j))
+        net = [pt for pt in grid if isinstance(pt, EdgePoint)]
+        tree = _hang_at_net(tree, r, net, f"d{j}_", tips, enrich)
     return tree
 
 

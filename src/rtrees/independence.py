@@ -10,17 +10,12 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .skeleton import PointRef, TreeSkeleton, normalize_point, point_sort_key
 from .geometry import project_to_subtree, spanned_subtree
-from .typespace import (
-    ContextMismatchError,
-    InconsistentDescriptorError,
-    NTypeDescriptor,
-    validate_descriptor,
-)
+from .typespace import ContextMismatchError, NTypeDescriptor, require_valid
 
 
 @dataclass(frozen=True)
@@ -63,34 +58,15 @@ def extend_nonforking(
     new_gens = tuple(q.context.generators) + tuple(
         normalize_point(tree, b) for b in B
     )
-    new_ctx = spanned_subtree(tree, new_gens, adjoin_basepoint=True)
-    out = NTypeDescriptor(
-        context=new_ctx,
-        radius=q.radius,
-        closest=q.closest,
-        offsets=q.offsets,
-        pairwise=q.pairwise,
-    )
-    check = validate_descriptor(out)
-    if check is not True:  # cannot happen for valid inputs
-        raise InconsistentDescriptorError(check)
+    out = replace(q, context=spanned_subtree(tree, new_gens, adjoin_basepoint=True))
+    require_valid(out)  # cannot fail for valid inputs
     return out
 
 
 def restrict_descriptor(q: NTypeDescriptor, A: Iterable[PointRef]) -> NTypeDescriptor:
     """Restriction of a descriptor to a smaller context (same data)."""
-    tree = q.context.ambient
-    ctx = spanned_subtree(tree, A, adjoin_basepoint=True)
-    out = NTypeDescriptor(
-        context=ctx,
-        radius=q.radius,
-        closest=q.closest,
-        offsets=q.offsets,
-        pairwise=q.pairwise,
-    )
-    check = validate_descriptor(out)
-    if check is not True:
-        raise InconsistentDescriptorError(check)
+    out = replace(q, context=spanned_subtree(q.context.ambient, A, adjoin_basepoint=True))
+    require_valid(out)
     return out
 
 

@@ -184,19 +184,10 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
 
     placed: list[str] = [base]
     for lbl in reps[1:]:
-        if len(placed) == 1:
-            tree = TreeSkeleton(
-                base,
-                [(base, lbl, m.dist(base, lbl))],
-                labels={**tree.labels, lbl: tuple(sorted(groups[lbl]))},
-            )
-            anchor_node[lbl] = lbl
-            placed.append(lbl)
-            continue
         # attachment height along the path from the base toward the deepest
         # already-placed witness of the Gromov product
         best_h = Fraction(0)
-        best_anchor = placed[1]
+        best_anchor = base
         for other in placed[1:]:
             h = (m.dist(base, lbl) + m.dist(base, other) - m.dist(lbl, other)) / 2
             if h > best_h:
@@ -206,29 +197,15 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
             tree, Vertex(base), Vertex(anchor_node[best_anchor]), best_h
         )
         leaf_len = m.dist(base, lbl) - best_h
-        if isinstance(attach_pt, Vertex) and leaf_len == 0:
-            # lbl coincides with an existing (possibly Steiner) node
-            labels = dict(tree.labels)
-            existing = labels.get(attach_pt.node, ())
-            labels[attach_pt.node] = tuple(sorted(set(existing) | set(groups[lbl])))
-            tree = TreeSkeleton(base, tree.edges(), labels=labels, extra_nodes=tree.nodes())
-            anchor_node[lbl] = attach_pt.node
-            placed.append(lbl)
-            continue
         mat = materialize(tree, [attach_pt], prefix="s")
-        work = mat.tree
         node = mat.node_for(normalize_point(tree, attach_pt))
-        edges = list(work.edges())
         if leaf_len > 0:
-            edges.append((node, lbl, leaf_len))
-            labels = {**work.labels, lbl: tuple(sorted(groups[lbl]))}
+            tree = mat.graft([(node, lbl, leaf_len)], {lbl: groups[lbl]})
             anchor_node[lbl] = lbl
         else:
-            labels = dict(work.labels)
-            existing = labels.get(node, ())
-            labels[node] = tuple(sorted(set(existing) | set(groups[lbl])))
+            # lbl coincides with an existing (possibly Steiner) point
+            tree = mat.graft(labels={node: groups[lbl]})
             anchor_node[lbl] = node
-        tree = TreeSkeleton(base, edges, labels=labels, extra_nodes=work.nodes())
         placed.append(lbl)
 
     return canonicalize(tree)

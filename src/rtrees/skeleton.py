@@ -404,6 +404,25 @@ class Materialization:
                 return normalize_point(self.tree, EdgePoint(wu, wv, work_off))
         raise SkeletonError(f"point {pt!r} not found in any span")
 
+    def graft(
+        self,
+        edges: Iterable[tuple[str, str, object]] = (),
+        labels: Optional[Mapping[str, object]] = None,
+    ) -> TreeSkeleton:
+        """The materialized tree with fresh ``(u, v, length)`` edges hung on
+        it; ``labels`` are merged into the existing ones by sorted union."""
+        merged = dict(self.tree.labels)
+        for node, names in (labels or {}).items():
+            if isinstance(names, str):
+                names = (names,)
+            merged[node] = tuple(sorted(set(merged.get(node, ())) | set(names)))
+        return TreeSkeleton(
+            self.tree.basepoint,
+            list(self.tree.edges()) + list(edges),
+            labels=merged,
+            extra_nodes=self.tree.nodes(),
+        )
+
 
 def gensym(taken: set[str], prefix: str) -> str:
     i = 1
@@ -462,6 +481,23 @@ def materialize(
         else:
             point_map[pt] = cut_node[(pt.u, pt.v, pt.offset)]
     return Materialization(out, point_map, to_source, spans)
+
+
+def grid_points(
+    tree: TreeSkeleton, mesh: Fraction, anchors: tuple[PointRef, ...] = ()
+) -> list[PointRef]:
+    """Vertices, points spaced <= mesh along every edge, and the anchors."""
+    pts: list[PointRef] = [Vertex(n) for n in tree.nodes()]
+    for u, v, length in tree.edges():
+        k = 1
+        while k * mesh < length:
+            pts.append(EdgePoint(u, v, k * mesh))
+            k += 1
+    for a in anchors:
+        a = normalize_point(tree, a)
+        if a not in pts:
+            pts.append(a)
+    return pts
 
 
 # -- canonical form ------------------------------------------------------------

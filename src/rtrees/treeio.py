@@ -181,6 +181,8 @@ def parse_matrix_text(text: str) -> tuple[tuple[str, ...], list[list[Fraction]]]
     if not lines or lines[0][1][0] != "labels":
         raise FormatError("matrix text must start with a labels line")
     labels = tuple(lines[0][1][1:])
+    if not labels:
+        raise FormatError("labels line names no points", lines[0][0])
     n = len(labels)
     entries = [[Fraction(0)] * n for _ in range(n)]
     rows = lines[1:]
@@ -231,7 +233,12 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
             if kind == "context":
                 if len(parts) != 2:
                     raise FormatError("context needs a tree file path", lineno)
-                tree_doc = load_tree(os.path.join(base_dir, parts[1]))
+                try:
+                    tree_doc = load_tree(os.path.join(base_dir, parts[1]))
+                except OSError as exc:
+                    raise FormatError(
+                        f"cannot read context {parts[1]}: {exc.strerror}", lineno
+                    ) from exc
             elif kind == "radius":
                 radius = as_rat(parts[1])
             elif kind == "closest":

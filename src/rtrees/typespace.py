@@ -10,7 +10,7 @@ on the symbols ``e_1..e_n, x_1..x_n`` satisfies the four-point condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -18,9 +18,12 @@ from .rationals import as_rat, format_rat
 from .skeleton import (
     EdgePoint,
     PointRef,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
     distance,
+    gensym,
+    materialize,
     normalize_point,
     point_on_segment,
     point_sort_key,
@@ -182,6 +185,13 @@ def validate_descriptor(q: NTypeDescriptor):
     return True
 
 
+def require_valid(q: NTypeDescriptor) -> None:
+    """Raise InconsistentDescriptorError unless the descriptor is valid."""
+    check = validate_descriptor(q)
+    if check is not True:
+        raise InconsistentDescriptorError(check)
+
+
 def types_equal(q1: NTypeDescriptor, q2: NTypeDescriptor) -> bool:
     """Equality of the canonical data (closest points as metric points)."""
     _require_same_context(q1, q2)
@@ -221,24 +231,12 @@ def types_equal_transferred(q_small: NTypeDescriptor, q_big: NTypeDescriptor) ->
     )
 
 
-def realize_type(
-    tree: TreeSkeleton, q: NTypeDescriptor
-) -> tuple[TreeSkeleton, tuple[PointRef, ...]]:
-    """Extend ``tree`` with fresh branches realizing the descriptor.
-
-    Each equivalence class of coordinates sharing a closest point ``e`` is
-    realized as a small tree from its class metric and glued at ``e``;
-    fresh branches never collide with existing ones in a finite skeleton.
-    """
-    check = validate_descriptor(q)
-    if check is not True:
-        raise InconsistentDescriptorError(check)
-    if tree != q.context.ambient:
-        raise ContextMismatchError("realize_type expects the context's ambient tree")
-
-    n = q.n
+def _class_trees(q: NTypeDescriptor) -> list[tuple[PointRef, list[int], TreeSkeleton]]:
+    """The coordinates grouped by closest point ``e``, each class with its
+    realization: a tree whose node labeled ``a`` sits at ``e`` and whose
+    node labeled ``t{i+1}`` realizes coordinate ``i``."""
     classes: list[tuple[PointRef, list[int]]] = []
-    for i in range(n):
+    for i in range(q.n):
         for e, members in classes:
             if e == q.closest[i]:
                 members.append(i)
@@ -246,7 +244,7 @@ def realize_type(
         else:
             classes.append((q.closest[i], [i]))
 
-    attachments = []
+    out = []
     for e, members in classes:
         labels = ["a"] + [f"t{i + 1}" for i in members]
         size = len(labels)
@@ -258,12 +256,29 @@ def realize_type(
                 if a_idx != b_idx:
                     m[a_idx][b_idx] = q.pairwise[i][j]
         k_tree = realize_tree(MetricMatrix(tuple(labels), tuple(tuple(r_) for r_ in m)), "a")
-        anchor = k_tree.find_label("a")
-        attachments.append((k_tree, Vertex(anchor), e))
+        out.append((e, members, k_tree))
+    return out
 
-    glued = glue_family(GlueSpec(base=tree, attachments=tuple(attachments)), q.radius)
+
+def realize_type(
+    tree: TreeSkeleton, q: NTypeDescriptor
+) -> tuple[TreeSkeleton, tuple[PointRef, ...]]:
+    """Extend ``tree`` with fresh branches realizing the descriptor.
+
+    Each equivalence class of coordinates sharing a closest point ``e`` is
+    realized as a small tree from its class metric and glued at ``e``;
+    fresh branches never collide with existing ones in a finite skeleton.
+    """
+    require_valid(q)
+    if tree != q.context.ambient:
+        raise ContextMismatchError("realize_type expects the context's ambient tree")
+
+    attachments = tuple(
+        (k_tree, Vertex(k_tree.find_label("a")), e) for e, _members, k_tree in _class_trees(q)
+    )
+    glued = glue_family(GlueSpec(base=tree, attachments=attachments), q.radius)
     points = []
-    for i in range(n):
+    for i in range(q.n):
         node = glued.find_label(f"t{i + 1}")
         if node is None:
             raise AssertionError("realized point label vanished")
@@ -317,13 +332,7 @@ def apply_context_isometry(
     for e in new_closest:
         if not q.context.covers(e):
             raise ContextMismatchError("isometry image leaves the context")
-    return NTypeDescriptor(
-        context=q.context,
-        radius=q.radius,
-        closest=new_closest,
-        offsets=q.offsets,
-        pairwise=q.pairwise,
-    )
+    return replace(q, closest=new_closest)
 
 
 # -- certified search for the distance between n-types ------------------------------
@@ -337,8 +346,6 @@ def _sphere_points(
 ) -> list[PointRef]:
     """Points at tree-distance exactly ``radius_`` from ``host`` whose arc
     from ``host`` leaves the forbidden subtree immediately."""
-    from .skeleton import SkeletonError
-
     if radius_ == 0:
         return [normalize_point(tree, host)]
     host = normalize_point(tree, host)
@@ -403,19 +410,12 @@ def _fresh_attach(
     tree: TreeSkeleton, at: PointRef, length: Fraction, tag: str
 ) -> tuple[TreeSkeleton, PointRef]:
     """Hang a fresh segment at a point; returns the new tree and tip."""
-    from .skeleton import materialize, gensym
-
     if length == 0:
         return tree, normalize_point(tree, at)
     mat = materialize(tree, [at], prefix=f"c{tag}")
     node = mat.node_for(normalize_point(tree, at))
-    taken = set(mat.tree.nodes())
-    tip = gensym(taken, f"b{tag}_")
-    edges = list(mat.tree.edges()) + [(node, tip, length)]
-    out = TreeSkeleton(
-        mat.tree.basepoint, edges, labels=dict(mat.tree.labels), extra_nodes=[tip]
-    )
-    return out, Vertex(tip)
+    tip = gensym(set(mat.tree.nodes()), f"b{tag}_")
+    return mat.graft([(node, tip, length)]), Vertex(tip)
 
 
 def type_distance_search(
@@ -437,10 +437,8 @@ def type_distance_search(
     if mesh <= 0:
         raise ValueError("mesh must be positive")
     _require_same_context(q1, q2)
-    for q in (q1, q2):
-        check = validate_descriptor(q)
-        if check is not True:
-            raise InconsistentDescriptorError(check)
+    require_valid(q1)
+    require_valid(q2)
     if q1.n != q2.n:
         raise ContextMismatchError("descriptors have different arities")
     n = q1.n
@@ -458,23 +456,14 @@ def type_distance_search(
 
     # realization skeletons of q2, one per closest-point class, as rooted
     # edge lists in depth-first order
-    classes: list[tuple[PointRef, list[int]]] = []
-    for i in range(n):
-        for e, members in classes:
-            if e == q2.closest[i]:
-                members.append(i)
-                break
-        else:
-            classes.append((q2.closest[i], [i]))
+    classes = _class_trees(q2)
 
     # pre-materialize the class roots so that later fresh attachments never
     # subdivide a context edge (keeps the coverage test valid throughout)
-    from .skeleton import materialize as _materialize
-
     roots_raw = [
-        normalize_point(base0, transfer_point(base0, e)) for e, _m in classes
+        normalize_point(base0, transfer_point(base0, e)) for e, _m, _k in classes
     ]
-    mat_roots = _materialize(base0, roots_raw, prefix="rt")
+    mat_roots = materialize(base0, roots_raw, prefix="rt")
     base = mat_roots.tree
     ctx_in_base = spanned_subtree(
         base,
@@ -485,20 +474,8 @@ def type_distance_search(
     segments: list[tuple[object, object, Fraction, dict]] = []
     # (parent_key, child_key, length, coordinate indices landing at child)
     coord_at: dict[object, list[int]] = {}
-    k_trees: list[TreeSkeleton] = []
     key_node: dict[object, tuple[int, str]] = {}
-    for c_idx, (e, members) in enumerate(classes):
-        labels = ["a"] + [f"t{i + 1}" for i in members]
-        size = len(labels)
-        mm = [[Fraction(0)] * size for _ in range(size)]
-        for a_i, i in enumerate(members, start=1):
-            mm[0][a_i] = q2.offsets[i]
-            mm[a_i][0] = q2.offsets[i]
-            for b_i, j in enumerate(members, start=1):
-                if a_i != b_i:
-                    mm[a_i][b_i] = q2.pairwise[i][j]
-        k_tree = realize_tree(MetricMatrix(tuple(labels), tuple(tuple(r_) for r_ in mm)), "a")
-        k_trees.append(k_tree)
+    for c_idx, (_e, members, k_tree) in enumerate(classes):
         anchor = k_tree.find_label("a")
         root_key = ("root", c_idx)
         key_node[root_key] = (c_idx, anchor)
@@ -562,7 +539,7 @@ def type_distance_search(
             else:
                 targets = _sphere_points(tree_now, host, lam, ctx_in_base)
             c_idx, child_node = key_node[child_key]
-            k_tree = k_trees[c_idx]
+            k_tree = classes[c_idx][2]
             for z in targets:
                 budget[0] -= 1
                 if z is None:

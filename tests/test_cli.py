@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rtrees.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 TRIPOD_TEXT = """\
@@ -155,3 +162,38 @@ def test_mesh_env_var(tripod_file, capsys, monkeypatch):
     monkeypatch.setenv("RTREE_MESH", "1/4")
     code, out, _ = run(capsys, "check", "--tree", tripod_file)
     assert code == 0 and "axiom3=0" in out
+
+
+def _write(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+BAD_INVOCATIONS = {
+    "delta-missing-matrix": lambda tmp: ["delta", "--matrix", str(tmp / "missing.mat")],
+    "realize-bare-labels": lambda tmp: [
+        "realize", "--matrix", _write(tmp, "bare.mat", "labels\n"),
+    ],
+    "descriptor-missing-context": lambda tmp: [
+        "type", "principal", "--descriptor",
+        _write(tmp, "q.desc", "context missing.tree\nclosest 1 node p\noffset 1 1\n"),
+    ],
+    "type-dist-without-descriptors": lambda tmp: ["type", "dist"],
+    "primitive-wrong-arity": lambda tmp: [
+        "generate", "primitive", "--radius", "2", "--kind", "tripod", "--params", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_input_exits_2_without_traceback(case, tmp_path):
+    argv = BAD_INVOCATIONS[case](tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtrees.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

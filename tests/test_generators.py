@@ -1,11 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from rtrees import (
+    EdgePoint,
     GeneratorConfig,
+    GlueSpec,
     StepFunction,
+    SubtreeMap,
+    TreeSkeleton,
     Vertex,
+    amalgamate,
     au_distance,
     au_sample_ball,
     branch_degree_multiset,
@@ -14,16 +20,20 @@ from rtrees import (
     degree_family_tree,
     distance,
     four_point_check,
+    glue_family,
     k_star,
     random_tree,
     rb_extend,
     realize_tree,
+    realize_type,
     segment,
     tree_to_matrix,
     tripod,
+    type_of,
     validate,
 )
 from conftest import rng_for
+from rtrees import treeio
 from rtrees.matrices import node_of_label
 
 
@@ -49,6 +59,8 @@ def test_primitives():
     assert build_primitive("tripod", [1, 1, 1]) == t
     with pytest.raises(ValueError):
         build_primitive("pentagon", [1])
+    with pytest.raises(ValueError):
+        build_primitive("tripod", [1])
 
 
 def test_random_trees_are_valid():
@@ -178,3 +190,55 @@ def test_au_sample_tripod_from_diverging_functions():
         distance(tree, Vertex(node_of_label(tree, f"f{i}")), Vertex(steiner[0])) == 1
         for i in range(3)
     )
+
+
+def _serialized_sha256(tree, points=None):
+    text = treeio.serialize_tree(tree, R, points)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _regression_cases():
+    half = Fraction(1, 2)
+    t = tripod(1, 1, 1)
+    yield "rb_extend", rb_extend(t, 2, 2), None
+    yield "degree_family_tree", degree_family_tree(GeneratorConfig(0, 2, 2, (3, 4))), None
+    yield "random_tree", random_tree(7, max_nodes=8), None
+    pts = [
+        Vertex("p"), Vertex("a"), Vertex("b"), Vertex("y"), EdgePoint("p", "y", half),
+        EdgePoint("y", "a", half), Vertex("a"), EdgePoint("y", "b", Fraction(1, 4)),
+    ]
+    yield "realize_tree", realize_tree(tree_to_matrix(t, pts)), None
+    q = type_of(
+        t, [Vertex("a")], [Vertex("b"), EdgePoint("y", "b", half), EdgePoint("p", "y", half)], R
+    )
+    glued, realized = realize_type(t, q)
+    yield "realize_type", glued, {f"b{i + 1}": pt for i, pt in enumerate(realized)}
+    base = TreeSkeleton("p", [("p", "y", 1), ("y", "a", 1), ("y", "b", 1)], labels={"y": "mid"})
+    flag = TreeSkeleton("q", [("q", "z", half)], labels={"q": "anchor", "z": "tip"})
+    spec = GlueSpec(
+        base,
+        ((segment(half), Vertex("p"), EdgePoint("y", "a", half)), (flag, Vertex("q"), Vertex("y"))),
+    )
+    yield "glue_family", glue_family(spec, R), None
+    right = TreeSkeleton("p", [("p", "y", 1), ("y", "a", 1), ("y", "b", 1)], labels={"a": "far"})
+    cut = EdgePoint("p", "y", half)
+    amalgam, _g1, _g2 = amalgamate(t, right, SubtreeMap(t, right, ((cut, cut),)), R)
+    yield "amalgamate", amalgam, None
+
+
+# sha256 of the serialized outputs, recorded before the cut-and-hang sites
+# were routed through Materialization.graft; node ids are part of the text
+REGRESSION_SHA256 = {
+    "rb_extend": "47bcfc12e85492d787eca6db3a96c4b16a8b63f42fd48bb9ab6153061a41e80e",
+    "degree_family_tree": "bf6c02c4081cdfb10e2230762abb8ffc251686bf8587e57ff9366eb557665665",
+    "random_tree": "d3125832a824b0b2ac10f28a7c0cbce493856ceb969a13b460932f487e71fe4b",
+    "realize_tree": "784e7e5ff402df9c17d0681008c68c52ad821615c0a2b586a50b73377cb6b037",
+    "realize_type": "3324316099c8440b81cda9f6f29fcb73a2f9933406f49cbc2244c86954951efd",
+    "glue_family": "9d9f916a2b77a6661e612b8676ef31e2a8f391a9fcfb02c12bc8458a4a012a70",
+    "amalgamate": "fe00c07b3fe460f03fd1708db0a683cd121bbaba47014ddbff9b7b68a9ec3541",
+}
+
+
+def test_generated_node_ids_unchanged():
+    got = {name: _serialized_sha256(tree, pts) for name, tree, pts in _regression_cases()}
+    assert got == REGRESSION_SHA256

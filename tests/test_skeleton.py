@@ -164,3 +164,25 @@ def test_point_on_segment_distances_consistent():
             z = point_on_segment(tree, a, b, t)
             assert distance(tree, a, z) == t
             assert distance(tree, z, b) == total - t
+
+
+def test_graft_merges_labels_and_hangs_fresh_tips():
+    tree = TreeSkeleton("p", [("p", "y", 1), ("y", "a", 1), ("y", "b", 1)], labels={"y": "mid"})
+    mat = materialize(tree, [EdgePoint("p", "y", Fraction(1, 2))], prefix="c")
+    out = mat.graft([("c1", "tip", Fraction(1, 4))], {"y": ("alpha", "mid"), "tip": ["t"]})
+    assert out.basepoint == "p"
+    assert out.labels_of("y") == ("alpha", "mid")
+    assert out.labels_of("tip") == ("t",)
+    assert out.dist_to_basepoint("tip") == Fraction(3, 4)
+    assert validate(out, 2).ok
+    # the materialization itself is left untouched
+    assert not mat.tree.has_node("tip") and mat.tree.labels_of("y") == ("mid",)
+
+
+def test_graft_on_single_node_keeps_basepoint(lone_point):
+    mat = materialize(lone_point, [Vertex("p")])
+    relabeled = mat.graft(labels={"p": ("origin",)})
+    assert relabeled.basepoint == "p" and relabeled.nodes() == ("p",)
+    assert relabeled.labels_of("p") == ("origin",)
+    grown = mat.graft([("p", "q", 1)])
+    assert grown.basepoint == "p" and grown.edges() == (("p", "q", Fraction(1)),)
