@@ -73,24 +73,29 @@ def _default_mesh(args, radius: Fraction) -> Fraction:
     return radius / 8
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}")
+
+
 def _load_doc(path: str) -> treeio.TreeDocument:
     try:
-        return treeio.load_tree(path)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        return treeio.parse_tree(_read_text(path))
     except treeio.FormatError as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _load_matrix(path: str) -> MetricMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            labels, entries = treeio.parse_matrix_text(fh.read())
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    except treeio.FormatError as exc:
+        labels, entries = treeio.parse_matrix_text(_read_text(path))
+        return MetricMatrix(labels, entries)
+    except ValueError as exc:  # a FormatError, or entries that are not a metric
         raise CliError(f"{path}: {exc}")
-    return MetricMatrix(labels, tuple(tuple(row) for row in entries))
 
 
 def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
@@ -209,20 +214,14 @@ def _cmd_amalgamate(args) -> int:
     right = _load_doc(args.right)
     radius = as_rat(args.radius)
     pairs = []
-    try:
-        with open(args.shared, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if parts[0] != "pair" or len(parts) != 3:
-                    raise CliError(f"{args.shared}:{lineno}: expected 'pair <left> <right>'")
-                pairs.append(
-                    (_resolve_point(left, parts[1]), _resolve_point(right, parts[2]))
-                )
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.shared}")
+    for lineno, line in enumerate(_read_text(args.shared).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "pair" or len(parts) != 3:
+            raise CliError(f"{args.shared}:{lineno}: expected 'pair <left> <right>'")
+        pairs.append((_resolve_point(left, parts[1]), _resolve_point(right, parts[2])))
     shared = SubtreeMap(source=left.tree, target=right.tree, pairs=tuple(pairs))
     amalgam, _g1, _g2 = amalgamate(left.tree, right.tree, shared, radius)
     _write_output(treeio.serialize_tree(amalgam, radius), args.output)
@@ -231,13 +230,8 @@ def _cmd_amalgamate(args) -> int:
 
 def _descriptor_from_file(path: str) -> NTypeDescriptor:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    try:
         doc, radius, closest, offsets, rho = treeio.parse_descriptor_text(
-            text, base_dir=os.path.dirname(path) or "."
+            _read_text(path), base_dir=os.path.dirname(path) or "."
         )
     except treeio.FormatError as exc:
         raise CliError(f"{path}: {exc}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .rationals import as_rat, format_rat
@@ -85,51 +86,90 @@ def four_point_check(m: MetricMatrix):
     violating witness in lexicographic index order.
 
     Quadruples with repeated indices are included, so a passing check also
-    certifies the triangle inequality.
+    certifies the triangle inequality.  ``True`` is certified by an exact
+    round trip: the matrix satisfies the condition iff it is realized
+    isometrically by a tree (Buneman 1974), so the O(n^4) scan over
+    quadruples runs only when the insertion of :func:`realize_tree` fails.
     """
+    if _is_tree_metric(m):
+        return True
+    return _four_point_scan(m)
+
+
+def _is_tree_metric(m: MetricMatrix) -> bool:
+    """Whether the insertion of :func:`realize_tree` round-trips ``m``.  Its
+    nodes are named by index, so no label can clash with a node id."""
+    if not m.labels:
+        return True
+    names = tuple(f"x{i}" for i in range(len(m)))
+    return _insertion_tree(m.entries, names, "x0") is not None
+
+
+def _scaled_entries(m: MetricMatrix) -> tuple[list[list[int]], int]:
+    """The entries as integers over the LCM of their denominators."""
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    return ints, scale
+
+
+def _four_point_scan(m: MetricMatrix):
+    """The quadruple scan behind :func:`four_point_check`, in integers."""
     n = len(m)
-    e = m.entries
+    e, scale = _scaled_entries(m)
     for x in range(n):
+        ex = e[x]
         for y in range(n):
-            dxy = e[x][y]
+            ey = e[y]
+            dxy = ex[y]
             for z in range(n):
+                ez = e[z]
+                dxz = ex[z]
+                dyz = ey[z]
                 for t in range(n):
-                    lhs = dxy + e[z][t]
-                    rhs_a = e[x][z] + e[y][t]
-                    rhs_b = e[y][z] + e[x][t]
+                    lhs = dxy + ez[t]
+                    rhs_a = dxz + ey[t]
+                    rhs_b = dyz + ex[t]
                     rhs = rhs_a if rhs_a >= rhs_b else rhs_b
                     if lhs > rhs:
                         return FourPointWitness(
                             (x, y, z, t),
                             (m.labels[x], m.labels[y], m.labels[z], m.labels[t]),
-                            lhs,
-                            rhs,
+                            Fraction(lhs, scale),
+                            Fraction(rhs, scale),
                         )
     return True
 
 
 def delta_hyperbolicity(m: MetricMatrix) -> Fraction:
     """Least ``delta >= 0`` such that
-    ``min((x.z)_w, (y.z)_w) - delta <= (x.y)_w`` for all quadruples."""
+    ``min((x.z)_w, (y.z)_w) - delta <= (x.y)_w`` for all quadruples.
+
+    Zero is certified by the exact round trip of :func:`realize_tree`
+    (a metric is 0-hyperbolic iff it is a tree metric); any other value
+    comes from a scan over all quadruples.
+    """
+    if _is_tree_metric(m):
+        return Fraction(0)
     n = len(m)
-    e = m.entries
-    worst = Fraction(0)
+    e, scale = _scaled_entries(m)
+    # twice the Gromov products, so every value stays an integer
+    worst = 0
     for w in range(n):
-        gp = [
-            [(e[x][w] + e[y][w] - e[x][y]) / 2 for y in range(n)]
-            for x in range(n)
-        ]
+        ew = e[w]
+        gp = [[ex[w] + ew[y] - ex[y] for y in range(n)] for ex in e]
         for x in range(n):
+            gx = gp[x]
             for y in range(n):
-                gxy = gp[x][y]
+                gxy = gx[y]
+                gy = gp[y]
                 for z in range(n):
-                    m1 = gp[x][z]
-                    m2 = gp[y][z]
+                    m1 = gx[z]
+                    m2 = gy[z]
                     small = m1 if m1 <= m2 else m2
                     gap = small - gxy
                     if gap > worst:
                         worst = gap
-    return worst
+    return Fraction(worst, 2 * scale)
 
 
 def tree_to_matrix(tree: TreeSkeleton, points: Sequence[PointRef], labels=None) -> MetricMatrix:
@@ -154,22 +194,46 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
     points become unlabeled Steiner nodes.  The result is minimal: it is
     spanned by the labeled points, and ``tree_to_matrix`` of the labeled
     points returns ``m`` exactly.
+
+    The result is certified by that exact round trip.  Only when it fails
+    (or an attachment falls outside its path) does the quadruple scan run,
+    to raise :class:`FourPointViolation` with the lexicographically first
+    witness.
     """
-    check = four_point_check(m)
-    if check is not True:
-        raise FourPointViolation(check)
     if basepoint_label is None:
         basepoint_label = m.labels[0]
     if basepoint_label not in m.labels:
+        check = four_point_check(m)
+        if check is not True:
+            raise FourPointViolation(check)
         raise ValueError(f"unknown basepoint label {basepoint_label!r}")
+    tree = _insertion_tree(m.entries, m.labels, basepoint_label)
+    if tree is not None:
+        return tree
+    check = _four_point_scan(m)
+    if check is True:
+        raise RuntimeError("insertion failed on a matrix that passes the four-point scan")
+    raise FourPointViolation(check)
+
+
+def _insertion_tree(
+    e: tuple[tuple[Fraction, ...], ...], labels: tuple[str, ...], basepoint_label: str
+) -> Optional[TreeSkeleton]:
+    """Insert the labels of the matrix ``e`` one by one, each at its
+    Gromov-product height on the path from the base to its best anchor, and
+    return the canonical tree; ``None`` if an attachment falls outside its
+    path, a Steiner node already has a label's name, or ``tree_to_matrix``
+    of the result differs from ``e``."""
+    index = {lbl: i for i, lbl in enumerate(labels)}
 
     # merge zero-distance labels
-    order = [basepoint_label] + [l for l in m.labels if l != basepoint_label]
+    order = [basepoint_label] + [l for l in labels if l != basepoint_label]
     rep: dict[str, str] = {}
     groups: dict[str, list[str]] = {}
     for lbl in order:
+        row = e[index[lbl]]
         for seen in groups:
-            if m.dist(lbl, seen) == 0:
+            if row[index[seen]] == 0:
                 rep[lbl] = seen
                 groups[seen].append(lbl)
                 break
@@ -179,6 +243,7 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
 
     reps = [l for l in order if rep[l] == l]
     base = reps[0]
+    base_row = e[index[base]]
     tree = TreeSkeleton(base, (), labels={base: tuple(sorted(groups[base]))}, extra_nodes=[base])
     anchor_node: dict[str, str] = {base: base}
 
@@ -186,20 +251,27 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
     for lbl in reps[1:]:
         # attachment height along the path from the base toward the deepest
         # already-placed witness of the Gromov product
+        row = e[index[lbl]]
+        d_base = base_row[index[lbl]]
         best_h = Fraction(0)
         best_anchor = base
         for other in placed[1:]:
-            h = (m.dist(base, lbl) + m.dist(base, other) - m.dist(lbl, other)) / 2
+            j = index[other]
+            h = (d_base + base_row[j] - row[j]) / 2
             if h > best_h:
                 best_h = h
                 best_anchor = other
+        leaf_len = d_base - best_h
+        if best_h > base_row[index[best_anchor]] or leaf_len < 0:
+            return None
         attach_pt = point_on_segment(
             tree, Vertex(base), Vertex(anchor_node[best_anchor]), best_h
         )
-        leaf_len = m.dist(base, lbl) - best_h
         mat = materialize(tree, [attach_pt], prefix="s")
         node = mat.node_for(normalize_point(tree, attach_pt))
         if leaf_len > 0:
+            if mat.tree.has_node(lbl):
+                return None  # a Steiner node took the label's node id
             tree = mat.graft([(node, lbl, leaf_len)], {lbl: groups[lbl]})
             anchor_node[lbl] = lbl
         else:
@@ -208,7 +280,10 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
             anchor_node[lbl] = node
         placed.append(lbl)
 
-    return canonicalize(tree)
+    tree = canonicalize(tree)
+    node_of = {name: node for node, names in tree.labels.items() for name in names}
+    back = tree_to_matrix(tree, [Vertex(node_of[l]) for l in labels], labels)
+    return tree if back.entries == e else None
 
 
 def node_of_label(tree: TreeSkeleton, name: str) -> str:

@@ -164,9 +164,9 @@ def test_mesh_env_var(tripod_file, capsys, monkeypatch):
     assert code == 0 and "axiom3=0" in out
 
 
-def _write(directory, name, text):
+def _write(directory, name, text, encoding="utf-8"):
     path = directory / name
-    path.write_text(text)
+    path.write_text(text, encoding=encoding)
     return str(path)
 
 
@@ -182,6 +182,18 @@ BAD_INVOCATIONS = {
     "type-dist-without-descriptors": lambda tmp: ["type", "dist"],
     "primitive-wrong-arity": lambda tmp: [
         "generate", "primitive", "--radius", "2", "--kind", "tripod", "--params", "1",
+    ],
+    "check-tree-is-directory": lambda tmp: ["check", "--tree", str(tmp)],
+    "check-tree-not-utf8": lambda tmp: [
+        "check", "--tree",
+        _write(tmp, "latin1.tree", "radius 1\nnode p\xe9 basepoint\n", encoding="latin-1"),
+    ],
+    "realize-matrix-is-directory": lambda tmp: ["realize", "--matrix", str(tmp)],
+    "realize-duplicate-labels": lambda tmp: [
+        "realize", "--matrix", _write(tmp, "dup.mat", "labels x x\n1\n"),
+    ],
+    "delta-negative-entry": lambda tmp: [
+        "delta", "--matrix", _write(tmp, "neg.mat", "labels a b\n-1\n"),
     ],
 }
 

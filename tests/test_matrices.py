@@ -32,6 +32,62 @@ def labeled_matrix(tree, pts, names):
     return tree_to_matrix(tree, pts, labels=names)
 
 
+def reference_four_point(m):
+    """Independent reference: the plain Fraction scan over all quadruples,
+    returning (indices, labels, lhs, rhs) of the first violation or None."""
+    n = len(m.labels)
+    e = m.entries
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for t in range(n):
+                    lhs = e[x][y] + e[z][t]
+                    rhs = max(e[x][z] + e[y][t], e[y][z] + e[x][t])
+                    if lhs > rhs:
+                        quad = (x, y, z, t)
+                        return quad, tuple(m.labels[i] for i in quad), lhs, rhs
+    return None
+
+
+def reference_delta(m):
+    """Independent reference: the plain Fraction scan of Gromov products."""
+    n = len(m.labels)
+    e = m.entries
+    worst = Fraction(0)
+    for w in range(n):
+        gp = [[(e[x][w] + e[y][w] - e[x][y]) / 2 for y in range(n)] for x in range(n)]
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    worst = max(worst, min(gp[x][z], gp[y][z]) - gp[x][y])
+    return worst
+
+
+def witness_tuple(w):
+    return w.indices, w.labels, w.lhs, w.rhs
+
+
+def perturbed_matrices(seed, count):
+    """Random-corpus tree metrics with a few entries moved by steps over 3, 4
+    or 7, so that the entries mix denominators and many break the condition."""
+    out = []
+    for k, tree in enumerate(random_corpus(seed, count, max_nodes=7)):
+        rng = rng_for((seed, k))
+        n = rng.randint(3, 7)
+        names = [f"x{i}" for i in range(n)]
+        rows = [list(r) for r in labeled_matrix(
+            tree, [random_point(rng, tree) for _ in range(n)], names
+        ).entries]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            bump = Fraction(rng.randint(1, 6), rng.choice((3, 4, 7)))
+            if rng.random() < 0.5 and rows[i][j] >= bump:
+                bump = -bump
+            rows[i][j] = rows[j][i] = rows[i][j] + bump
+        out.append(MetricMatrix(tuple(names), tuple(tuple(r) for r in rows)))
+    return out
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         MetricMatrix(("a", "b"), ((0, 1), (2, 0)))  # asymmetric
@@ -49,6 +105,14 @@ def test_four_point_examples():
     assert witness.lhs == 4 and witness.rhs == 2
     three = MetricMatrix(("a", "b", "c"), ((0, 5, 3), (5, 0, 4), (3, 4, 0)))
     assert four_point_check(three) is True
+    # tree metrics whose labels are not usable as node ids: "s1" is the id
+    # the insertion gives its first Steiner node, "a b" and "" are malformed
+    for labels in (("p", "a", "b", "s1"), ("p", "a b", "", "c")):
+        m = MetricMatrix(
+            labels, ((0, 2, 2, 3), (2, 0, 2, 3), (2, 2, 0, 1), (3, 3, 1, 0))
+        )
+        assert four_point_check(m) is True
+        assert delta_hyperbolicity(m) == 0
 
 
 def test_four_point_witness_is_lexicographically_first():
@@ -134,3 +198,44 @@ def test_realized_tree_is_zero_hyperbolic():
         rng = rng_for("zerohyp-pts")
         pts = [random_point(rng, tree) for _ in range(5)]
         assert delta_hyperbolicity(tree_to_matrix(tree, pts)) == 0
+
+
+def test_scans_match_fraction_reference_on_perturbed_matrices():
+    rejected = 0
+    for m in perturbed_matrices("perturbed", 40):
+        ref = reference_four_point(m)
+        got = four_point_check(m)
+        if ref is None:
+            assert got is True
+        else:
+            rejected += 1
+            assert witness_tuple(got) == ref
+        assert delta_hyperbolicity(m) == reference_delta(m)
+    assert rejected >= 10
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # out-of-range attachment: c's height toward b exceeds d(a, b)
+        MetricMatrix(("a", "b", "c"), ((0, 1, 5), (1, 0, 1), (5, 1, 0))),
+        # negative leaf: c attaches above its own distance from a
+        MetricMatrix(("a", "b", "c"), ((0, 5, 1), (5, 0, 1), (1, 1, 0))),
+        # every attachment in range, but the round trip differs
+        SQUARE,
+    ],
+    ids=["out-of-range", "negative-leaf", "round-trip-mismatch"],
+)
+def test_realize_fallback_raises_reference_witness(m):
+    with pytest.raises(FourPointViolation) as info:
+        realize_tree(m, m.labels[0])
+    assert witness_tuple(info.value.witness) == reference_four_point(m)
+
+
+def test_realize_unknown_basepoint():
+    with pytest.raises(FourPointViolation) as info:
+        realize_tree(SQUARE, "nowhere")
+    assert witness_tuple(info.value.witness) == reference_four_point(SQUARE)
+    with pytest.raises(ValueError) as info:
+        realize_tree(TRIPOD_LEAVES, "nowhere")
+    assert not isinstance(info.value, FourPointViolation)
