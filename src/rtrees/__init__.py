@@ -113,5 +113,7 @@ from .generators import (
     tripod,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the PL kernel (rtrees.pl) is imported by formulas and deficiency but is
+# not part of the public surface
+__all__ = [name for name in dir() if not name.startswith("_") and name != "pl"]
 __version__ = "0.1.0"

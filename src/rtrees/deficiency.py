@@ -23,9 +23,12 @@ where ``R2`` is the second-largest reach at ``c2`` avoiding ``x`` and
 best off-path branch, the third branch at ``c2``, or a bare point on the
 path.  Vertex positions of ``c2`` are enumerated by a depth-first walk
 that carries the best inner option along the path; for ``c2`` interior to
-an edge every term is linear in the offset, so the minimum over the edge
-is attained at a pairwise crossing of the elementary linear pieces and is
-computed exactly.
+an edge every term is linear in the offset, so the objective is the upper
+envelope of a few lines, built exactly with the ``rtrees.pl`` kernel, and
+its leftmost argmin is the best split on that edge.  Every configuration
+costs at least the cross term ``2 t2``, which only grows along the walk,
+so the walk stops below a split, and skips an edge, once ``2 t2`` reaches
+the best value found.
 
 ``psi_grid_oracle`` is the independent brute-force check: the same
 infimum restricted to witness triples on a finite grid.  It never
@@ -41,6 +44,7 @@ argmax of the current bound until the bound matches the best exact sample.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .rationals import as_rat
@@ -55,7 +59,7 @@ from .skeleton import (
     normalize_point,
     point_on_segment,
 )
-from .formulas import PL, _distance_profile
+from .pl import PL, distance_profile
 
 
 def _g(t: Fraction, reach: Fraction, l: Fraction) -> Fraction:
@@ -137,50 +141,38 @@ def _psi_at_vertex(tree: TreeSkeleton, r: Fraction, x_node: str):
 
     def edge_interior(a: str, b: str, ta: Fraction, c_in: Fraction, c_in_desc):
         """Configs with the outer split strictly inside edge a-b (a nearer x)."""
+        if 2 * ta >= best_val:
+            return  # the cross term alone rules out an improvement
         L = tree.edge_length(a, b)
-        hvals, hdirs = _top_reaches(tree, b, (a,), 1)
-        H = hvals[0]
+        (H,), (h_dir,) = _top_reaches(tree, b, (a,), 1)
         c3 = l - ta - L - H  # constant deep-branch term through the far end
-        lin = (
-            (Fraction(2), 2 * ta),   # cross term 2 t2
-            (Fraction(1), ta - l),   # t2 - l
-            (Fraction(-1), l - ta),  # l - t2
-            (Fraction(0), c3),
-            (Fraction(0), Fraction(0)),
-            (Fraction(0), c_in),
-        )
-        cands = {Fraction(0), L}
-        for i in range(len(lin)):
-            m1, b1 = lin[i]
-            for j in range(i + 1, len(lin)):
-                m2, b2 = lin[j]
-                if m1 != m2:
-                    s = (b2 - b1) / (m1 - m2)
-                    if 0 < s < L:
-                        cands.add(s)
-        for s in sorted(cands):
-            t2 = ta + s
-            far = max(t2 - l, c3, Fraction(0))
-            inner = min(c_in, max(l - t2, Fraction(0)))
-            val = max(2 * t2, abs(t2 - l), far, inner)
-            if val >= best_val:
-                continue
+        # objective at t2 = ta + s: max(2 t2, |t2 - l|, max(t2 - l, c3, 0),
+        # min(c_in, max(l - t2, 0))); as t2 >= 0 and l > 0 every term but c3
+        # is at most max(2 t2, l - t2), so it is the upper envelope of three
+        # lines, and its leftmost argmin is the first optimal offset
+        zero = Fraction(0)
+        envelope = PL((zero, L), (2 * ta, 2 * (ta + L))).max_with(
+            PL((zero, L), (l - ta, l - ta - L))
+        ).max_with(PL.const(zero, L, c3))
+        val, s = envelope.argmin()
+        if val >= best_val:
+            return
+        t2 = ta + s
 
-            def maker(a=a, b=b, s=s, t2=t2, L=L, H=H, hdirs=hdirs,
-                      c_in=c_in, c_in_desc=c_in_desc):
-                c2ref = normalize_point(tree, EdgePoint(a, b, s))
-                u1 = min(max(l - t2, Fraction(0)), (L - s) + H)
-                if u1 <= L - s:
-                    y1 = normalize_point(tree, EdgePoint(a, b, s + u1))
-                else:
-                    y1 = _descend(tree, b, hdirs[0], u1 - (L - s))
-                if c_in <= max(l - t2, Fraction(0)):
-                    y3 = inner_witness(c_in_desc)
-                else:
-                    y3 = inner_witness(("free", t2, c2ref))
-                return (y1, c2ref, y3)
+        def maker():
+            c2ref = normalize_point(tree, EdgePoint(a, b, s))
+            u1 = min(max(l - t2, Fraction(0)), (L - s) + H)
+            if u1 <= L - s:
+                y1 = normalize_point(tree, EdgePoint(a, b, s + u1))
+            else:
+                y1 = _descend(tree, b, h_dir, u1 - (L - s))
+            if c_in <= max(l - t2, Fraction(0)):
+                y3 = inner_witness(c_in_desc)
+            else:
+                y3 = inner_witness(("free", t2, c2ref))
+            return (y1, c2ref, y3)
 
-            consider(val, maker, host=(a, b))
+        consider(val, maker, host=(a, b))
 
     # depth-first walk over vertex positions of the outer split, carrying the
     # best inner (third-witness) option found along the path from x
@@ -194,6 +186,8 @@ def _psi_at_vertex(tree: TreeSkeleton, r: Fraction, x_node: str):
 
     while stack:
         c2, parent, t2, in_val, in_desc = stack.pop()
+        if 2 * t2 >= best_val:
+            continue  # t2 only grows below c2, and every config costs 2 t2
         vals, dirs = _top_reaches(tree, c2, (parent,), 3)
         free_val = max(l - t2, Fraction(0))
         third_val = _g(t2, vals[2], l)
@@ -255,17 +249,12 @@ def _psi_full(tree: TreeSkeleton, x: PointRef, r):
         return val, wits, host_pts
     mat = materialize(tree, [x], prefix="psi")
     val, wits, host = _psi_at_vertex(mat.tree, r, mat.node_for(x))
-    pulled = tuple(
-        normalize_point(tree, mat.pull_back(normalize_point(mat.tree, w)))
-        for w in wits
-    )
-    host_pts = None
-    if host:
-        host_pts = tuple(
-            normalize_point(tree, mat.pull_back(normalize_point(mat.tree, Vertex(n))))
-            for n in host
-        )
-    return val, pulled, host_pts
+
+    def pull(pt):
+        return normalize_point(tree, mat.pull_back(normalize_point(mat.tree, pt)))
+
+    host_pts = host and tuple(pull(Vertex(n)) for n in host)
+    return val, tuple(pull(w) for w in wits), host_pts
 
 
 def psi_objective(tree: TreeSkeleton, x: PointRef, r, witnesses) -> Fraction:
@@ -337,77 +326,59 @@ def psi_grid_oracle(tree: TreeSkeleton, x: PointRef, r, mesh) -> Fraction:
 # -- exact supremum over the whole tree -------------------------------------------
 
 
+def _reach_profile(tree: TreeSkeleton, edge, r: Fraction) -> PL:
+    """``l = r - d(p, x)`` as a PL function of the edge offset."""
+    pp = distance_profile(tree, edge, Vertex(tree.basepoint))
+    return PL.const(Fraction(0), tree.edge_length(*edge), r).sub(pp)
+
+
 def _certificate_profile(tree: TreeSkeleton, edge, r: Fraction, witnesses) -> PL:
     """Objective of a fixed witness triple as a PL function of the edge
     offset; a valid upper bound for psi along the whole edge."""
-    u, v = edge
-    length = tree.edge_length(u, v)
-    pp = _distance_profile(tree, (u, v), Vertex(tree.basepoint))
-    lfun = PL.const(Fraction(0), length, r).sub(pp)
-    profs = [_distance_profile(tree, (u, v), w) for w in witnesses]
-    total: Optional[PL] = None
-    for prof in profs:
-        diff = prof.sub(lfun)
-        term = diff.max_with(diff.scale(Fraction(-1)))
-        total = term if total is None else total.max_with(term)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dij = distance(tree, witnesses[i], witnesses[j])
-            cross = profs[i].add(profs[j]).sub(PL.const(Fraction(0), length, dij))
-            total = total.max_with(cross)
-    return total
+    length = tree.edge_length(*edge)
+    lfun = _reach_profile(tree, edge, r)
+    profs = [distance_profile(tree, edge, w) for w in witnesses]
+    terms = [abs(prof.sub(lfun)) for prof in profs]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        dij = distance(tree, witnesses[i], witnesses[j])
+        terms.append(profs[i].add(profs[j]).sub(PL.const(Fraction(0), length, dij)))
+    return reduce(PL.max_with, terms)
 
 
-def _family_certificate(
-    tree: TreeSkeleton, edge, r: Fraction, D: PL, H: Fraction, lo: PL, hi: PL
-) -> PL:
+def _family_certificate(tree: TreeSkeleton, edge, r: Fraction, a: str, b: str, lo: PL) -> PL:
     """Exact value, along the edge, of the config family whose outer split
-    slides over a fixed host ray at distances ``t2`` in ``[lo, hi]``.
+    slides toward ``b`` over a host ray that ends with the tree edge
+    ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``.
 
     For a sliding split at distance ``t2`` the best objective is
-    ``max(2 t2, |t2 - l|, l - D - H)`` (deep witness through the far end of
-    reach ``(D - t2) + H``, second witness at the split, third on the path),
-    and the minimum over ``t2`` is attained at one of finitely many
-    breakpoint candidates, each a PL function of the edge offset.  The
+    ``max(2 t2, |t2 - l|, l - D - H)`` (deep witness through ``b`` into its
+    largest reach ``H`` away from ``a``, second witness at the split, third
+    on the path), and the minimum over ``t2`` is attained at one of finitely
+    many breakpoint candidates, each a PL function of the edge offset.  The
     result upper-bounds psi everywhere on the edge and captures the
     fractional-slope envelope pieces that frozen witness triples cannot.
     """
-    u, v = edge
-    length = tree.edge_length(u, v)
+    length = tree.edge_length(*edge)
     zero = PL.const(Fraction(0), length, Fraction(0))
-    pp = _distance_profile(tree, (u, v), Vertex(tree.basepoint))
-    lfun = PL.const(Fraction(0), length, r).sub(pp)
+    lfun = _reach_profile(tree, edge, r)
+    D = distance_profile(tree, edge, Vertex(b))
+    H = (tree.reaches_at(b, exclude=(a,)) or [Fraction(0)])[0]
     c3 = lfun.sub(D).sub(PL.const(Fraction(0), length, H))
 
     cands = [
         lo,
-        hi,
+        D,
         lfun.scale(Fraction(1, 3)),
         lfun,
         c3.scale(Fraction(1, 2)),
         lfun.sub(c3),
         lfun.add(c3),
     ]
-    out: Optional[PL] = None
+    objectives = []
     for cand in cands:
-        t2 = cand.max_with(lo).min_with(hi).max_with(zero)
-        diff = t2.sub(lfun)
-        f = t2.scale(Fraction(2)).max_with(
-            diff.max_with(diff.scale(Fraction(-1)))
-        ).max_with(c3)
-        out = f if out is None else out.min_with(f)
-    return out
-
-
-def _pl_max_on(pl: PL, lo: Fraction, hi: Fraction):
-    """Maximum of a PL function over [lo, hi], with its leftmost argmax."""
-    xs = [lo] + [x for x in pl.xs if lo < x < hi] + [hi]
-    best_x, best_y = xs[0], pl.value_at(xs[0])
-    for x in xs[1:]:
-        y = pl.value_at(x)
-        if y > best_y:
-            best_x, best_y = x, y
-    return best_y, best_x
+        t2 = cand.max_with(lo).min_with(D).max_with(zero)
+        objectives.append(t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3))
+    return reduce(PL.min_with, objectives)
 
 
 def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) -> Fraction:
@@ -455,21 +426,13 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
             _certificate_profile(tree, (u, v), r, wit_v)
         )
         # sliding families along the edge itself, in both directions
-        d_v = _distance_profile(tree, (u, v), Vertex(v))
-        h_v = (tree.reaches_at(v, exclude=(u,)) or [Fraction(0)])[0]
-        bound_pl = bound_pl.min_with(
-            _family_certificate(tree, (u, v), r, d_v, h_v, zero, d_v)
-        )
-        d_u = _distance_profile(tree, (u, v), Vertex(u))
-        h_u = (tree.reaches_at(u, exclude=(v,)) or [Fraction(0)])[0]
-        bound_pl = bound_pl.min_with(
-            _family_certificate(tree, (u, v), r, d_u, h_u, zero, d_u)
-        )
+        for a, b in ((u, v), (v, u)):
+            bound_pl = bound_pl.min_with(_family_certificate(tree, (u, v), r, a, b, zero))
 
         seen_hosts: set[tuple[str, str]] = set()
         steps = 0
         while True:
-            bound, arg = _pl_max_on(bound_pl, Fraction(0), length)
+            bound, arg = bound_pl.argmax()
             if bound <= best:
                 break
             steps += 1
@@ -490,14 +453,8 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
                 a_node, b_node = host[0].node, host[1].node
                 if (a_node, b_node) not in seen_hosts and tree.has_edge(a_node, b_node):
                     seen_hosts.add((a_node, b_node))
-                    lo_pl = _distance_profile(tree, (u, v), Vertex(a_node))
-                    hL = tree.edge_length(a_node, b_node)
-                    hi_pl = lo_pl.add(PL.const(Fraction(0), length, hL))
-                    h_far = (
-                        tree.reaches_at(b_node, exclude=(a_node,)) or [Fraction(0)]
-                    )[0]
-                    d_pl = _distance_profile(tree, (u, v), Vertex(b_node))
+                    lo_pl = distance_profile(tree, (u, v), Vertex(a_node))
                     bound_pl = bound_pl.min_with(
-                        _family_certificate(tree, (u, v), r, d_pl, h_far, lo_pl, hi_pl)
+                        _family_certificate(tree, (u, v), r, a_node, b_node, lo_pl)
                     )
     return best

@@ -15,20 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .rationals import as_rat, format_rat
 from .skeleton import (
-    EdgePoint,
     PointRef,
     TreeSkeleton,
     Vertex,
     distance,
     grid_points,
-    normalize_point,
 )
 from .geometry import interpolate
 from .matrices import delta_hyperbolicity, tree_to_matrix
+from .pl import PL, distance_profile
 
 
 class FormulaSyntaxError(ValueError):
@@ -373,90 +372,7 @@ def eval_qf(tree: TreeSkeleton, f: Formula, val: Valuation) -> Fraction:
     raise ValueError("formula is not quantifier-free")
 
 
-# -- piecewise-linear calculus along one edge -----------------------------------
-
-
-@dataclass(frozen=True)
-class PL:
-    """Piecewise-linear function on an interval, exact breakpoints/values."""
-
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
-
-    @staticmethod
-    def const(lo: Fraction, hi: Fraction, c: Fraction) -> "PL":
-        return PL((lo, hi), (c, c)) if lo != hi else PL((lo,), (c,))
-
-    def value_at(self, x: Fraction) -> Fraction:
-        xs, ys = self.xs, self.ys
-        if x <= xs[0]:
-            return ys[0]
-        for i in range(1, len(xs)):
-            if x <= xs[i]:
-                x0, x1 = xs[i - 1], xs[i]
-                y0, y1 = ys[i - 1], ys[i]
-                if x1 == x0:
-                    return y1
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return ys[-1]
-
-    def _zip(self, other: "PL", with_crossings: bool):
-        grid = sorted(set(self.xs) | set(other.xs))
-        if with_crossings:
-            extra = []
-            for i in range(len(grid) - 1):
-                x0, x1 = grid[i], grid[i + 1]
-                d0 = self.value_at(x0) - other.value_at(x0)
-                d1 = self.value_at(x1) - other.value_at(x1)
-                if (d0 > 0 > d1) or (d0 < 0 < d1):
-                    cross = x0 + (x1 - x0) * d0 / (d0 - d1)
-                    extra.append(cross)
-            grid = sorted(set(grid) | set(extra))
-        return grid
-
-    def _apply(self, other: "PL", op, with_crossings: bool) -> "PL":
-        grid = self._zip(other, with_crossings)
-        ys = tuple(op(self.value_at(x), other.value_at(x)) for x in grid)
-        return PL(tuple(grid), ys)
-
-    def add(self, other: "PL") -> "PL":
-        return self._apply(other, lambda a, b: a + b, False)
-
-    def sub(self, other: "PL") -> "PL":
-        return self._apply(other, lambda a, b: a - b, False)
-
-    def max_with(self, other: "PL") -> "PL":
-        return self._apply(other, max, True)
-
-    def min_with(self, other: "PL") -> "PL":
-        return self._apply(other, min, True)
-
-    def scale(self, c: Fraction) -> "PL":
-        return PL(self.xs, tuple(c * y for y in self.ys))
-
-    def minimum(self) -> Fraction:
-        return min(self.ys)
-
-    def maximum(self) -> Fraction:
-        return max(self.ys)
-
-
-def _distance_profile(
-    tree: TreeSkeleton, edge: tuple[str, str], q: PointRef
-) -> PL:
-    """d(x, q) as x sweeps the edge from its canonical first endpoint."""
-    u, v = edge
-    length = tree.edge_length(u, v)
-    q = normalize_point(tree, q)
-    if isinstance(q, EdgePoint) and (q.u, q.v) == (u, v):
-        return PL((Fraction(0), q.offset, length), (q.offset, Fraction(0), length - q.offset))
-    du = distance(tree, Vertex(u), q)
-    dv = distance(tree, Vertex(v), q)
-    if dv == du + length:
-        return PL((Fraction(0), length), (du, du + length))
-    if du == dv + length:
-        return PL((Fraction(0), length), (dv + length, dv))
-    raise AssertionError("point is on neither side of the edge")
+# -- piecewise-linear profiles along one edge ----------------------------------
 
 
 def _profile(
@@ -473,35 +389,26 @@ def _profile(
         if f.a == var and f.b == var:
             return PL.const(Fraction(0), length, Fraction(0))
         if f.a == var:
-            return _distance_profile(tree, edge, _resolve(tree, f.b, val))
+            return distance_profile(tree, edge, _resolve(tree, f.b, val))
         if f.b == var:
-            return _distance_profile(tree, edge, _resolve(tree, f.a, val))
+            return distance_profile(tree, edge, _resolve(tree, f.a, val))
         c = distance(tree, _resolve(tree, f.a, val), _resolve(tree, f.b, val))
         return PL.const(Fraction(0), length, c)
-    if isinstance(f, Add):
-        return _profile(tree, f.left, val, var, edge).add(
-            _profile(tree, f.right, val, var, edge)
-        )
-    if isinstance(f, TruncSub):
-        diff = _profile(tree, f.left, val, var, edge).sub(
-            _profile(tree, f.right, val, var, edge)
-        )
-        return diff.max_with(PL.const(Fraction(0), length, Fraction(0)))
     if isinstance(f, Scale):
         return _profile(tree, f.body, val, var, edge).scale(f.coeff)
-    if isinstance(f, Max):
-        return _profile(tree, f.left, val, var, edge).max_with(
-            _profile(tree, f.right, val, var, edge)
-        )
-    if isinstance(f, Min):
-        return _profile(tree, f.left, val, var, edge).min_with(
-            _profile(tree, f.right, val, var, edge)
-        )
-    if isinstance(f, AbsDiff):
-        diff = _profile(tree, f.left, val, var, edge).sub(
-            _profile(tree, f.right, val, var, edge)
-        )
-        return diff.max_with(diff.scale(Fraction(-1)))
+    if isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
+        left = _profile(tree, f.left, val, var, edge)
+        right = _profile(tree, f.right, val, var, edge)
+        if isinstance(f, Add):
+            return left.add(right)
+        if isinstance(f, Max):
+            return left.max_with(right)
+        if isinstance(f, Min):
+            return left.min_with(right)
+        diff = left.sub(right)
+        if isinstance(f, TruncSub):
+            return diff.max_with(PL.const(Fraction(0), length, Fraction(0)))
+        return abs(diff)
     raise ValueError("profile requires a quantifier-free body")
 
 
@@ -531,20 +438,14 @@ def _exact_single_block(
 ) -> Fraction:
     """Exact optimum of a quantifier over a quantifier-free body."""
     body, var = f.body, f.var
-    best: Optional[Fraction] = None
-    is_inf = isinstance(f, Inf)
-    for u, v, _ in tree.edges():
-        prof = _profile(tree, body, val, var, (u, v))
-        cand = prof.minimum() if is_inf else prof.maximum()
-        if best is None or (cand < best if is_inf else cand > best):
-            best = cand
-    for node in tree.nodes():
-        if tree.degree(node) == 0 or not tree.edges():
-            cand = eval_qf(tree, body, {**val, var: Vertex(node)})
-            if best is None or (cand < best if is_inf else cand > best):
-                best = cand
-    assert best is not None
-    return best
+    pick = min if isinstance(f, Inf) else max
+    cands = [pick(_profile(tree, body, val, var, (u, v)).ys) for u, v, _ in tree.edges()]
+    cands += [
+        eval_qf(tree, body, {**val, var: Vertex(node)})
+        for node in tree.nodes()
+        if tree.degree(node) == 0 or not tree.edges()
+    ]
+    return pick(cands)
 
 
 def eval_quantified(

@@ -14,6 +14,7 @@ from .skeleton import (
     Vertex,
     canonicalize,
     distance,
+    gensym,
     materialize,
     normalize_point,
     point_on_segment,
@@ -222,8 +223,8 @@ def _insertion_tree(
     """Insert the labels of the matrix ``e`` one by one, each at its
     Gromov-product height on the path from the base to its best anchor, and
     return the canonical tree; ``None`` if an attachment falls outside its
-    path, a Steiner node already has a label's name, or ``tree_to_matrix``
-    of the result differs from ``e``."""
+    path or ``tree_to_matrix`` of the result differs from ``e``.  A leaf
+    whose label is already a Steiner node's id gets a fresh ``s`` id."""
     index = {lbl: i for i, lbl in enumerate(labels)}
 
     # merge zero-distance labels
@@ -270,10 +271,11 @@ def _insertion_tree(
         mat = materialize(tree, [attach_pt], prefix="s")
         node = mat.node_for(normalize_point(tree, attach_pt))
         if leaf_len > 0:
-            if mat.tree.has_node(lbl):
-                return None  # a Steiner node took the label's node id
-            tree = mat.graft([(node, lbl, leaf_len)], {lbl: groups[lbl]})
-            anchor_node[lbl] = lbl
+            leaf = lbl
+            if mat.tree.has_node(lbl):  # a Steiner node took the label's id
+                leaf = gensym(set(mat.tree.nodes()), "s")
+            tree = mat.graft([(node, leaf, leaf_len)], {leaf: groups[lbl]})
+            anchor_node[lbl] = leaf
         else:
             # lbl coincides with an existing (possibly Steiner) point
             tree = mat.graft(labels={node: groups[lbl]})

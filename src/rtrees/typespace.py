@@ -429,7 +429,10 @@ def type_distance_search(
     attachment point for a prefix whose length is drawn from the mesh grid
     and the exact combinatorial breakpoints.  The lower bound is
     ``upper - L * mesh`` (L = twice the number of placed segments), never
-    below the exact marginal bound ``max_i one_type_distance``.
+    below the exact marginal bound ``max_i one_type_distance``.  The search
+    stops once ``max_configs`` placements are tried and one configuration
+    is complete; when that cuts it short, the lower bound is the marginal
+    bound alone.
 
     Collapses to the exact value for ``n = 1`` and for equal descriptors.
     """
@@ -511,6 +514,9 @@ def type_distance_search(
 
     best: list[Optional[Fraction]] = [None]
     budget = [max_configs]
+    # the budget applies once a first configuration is complete; truncated
+    # is set when it cuts a branch of the search
+    truncated = [False]
 
     def search(tree_now: TreeSkeleton, placed: dict, seg_idx: int, cur_max: Fraction):
         if best[0] is not None and cur_max >= best[0]:
@@ -519,7 +525,8 @@ def type_distance_search(
             if best[0] is None or cur_max < best[0]:
                 best[0] = cur_max
             return
-        if budget[0] <= 0:
+        if budget[0] <= 0 and best[0] is not None:
+            truncated[0] = True
             return
         parent_key, child_key, length, info = segments[seg_idx]
         host = transfer_point(tree_now, placed[parent_key])
@@ -532,7 +539,8 @@ def type_distance_search(
             k += 1
         tried: set[PointRef] = set()
         for lam in lam_cands:
-            if budget[0] <= 0:
+            if budget[0] <= 0 and best[0] is not None:
+                truncated[0] = True
                 return
             if lam == 0:
                 targets = [None]  # fully fresh
@@ -595,7 +603,11 @@ def type_distance_search(
     if best[0] is None:
         raise RuntimeError("type distance search found no configuration")
     upper = best[0]
-    L = 2 * max(1, len(segments))
-    lower = max(upper - L * mesh, marginal)
+    if truncated[0]:
+        # upper - L * mesh bounds only an exhaustive grid search
+        lower = marginal
+    else:
+        L = 2 * max(1, len(segments))
+        lower = max(upper - L * mesh, marginal)
     lower = min(lower, upper)
     return CertifiedValue(lower, upper, mesh)

@@ -86,6 +86,14 @@ def test_matrix_realize_round_trip(tripod_file, tmp_path, capsys):
     assert "edge" in out
 
 
+def test_realize_label_named_like_a_steiner_node(tmp_path, capsys):
+    mat = tmp_path / "clash.mat"
+    mat.write_text("labels p a b s1\n2 2 3\n2 3\n1\n")
+    code, out, err = run(capsys, "realize", "--matrix", str(mat))
+    assert code == 0 and err == ""
+    assert "label=s1" in out
+
+
 def test_realize_rejects_non_additive(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("labels x y z t\n2 1 1\n1 1\n2\n")

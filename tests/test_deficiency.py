@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 from rtrees import (
@@ -8,6 +9,7 @@ from rtrees import (
     point_on_edge,
     psi_at,
     psi_grid_oracle,
+    random_tree,
     rb_deficiency,
     rb_extend,
     segment,
@@ -149,3 +151,36 @@ def test_rb_extend_shrinks_deficiency_on_input_points(tripod):
 def test_rb_deficiency_weakly_decreases_under_extension(tripod):
     values = [rb_deficiency(rb_extend(tripod, R, k), R) for k in (0, 1, 2)]
     assert values[0] >= values[1] >= values[2]
+
+
+def _pinned_cases():
+    for k in range(4):
+        yield f"rb{k}", rb_extend(tripod(1, 1, 1), R, k)
+    for i in range(25):
+        yield f"random{i}", random_tree(i, max_nodes=7)
+
+
+def _psi_pin_text():
+    """psi with its witness triple at every vertex and at the 1/3, 1/2 and
+    5/7 points of every edge, plus the sup, for the pinned cases."""
+    lines = []
+    for name, tree in _pinned_cases():
+        probes = [Vertex(node) for node in tree.nodes()]
+        for u, v, length in tree.edges():
+            for frac in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
+                probes.append(point_on_edge(tree, u, v, frac * length))
+        for x in probes:
+            val, wits = psi_at_with_witness(tree, x, R)
+            lines.append(f"{name} {x!r} {val} {wits!r}")
+        lines.append(f"{name} sup {rb_deficiency(tree, R)}")
+    return "\n".join(lines)
+
+
+# sha256 of _psi_pin_text(), recorded before the PL kernel moved to
+# rtrees.pl and psi's edge term became its envelope
+PSI_PIN_SHA256 = "6dc247ff9ccc793c4c6d183b8e010c6b16c5c2f6a849cd3ad098113532909fb2"
+
+
+def test_psi_witnesses_and_sup_unchanged():
+    got = hashlib.sha256(_psi_pin_text().encode()).hexdigest()
+    assert got == PSI_PIN_SHA256

@@ -6,6 +6,7 @@ from rtrees import (
     FourPointViolation,
     FourPointWitness,
     MetricMatrix,
+    TreeSkeleton,
     Vertex,
     delta_hyperbolicity,
     distance,
@@ -164,6 +165,26 @@ def test_realize_examples():
 
     with pytest.raises(FourPointViolation):
         realize_tree(SQUARE, "x")
+
+
+def test_realize_label_named_like_a_steiner_node():
+    # the insertion names its Steiner nodes s1, s2, ...; a label "s1" placed
+    # after the first Steiner node must still get a leaf of its own
+    clash = MetricMatrix(
+        ("p", "a", "b", "s1"), ((0, 2, 2, 3), (2, 0, 2, 3), (2, 2, 0, 1), (3, 3, 1, 0))
+    )
+    half = Fraction(1, 2)
+    spread = TreeSkeleton(
+        "p",
+        [("p", "z", half), ("z", "x", half), ("x", "w", half), ("w", "a", half),
+         ("x", "b", 1), ("w", "c", 1), ("z", "t", 1)],
+    )
+    labels = ("p", "a", "b", "c", "s1")
+    pts = [Vertex(n) for n in ("p", "a", "b", "c", "t")]
+    for m in (clash, tree_to_matrix(spread, pts, labels)):
+        t = realize_tree(m, "p")
+        back = tree_to_matrix(t, [Vertex(node_of_label(t, s)) for s in m.labels], m.labels)
+        assert back.entries == m.entries
 
 
 def test_realize_merges_duplicates():

@@ -221,6 +221,17 @@ def test_type_distance_search_tripod_family():
         assert cv.lower >= 2 * s - 2 * t
 
 
+def test_type_distance_search_truncated_stays_certified():
+    # two unit arms diverging at p against collinear offsets (1, 2): a budget
+    # that cuts the search short must not report the full search's lower end
+    q1 = empty_context_descriptor([1, 1], [[0, 2], [2, 0]])
+    q2 = empty_context_descriptor([1, 2], [[0, 1], [1, 0]])
+    full = type_distance_search(q1, q2, R / 16)
+    for budget in (1, 3, 8, 50):
+        cv = type_distance_search(q1, q2, R / 16, max_configs=budget)
+        assert cv.lower <= full.upper <= cv.upper
+
+
 def test_is_principal_examples():
     q = empty_context_descriptor([1, 2], [[0, 1], [1, 0]], radius=3)
     assert is_principal(q)
