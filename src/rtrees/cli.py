@@ -39,10 +39,11 @@ from .formulas import check_rt_axioms, eval_quantified, parse_formula
 from .amalgams import SubtreeMap, amalgamate
 from .typespace import (
     NTypeDescriptor,
-    OneTypeDescriptor,
     is_principal,
     one_type_distance,
     realize_type,
+    require_valid,
+    type_distance_exact,
     type_distance_search,
     type_of,
     types_equal,
@@ -64,13 +65,24 @@ class CliError(Exception):
     """Usage-level error: exits with status 2."""
 
 
+def _rat_arg(text: str, what: str) -> Fraction:
+    """An exact rational from the command line or the environment."""
+    try:
+        return as_rat(text)
+    except ValueError as exc:
+        raise CliError(f"{what}: {exc}")
+
+
 def _default_mesh(args, radius: Fraction) -> Fraction:
     if getattr(args, "mesh", None):
-        return as_rat(args.mesh)
-    env = os.environ.get("RTREE_MESH")
-    if env:
-        return as_rat(env)
-    return radius / 8
+        mesh = _rat_arg(args.mesh, "--mesh")
+    elif os.environ.get("RTREE_MESH"):
+        mesh = _rat_arg(os.environ["RTREE_MESH"], "RTREE_MESH")
+    else:
+        return radius / 8
+    if mesh <= 0:
+        raise CliError("mesh must be positive")
+    return mesh
 
 
 def _read_text(path: str) -> str:
@@ -110,7 +122,7 @@ def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
         if len(parts) != 4:
             raise CliError(f"bad edge point spec {spec!r}")
         return normalize_point(
-            doc.tree, EdgePoint(parts[1], parts[2], as_rat(parts[3]))
+            doc.tree, EdgePoint(parts[1], parts[2], _rat_arg(parts[3], spec))
         )
     if doc.tree.has_node(spec):
         return Vertex(spec)
@@ -143,7 +155,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _cmd_check(args) -> int:
     doc = _load_doc(args.tree)
-    radius = as_rat(args.radius) if args.radius else doc.radius
+    radius = _rat_arg(args.radius, "--radius") if args.radius else doc.radius
     report = validate(doc.tree, radius)
     structural = [v for v in report.violations if v.kind != "radius_exceeded"]
     if structural:
@@ -212,7 +224,7 @@ def _cmd_delta(args) -> int:
 def _cmd_amalgamate(args) -> int:
     left = _load_doc(args.left)
     right = _load_doc(args.right)
-    radius = as_rat(args.radius)
+    radius = _rat_arg(args.radius, "--radius")
     pairs = []
     for lineno, line in enumerate(_read_text(args.shared).split("\n"), start=1):
         line = line.strip()
@@ -262,21 +274,33 @@ def _cmd_type(args) -> int:
         if args.ctx == "empty":
             if args.s is None or args.t is None:
                 raise CliError("type dist --ctx empty needs --s and --t")
-            tree = TreeSkeleton("p", (), extra_nodes=["p"])
-            radius = as_rat(args.radius) if args.radius else max(
-                as_rat(args.s), as_rat(args.t)
+            s, t = _rat_arg(args.s, "--s"), _rat_arg(args.t, "--t")
+            radius = _rat_arg(args.radius, "--radius") if args.radius else max(s, t)
+            ctx = spanned_subtree(
+                TreeSkeleton("p", (), extra_nodes=["p"]), [], adjoin_basepoint=True
             )
-            ctx = spanned_subtree(tree, [], adjoin_basepoint=True)
-            q1 = OneTypeDescriptor(ctx, radius, Vertex("p"), as_rat(args.s))
-            q2 = OneTypeDescriptor(ctx, radius, Vertex("p"), as_rat(args.t))
-            _emit(format_rat(one_type_distance(q1, q2)))
+            q1, q2 = (
+                NTypeDescriptor(ctx, radius, (Vertex("p"),), (x,), ((Fraction(0),),))
+                for x in (s, t)
+            )
+            require_valid(q1)
+            require_valid(q2)
+            _emit(format_rat(one_type_distance(q1.marginal(0), q2.marginal(0))))
             return 0
         if not args.q1 or not args.q2:
             raise CliError("type dist needs --ctx empty or both --q1 and --q2")
         q1 = _descriptor_from_file(args.q1)
         q2 = _descriptor_from_file(args.q2)
-        mesh = _default_mesh(args, q1.radius)
-        _emit(str(type_distance_search(q1, q2, mesh)))
+        if args.exact:
+            value = type_distance_exact(q1, q2)
+            if value is None:
+                raise CliError("--exact supports descriptors of arity at most 3")
+            _emit(format_rat(value))
+            return 0
+        result = type_distance_search(q1, q2, _default_mesh(args, q1.radius))
+        if result.truncated:
+            _emit("truncated=1", err=True)
+        _emit(str(result))
         return 0
     if args.type_cmd == "eq":
         q1 = _descriptor_from_file(args.q1)
@@ -325,7 +349,7 @@ def _cmd_indep(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    radius = as_rat(args.radius)
+    radius = _rat_arg(args.radius, "--radius")
     if args.family == "rb":
         base = tripod(radius / 2, radius / 2, radius / 2)
         tree = rb_extend(base, radius, args.depth)
@@ -340,7 +364,7 @@ def _cmd_generate(args) -> int:
     elif args.family == "universal":
         _fs, tree = au_sample_ball(args.mu, args.count, radius, args.seed)
     elif args.family == "primitive":
-        params = [as_rat(x) for x in (args.params.split(",") if args.params else [])]
+        params = [_rat_arg(x, "--params") for x in args.params.split(",")] if args.params else []
         try:
             tree = build_primitive(args.kind, params)
         except ValueError as exc:
@@ -358,7 +382,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_psi(args) -> int:
     doc = _load_doc(args.tree)
-    radius = as_rat(args.radius) if args.radius else doc.radius
+    radius = _rat_arg(args.radius, "--radius") if args.radius else doc.radius
     if args.at:
         pt = _resolve_point(doc, args.at)
         _emit(format_rat(psi_at(doc.tree, pt, radius)))
@@ -426,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q1")
     t.add_argument("--q2")
     t.add_argument("--mesh")
+    t.add_argument("--exact", action="store_true", help="the exact distance (n <= 3)")
     t.set_defaults(func=_cmd_type)
     t = tsub.add_parser("eq")
     t.add_argument("--q1", required=True)

@@ -417,11 +417,16 @@ def _profile(
 
 @dataclass(frozen=True)
 class CertifiedValue:
-    """Interval guaranteed to contain the true value; exact when collapsed."""
+    """Interval guaranteed to contain the true value; exact when collapsed.
+
+    ``truncated`` is set when a search budget cut the computation short;
+    the interval is still certified, but wider than the exhaustive one.
+    """
 
     lower: Fraction
     upper: Fraction
     mesh: Fraction
+    truncated: bool = False
 
     @property
     def exact(self) -> bool:

@@ -6,6 +6,12 @@ subtree spanned by A, the distances ``s_i`` to them, and the pairwise
 distances ``rho_ij`` between the realizing points.  Descriptors are valid
 exactly when the offsets respect the radius bound and the combined matrix
 on the symbols ``e_1..e_n, x_1..x_n`` satisfies the four-point condition.
+
+The distance between two types is the infimum of ``max_i d(a_i, b_i)``
+over common realizations.  ``type_distance_exact`` computes it in closed
+form for ``n <= 3``; ``type_distance_search`` brackets it by a certified
+grid search, which returns as soon as a configuration attains the exact
+value, with the interval the exhaustive search would give.
 """
 
 from __future__ import annotations
@@ -297,6 +303,58 @@ def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
     return q1.s + distance(tree, e1, e2) + q2.s
 
 
+def type_distance_exact(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fraction]:
+    """Exact distance between two n-types over a common context: the
+    infimum of ``max_i d(a_i, b_i)`` over common realizations.  ``None``
+    for ``n > 3``: the value is cross-checked against the exhaustive
+    ``type_distance_search`` only up to ``n = 3``.
+
+    A coordinate whose closest points differ is at the constant distance
+    ``s1_i + d(e1_i, e2_i) + s2_i``.  Coordinates sharing one closest point
+    ``e`` in both types are measured by Gromov products at ``e``:
+    ``d(a_i, b_i) <= t`` says that ``[e, a_i]`` and ``[e, b_i]`` share
+    their first ``w_i = (c_i - t) / 2``, with ``c_i = s1_i + s2_i``.
+    Those shared prefixes fit in one tree exactly when, for each pair,
+    ``min(w_i, w_j, A_ij) = min(w_i, w_j, B_ij)``, where ``A_ij`` and
+    ``B_ij`` are the products ``(a_i|a_j)_e`` and ``(b_i|b_j)_e`` read off
+    the two descriptors; gluing the two class trees along the prefixes then
+    realizes both types.  So the distance is the largest of the marginal
+    bounds ``|s1_i - s2_i|``, the constants above, and, for each pair at
+    one ``e`` with ``A_ij != B_ij``, ``min(c_i, c_j) - 2 min(A_ij, B_ij)``.
+    """
+    _require_same_context(q1, q2)
+    if q1.n != q2.n:
+        raise ContextMismatchError("descriptors have different arities")
+    require_valid(q1)
+    require_valid(q2)
+    return _exact_distance(q1, q2)
+
+
+def _exact_distance(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fraction]:
+    """``type_distance_exact`` of two descriptors already checked to be
+    valid, of one arity and over one context."""
+    if q1.n > 3:
+        return None
+    tree = q1.context.ambient
+    e1 = [normalize_point(tree, e) for e in q1.closest]
+    e2 = [normalize_point(tree, e) for e in q2.closest]
+    s1, s2 = q1.offsets, q2.offsets
+    best = Fraction(0)
+    for i in range(q1.n):
+        if e1[i] != e2[i]:
+            best = max(best, s1[i] + distance(tree, e1[i], e2[i]) + s2[i])
+            continue
+        best = max(best, abs(s1[i] - s2[i]))
+        for j in range(i):
+            if e1[j] != e2[j] or e1[j] != e1[i]:
+                continue
+            a = (s1[i] + s1[j] - q1.pairwise[i][j]) / 2
+            b = (s2[i] + s2[j] - q2.pairwise[i][j]) / 2
+            if a != b:
+                best = max(best, min(s1[i] + s2[i], s1[j] + s2[j]) - 2 * min(a, b))
+    return best
+
+
 def is_principal(q: NTypeDescriptor) -> bool:
     """Principality over the empty context: the coordinates lie along one
     piecewise segment from the basepoint.
@@ -418,6 +476,10 @@ def _fresh_attach(
     return mat.graft([(node, tip, length)]), Vertex(tip)
 
 
+class _ReachedExact(Exception):
+    """Unwinds the search once a configuration attains the exact distance."""
+
+
 def type_distance_search(
     q1: NTypeDescriptor, q2: NTypeDescriptor, mesh, max_configs: int = 50000
 ) -> CertifiedValue:
@@ -429,10 +491,14 @@ def type_distance_search(
     attachment point for a prefix whose length is drawn from the mesh grid
     and the exact combinatorial breakpoints.  The lower bound is
     ``upper - L * mesh`` (L = twice the number of placed segments), never
-    below the exact marginal bound ``max_i one_type_distance``.  The search
-    stops once ``max_configs`` placements are tried and one configuration
-    is complete; when that cuts it short, the lower bound is the marginal
-    bound alone.
+    below the exact marginal bound ``max_i one_type_distance``.
+
+    Every completed configuration realizes both types in one tree, so none
+    scores below ``type_distance_exact``; the search returns as soon as one
+    reaches that value, with the interval the exhaustive search would give.
+    Otherwise it stops once ``max_configs`` placements are tried and one
+    configuration is complete; when that cuts it short, the result is
+    marked ``truncated`` and its lower bound is the marginal bound alone.
 
     Collapses to the exact value for ``n = 1`` and for equal descriptors.
     """
@@ -454,6 +520,7 @@ def type_distance_search(
     if types_equal(q1, q2):
         return CertifiedValue(Fraction(0), Fraction(0), mesh)
 
+    exact = _exact_distance(q1, q2)
     ambient = q1.context.ambient
     base0, a_points = realize_type(ambient, q1)
 
@@ -524,6 +591,8 @@ def type_distance_search(
         if seg_idx == len(segments):
             if best[0] is None or cur_max < best[0]:
                 best[0] = cur_max
+                if cur_max == exact:
+                    raise _ReachedExact
             return
         if budget[0] <= 0 and best[0] is not None:
             truncated[0] = True
@@ -598,7 +667,10 @@ def type_distance_search(
                 d = distance(base, transfer_point(base, placed_a[i]), start_placed[key])
                 if d > start_max:
                     start_max = d
-    search(base, start_placed, 0, start_max)
+    try:
+        search(base, start_placed, 0, start_max)
+    except _ReachedExact:
+        pass
 
     if best[0] is None:
         raise RuntimeError("type distance search found no configuration")
@@ -610,4 +682,4 @@ def type_distance_search(
         L = 2 * max(1, len(segments))
         lower = max(upper - L * mesh, marginal)
     lower = min(lower, upper)
-    return CertifiedValue(lower, upper, mesh)
+    return CertifiedValue(lower, upper, mesh, truncated=truncated[0])

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from rtrees import CertifiedValue, cli
 from rtrees.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,6 +109,68 @@ def test_type_dist_empty_context(capsys):
     assert code == 0 and out.strip() == "3/2"
 
 
+def test_type_dist_empty_context_checks_offsets(capsys):
+    # the same check, message and exit code as for descriptor files
+    code, out, err = run(
+        capsys, "type", "dist", "--ctx", "empty", "--s", "3", "--t", "1", "--radius", "1"
+    )
+    assert code == 1 and out == ""
+    assert "error: offset_bound: offset s_1=3 outside [0, 1]" in err
+    code, out, err = run(capsys, "type", "dist", "--ctx", "empty", "--s", "-1", "--t", "1")
+    assert code == 1 and "offset_bound" in err
+
+
+DOT_TEXT = "radius 2\nnode p basepoint\n"
+
+
+def _descriptor_text(offsets, pairs):
+    lines = ["context dot.tree"]
+    lines += [f"closest {i} node p" for i in range(1, len(offsets) + 1)]
+    lines += [f"offset {i} {s}" for i, s in enumerate(offsets, start=1)]
+    lines += [f"pair {i} {j} {d}" for (i, j), d in pairs.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _dist_files(tmp):
+    """Two unit arms at p, against collinear offsets (1, 2); and a 4-type."""
+    _write(tmp, "dot.tree", DOT_TEXT)
+    arms = _write(tmp, "arms.desc", _descriptor_text([1, 1], {(1, 2): 2}))
+    line = _write(tmp, "line.desc", _descriptor_text([1, 2], {(1, 2): 1}))
+    star4 = _write(
+        tmp, "star4.desc",
+        _descriptor_text([1] * 4, {(i, j): 2 for i in range(1, 5) for j in range(i + 1, 5)}),
+    )
+    return arms, line, star4
+
+
+def _dist_argv(tmp, *extra):
+    arms, line, _ = _dist_files(tmp)
+    return ["type", "dist", "--q1", arms, "--q2", line, *extra]
+
+
+def test_type_dist_exact(tmp_path, capsys):
+    code, out, err = run(capsys, *_dist_argv(tmp_path, "--exact"))
+    assert (code, out, err) == (0, "2\n", "")
+    code, out, err = run(capsys, *_dist_argv(tmp_path, "--mesh", "1/8"))
+    assert (code, out, err) == (0, "[3/2, 2]\n", "")
+
+
+def test_type_dist_reports_truncation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "type_distance_search",
+        lambda q1, q2, mesh: CertifiedValue(Fraction(1), Fraction(3), mesh, truncated=True),
+    )
+    code, out, err = run(capsys, *_dist_argv(tmp_path))
+    assert (code, out, err) == (0, "[1, 3]\n", "truncated=1\n")
+
+
+def test_malformed_mesh_env_var_exits_2(tripod_file, capsys, monkeypatch):
+    for value in ("x", "0", "-1/4"):
+        monkeypatch.setenv("RTREE_MESH", value)
+        code, out, err = run(capsys, "check", "--tree", tripod_file)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_indep_verdicts(tripod_file, capsys):
     code, out, err = run(
         capsys, "indep", "--tree", tripod_file, "--A", "b", "--B", "a", "--C", "node:p"
@@ -202,6 +266,21 @@ BAD_INVOCATIONS = {
     ],
     "delta-negative-entry": lambda tmp: [
         "delta", "--matrix", _write(tmp, "neg.mat", "labels a b\n-1\n"),
+    ],
+    "check-radius-not-rational": lambda tmp: [
+        "check", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--radius", "x",
+    ],
+    "type-dist-offset-not-rational": lambda tmp: [
+        "type", "dist", "--ctx", "empty", "--s", "x", "--t", "1",
+    ],
+    "type-dist-mesh-not-rational": lambda tmp: _dist_argv(tmp, "--mesh", "x"),
+    "type-dist-mesh-zero": lambda tmp: _dist_argv(tmp, "--mesh", "0"),
+    "eval-mesh-zero": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,p)",
+        "--mesh", "0",
+    ],
+    "type-dist-exact-arity-4": lambda tmp: [
+        "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",
     ],
 }
 

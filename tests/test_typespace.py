@@ -25,6 +25,7 @@ from rtrees import (
     spanned_subtree,
     transfer_point,
     tripod,
+    type_distance_exact,
     type_distance_search,
     type_of,
     types_equal,
@@ -227,9 +228,43 @@ def test_type_distance_search_truncated_stays_certified():
     q1 = empty_context_descriptor([1, 1], [[0, 2], [2, 0]])
     q2 = empty_context_descriptor([1, 2], [[0, 1], [1, 0]])
     full = type_distance_search(q1, q2, R / 16)
+    assert not full.truncated
     for budget in (1, 3, 8, 50):
         cv = type_distance_search(q1, q2, R / 16, max_configs=budget)
         assert cv.lower <= full.upper <= cv.upper
+        if budget in (1, 3):
+            assert cv.truncated
+
+
+def test_type_distance_exact_tripod_family():
+    # criterion 7's family over all arms k r / 64, 8 <= k <= 32
+    arms = [Fraction(k, 64) * R for k in range(8, 33)]
+    family = {
+        s: empty_context_descriptor([2 * s, 2 * s], [[0, 2 * s], [2 * s, 0]]) for s in arms
+    }
+    for s in arms:
+        for t in arms:
+            want = 2 * max(s, t) if s != t else 0
+            assert type_distance_exact(family[s], family[t]) == want
+
+
+def test_type_distance_exact_small_cases(tripod):
+    q1 = type_of(tripod, [Y], [A], R)
+    q2 = type_of(tripod, [Y], [point_on_edge(tripod, "p", "y", Fraction(1, 2))], R)
+    assert type_distance_exact(q1, q2) == one_type_distance(q1.marginal(0), q2.marginal(0))
+    q = type_of(tripod, [Y], [A, B, P], R)
+    assert type_distance_exact(q, q) == 0
+    # the unit arms against collinear offsets: the arm of b_1 must leave a_1
+    # at p to keep b_2 within 1 of a_2
+    q1 = empty_context_descriptor([1, 1], [[0, 2], [2, 0]])
+    q2 = empty_context_descriptor([1, 2], [[0, 1], [1, 0]])
+    assert type_distance_exact(q1, q2) == 2
+
+
+def test_type_distance_exact_declines_n4():
+    star = [[0 if i == j else 2 for j in range(4)] for i in range(4)]
+    q = empty_context_descriptor([1] * 4, star)
+    assert type_distance_exact(q, q) is None
 
 
 def test_is_principal_examples():
