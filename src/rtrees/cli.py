@@ -39,10 +39,10 @@ from .formulas import check_rt_axioms, eval_quantified, parse_formula
 from .amalgams import SubtreeMap, amalgamate
 from .typespace import (
     NTypeDescriptor,
+    OneTypeDescriptor,
     is_principal,
     one_type_distance,
     realize_type,
-    require_valid,
     type_distance_exact,
     type_distance_search,
     type_of,
@@ -279,13 +279,8 @@ def _cmd_type(args) -> int:
             ctx = spanned_subtree(
                 TreeSkeleton("p", (), extra_nodes=["p"]), [], adjoin_basepoint=True
             )
-            q1, q2 = (
-                NTypeDescriptor(ctx, radius, (Vertex("p"),), (x,), ((Fraction(0),),))
-                for x in (s, t)
-            )
-            require_valid(q1)
-            require_valid(q2)
-            _emit(format_rat(one_type_distance(q1.marginal(0), q2.marginal(0))))
+            q1, q2 = (OneTypeDescriptor(ctx, radius, Vertex("p"), x) for x in (s, t))
+            _emit(format_rat(one_type_distance(q1, q2)))
             return 0
         if not args.q1 or not args.q2:
             raise CliError("type dist needs --ctx empty or both --q1 and --q2")

@@ -287,14 +287,6 @@ class StepFunction:
         if any(self.values[i] == self.values[i + 1] for i in range(len(self.values) - 1)):
             raise ValueError("canonical form: adjacent values must differ")
 
-    def value_before(self, t: Fraction) -> list[tuple[Fraction, int]]:
-        """Jump list restricted to (-inf, t): pairs (from, value)."""
-        out = [(None, 0)]
-        for b, v in zip(self.breakpoints, self.values):
-            if b < t:
-                out.append((b, v))
-        return out
-
 
 def au_distance(f: StepFunction, g: StepFunction) -> Fraction:
     """d(f, g) = (rho_f - s) + (rho_g - s), where s is the supremum of the

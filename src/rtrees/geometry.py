@@ -1,7 +1,8 @@
 """Geodesic operations on tree skeletons.
 
-Distances, Gromov products, medians, segment interpolation, spanned
-subtrees and closest-point projections, all in exact rational arithmetic.
+Gromov products, medians, segment interpolation, spanned subtrees and
+closest-point projections, all in exact rational arithmetic.  Distances and
+points on arcs come from :mod:`rtrees.skeleton`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from .skeleton import (
     SkeletonError,
     TreeSkeleton,
     Vertex,
+    _at_height,
+    _meet,
+    _rooted,
     canonicalize,
     distance,
+    edge_key,
     materialize,
     normalize_point,
-    path_pieces,
     point_on_segment,
     point_sort_key,
 )
@@ -171,6 +175,11 @@ def spanned_subtree(
         src_key, off_u, off_v = mat.spans[(u, v)]
         lo, hi = (off_u, off_v) if off_u <= off_v else (off_v, off_u)
         intervals.setdefault(src_key, []).append((lo, hi))
+    for n, nbrs in adj.items():
+        src = mat.to_source[n]
+        if not nbrs and isinstance(src, EdgePoint):
+            # a lone edge-interior point spans itself
+            intervals.setdefault((src.u, src.v), []).append((src.offset, src.offset))
     edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction], ...]] = {}
     for key, ivals in intervals.items():
         ivals.sort()
@@ -214,42 +223,36 @@ def project_to_subtree(
 ) -> tuple[PointRef, Fraction]:
     """The unique closest point of ``sub`` to ``a`` and its distance.
 
-    Walks the arc from ``a`` to the basepoint (which the spanned subtree
-    always contains when built with the default convention) and stops at the
-    first covered point.  For subtrees built without the basepoint, walks
-    toward the subtree's root generator instead.
+    Walks up the arc from ``a`` to the basepoint and stops at the first
+    covered point.  A subtree built without the basepoint may miss that
+    arc; then the answer is the subtree's top, its point nearest the
+    basepoint, where the root arcs of its generators first part.
     """
     if sub.ambient is not tree and sub.ambient != tree:
         raise SkeletonError("subtree belongs to a different ambient skeleton")
     a = normalize_point(tree, a)
     if sub.covers(a):
         return a, Fraction(0)
-    target = sub.to_ambient[sub.realized.basepoint]
-    acc = Fraction(0)
-    for piece in path_pieces(tree, a, target):
-        if piece[0] == "vertex":
-            if piece[1] in sub.vertex_cover:
-                return Vertex(piece[1]), acc
-            continue
-        _, (u, v), f, g = piece
-        if f == g:
-            continue
-        cover = sub.edge_cover.get((u, v), ())
+    parent, dist, _ = tree._root_data()
+    node, h = _rooted(parent, dist, a)
+    h_a = h
+    while parent[node] is not None:
+        up = parent[node]
+        # the highest covered point at height <= h on the edge up to ``up``
         best: Optional[Fraction] = None
-        for lo, hi in cover:
-            if f <= g:
-                if hi < f or lo > g:
-                    continue
-                entry = max(lo, f)
+        key = edge_key(up, node)
+        for lo, hi in sub.edge_cover.get(key, ()):
+            if key[0] == up:
+                lo, hi = dist[up] + lo, dist[up] + hi
             else:
-                if hi < g or lo > f:
-                    continue
-                entry = min(hi, f)
-            step = abs(entry - f)
-            if best is None or step < best[0]:
-                best = (step, entry)
+                lo, hi = dist[node] - hi, dist[node] - lo
+            if lo <= h and (best is None or min(hi, h) > best):
+                best = min(hi, h)
         if best is not None:
-            step, entry = best
-            return normalize_point(tree, EdgePoint(u, v, entry)), acc + step
-        acc += abs(g - f)
-    raise AssertionError("projection walk never met the subtree")
+            return _at_height(tree, node, best), h_a - best
+        if up in sub.vertex_cover:
+            return Vertex(up), h_a - dist[up]
+        node, h = up, dist[up]
+    meets = [_meet(tree, sub.generators[0], g) for g in sub.generators]
+    top = _at_height(tree, meets[0][0], min(m for *_, m in meets))
+    return top, distance(tree, a, top)

@@ -5,6 +5,12 @@ positive rational edge lengths and a distinguished basepoint.  It induces a
 finitely spanned pointed real tree: the points of that tree are the vertices
 plus the interiors of the edges, addressed by :class:`PointRef` values.
 
+Distances and points on arcs are computed in a rooted form: a point is the
+pair ``(node, height)``, its distance from the basepoint on the arc from
+``node`` up to its parent.  One common-ancestor loop gives the height at
+which two root arcs part, and one ancestor walk finds the point at a given
+height.
+
 All values are immutable after construction and every operation here is a
 pure function, so skeletons are safe to share across threads.  Internal
 caches (shortest-path data, directional reach tables) are computed at most
@@ -236,15 +242,7 @@ class TreeSkeleton:
         parent, dist, depth = self._root_data()
         if a not in dist or b not in dist:
             raise SkeletonError("distance query across disconnected components")
-        x, y = a, b
-        while depth[x] > depth[y]:
-            x = parent[x]
-        while depth[y] > depth[x]:
-            y = parent[y]
-        while x != y:
-            x = parent[x]
-            y = parent[y]
-        return dist[a] + dist[b] - 2 * dist[x]
+        return dist[a] + dist[b] - 2 * dist[_common_ancestor(parent, depth, a, b)]
 
     # -- directional reach (cached) ------------------------------------------
 
@@ -328,7 +326,68 @@ def point_on_edge(tree: TreeSkeleton, u: str, v: str, offset) -> PointRef:
     return normalize_point(tree, EdgePoint(u, v, as_rat(offset)))
 
 
-# -- distances ----------------------------------------------------------------
+# -- rooted arcs ----------------------------------------------------------------
+#
+# Here a point is the pair ``(node, h)``: the point at distance ``h`` from the
+# basepoint on the arc from ``node`` up to its parent, so a vertex is
+# ``(node, d(p, node))``.  The arc [a, b] is made of the root arcs of a and b
+# above the height ``m = (a . b)_p`` where they part, so
+# ``d(a, b) = h_a + h_b - 2m`` and each of its points lies at a known height on
+# one of the two root arcs.
+
+
+def _common_ancestor(parent, depth, x: str, y: str) -> str:
+    """The lowest common ancestor of two nodes in the basepoint's rooted data."""
+    while depth[x] > depth[y]:
+        x = parent[x]
+    while depth[y] > depth[x]:
+        y = parent[y]
+    while x != y:
+        x = parent[x]
+        y = parent[y]
+    return x
+
+
+def _rooted(parent, dist, pt: PointRef) -> tuple[str, Fraction]:
+    """A normalized point as ``(node, h)``."""
+    if isinstance(pt, Vertex):
+        if pt.node not in dist:
+            raise SkeletonError("distance query across disconnected components")
+        return pt.node, dist[pt.node]
+    if pt.u not in dist:
+        raise SkeletonError("distance query across disconnected components")
+    if parent[pt.v] == pt.u:
+        return pt.v, dist[pt.u] + pt.offset
+    if parent[pt.u] == pt.v:
+        return pt.u, dist[pt.u] - pt.offset
+    raise SkeletonError(
+        f"edge {pt.u}-{pt.v} closes a cycle: it is off the basepoint's spanning tree"
+    )
+
+
+def _meet(tree: TreeSkeleton, a: PointRef, b: PointRef):
+    """Normalized ``a`` and ``b`` as ``(node, h)`` pairs, flattened, and the
+    height ``m`` at which their root arcs part.  ``m`` is the common
+    ancestor's height unless a point on the edge just above that ancestor
+    is lower."""
+    parent, dist, depth = tree._root_data()
+    na, ha = _rooted(parent, dist, a)
+    nb, hb = _rooted(parent, dist, b)
+    return na, ha, nb, hb, min(ha, hb, dist[_common_ancestor(parent, depth, na, nb)])
+
+
+def _at_height(tree: TreeSkeleton, node: str, h: Fraction) -> PointRef:
+    """The normalized point at height ``h <= d(p, node)`` on the root arc of
+    ``node``."""
+    parent, dist, _ = tree._root_data()
+    while dist[node] > h:
+        up = parent[node]
+        if dist[up] < h:
+            if up < node:
+                return EdgePoint(up, node, h - dist[up])
+            return EdgePoint(node, up, dist[node] - h)
+        node = up
+    return Vertex(node)
 
 
 def distance(tree: TreeSkeleton, a: PointRef, b: PointRef) -> Fraction:
@@ -337,23 +396,22 @@ def distance(tree: TreeSkeleton, a: PointRef, b: PointRef) -> Fraction:
     b = normalize_point(tree, b)
     if isinstance(a, Vertex) and isinstance(b, Vertex):
         return tree.vertex_distance(a.node, b.node)
-    if isinstance(a, Vertex):
-        a, b = b, a
-    # now a is an EdgePoint
-    la = tree.edge_length(a.u, a.v)
-    if isinstance(b, EdgePoint):
-        if (a.u, a.v) == (b.u, b.v):
-            return abs(a.offset - b.offset)
-        via = []
-        for anchor_a, off_a in ((a.u, a.offset), (a.v, la - a.offset)):
-            lb = tree.edge_length(b.u, b.v)
-            for anchor_b, off_b in ((b.u, b.offset), (b.v, lb - b.offset)):
-                via.append(off_a + tree.vertex_distance(anchor_a, anchor_b) + off_b)
-        return min(via)
-    return min(
-        a.offset + tree.vertex_distance(a.u, b.node),
-        (la - a.offset) + tree.vertex_distance(a.v, b.node),
-    )
+    _, ha, _, hb, m = _meet(tree, a, b)
+    return ha + hb - 2 * m
+
+
+def point_on_segment(tree: TreeSkeleton, a: PointRef, b: PointRef, t) -> PointRef:
+    """The point on the arc ``[a, b]`` at distance ``t`` from ``a``."""
+    t = as_rat(t)
+    na, ha, nb, hb, m = _meet(tree, normalize_point(tree, a), normalize_point(tree, b))
+    total = ha + hb - 2 * m
+    if t < 0 or t > total:
+        raise ValueError(
+            f"distance {format_rat(t)} outside [0, {format_rat(total)}]"
+        )
+    if t <= ha - m:
+        return _at_height(tree, na, ha - t)
+    return _at_height(tree, nb, 2 * m + t - ha)
 
 
 # -- materialization ----------------------------------------------------------
@@ -596,113 +654,3 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
                 )
 
     return ValidationReport(ok=not violations, violations=tuple(violations), max_distance=max_dist)
-
-
-# -- path decomposition ---------------------------------------------------------
-
-
-def _exit_vertex(tree: TreeSkeleton, a: EdgePoint, target: PointRef) -> tuple[str, Fraction]:
-    """The endpoint of ``a``'s edge through which the arc to ``target`` leaves,
-    plus the along-edge distance from ``a`` to it."""
-    la = tree.edge_length(a.u, a.v)
-    d_total = distance(tree, a, target)
-    via_u = a.offset + distance(tree, Vertex(a.u), target)
-    if via_u == d_total:
-        return a.u, a.offset
-    return a.v, la - a.offset
-
-
-def path_pieces(tree: TreeSkeleton, a: PointRef, b: PointRef):
-    """Decompose the arc from ``a`` to ``b`` into ordered pieces.
-
-    Yields ``("vertex", node)`` and ``("edge", (u, v), off_from, off_to)``
-    entries; edge offsets are in the canonical coordinates of ``(u, v)``.
-    """
-    a = normalize_point(tree, a)
-    b = normalize_point(tree, b)
-    pieces: list = []
-    if isinstance(a, EdgePoint) and isinstance(b, EdgePoint) and (a.u, a.v) == (b.u, b.v):
-        # same edge: in a tree the arc stays inside it
-        pieces.append(("edge", (a.u, a.v), a.offset, b.offset))
-        return pieces
-    if isinstance(a, EdgePoint):
-        exit_node, _ = _exit_vertex(tree, a, b)
-        if exit_node == a.u:
-            pieces.append(("edge", (a.u, a.v), a.offset, Fraction(0)))
-        else:
-            pieces.append(("edge", (a.u, a.v), a.offset, tree.edge_length(a.u, a.v)))
-        start = exit_node
-    else:
-        start = a.node
-    if isinstance(b, EdgePoint):
-        # the arc reaches b's edge through the endpoint nearer to `start`
-        lb = tree.edge_length(b.u, b.v)
-        via_u = tree.vertex_distance(start, b.u) + b.offset
-        via_v = tree.vertex_distance(start, b.v) + (lb - b.offset)
-        end = b.u if via_u <= via_v else b.v
-    else:
-        end = b.node
-
-    # vertex chain from start to end
-    parent, dist, depth = tree._root_data()
-    x, y = start, end
-    up_x, up_y = [x], [y]
-    while depth[x] > depth[y]:
-        x = parent[x]
-        up_x.append(x)
-    while depth[y] > depth[x]:
-        y = parent[y]
-        up_y.append(y)
-    while x != y:
-        x = parent[x]
-        y = parent[y]
-        up_x.append(x)
-        up_y.append(y)
-    chain = up_x + up_y[-2::-1]
-
-    for i, node in enumerate(chain):
-        pieces.append(("vertex", node))
-        if i + 1 < len(chain):
-            nxt = chain[i + 1]
-            u, v = edge_key(node, nxt)
-            length = tree.edge_length(u, v)
-            if node == u:
-                pieces.append(("edge", (u, v), Fraction(0), length))
-            else:
-                pieces.append(("edge", (u, v), length, Fraction(0)))
-    if isinstance(b, EdgePoint):
-        if end == b.u:
-            pieces.append(("edge", (b.u, b.v), Fraction(0), b.offset))
-        else:
-            pieces.append(("edge", (b.u, b.v), tree.edge_length(b.u, b.v), b.offset))
-    return pieces
-
-
-def point_on_segment(tree: TreeSkeleton, a: PointRef, b: PointRef, t) -> PointRef:
-    """The point on the arc ``[a, b]`` at distance ``t`` from ``a``."""
-    t = as_rat(t)
-    total = distance(tree, a, b)
-    if t < 0 or t > total:
-        raise ValueError(
-            f"distance {format_rat(t)} outside [0, {format_rat(total)}]"
-        )
-    if t == 0:
-        return normalize_point(tree, a)
-    if t == total:
-        return normalize_point(tree, b)
-    acc = Fraction(0)
-    for piece in path_pieces(tree, a, b):
-        if piece[0] == "vertex":
-            if acc == t:
-                return Vertex(piece[1])
-            continue
-        _, (u, v), f, g = piece
-        seg = abs(g - f)
-        if seg == 0:
-            continue
-        if acc + seg >= t:
-            frac = t - acc
-            off = f + frac if g > f else f - frac
-            return normalize_point(tree, EdgePoint(u, v, off))
-        acc += seg
-    raise AssertionError("segment walk failed to reach the target distance")

@@ -293,8 +293,11 @@ def realize_type(
 
 
 def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
-    """Exact distance between 1-types over a common context."""
+    """Exact distance between 1-types over a common context.  Raises
+    InconsistentDescriptorError for a 1-type that does not exist."""
     _require_same_context(q1, q2)
+    for q in (q1, q2):
+        require_valid(NTypeDescriptor(q.context, q.radius, (q.e,), (q.s,), ((Fraction(0),),)))
     tree = q1.context.ambient
     e1 = normalize_point(tree, q1.e)
     e2 = normalize_point(tree, q2.e)

@@ -200,6 +200,17 @@ def test_projection_examples(tripod):
     assert project_to_subtree(tripod, only_p, A) == (P, 2)
 
 
+def test_span_of_one_edge_point_without_basepoint():
+    t = segment(2)
+    g = point_on_edge(t, "p", "q", Fraction(1, 2))
+    sub = spanned_subtree(t, [g], adjoin_basepoint=False)
+    assert sub.is_single_point()
+    assert sub.covers(g)
+    assert not sub.covers(point_on_edge(t, "p", "q", Fraction(1)))
+    assert project_to_subtree(t, sub, Vertex("q")) == (g, Fraction(3, 2))
+    assert project_to_subtree(t, sub, P) == (g, Fraction(1, 2))
+
+
 def test_projection_against_brute_force():
     for tree in random_corpus("proj", 6, max_nodes=6):
         rng = rng_for("projpts")

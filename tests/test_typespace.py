@@ -5,6 +5,7 @@ import pytest
 from rtrees import (
     ContextMismatchError,
     GlueSpec,
+    InconsistentDescriptorError,
     NTypeDescriptor,
     OneTypeDescriptor,
     TreeSkeleton,
@@ -178,6 +179,19 @@ def test_one_type_distance_empty_context_isometric_to_interval():
         qs = OneTypeDescriptor(ctx, R, Vertex("p"), s)
         qt = OneTypeDescriptor(ctx, R, Vertex("p"), t)
         assert one_type_distance(qs, qt) == abs(s - t)
+
+
+def test_one_type_distance_rejects_offsets_beyond_the_radius():
+    ctx = spanned_subtree(TreeSkeleton("p", (), extra_nodes=["p"]), [])
+    ok = OneTypeDescriptor(ctx, Fraction(1), Vertex("p"), Fraction(1))
+    bad = OneTypeDescriptor(ctx, Fraction(1), Vertex("p"), Fraction(3))
+    for q1, q2 in ((bad, ok), (ok, bad)):
+        with pytest.raises(InconsistentDescriptorError) as info:
+            one_type_distance(q1, q2)
+        assert str(info.value) == "offset_bound: offset s_1=3 outside [0, 1]"
+    negative = OneTypeDescriptor(ctx, Fraction(1), Vertex("p"), Fraction(-1))
+    with pytest.raises(InconsistentDescriptorError):
+        one_type_distance(ok, negative)
 
 
 def test_one_type_distance_is_a_metric(tripod):
