@@ -79,7 +79,7 @@ def _default_mesh(args, radius: Fraction) -> Fraction:
     elif os.environ.get("RTREE_MESH"):
         mesh = _rat_arg(os.environ["RTREE_MESH"], "RTREE_MESH")
     else:
-        return radius / 8
+        mesh = radius / 8
     if mesh <= 0:
         raise CliError("mesh must be positive")
     return mesh
@@ -351,7 +351,10 @@ def _cmd_generate(args) -> int:
     elif args.family == "degrees":
         if not args.degrees:
             raise CliError("--degrees is required for the degrees family")
-        degrees = tuple(int(x) for x in args.degrees.split(","))
+        try:
+            degrees = tuple(int(x) for x in args.degrees.split(","))
+        except ValueError as exc:
+            raise CliError(f"--degrees: {exc}")
         cfg = GeneratorConfig(
             seed=args.seed, depth=args.depth, radius=radius, degree_set=degrees
         )

@@ -28,7 +28,10 @@ envelope of a few lines, built exactly with the ``rtrees.pl`` kernel, and
 its leftmost argmin is the best split on that edge.  Every configuration
 costs at least the cross term ``2 t2``, which only grows along the walk,
 so the walk stops below a split, and skips an edge, once ``2 t2`` reaches
-the best value found.
+the best value found.  A point inside an edge is evaluated in place as a
+degree-2 vertex: its two reaches come from the reach table of the edge's
+endpoints, and the walk, its witnesses and the host edge stay in the
+given tree, which is never copied.
 
 ``psi_grid_oracle`` is the independent brute-force check: the same
 infimum restricted to witness triples on a finite grid.  It never
@@ -55,8 +58,8 @@ from .skeleton import (
     Vertex,
     distance,
     grid_points,
-    materialize,
     normalize_point,
+    point_on_edge,
     point_on_segment,
 )
 from .pl import PL, distance_profile
@@ -67,29 +70,41 @@ def _g(t: Fraction, reach: Fraction, l: Fraction) -> Fraction:
     return max(t - l, l - t - reach, Fraction(0))
 
 
-def _top_reaches(tree: TreeSkeleton, node: str, exclude, k: int = 3):
+def _leaving(tree: TreeSkeleton, x: PointRef):
+    """``(reach, direction)`` for every direction leaving the normalized point
+    ``x``.  A direction is ``(next node, distance to it, node it is entered
+    from)``; an edge point is a degree-2 vertex whose two reaches are read off
+    the table of its edge."""
     table = tree.directional_reach()
-    pairs = sorted(
-        ((table[(node, nb)], nb) for nb in tree.neighbors(node) if nb not in exclude),
-        reverse=True,
-    )
-    vals = [p[0] for p in pairs[:k]] + [Fraction(0)] * k
-    dirs: list[Optional[str]] = [p[1] for p in pairs[:k]] + [None] * k
+    if isinstance(x, Vertex):
+        return [
+            (table[(x.node, nb)], (nb, tree.edge_length(x.node, nb), x.node))
+            for nb in tree.neighbors(x.node)
+        ]
+    rest = tree.edge_length(x.u, x.v) - x.offset
+    return [
+        (table[(x.v, x.u)] - rest, (x.u, x.offset, x.v)),
+        (table[(x.u, x.v)] - x.offset, (x.v, rest, x.u)),
+    ]
+
+
+def _top(leaving, k: int):
+    """The ``k`` largest reaches with their directions, padded with 0 and None."""
+    pairs = sorted(leaving, reverse=True)[:k]
+    vals = [p[0] for p in pairs] + [Fraction(0)] * k
+    dirs: list = [p[1] for p in pairs] + [None] * k
     return vals[:k], dirs[:k]
 
 
-def _descend(
-    tree: TreeSkeleton, node: str, direction: Optional[str], depth: Fraction
-) -> PointRef:
-    """The point at the given depth along a maximal-reach path from node."""
+def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: Fraction) -> PointRef:
+    """The point at the given depth along a maximal-reach path that leaves
+    ``x`` in the given direction."""
     if depth == 0 or direction is None:
-        return Vertex(node)
+        return x
     table = tree.directional_reach()
-    cur, nxt, rem = node, direction, depth
-    while True:
-        length = tree.edge_length(cur, nxt)
-        if rem <= length:
-            return normalize_point(tree, EdgePoint(cur, nxt, rem))
+    nxt, length, cur = direction
+    rem = depth
+    while rem > length:
         rem -= length
         best = None
         for z in tree.neighbors(nxt):
@@ -98,36 +113,37 @@ def _descend(
         if best is None:
             raise AssertionError("descent ran past a leaf")
         cur, nxt = nxt, best[1]
+        length = tree.edge_length(cur, nxt)
+    return normalize_point(tree, EdgePoint(nxt, cur, length - rem))
 
 
-def _psi_at_vertex(tree: TreeSkeleton, r: Fraction, x_node: str):
-    """Exact psi at a vertex; returns (value, witness triple, host edge).
+def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
+    """Exact psi at a normalized point; returns (value, witness triple, host).
 
     The host edge is ``(a, b)`` (``a`` nearer ``x``) when the optimum is
-    attained with the outer split strictly inside that edge, else None.
+    attained with the outer split strictly inside that tree edge, else None.
     """
-    l = r - tree.dist_to_basepoint(x_node)
+    zero = Fraction(0)
+    l = r - distance(tree, x, Vertex(tree.basepoint))
     if l < 0:
         raise ValueError("point lies outside the radius bound")
-    X = Vertex(x_node)
     if l == 0:
-        return Fraction(0), (X, X, X), None
+        return zero, (x, x, x), None
 
     def inner_witness(desc):
         if desc[0] == "free":
             _, t2, c2ref = desc
-            return point_on_segment(tree, X, c2ref, min(l, t2))
-        _, node, t1, direction, reach = desc
-        return _descend(tree, node, direction, min(max(l - t1, Fraction(0)), reach))
+            return point_on_segment(tree, x, c2ref, min(l, t2))
+        _, start, t1, direction, reach = desc
+        return _descend(tree, start, direction, min(max(l - t1, zero), reach))
 
     # config c2 = x: witnesses into the three deepest branches at x itself
-    vals0, dirs0 = _top_reaches(tree, x_node, (), 3)
-    best_val = _g(Fraction(0), vals0[2], l)
+    leave0 = _leaving(tree, x)
+    vals0, dirs0 = _top(leave0, 3)
+    best_val = _g(zero, vals0[2], l)
 
-    def root_witnesses(vals0=vals0, dirs0=dirs0):
-        return tuple(
-            _descend(tree, x_node, dirs0[i], min(l, vals0[i])) for i in range(3)
-        )
+    def root_witnesses():
+        return tuple(_descend(tree, x, dirs0[i], min(l, vals0[i])) for i in range(3))
 
     best_maker = root_witnesses
     best_host: Optional[tuple[str, str]] = None
@@ -139,18 +155,18 @@ def _psi_at_vertex(tree: TreeSkeleton, r: Fraction, x_node: str):
             best_maker = maker
             best_host = host
 
-    def edge_interior(a: str, b: str, ta: Fraction, c_in: Fraction, c_in_desc):
-        """Configs with the outer split strictly inside edge a-b (a nearer x)."""
+    def edge_interior(start: PointRef, direction, ta: Fraction, c_in: Fraction, c_in_desc):
+        """Configs with the outer split strictly inside the segment that leaves
+        ``start`` (at distance ``ta`` from x) in the given direction."""
         if 2 * ta >= best_val:
             return  # the cross term alone rules out an improvement
-        L = tree.edge_length(a, b)
-        (H,), (h_dir,) = _top_reaches(tree, b, (a,), 1)
+        b, L, a = direction
+        (H,), (h_dir,) = _top([p for p in _leaving(tree, Vertex(b)) if p[1][0] != a], 1)
         c3 = l - ta - L - H  # constant deep-branch term through the far end
         # objective at t2 = ta + s: max(2 t2, |t2 - l|, max(t2 - l, c3, 0),
         # min(c_in, max(l - t2, 0))); as t2 >= 0 and l > 0 every term but c3
         # is at most max(2 t2, l - t2), so it is the upper envelope of three
         # lines, and its leftmost argmin is the first optimal offset
-        zero = Fraction(0)
         envelope = PL((zero, L), (2 * ta, 2 * (ta + L))).max_with(
             PL((zero, L), (l - ta, l - ta - L))
         ).max_with(PL.const(zero, L, c3))
@@ -160,68 +176,68 @@ def _psi_at_vertex(tree: TreeSkeleton, r: Fraction, x_node: str):
         t2 = ta + s
 
         def maker():
-            c2ref = normalize_point(tree, EdgePoint(a, b, s))
-            u1 = min(max(l - t2, Fraction(0)), (L - s) + H)
+            c2ref = normalize_point(tree, EdgePoint(b, a, L - s))
+            u1 = min(max(l - t2, zero), (L - s) + H)
             if u1 <= L - s:
-                y1 = normalize_point(tree, EdgePoint(a, b, s + u1))
+                y1 = normalize_point(tree, EdgePoint(b, a, L - s - u1))
             else:
-                y1 = _descend(tree, b, h_dir, u1 - (L - s))
-            if c_in <= max(l - t2, Fraction(0)):
+                y1 = _descend(tree, Vertex(b), h_dir, u1 - (L - s))
+            if c_in <= max(l - t2, zero):
                 y3 = inner_witness(c_in_desc)
             else:
                 y3 = inner_witness(("free", t2, c2ref))
             return (y1, c2ref, y3)
 
-        consider(val, maker, host=(a, b))
+        consider(val, maker, host=(a, b) if start == Vertex(a) else None)
 
     # depth-first walk over vertex positions of the outer split, carrying the
     # best inner (third-witness) option found along the path from x
     stack = []
-    for nb in tree.neighbors(x_node):
-        rvals, rdirs = _top_reaches(tree, x_node, (nb,), 1)
-        inner0_val = _g(Fraction(0), rvals[0], l)
-        inner0 = ("branch", x_node, Fraction(0), rdirs[0], rvals[0])
-        edge_interior(x_node, nb, Fraction(0), inner0_val, inner0)
-        stack.append((nb, x_node, tree.edge_length(x_node, nb), inner0_val, inner0))
+
+    def step(start, direction, ta, in_val, in_desc):
+        edge_interior(start, direction, ta, in_val, in_desc)
+        b, L, a = direction
+        stack.append((b, a, ta + L, in_val, in_desc))
+
+    for _reach, d in leave0:
+        i = 1 if dirs0[0] == d else 0  # the deepest other branch at x
+        step(x, d, zero, _g(zero, vals0[i], l), ("branch", x, zero, dirs0[i], vals0[i]))
 
     while stack:
         c2, parent, t2, in_val, in_desc = stack.pop()
         if 2 * t2 >= best_val:
             continue  # t2 only grows below c2, and every config costs 2 t2
-        vals, dirs = _top_reaches(tree, c2, (parent,), 3)
-        free_val = max(l - t2, Fraction(0))
+        C2 = Vertex(c2)
+        leave = [p for p in _leaving(tree, C2) if p[1][0] != parent]
+        vals, dirs = _top(leave, 3)
+        free_val = max(l - t2, zero)
         third_val = _g(t2, vals[2], l)
         inner_best = min(in_val, free_val, third_val)
         F = max(2 * t2, _g(t2, vals[1], l), inner_best)
 
-        def vertex_maker(c2=c2, t2=t2, vals=vals, dirs=dirs, in_val=in_val,
+        def vertex_maker(C2=C2, t2=t2, vals=vals, dirs=dirs, in_val=in_val,
                          in_desc=in_desc, free_val=free_val, third_val=third_val):
-            depth = max(l - t2, Fraction(0))
-            y1 = _descend(tree, c2, dirs[0], min(depth, vals[0]))
-            y2 = _descend(tree, c2, dirs[1], min(depth, vals[1]))
+            depth = max(l - t2, zero)
+            y1 = _descend(tree, C2, dirs[0], min(depth, vals[0]))
+            y2 = _descend(tree, C2, dirs[1], min(depth, vals[1]))
             m = min(in_val, free_val, third_val)
             if third_val == m:
-                y3 = inner_witness(("branch", c2, t2, dirs[2], vals[2]))
+                y3 = inner_witness(("branch", C2, t2, dirs[2], vals[2]))
             elif in_val == m:
                 y3 = inner_witness(in_desc)
             else:
-                y3 = inner_witness(("free", t2, Vertex(c2)))
+                y3 = inner_witness(("free", t2, C2))
             return (y1, y2, y3)
 
         consider(F, vertex_maker)
 
-        for nb in tree.neighbors(c2):
-            if nb == parent:
-                continue
-            svals, sdirs = _top_reaches(tree, c2, (parent, nb), 1)
-            branch_val = _g(t2, svals[0], l)
+        for _reach, d in leave:
+            i = 1 if dirs[0] == d else 0  # the deepest branch off the path
+            branch_val = _g(t2, vals[i], l)
             if branch_val < in_val:
-                new_val: Fraction = branch_val
-                new_desc = ("branch", c2, t2, sdirs[0], svals[0])
+                step(C2, d, t2, branch_val, ("branch", C2, t2, dirs[i], vals[i]))
             else:
-                new_val, new_desc = in_val, in_desc
-            edge_interior(c2, nb, t2, new_val, new_desc)
-            stack.append((nb, c2, t2 + tree.edge_length(c2, nb), new_val, new_desc))
+                step(C2, d, t2, in_val, in_desc)
 
     return best_val, best_maker(), best_host
 
@@ -233,28 +249,8 @@ def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
 
 def psi_at_with_witness(tree: TreeSkeleton, x: PointRef, r):
     """Exact psi plus an optimal witness triple (points of the given tree)."""
-    val, wits, _host = _psi_full(tree, x, r)
+    val, wits, _host = _psi_at(tree, as_rat(r), normalize_point(tree, x))
     return val, wits
-
-
-def _psi_full(tree: TreeSkeleton, x: PointRef, r):
-    """(value, witnesses, host) with everything in the given tree's
-    coordinates; the host edge is reported as a pair of points so that it
-    survives the materialization of an interior ``x``."""
-    r = as_rat(r)
-    x = normalize_point(tree, x)
-    if isinstance(x, Vertex):
-        val, wits, host = _psi_at_vertex(tree, r, x.node)
-        host_pts = (Vertex(host[0]), Vertex(host[1])) if host else None
-        return val, wits, host_pts
-    mat = materialize(tree, [x], prefix="psi")
-    val, wits, host = _psi_at_vertex(mat.tree, r, mat.node_for(x))
-
-    def pull(pt):
-        return normalize_point(tree, mat.pull_back(normalize_point(mat.tree, pt)))
-
-    host_pts = host and tuple(pull(Vertex(n)) for n in host)
-    return val, tuple(pull(w) for w in wits), host_pts
 
 
 def psi_objective(tree: TreeSkeleton, x: PointRef, r, witnesses) -> Fraction:
@@ -396,20 +392,13 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
 
     def eval_vertex(node: str):
         got = cache.get(node)
-        if got is not None:
-            return got
-        l = r - tree.dist_to_basepoint(node)
-        vals, dirs = _top_reaches(tree, node, (), 3)
-        if l <= 0:
+        if got is None:
             key = Vertex(node)
-            got = (Fraction(0), (key, key, key))
-        elif vals[2] >= l:
-            wits = tuple(_descend(tree, node, dirs[i], l) for i in range(3))
-            got = (Fraction(0), wits)
-        else:
-            val, wits, _host = _psi_at_vertex(tree, r, node)
-            got = (val, wits)
-        cache[node] = got
+            if r <= tree.dist_to_basepoint(node):
+                got = (Fraction(0), (key, key, key))
+            else:
+                got = _psi_at(tree, r, key)[:2]
+            cache[node] = got
         return got
 
     best = Fraction(0)
@@ -442,19 +431,16 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
                 )
             if arg <= 0 or arg >= length:
                 break  # endpoint bound equals an exact sample <= best
-            pt = normalize_point(tree, EdgePoint(u, v, arg))
-            val, wits, host = _psi_full(tree, pt, r)
+            val, wits, host = _psi_at(tree, r, point_on_edge(tree, u, v, arg))
             if val > best:
                 best = val
             bound_pl = bound_pl.min_with(
                 _certificate_profile(tree, (u, v), r, wits)
             )
-            if host is not None and all(isinstance(h, Vertex) for h in host):
-                a_node, b_node = host[0].node, host[1].node
-                if (a_node, b_node) not in seen_hosts and tree.has_edge(a_node, b_node):
-                    seen_hosts.add((a_node, b_node))
-                    lo_pl = distance_profile(tree, (u, v), Vertex(a_node))
-                    bound_pl = bound_pl.min_with(
-                        _family_certificate(tree, (u, v), r, a_node, b_node, lo_pl)
-                    )
+            if host is not None and host not in seen_hosts:
+                seen_hosts.add(host)
+                lo_pl = distance_profile(tree, (u, v), Vertex(host[0]))
+                bound_pl = bound_pl.min_with(
+                    _family_certificate(tree, (u, v), r, *host, lo_pl)
+                )
     return best

@@ -48,11 +48,13 @@ def tripod(a, b, c, basepoint: str = "p") -> TreeSkeleton:
 
 def k_star(k: int, r, basepoint: str = "p") -> TreeSkeleton:
     """``k`` legs of length ``r`` at the basepoint; center degree ``k``."""
+    if as_rat(k).denominator != 1:
+        raise ValueError(f"leg count must be an integer, got {k}")
     if k < 1:
         raise ValueError("a star needs at least one leg")
     r = as_rat(r)
     return TreeSkeleton(
-        basepoint, [(basepoint, f"l{i}", r) for i in range(1, k + 1)]
+        basepoint, [(basepoint, f"l{i}", r) for i in range(1, int(k) + 1)]
     )
 
 
@@ -77,7 +79,7 @@ def caterpillar(spine: Sequence, legs: Sequence, basepoint: str = "p") -> TreeSk
 _PRIMITIVES = {
     "segment": (1, segment),
     "tripod": (3, tripod),
-    "k-star": (2, lambda k, r: k_star(int(k), r)),
+    "k-star": (2, k_star),
     "caterpillar": (
         None,
         lambda *params: caterpillar(
@@ -366,7 +368,7 @@ def au_sample_ball(
             continue
         samples.append(cand)
     if len(samples) < count:
-        raise RuntimeError("sampling failed to produce enough distinct functions")
+        raise ValueError("sampling failed to produce enough distinct functions")
 
     labels = tuple(f"f{i}" for i in range(count))
     n = count

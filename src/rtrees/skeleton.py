@@ -545,6 +545,8 @@ def grid_points(
     tree: TreeSkeleton, mesh: Fraction, anchors: tuple[PointRef, ...] = ()
 ) -> list[PointRef]:
     """Vertices, points spaced <= mesh along every edge, and the anchors."""
+    if mesh <= 0:
+        raise ValueError("mesh must be positive")
     pts: list[PointRef] = [Vertex(n) for n in tree.nodes()]
     for u, v, length in tree.edges():
         k = 1

@@ -230,6 +230,12 @@ def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_universal_sampling_failure_is_an_error(capsys):
+    code, _, err = run(capsys, "generate", "universal", "--radius", "0", "--count", "2")
+    assert code == 1
+    assert err == "error: sampling failed to produce enough distinct functions\n"
+
+
 def test_mesh_env_var(tripod_file, capsys, monkeypatch):
     monkeypatch.setenv("RTREE_MESH", "1/4")
     code, out, _ = run(capsys, "check", "--tree", tripod_file)
@@ -278,6 +284,15 @@ BAD_INVOCATIONS = {
     "eval-mesh-zero": lambda tmp: [
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,p)",
         "--mesh", "0",
+    ],
+    "check-radius-zero": lambda tmp: [
+        "check", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--radius", "0",
+    ],
+    "degrees-not-integer": lambda tmp: [
+        "generate", "degrees", "--radius", "2", "--degrees", "3,x",
+    ],
+    "k-star-fractional-legs": lambda tmp: [
+        "generate", "primitive", "--radius", "2", "--kind", "k-star", "--params", "5/2,2",
     ],
     "type-dist-exact-arity-4": lambda tmp: [
         "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",

@@ -6,6 +6,8 @@ from rtrees import (
     TreeSkeleton,
     Vertex,
     glue_family,
+    materialize,
+    normalize_point,
     point_on_edge,
     psi_at,
     psi_grid_oracle,
@@ -151,6 +153,24 @@ def test_rb_extend_shrinks_deficiency_on_input_points(tripod):
 def test_rb_deficiency_weakly_decreases_under_extension(tripod):
     values = [rb_deficiency(rb_extend(tripod, R, k), R) for k in (0, 1, 2)]
     assert values[0] >= values[1] >= values[2]
+
+
+def test_edge_point_in_place_matches_materialized_vertex():
+    """psi at an edge point, evaluated in place, equals psi at the degree-2
+    vertex that materialize makes of it: same value, same witness triple."""
+    cases = [random_tree(seed, max_nodes=7) for seed in range(100, 112)]
+    cases += [rb_extend(tripod(1, 1, 1), R, k) for k in range(3)]
+    rng = rng_for("psi-in-place")
+    for tree in cases:
+        for u, v, length in tree.edges():
+            for den in (2, 3, 5, 7):
+                x = point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, den), den))
+                val, wits = psi_at_with_witness(tree, x, R)
+                mat = materialize(tree, [x], prefix="x")
+                mval, mwits = psi_at_with_witness(mat.tree, Vertex(mat.node_for(x)), R)
+                pulled = tuple(normalize_point(tree, mat.pull_back(w)) for w in mwits)
+                assert (val, wits) == (mval, pulled)
+                assert psi_objective(tree, x, R, wits) == val
 
 
 def _pinned_cases():

@@ -158,6 +158,9 @@ def test_check_rt_axioms(tripod, lone_point):
     rep = check_rt_axioms(lone_point, 1, Fraction(1, 2))
     assert rep.ok and rep.axiom1.lower == 0
 
+    with pytest.raises(ValueError, match="mesh must be positive"):
+        check_rt_axioms(tripod, 2, 0)
+
 
 def test_axiom3_zero_on_random_trees():
     for tree in random_corpus("ax3", 4, max_nodes=5):

@@ -61,6 +61,9 @@ def test_primitives():
         build_primitive("pentagon", [1])
     with pytest.raises(ValueError):
         build_primitive("tripod", [1])
+    assert build_primitive("k-star", [4, R]) == k_star(4, R)
+    with pytest.raises(ValueError, match="leg count must be an integer"):
+        build_primitive("k-star", [Fraction(5, 2), R])
 
 
 def test_random_trees_are_valid():
@@ -173,6 +176,10 @@ def test_au_sample_ball():
 
     with pytest.raises(ValueError):
         au_sample_ball(2, 3, R, seed=0)
+    # a ball too small to hold two distinct functions
+    for radius in (0, Fraction(1, 20)):
+        with pytest.raises(ValueError, match="enough distinct functions"):
+            au_sample_ball(3, 2, radius, seed=0)
 
 
 def test_au_sample_tripod_from_diverging_functions():

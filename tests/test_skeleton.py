@@ -18,6 +18,7 @@ from rtrees import (
 )
 from conftest import fw_distance, random_corpus, rng_for, tree_grid
 from rtrees.generators import random_point
+from rtrees.skeleton import grid_points
 
 
 def test_constructor_rejects_malformed():
@@ -149,6 +150,13 @@ def test_point_on_segment(tripod):
     assert point_on_segment(tripod, a, b, 2) == b
     with pytest.raises(ValueError):
         point_on_segment(tripod, a, b, 3)
+
+
+def test_grid_points_rejects_non_positive_mesh(tripod):
+    assert len(grid_points(tripod, Fraction(1, 2))) == 4 + 3
+    for mesh in (0, -1):
+        with pytest.raises(ValueError, match="mesh must be positive"):
+            grid_points(tripod, mesh)
 
 
 def test_point_on_segment_distances_consistent():
