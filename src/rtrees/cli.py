@@ -35,7 +35,7 @@ from .matrices import (
     realize_tree,
     tree_to_matrix,
 )
-from .formulas import check_rt_axioms, eval_quantified, parse_formula
+from .formulas import check_rt_axioms, eval_quantified, free_vars, parse_formula
 from .amalgams import SubtreeMap, amalgamate
 from .typespace import (
     NTypeDescriptor,
@@ -182,6 +182,9 @@ def _cmd_eval(args) -> int:
         if not spec:
             raise CliError(f"bad --at binding {item!r}; use name=point")
         val[name] = _resolve_point(doc, spec)
+    unbound = free_vars(formula) - set(val)
+    if unbound:
+        raise CliError(f"formula has unbound points: {', '.join(sorted(unbound))}; bind them with --at")
     mesh = _default_mesh(args, doc.radius)
     result = eval_quantified(doc.tree, formula, val, mesh)
     _emit(str(result))

@@ -139,6 +139,7 @@ def spanned_subtree(
 ) -> SpannedSubtree:
     """Build the subtree spanned by ``points`` (basepoint adjoined unless
     ``adjoin_basepoint`` is false and the set is nonempty)."""
+    tree._root_data()  # refuses a skeleton with a cycle
     gens = [normalize_point(tree, pt) for pt in points]
     if adjoin_basepoint:
         gens.append(Vertex(tree.basepoint))
@@ -233,26 +234,30 @@ def project_to_subtree(
     a = normalize_point(tree, a)
     if sub.covers(a):
         return a, Fraction(0)
-    parent, dist, _ = tree._root_data()
-    node, h = _rooted(parent, dist, a)
-    h_a = h
+    parent, num, _, den = tree._root_data()
+    node, h, hd = _rooted(parent, num, den, a)
+    h_a = Fraction(h, hd)
     while parent[node] is not None:
         up = parent[node]
-        # the highest covered point at height <= h on the edge up to ``up``
-        best: Optional[Fraction] = None
         key = edge_key(up, node)
-        for lo, hi in sub.edge_cover.get(key, ()):
-            if key[0] == up:
-                lo, hi = dist[up] + lo, dist[up] + hi
-            else:
-                lo, hi = dist[node] - hi, dist[node] - lo
-            if lo <= h and (best is None or min(hi, h) > best):
-                best = min(hi, h)
-        if best is not None:
-            return _at_height(tree, node, best), h_a - best
+        cover = sub.edge_cover.get(key)
+        if cover:
+            # the highest covered point at height <= h on the edge up to ``up``
+            at, low, high = Fraction(h, hd), Fraction(num[up], den), Fraction(num[node], den)
+            best: Optional[Fraction] = None
+            for lo, hi in cover:
+                if key[0] == up:
+                    lo, hi = low + lo, low + hi
+                else:
+                    lo, hi = high - hi, high - lo
+                if lo <= at and (best is None or min(hi, at) > best):
+                    best = min(hi, at)
+            if best is not None:
+                return _at_height(tree, node, best.numerator, best.denominator), h_a - best
         if up in sub.vertex_cover:
-            return Vertex(up), h_a - dist[up]
-        node, h = up, dist[up]
+            return Vertex(up), h_a - Fraction(num[up], den)
+        node, h, hd = up, num[up], den
     meets = [_meet(tree, sub.generators[0], g) for g in sub.generators]
-    top = _at_height(tree, meets[0][0], min(m for *_, m in meets))
+    top_h = min(Fraction(m, den) for *_, m, den in meets)
+    top = _at_height(tree, meets[0][0], top_h.numerator, top_h.denominator)
     return top, distance(tree, a, top)

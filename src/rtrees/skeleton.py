@@ -5,22 +5,29 @@ positive rational edge lengths and a distinguished basepoint.  It induces a
 finitely spanned pointed real tree: the points of that tree are the vertices
 plus the interiors of the edges, addressed by :class:`PointRef` values.
 
-Distances and points on arcs are computed in a rooted form: a point is the
-pair ``(node, height)``, its distance from the basepoint on the arc from
-``node`` up to its parent.  One common-ancestor loop gives the height at
-which two root arcs part, and one ancestor walk finds the point at a given
-height.
+Distances and points on arcs are computed in a rooted, integer-valued form.
+One search from the basepoint gives every node's parent, depth and distance
+from the basepoint as an integer numerator over ``D``, the lcm of the
+denominators of those distances.  A point is ``(node, h, den)``: the point at
+height ``h / den`` on the arc from ``node`` up to its parent.  One
+common-ancestor loop gives the height at which two root arcs part, and one
+ancestor walk finds the point at a given height; a ``Fraction`` is built only
+for a result.  A skeleton whose search meets an edge off its spanning tree is
+not a tree, and every distance query on it raises :class:`SkeletonError`
+naming that edge.
 
 All values are immutable after construction and every operation here is a
 pure function, so skeletons are safe to share across threads.  Internal
-caches (shortest-path data, directional reach tables) are computed at most
-once per skeleton and only ever appended, never mutated in place.
+caches (rooted data, sorted node and edge tuples, directional reach tables)
+are filled lazily with ``dict.setdefault``: each entry is written once, and
+every caller sees that one value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .rationals import as_rat, format_rat
@@ -112,9 +119,12 @@ class TreeSkeleton:
         adj: dict[str, dict[str, Fraction]] = {}
 
         def ensure(node: str) -> None:
-            if not isinstance(node, str) or not node or any(c.isspace() for c in node):
+            if not isinstance(node, str):
                 raise SkeletonError(f"bad node id: {node!r}")
-            adj.setdefault(node, {})
+            if node not in adj:
+                if node.split() != [node]:  # empty, or contains whitespace
+                    raise SkeletonError(f"bad node id: {node!r}")
+                adj[node] = {}
 
         ensure(basepoint)
         for node in extra_nodes:
@@ -146,15 +156,19 @@ class TreeSkeleton:
     # -- basic accessors ---------------------------------------------------
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._adj))
+        got = self._cache.get("nodes")
+        if got is None:
+            got = self._cache.setdefault("nodes", tuple(sorted(self._adj)))
+        return got
 
     def edges(self) -> tuple[tuple[str, str, Fraction], ...]:
-        out = []
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    out.append((u, v, w))
-        return tuple(sorted(out))
+        got = self._cache.get("edges")
+        if got is None:
+            out = sorted(
+                (u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if u < v
+            )
+            got = self._cache.setdefault("edges", tuple(out))
+        return got
 
     def has_node(self, node: str) -> bool:
         return node in self._adj
@@ -211,38 +225,60 @@ class TreeSkeleton:
 
     # -- rooted path data (cached) ------------------------------------------
 
-    def _root_data(self):
+    def _search(self):
+        """``(parent, num, depth, D, cycle)`` from one search of the
+        basepoint's component: ``num[x] / D`` is ``d(p, x)``, and ``cycle``
+        is the first edge met that is off the search's spanning tree, as
+        ``(from, to)``, or ``None``."""
         data = self._cache.get("root")
         if data is None:
             parent: dict[str, Optional[str]] = {self.basepoint: None}
             dist: dict[str, Fraction] = {self.basepoint: Fraction(0)}
             depth: dict[str, int] = {self.basepoint: 0}
+            cycle = None
             stack = [self.basepoint]
             while stack:
                 cur = stack.pop()
+                up = parent[cur]
                 for nbr, w in self._adj[cur].items():
                     if nbr not in parent:
                         parent[nbr] = cur
                         dist[nbr] = dist[cur] + w
                         depth[nbr] = depth[cur] + 1
                         stack.append(nbr)
-            data = (parent, dist, depth)
-            self._cache["root"] = data
+                    elif nbr != up and cycle is None:
+                        cycle = (cur, nbr)
+            den = lcm(*(d.denominator for d in dist.values()))
+            num = {x: d.numerator * (den // d.denominator) for x, d in dist.items()}
+            data = self._cache.setdefault("root", (parent, num, depth, den, cycle))
+        return data
+
+    def _root_data(self):
+        """``(parent, num, depth, D)`` of the tree rooted at the basepoint;
+        raises :class:`SkeletonError` if the skeleton has a cycle there."""
+        data = self._cache.get("rooted")
+        if data is None:
+            parent, num, depth, den, cycle = self._search()
+            if cycle is not None:
+                raise SkeletonError(
+                    f"edge {cycle[0]}-{cycle[1]} closes a cycle: the skeleton is not a tree"
+                )
+            data = self._cache.setdefault("rooted", (parent, num, depth, den))
         return data
 
     def dist_to_basepoint(self, node: str) -> Fraction:
-        parent, dist, _ = self._root_data()
-        if node not in dist:
+        _, num, _, den = self._root_data()
+        if node not in num:
             raise SkeletonError(f"node {node!r} not connected to the basepoint")
-        return dist[node]
+        return Fraction(num[node], den)
 
     def vertex_distance(self, a: str, b: str) -> Fraction:
         if a not in self._adj or b not in self._adj:
             raise UnknownPointError(f"unknown node in pair ({a!r}, {b!r})")
-        parent, dist, depth = self._root_data()
-        if a not in dist or b not in dist:
+        parent, num, depth, den = self._root_data()
+        if a not in num or b not in num:
             raise SkeletonError("distance query across disconnected components")
-        return dist[a] + dist[b] - 2 * dist[_common_ancestor(parent, depth, a, b)]
+        return Fraction(num[a] + num[b] - 2 * num[_common_ancestor(parent, depth, a, b)], den)
 
     # -- directional reach (cached) ------------------------------------------
 
@@ -251,6 +287,10 @@ class TreeSkeleton:
         into the branch entered through ``b``."""
         table = self._cache.get("reach")
         if table is None:
+            parent = self._root_data()[0]
+            if len(parent) != len(self._adj):
+                missing = min(set(self._adj) - set(parent))
+                raise SkeletonError(f"node {missing!r} not connected to the basepoint")
             table = {}
             # iterative memoized DFS over directed edges
             for a in self._adj:
@@ -277,7 +317,7 @@ class TreeSkeleton:
                                     best = cand
                         table[(x, y)] = self._adj[x][y] + best
                         stack.pop()
-            self._cache["reach"] = table
+            table = self._cache.setdefault("reach", table)
         return table
 
     def reaches_at(self, node: str, exclude: Iterable[str] = ()) -> list[Fraction]:
@@ -301,25 +341,24 @@ def normalize_point(tree: TreeSkeleton, pt: PointRef) -> PointRef:
     """Canonical form of a point: boundary offsets become vertices and edge
     orientation is made canonical, so equal metric points compare equal."""
     if isinstance(pt, Vertex):
-        if not tree.has_node(pt.node):
+        if pt.node not in tree._adj:
             raise UnknownPointError(f"unknown node {pt.node!r}")
         return pt
-    if not tree.has_edge(pt.u, pt.v):
+    length = tree._adj.get(pt.u, {}).get(pt.v)
+    if length is None:
         raise UnknownPointError(f"unknown edge {pt.u}-{pt.v}")
-    length = tree.edge_length(pt.u, pt.v)
     offset = as_rat(pt.offset)
-    if offset < 0 or offset > length:
-        raise UnknownPointError(
-            f"offset {format_rat(offset)} outside edge {pt.u}-{pt.v} of length {format_rat(length)}"
-        )
-    if offset == 0:
-        return Vertex(pt.u)
-    if offset == length:
-        return Vertex(pt.v)
-    u, v = edge_key(pt.u, pt.v)
-    if (u, v) != (pt.u, pt.v):
-        offset = length - offset
-    return EdgePoint(u, v, offset)
+    # 0 < offset < length, cross-multiplied
+    p, q = offset.numerator, offset.denominator
+    if not (p > 0 and p * length.denominator < length.numerator * q):
+        if offset < 0 or offset > length:
+            raise UnknownPointError(
+                f"offset {format_rat(offset)} outside edge {pt.u}-{pt.v} of length {format_rat(length)}"
+            )
+        return Vertex(pt.u) if offset == 0 else Vertex(pt.v)
+    if pt.u < pt.v:
+        return pt if offset is pt.offset else EdgePoint(pt.u, pt.v, offset)
+    return EdgePoint(pt.v, pt.u, length - offset)
 
 
 def point_on_edge(tree: TreeSkeleton, u: str, v: str, offset) -> PointRef:
@@ -328,9 +367,9 @@ def point_on_edge(tree: TreeSkeleton, u: str, v: str, offset) -> PointRef:
 
 # -- rooted arcs ----------------------------------------------------------------
 #
-# Here a point is the pair ``(node, h)``: the point at distance ``h`` from the
-# basepoint on the arc from ``node`` up to its parent, so a vertex is
-# ``(node, d(p, node))``.  The arc [a, b] is made of the root arcs of a and b
+# Here a point is ``(node, h, den)``: the point at distance ``h / den`` from
+# the basepoint on the arc from ``node`` up to its parent, so a vertex is
+# ``(node, num[node], D)``.  The arc [a, b] is made of the root arcs of a and b
 # above the height ``m = (a . b)_p`` where they part, so
 # ``d(a, b) = h_a + h_b - 2m`` and each of its points lies at a known height on
 # one of the two root arcs.
@@ -348,70 +387,74 @@ def _common_ancestor(parent, depth, x: str, y: str) -> str:
     return x
 
 
-def _rooted(parent, dist, pt: PointRef) -> tuple[str, Fraction]:
-    """A normalized point as ``(node, h)``."""
+def _rooted(parent, num, den: int, pt: PointRef) -> tuple[str, int, int]:
+    """A normalized point as ``(node, h, den)``; an edge point's ``den`` is
+    ``D`` times its offset's denominator."""
     if isinstance(pt, Vertex):
-        if pt.node not in dist:
+        if pt.node not in num:
             raise SkeletonError("distance query across disconnected components")
-        return pt.node, dist[pt.node]
-    if pt.u not in dist:
+        return pt.node, num[pt.node], den
+    if pt.u not in num:
         raise SkeletonError("distance query across disconnected components")
+    p, q = pt.offset.numerator, pt.offset.denominator
     if parent[pt.v] == pt.u:
-        return pt.v, dist[pt.u] + pt.offset
-    if parent[pt.u] == pt.v:
-        return pt.u, dist[pt.u] - pt.offset
-    raise SkeletonError(
-        f"edge {pt.u}-{pt.v} closes a cycle: it is off the basepoint's spanning tree"
-    )
+        return pt.v, num[pt.u] * q + p * den, den * q
+    return pt.u, num[pt.u] * q - p * den, den * q
 
 
 def _meet(tree: TreeSkeleton, a: PointRef, b: PointRef):
-    """Normalized ``a`` and ``b`` as ``(node, h)`` pairs, flattened, and the
-    height ``m`` at which their root arcs part.  ``m`` is the common
-    ancestor's height unless a point on the edge just above that ancestor
-    is lower."""
-    parent, dist, depth = tree._root_data()
-    na, ha = _rooted(parent, dist, a)
-    nb, hb = _rooted(parent, dist, b)
-    return na, ha, nb, hb, min(ha, hb, dist[_common_ancestor(parent, depth, na, nb)])
+    """Normalized ``a`` and ``b`` as ``(node, h)`` pairs, flattened, then the
+    height ``m`` at which their root arcs part, all three heights as
+    integers over the denominator returned last.  ``m`` is the common
+    ancestor's height unless a point on the edge just above that ancestor is
+    lower."""
+    parent, num, depth, den = tree._root_data()
+    na, ha, da = _rooted(parent, num, den, a)
+    nb, hb, db = _rooted(parent, num, den, b)
+    if da != db:
+        common = lcm(da, db)
+        ha *= common // da
+        hb *= common // db
+        da = common
+    m = num[_common_ancestor(parent, depth, na, nb)] * (da // den)
+    return na, ha, nb, hb, min(ha, hb, m), da
 
 
-def _at_height(tree: TreeSkeleton, node: str, h: Fraction) -> PointRef:
-    """The normalized point at height ``h <= d(p, node)`` on the root arc of
-    ``node``."""
-    parent, dist, _ = tree._root_data()
-    while dist[node] > h:
+def _at_height(tree: TreeSkeleton, node: str, h: int, hd: int) -> PointRef:
+    """The normalized point at height ``h / hd <= d(p, node)`` on the root
+    arc of ``node``."""
+    parent, num, _, den = tree._root_data()
+    h *= den  # heights compared over den * hd: num[x] * hd against h
+    while num[node] * hd > h:
         up = parent[node]
-        if dist[up] < h:
+        low = num[up] * hd
+        if low < h:
             if up < node:
-                return EdgePoint(up, node, h - dist[up])
-            return EdgePoint(node, up, dist[node] - h)
+                return EdgePoint(up, node, Fraction(h - low, den * hd))
+            return EdgePoint(node, up, Fraction(num[node] * hd - h, den * hd))
         node = up
     return Vertex(node)
 
 
 def distance(tree: TreeSkeleton, a: PointRef, b: PointRef) -> Fraction:
     """Length of the unique arc between two points of the skeleton."""
-    a = normalize_point(tree, a)
-    b = normalize_point(tree, b)
-    if isinstance(a, Vertex) and isinstance(b, Vertex):
-        return tree.vertex_distance(a.node, b.node)
-    _, ha, _, hb, m = _meet(tree, a, b)
-    return ha + hb - 2 * m
+    _, ha, _, hb, m, den = _meet(tree, normalize_point(tree, a), normalize_point(tree, b))
+    return Fraction(ha + hb - 2 * m, den)
 
 
 def point_on_segment(tree: TreeSkeleton, a: PointRef, b: PointRef, t) -> PointRef:
     """The point on the arc ``[a, b]`` at distance ``t`` from ``a``."""
     t = as_rat(t)
-    na, ha, nb, hb, m = _meet(tree, normalize_point(tree, a), normalize_point(tree, b))
+    na, ha, nb, hb, m, den = _meet(tree, normalize_point(tree, a), normalize_point(tree, b))
     total = ha + hb - 2 * m
-    if t < 0 or t > total:
+    tn, td = t.numerator, t.denominator
+    if tn < 0 or tn * den > total * td:
         raise ValueError(
-            f"distance {format_rat(t)} outside [0, {format_rat(total)}]"
+            f"distance {format_rat(t)} outside [0, {format_rat(Fraction(total, den))}]"
         )
-    if t <= ha - m:
-        return _at_height(tree, na, ha - t)
-    return _at_height(tree, nb, 2 * m + t - ha)
+    if tn * den <= (ha - m) * td:
+        return _at_height(tree, na, ha * td - tn * den, den * td)
+    return _at_height(tree, nb, (2 * m - ha) * td + tn * den, den * td)
 
 
 # -- materialization ----------------------------------------------------------
@@ -549,10 +592,9 @@ def grid_points(
         raise ValueError("mesh must be positive")
     pts: list[PointRef] = [Vertex(n) for n in tree.nodes()]
     for u, v, length in tree.edges():
-        k = 1
-        while k * mesh < length:
-            pts.append(EdgePoint(u, v, k * mesh))
-            k += 1
+        # k * mesh for every k >= 1 with k * mesh < length
+        count = -(-length // mesh) - 1
+        pts.extend(EdgePoint(u, v, k * mesh) for k in range(1, count + 1))
     for a in anchors:
         a = normalize_point(tree, a)
         if a not in pts:
@@ -606,21 +648,9 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
                 Violation("non_positive_edge", f"edge {u}-{v} has length {format_rat(w)}")
             )
 
-    # connectivity / acyclicity by BFS from the basepoint
-    seen = {tree.basepoint}
-    parent: dict[str, Optional[str]] = {tree.basepoint: None}
-    queue = [tree.basepoint]
-    cycle_witness = None
-    while queue:
-        cur = queue.pop()
-        for nbr in tree._adj[cur]:
-            if nbr not in seen:
-                seen.add(nbr)
-                parent[nbr] = cur
-                queue.append(nbr)
-            elif parent.get(cur) != nbr and cycle_witness is None:
-                cycle_witness = (cur, nbr)
-    missing = sorted(set(tree.nodes()) - seen)
+    # connectivity / acyclicity from the search of the basepoint's component
+    parent, _, _, _, cycle_witness = tree._search()
+    missing = sorted(set(tree.nodes()) - set(parent))
     if missing:
         violations.append(
             Violation("disconnected", f"nodes unreachable from basepoint: {', '.join(missing)}")

@@ -2,6 +2,8 @@
 against independent oracles, plus a pin of their outputs."""
 
 import hashlib
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from rtrees import (
     random_point,
     random_tree,
     spanned_subtree,
+    validate,
 )
 from conftest import fw_distance, random_corpus, rng_for, tree_grid
 
@@ -131,10 +134,9 @@ def test_projection_factors_every_covered_point(drawn, adjoin_basepoint):
 
 @CHECKS
 @given(random_trees())
-def test_cyclic_skeleton_uses_the_basepoint_spanning_tree(drawn):
-    # one extra edge closes a cycle; the library measures along the
-    # spanning tree of its basepoint search and refuses points on the
-    # one edge that tree leaves out
+def test_cyclic_skeleton_refuses_distances(drawn):
+    # one extra edge closes a cycle: the skeleton is not a tree, so every
+    # distance, arc point, span and reach table refuses it and names an edge
     rng, tree = drawn
     nodes = tree.nodes()
     pairs = [(x, y) for x in nodes for y in nodes if x < y and not tree.has_edge(x, y)]
@@ -144,26 +146,106 @@ def test_cyclic_skeleton_uses_the_basepoint_spanning_tree(drawn):
     cyclic = TreeSkeleton(
         tree.basepoint, list(tree.edges()) + [(x, y, Fraction(rng.randint(1, 8), 4))]
     )
-    p = Vertex(cyclic.basepoint)
-    unused = []
-    for u, v, length in cyclic.edges():
-        mid = point_on_edge(cyclic, u, v, length / 2)
-        try:
-            distance(cyclic, p, mid)
-        except SkeletonError:
-            unused.append((u, v))
-            with pytest.raises(SkeletonError):
-                point_on_segment(cyclic, mid, p, 0)
-    assert len(unused) == 1
-    spanning = TreeSkeleton(
-        cyclic.basepoint, [e for e in cyclic.edges() if e[:2] not in unused]
-    )
+    assert any(v.kind == "cycle" for v in validate(cyclic, R).violations)
+    a, b = draw_pair(rng, tree)
+    calls = [
+        lambda: distance(cyclic, a, b),
+        lambda: point_on_segment(cyclic, a, b, 0),
+        lambda: cyclic.vertex_distance(x, y),
+        lambda: cyclic.dist_to_basepoint(x),
+        cyclic.directional_reach,
+        lambda: spanned_subtree(cyclic, [a]),
+    ]
+    for call in calls:
+        with pytest.raises(SkeletonError, match=r"edge \S+-\S+ closes a cycle"):
+            call()
+
+
+EDGE_DENOMINATORS = (2, 3, 5, 7, 11, 13)
+OFFSET_DENOMINATORS = (17, 19, 23)
+
+
+def coprime_tree(rng):
+    """A tree whose edge lengths have pairwise coprime denominators, one
+    prime of EDGE_DENOMINATORS per edge, so the lcm of its root distances'
+    denominators is a product of distinct primes."""
+    size = rng.randint(2, len(EDGE_DENOMINATORS) + 1)
+    dens = rng.sample(EDGE_DENOMINATORS, size - 1)
+    edges = []
+    for i, q in enumerate(dens, start=1):
+        length = Fraction(q * rng.randint(0, 1) + rng.randint(1, q - 1), q)
+        edges.append((f"n{rng.randrange(i)}", f"n{i}", length))
+    return TreeSkeleton("n0", edges)
+
+
+def coprime_point(rng, tree):
+    """A vertex, or an edge point whose offset's denominator is one of
+    OFFSET_DENOMINATORS, so it divides no root distance's denominator."""
+    if rng.random() < 0.3:
+        return Vertex(rng.choice(tree.nodes()))
+    u, v, length = rng.choice(tree.edges())
+    s = rng.choice(OFFSET_DENOMINATORS)
+    j = rng.choice([j for j in range(1, int(length * s) + 1) if j % s])
+    return point_on_edge(tree, u, v, Fraction(j, s))
+
+
+@CHECKS
+@given(st.randoms(use_true_random=False))
+def test_mixed_denominators_match_floyd_warshall(rng):
+    tree = coprime_tree(rng)
     for _ in range(4):
-        a, b = draw_pair(rng, spanning)
-        assert distance(cyclic, a, b) == fw_distance(spanning, a, b)
-        total = distance(cyclic, a, b)
-        z = point_on_segment(cyclic, a, b, total / 3)
-        assert fw_distance(spanning, a, z) == total / 3
+        a, b = coprime_point(rng, tree), coprime_point(rng, tree)
+        total = distance(tree, a, b)
+        assert total == fw_distance(tree, a, b)
+        for t in (total * Fraction(rng.randint(0, 5), 5), min(total, Fraction(rng.randint(0, 40), 29))):
+            z = point_on_segment(tree, a, b, t)
+            assert z == normalize_point(tree, z)
+            assert fw_distance(tree, a, z) == t
+            assert fw_distance(tree, z, b) == total - t
+
+
+def test_first_calls_from_threads_agree():
+    # the rooted data and the node and edge tuples are cached on first use;
+    # four threads racing to fill them on a fresh skeleton see one value
+    def same_tree():
+        return random_tree(rng_for("threads-tree"), max_nodes=8, radius=R)
+
+    rng = rng_for("threads")
+    reference, fresh = same_tree(), same_tree()
+    pairs = [(random_point(rng, reference), random_point(rng, reference)) for _ in range(40)]
+
+    def work(tree):
+        return (
+            [distance(tree, a, b) for a, b in pairs],
+            [median(tree, a, b, Vertex(tree.basepoint)) for a, b in pairs],
+            tree.edges(),
+            tree.nodes(),
+        )
+
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = work(fresh)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    want = work(reference)
+    for got in results:
+        assert got[:2] == want[:2]
+        assert got[2] is results[0][2] and got[3] is results[0][3]
+    assert fresh.edges() is fresh.edges() and fresh.nodes() is fresh.nodes()
+    assert fresh.edges() == want[2] and fresh.nodes() == want[3]
 
 
 def _arc_pin_text():

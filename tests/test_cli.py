@@ -225,6 +225,28 @@ def test_psi(tripod_file, capsys):
     assert code == 0 and out.strip() == "4/3"
 
 
+CYCLIC_TEXT = TRIPOD_TEXT + "edge a b 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["psi"],
+    ["indep", "--A", "a", "--B", "b", "--C", ""],
+    ["type", "of", "--points", "a,b"],
+])
+def test_cyclic_tree_is_an_error(command, tmp_path):
+    # a tree file with one extra edge is not a tree: exit 1 naming the
+    # edge that closes the cycle, and no traceback
+    path = _write(tmp_path, "cyc.tree", CYCLIC_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtrees.cli", *command, "--tree", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "closes a cycle" in proc.stderr and proc.stderr.startswith("error: edge ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["realize"]) == 2
     assert main(["no-such-command"]) == 2
@@ -293,6 +315,9 @@ BAD_INVOCATIONS = {
     ],
     "k-star-fractional-legs": lambda tmp: [
         "generate", "primitive", "--radius", "2", "--kind", "k-star", "--params", "5/2,2",
+    ],
+    "eval-unbound-point": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,q)",
     ],
     "type-dist-exact-arity-4": lambda tmp: [
         "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",

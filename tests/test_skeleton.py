@@ -68,6 +68,13 @@ def test_validate_cycle():
     assert any(v.kind == "cycle" for v in report.violations)
 
 
+def test_reach_refuses_a_disconnected_skeleton():
+    # a cycle the basepoint's search never meets must not loop either
+    t = TreeSkeleton("p", [("p", "y", 1), ("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+    with pytest.raises(SkeletonError, match="not connected to the basepoint"):
+        t.directional_reach()
+
+
 def test_normalize_point(tripod):
     assert normalize_point(tripod, EdgePoint("y", "p", Fraction(1, 4))) == EdgePoint(
         "p", "y", Fraction(3, 4)
