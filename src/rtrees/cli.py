@@ -193,11 +193,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_matrix(args) -> int:
     doc = _load_doc(args.tree)
-    pts = _resolve_points(doc, args.points)
-    if not pts:
+    if not args.points:
         raise CliError("--points is required")
     names = args.points.split(",")
-    m = tree_to_matrix(doc.tree, pts, labels=names)
+    for i, name in enumerate(names):
+        if not name:
+            raise CliError(f"--points: name {i + 1} of {len(names)} is empty")
+        if name in names[:i]:
+            raise CliError(f"--points: name {name!r} is repeated")
+    m = tree_to_matrix(doc.tree, [_resolve_point(doc, name) for name in names], labels=names)
     _write_output(treeio.serialize_matrix_text(m.labels, m.entries), args.output)
     return 0
 

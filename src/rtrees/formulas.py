@@ -198,11 +198,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# The deepest syntax tree the parser accepts.  A parenthesis, a call, a
+# quantifier, a scalar multiple and each operator of a sum count one level.
+# The parser takes three frames per level and every recursive evaluator one,
+# so all of them stay far inside the default recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each ``parse_*`` returns a subtree and its height."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.bound: list[str] = []
+        self.depth = 0  # levels open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -224,11 +234,25 @@ class _Parser:
         tok = self.peek()
         raise FormulaSyntaxError(message, tok[2], tok[3])
 
+    def check_depth(self, height: int, tok) -> int:
+        """``height``, once a subtree that high under the open levels is
+        known to fit the bound; else the error is at ``tok``."""
+        if self.depth + height > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_DEPTH} levels", tok[2], tok[3]
+            )
+        return height
+
+    def enter(self, tok) -> None:
+        """Open a level at ``tok``; the caller closes it with ``depth -= 1``."""
+        self.depth += 1
+        self.check_depth(1, tok)
+
     # expr := quantifier | sum
-    def parse_expr(self) -> Formula:
+    def parse_expr(self) -> tuple[Formula, int]:
         kind, value, line, col = self.peek()
         if kind == "NAME" and value in ("inf", "sup"):
-            self.next()
+            self.enter(self.next())
             var_tok = self.expect("NAME")
             var = var_tok[1]
             if var in _KEYWORDS or var == "p":
@@ -241,24 +265,23 @@ class _Parser:
                 )
             self.expect(".")
             self.bound.append(var)
-            body = self.parse_expr()
+            body, height = self.parse_expr()
             self.bound.pop()
-            return Inf(var, body) if value == "inf" else Sup(var, body)
+            self.depth -= 1
+            return (Inf(var, body) if value == "inf" else Sup(var, body)), height + 1
         return self.parse_sum()
 
     # sum := operand { ("+" | "-.") operand }
-    def parse_sum(self) -> Formula:
-        left = self.parse_operand()
-        while True:
-            kind = self.peek()[0]
-            if kind == "+":
-                self.next()
-                left = Add(left, self.parse_operand())
-            elif kind == "-.":
-                self.next()
-                left = TruncSub(left, self.parse_operand())
-            else:
-                return left
+    def parse_sum(self) -> tuple[Formula, int]:
+        left, height = self.parse_operand()
+        while self.peek()[0] in ("+", "-."):
+            tok = self.next()
+            self.enter(tok)
+            right, right_height = self.parse_operand()
+            self.depth -= 1
+            height = self.check_depth(max(height, right_height) + 1, tok)
+            left = Add(left, right) if tok[0] == "+" else TruncSub(left, right)
+        return left, height
 
     def parse_rational(self) -> Fraction:
         neg = False
@@ -277,19 +300,22 @@ class _Parser:
         q = Fraction(num, den)
         return -q if neg else q
 
-    def parse_operand(self) -> Formula:
+    def parse_operand(self) -> tuple[Formula, int]:
         kind, value, line, col = self.peek()
         if kind in ("INT", "-"):
             q = self.parse_rational()
             if self.peek()[0] == "*":
-                self.next()
-                return Scale(q, self.parse_operand())
-            return Const(q)
+                self.enter(self.next())
+                body, height = self.parse_operand()
+                self.depth -= 1
+                return Scale(q, body), height + 1
+            return Const(q), 1
         if kind == "(":
-            self.next()
-            inner = self.parse_expr()
+            self.enter(self.next())
+            inner, height = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
-            return inner
+            return inner, height + 1
         if kind == "NAME":
             if value == "d":
                 self.next()
@@ -298,23 +324,17 @@ class _Parser:
                 self.expect(",")
                 b = self.parse_point()
                 self.expect(")")
-                return Dist(a, b)
-            if value in ("max", "min"):
-                self.next()
+                return Dist(a, b), 1
+            if value in ("max", "min", "abs"):
+                self.enter(self.next())
                 self.expect("(")
-                left = self.parse_expr()
-                self.expect(",")
-                right = self.parse_expr()
+                left, left_height = self.parse_expr()
+                self.expect("-" if value == "abs" else ",")
+                right, right_height = self.parse_expr()
                 self.expect(")")
-                return Max(left, right) if value == "max" else Min(left, right)
-            if value == "abs":
-                self.next()
-                self.expect("(")
-                left = self.parse_expr()
-                self.expect("-")
-                right = self.parse_expr()
-                self.expect(")")
-                return AbsDiff(left, right)
+                self.depth -= 1
+                node = AbsDiff if value == "abs" else Max if value == "max" else Min
+                return node(left, right), max(left_height, right_height) + 1
             if value in ("inf", "sup"):
                 return self.parse_expr()
         self.fail(f"unexpected token {value!r}")
@@ -331,7 +351,7 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    formula = parser.parse_expr()
+    formula, _ = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "EOF":
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], tok[3])

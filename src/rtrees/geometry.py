@@ -9,22 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .rationals import as_rat
 from .skeleton import (
-    EdgePoint,
     PointRef,
     SkeletonError,
     TreeSkeleton,
     Vertex,
     _at_height,
-    _meet,
+    _common_ancestor,
     _rooted,
-    canonicalize,
     distance,
     edge_key,
-    materialize,
     normalize_point,
     point_on_segment,
     point_sort_key,
@@ -96,16 +94,16 @@ def endpoints(tree: TreeSkeleton) -> tuple[PointRef, ...]:
 class SpannedSubtree:
     """The smallest subtree of ``ambient`` containing the generator points.
 
-    ``realized`` is the subtree as its own skeleton; ``to_ambient`` maps its
-    nodes to ambient points.  Coverage data (which ambient vertices and edge
-    intervals belong to the subtree) backs exact membership tests and
-    closest-point projections.
+    It is the union of the generators' root arcs above its top, the lowest
+    height at which two of those arcs part.  ``vertex_cover`` holds the
+    ambient vertices it contains and ``edge_cover`` the offset interval it
+    covers on each canonical edge it meets in more than an endpoint (the
+    span of one edge point covers ``(o, o)``); they back exact membership
+    tests and closest-point projections.
     """
 
     ambient: TreeSkeleton
     generators: tuple[PointRef, ...]
-    realized: TreeSkeleton
-    to_ambient: dict[str, PointRef]
     vertex_cover: frozenset[str]
     edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction], ...]]
 
@@ -129,7 +127,21 @@ class SpannedSubtree:
         return False
 
     def is_single_point(self) -> bool:
-        return not self.realized.edges()
+        return len(self.generators) == 1
+
+
+def _span_top(tree: TreeSkeleton, gens: Sequence[PointRef]):
+    """The generators as rooted ``(node, h)`` pairs over one denominator
+    ``E``, then the height ``t`` of the span's top over ``E``, then ``E``.
+    The top lies on the root arc of the first generator."""
+    parent, num, depth, den = tree._root_data()
+    rooted = [_rooted(parent, num, den, g) for g in gens]
+    big = lcm(*(d for *_, d in rooted))
+    pts = [(n, h * (big // d)) for n, h, d in rooted]
+    scale = big // den
+    n0 = pts[0][0]
+    t = min(min(h, num[_common_ancestor(parent, depth, n0, n)] * scale) for n, h in pts)
+    return pts, t, big
 
 
 def spanned_subtree(
@@ -137,9 +149,16 @@ def spanned_subtree(
     points: Iterable[PointRef],
     adjoin_basepoint: bool = True,
 ) -> SpannedSubtree:
-    """Build the subtree spanned by ``points`` (basepoint adjoined unless
-    ``adjoin_basepoint`` is false and the set is nonempty)."""
-    tree._root_data()  # refuses a skeleton with a cycle
+    """The subtree spanned by ``points`` (basepoint adjoined unless
+    ``adjoin_basepoint`` is false and the set is nonempty).
+
+    Walks each generator up its root arc to the top of the span, stopping
+    early at a vertex an earlier walk covered.  Every walk through an edge
+    leaves it at the same height, so an edge's interval runs from there to
+    the highest entry.  A generator outside the basepoint's component
+    raises :class:`SkeletonError`.
+    """
+    parent, num, _, den = tree._root_data()  # refuses a skeleton with a cycle
     gens = [normalize_point(tree, pt) for pt in points]
     if adjoin_basepoint:
         gens.append(Vertex(tree.basepoint))
@@ -147,74 +166,39 @@ def spanned_subtree(
         raise ValueError("cannot span the empty set")
     gens = sorted(set(gens), key=point_sort_key)
 
-    mat = materialize(tree, gens, prefix="sp")
-    work = mat.tree
-    keep = {mat.node_for(pt) for pt in gens}
+    pts, t, big = _span_top(tree, gens)
+    scale = big // den
+    vertices: set[str] = set()
+    entry: dict[str, int] = {}  # lower node of a covered edge -> highest entry
+    for node, h in pts:
+        while True:
+            if h == num[node] * scale:
+                if node in vertices:
+                    break
+                vertices.add(node)
+                if h == t:
+                    break
+            if h > entry.get(node, -1):
+                entry[node] = h
+            low = num[parent[node]] * scale
+            if t > low:
+                break
+            node, h = parent[node], low
 
-    # prune leaves outside the generator set
-    adj = {u: dict(nbrs) for u, nbrs in work._adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(adj):
-            if node in keep or len(adj[node]) > 1:
-                continue
-            for nbr in list(adj[node]):
-                del adj[nbr][node]
-            del adj[node]
-            changed = True
-
-    surviving_edges = [
-        (u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v
-    ]
-    vertex_cover = frozenset(
-        n for n in adj if isinstance(mat.to_source[n], Vertex)
-    )
-
-    intervals: dict[tuple[str, str], list[tuple[Fraction, Fraction]]] = {}
-    for u, v, _ in surviving_edges:
-        src_key, off_u, off_v = mat.spans[(u, v)]
-        lo, hi = (off_u, off_v) if off_u <= off_v else (off_v, off_u)
-        intervals.setdefault(src_key, []).append((lo, hi))
-    for n, nbrs in adj.items():
-        src = mat.to_source[n]
-        if not nbrs and isinstance(src, EdgePoint):
-            # a lone edge-interior point spans itself
-            intervals.setdefault((src.u, src.v), []).append((src.offset, src.offset))
     edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction], ...]] = {}
-    for key, ivals in intervals.items():
-        ivals.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in ivals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        edge_cover[key] = tuple(merged)
-
-    # the realized skeleton keeps generators, junctions and labeled nodes
-    sub_nodes = set(adj)
-    base = tree.basepoint if tree.basepoint in sub_nodes else None
-    if base is None:
-        # basepoint not part of the span (adjoin_basepoint=False); root the
-        # realized skeleton at the generator closest to it for determinism
-        base_pt = min(gens, key=point_sort_key)
-        base = mat.node_for(base_pt)
-    labels = {n: work.labels[n] for n in sub_nodes if n in work.labels}
-    realized = TreeSkeleton(
-        base,
-        surviving_edges,
-        labels=labels,
-        extra_nodes=sorted(sub_nodes),
-    )
-    realized = canonicalize(realized, keep=keep)
-    to_ambient = {n: mat.to_source[n] for n in realized.nodes()}
+    for node, hi in entry.items():
+        up = parent[node]
+        low = num[up] * scale
+        lo = max(t, low)
+        if up < node:
+            edge_cover[(up, node)] = ((Fraction(lo - low, big), Fraction(hi - low, big)),)
+        else:
+            high = num[node] * scale
+            edge_cover[(node, up)] = ((Fraction(high - hi, big), Fraction(high - lo, big)),)
     return SpannedSubtree(
         ambient=tree,
         generators=tuple(gens),
-        realized=realized,
-        to_ambient=to_ambient,
-        vertex_cover=vertex_cover,
+        vertex_cover=frozenset(vertices),
         edge_cover=edge_cover,
     )
 
@@ -257,7 +241,6 @@ def project_to_subtree(
         if up in sub.vertex_cover:
             return Vertex(up), h_a - Fraction(num[up], den)
         node, h, hd = up, num[up], den
-    meets = [_meet(tree, sub.generators[0], g) for g in sub.generators]
-    top_h = min(Fraction(m, den) for *_, m, den in meets)
-    top = _at_height(tree, meets[0][0], top_h.numerator, top_h.denominator)
+    pts, t, big = _span_top(tree, sub.generators)
+    top = _at_height(tree, pts[0][0], t, big)
     return top, distance(tree, a, top)

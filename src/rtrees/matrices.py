@@ -69,18 +69,6 @@ class MetricMatrix:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def dist(self, a: str, b: str) -> Fraction:
-        return self.entries[self.labels.index(a)][self.labels.index(b)]
-
-    def triangle_ok(self) -> bool:
-        n = len(self.labels)
-        return all(
-            self.entries[i][j] <= self.entries[i][k] + self.entries[k][j]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
 
 def four_point_check(m: MetricMatrix):
     """True if every quadruple satisfies the condition; otherwise the first
@@ -223,7 +211,7 @@ def _insertion_tree(
     """Insert the labels of the matrix ``e`` one by one, each at its
     Gromov-product height on the path from the base to its best anchor, and
     return the canonical tree; ``None`` if an attachment falls outside its
-    path or ``tree_to_matrix`` of the result differs from ``e``.  A leaf
+    path or a distance between labels in the result differs from ``e``.  A leaf
     whose label is already a Steiner node's id gets a fresh ``s`` id."""
     index = {lbl: i for i, lbl in enumerate(labels)}
 
@@ -284,8 +272,12 @@ def _insertion_tree(
 
     tree = canonicalize(tree)
     node_of = {name: node for node, names in tree.labels.items() for name in names}
-    back = tree_to_matrix(tree, [Vertex(node_of[l]) for l in labels], labels)
-    return tree if back.entries == e else None
+    pts = [Vertex(node_of[l]) for l in labels]
+    for i, row in enumerate(e):
+        for j in range(i + 1, len(row)):
+            if distance(tree, pts[i], pts[j]) != row[j]:
+                return None
+    return tree
 
 
 def node_of_label(tree: TreeSkeleton, name: str) -> str:

@@ -605,13 +605,12 @@ def grid_points(
 # -- canonical form ------------------------------------------------------------
 
 
-def canonicalize(tree: TreeSkeleton, keep: Iterable[str] = ()) -> TreeSkeleton:
+def canonicalize(tree: TreeSkeleton) -> TreeSkeleton:
     """Suppress unlabeled non-basepoint degree-2 nodes by merging their edges.
 
-    Nodes listed in ``keep`` survive regardless.  Labeled nodes and the
-    basepoint always survive.
+    Labeled nodes and the basepoint always survive.
     """
-    protected = set(keep) | {tree.basepoint} | set(tree.labels)
+    protected = {tree.basepoint} | set(tree.labels)
     adj = {u: dict(nbrs) for u, nbrs in tree._adj.items()}
     changed = True
     while changed:

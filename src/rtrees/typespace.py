@@ -367,9 +367,7 @@ def is_principal(q: NTypeDescriptor) -> bool:
     """
     tree = q.context.ambient
     p = Vertex(tree.basepoint)
-    if not q.context.is_single_point() or q.context.to_ambient[
-        q.context.realized.basepoint
-    ] != p:
+    if q.context.generators != (p,):
         raise ContextMismatchError("principality is defined over the empty context")
     for e in q.closest:
         if normalize_point(tree, e) != p:

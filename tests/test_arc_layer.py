@@ -133,6 +133,24 @@ def test_projection_factors_every_covered_point(drawn, adjoin_basepoint):
 
 
 @CHECKS
+@given(random_trees(), st.booleans())
+def test_span_is_the_union_of_generator_arcs(drawn, adjoin_basepoint):
+    # x is in the span iff it lies on [g, h] for generators g, h (g = h
+    # allowed), the basepoint counting as a generator when adjoined
+    rng, tree = drawn
+    grid = tree_grid(tree, 8)
+    gens = [
+        rng.choice(grid) if rng.random() < 0.5 else random_point(rng, tree)
+        for _ in range(rng.randint(1, 4))
+    ]
+    sub = spanned_subtree(tree, gens, adjoin_basepoint=adjoin_basepoint)
+    ends = gens + [Vertex(tree.basepoint)] * adjoin_basepoint
+    for x in grid + gens:
+        on_arc = any(is_between(tree, g, x, h) for g in ends for h in ends)
+        assert sub.covers(x) == on_arc
+
+
+@CHECKS
 @given(random_trees())
 def test_cyclic_skeleton_refuses_distances(drawn):
     # one extra edge closes a cycle: the skeleton is not a tree, so every

@@ -319,10 +319,31 @@ BAD_INVOCATIONS = {
     "eval-unbound-point": lambda tmp: [
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,q)",
     ],
+    "eval-deep-parens": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT),
+        "--formula", "(" * 2000 + "d(p,p)" + ")" * 2000,
+    ],
+    "eval-long-sum": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT),
+        "--formula", "+".join(["d(p,p)"] * 1499 + ["1"]),
+    ],
+    "matrix-empty-point-name": lambda tmp: [
+        "matrix", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,,b",
+    ],
+    "matrix-repeated-point-name": lambda tmp: [
+        "matrix", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,a",
+    ],
     "type-dist-exact-arity-4": lambda tmp: [
         "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",
     ],
 }
+
+
+def test_matrix_point_names_must_be_distinct_and_nonempty(tripod_file, capsys):
+    code, _, err = run(capsys, "matrix", "--tree", tripod_file, "--points", "a,,b")
+    assert code == 2 and "name 2 of 3 is empty" in err
+    code, _, err = run(capsys, "matrix", "--tree", tripod_file, "--points", "a,b,a")
+    assert code == 2 and "name 'a' is repeated" in err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))

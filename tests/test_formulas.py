@@ -13,7 +13,7 @@ from rtrees import (
     lipschitz_bound,
     parse_formula,
 )
-from rtrees.formulas import Dist, Inf, Max, Min, Sup, TruncSub
+from rtrees.formulas import MAX_DEPTH, Dist, Inf, Max, Min, Sup, TruncSub
 from conftest import random_corpus, tree_grid
 
 
@@ -46,6 +46,45 @@ def test_parse_quantifier_nesting_and_scaling():
         parse_formula("d(x,p) +")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("sup p. d(p,p)")
+
+
+def _nested(depth):
+    """One formula per nesting construct, each ``depth`` levels deep, with
+    its value at x = a in the tripod (d(a, p) = 2) and the line and column
+    of the token that takes it past ``MAX_DEPTH`` when depth is one more."""
+    k = depth - 1
+    return {
+        "parens": ("(\n" * k + "d(x,p)" + ")" * k, 2, (MAX_DEPTH, 1)),
+        "sum": (" + ".join(["d(x,p)"] * depth), 2 * depth, (1, 9 * MAX_DEPTH - 1)),
+        "max": ("max(" * k + "d(x,p)" + ", 1)" * k, 2, (1, 4 * MAX_DEPTH - 3)),
+        "scale": ("1 * " * k + "d(x,p)", 2, (1, 4 * MAX_DEPTH - 1)),
+        "sup-sum": ("sup x. " + " + ".join(["d(x,p)"] * k), 2 * k, (1, 9 * MAX_DEPTH - 3)),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(MAX_DEPTH)))
+def test_formula_at_the_depth_bound_evaluates(tripod, shape):
+    text, value, _ = _nested(MAX_DEPTH)[shape]
+    f = parse_formula(text)
+    assert free_vars(f) <= {"x"}
+    assert lipschitz_bound(f, "x") >= 0
+    got = eval_quantified(tripod, f, {"x": A}, Fraction(1))
+    assert got.exact and got.lower == value
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(MAX_DEPTH)))
+def test_formula_past_the_depth_bound_is_a_syntax_error(shape):
+    text, _, where = _nested(MAX_DEPTH + 1)[shape]
+    with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_DEPTH}") as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.column) == where
+
+
+def test_nested_quantifiers_at_the_depth_bound(tripod):
+    # grid enumeration over x, an exact block over y, a sum of MAX_DEPTH - 2
+    body = " + ".join(["d(x,y)"] * (MAX_DEPTH - 2))
+    got = eval_quantified(tripod, parse_formula(f"sup x. inf y. {body}"), {}, Fraction(1))
+    assert got.lower == 0
 
 
 def test_eval_qf_examples(tripod):

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from rtrees import (
+    SkeletonError,
+    TreeSkeleton,
     Vertex,
     dist_to_center_ball,
     distance,
@@ -15,7 +18,6 @@ from rtrees import (
     point_on_edge,
     project_to_subtree,
     spanned_subtree,
-    tree_to_matrix,
 )
 from conftest import random_corpus, rng_for, tree_grid
 from rtrees.generators import random_point, segment
@@ -159,9 +161,8 @@ def test_endpoints(tripod):
     assert set(endpoints(seg)) == {Vertex("p"), Vertex("q")}
     # endpoints span the whole tree
     sub = spanned_subtree(tripod, endpoints(tripod))
-    assert tree_to_matrix(
-        sub.realized, [Vertex(n) for n in sub.realized.nodes()]
-    ) == tree_to_matrix(tripod, [Vertex(n) for n in tripod.nodes()])
+    assert sub.vertex_cover == set(tripod.nodes())
+    assert sub.edge_cover == {(u, v): ((0, length),) for u, v, length in tripod.edges()}
 
 
 def test_endpoints_minimal_spanning():
@@ -181,13 +182,51 @@ def test_spanned_subtree_examples(tripod):
     sub = spanned_subtree(tripod, [A])
     assert sub.covers(Y) and sub.covers(point_on_edge(tripod, "p", "y", Fraction(1, 2)))
     assert not sub.covers(B)
-    assert sub.realized.total_length() == 2
+    assert sum(hi - lo for ivals in sub.edge_cover.values() for lo, hi in ivals) == 2
 
     just_p = spanned_subtree(tripod, [P])
     assert just_p.is_single_point()
 
     whole = spanned_subtree(tripod, [A, B])
     assert all(whole.covers(x) for x in tree_grid(tripod, 4))
+
+
+def test_span_of_a_point_off_the_basepoint_component():
+    tree = TreeSkeleton("p", [("p", "a", 1), ("z", "w", 1)])
+    for adjoin in (True, False):
+        with pytest.raises(SkeletonError, match="disconnected"):
+            spanned_subtree(tree, [Vertex("z")], adjoin_basepoint=adjoin)
+
+
+def _span_pin_text():
+    """Generators and coverage of spans, with and without the basepoint,
+    over a seeded corpus."""
+    lines = []
+    for k, tree in enumerate(random_corpus("span-pin", 40, max_nodes=9)):
+        rng = rng_for(("span-pin", k))
+        grid = tree_grid(tree, 4)
+        for trial in range(12):
+            gens = [
+                rng.choice(grid) if rng.random() < 0.5 else random_point(rng, tree)
+                for _ in range(trial % 4 + 1)
+            ]
+            for adjoin in (True, False):
+                sub = spanned_subtree(tree, gens, adjoin_basepoint=adjoin)
+                lines.append(
+                    f"{k} {adjoin} {sub.generators!r} {sorted(sub.vertex_cover)!r} "
+                    f"{sorted(sub.edge_cover.items())!r}"
+                )
+    return "\n".join(lines)
+
+
+# sha256 of _span_pin_text(), recorded while spans were still cut out of a
+# materialized copy of the tree
+SPAN_PIN_SHA256 = "4f6b6853bc24da365003907e701a6007e3a65f44d1ac5b7d29f144e6d5ee56a4"
+
+
+def test_span_coverage_unchanged():
+    got = hashlib.sha256(_span_pin_text().encode()).hexdigest()
+    assert got == SPAN_PIN_SHA256
 
 
 def test_projection_examples(tripod):

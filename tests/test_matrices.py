@@ -128,7 +128,10 @@ def test_four_point_check_implies_triangle():
         pts = [random_point(rng, tree) for _ in range(5)]
         m = tree_to_matrix(tree, pts)
         assert four_point_check(m) is True
-        assert m.triangle_ok()
+        e = m.entries
+        assert all(
+            e[i][j] <= e[i][k] + e[k][j] for i in range(5) for j in range(5) for k in range(5)
+        )
 
 
 def test_delta_examples():

@@ -143,8 +143,8 @@ def test_canonicalize_merges_pass_through_nodes():
     c = canonicalize(t)
     assert c.nodes() == ("p", "q")
     assert c.edge_length("p", "q") == 2
-    kept = canonicalize(t, keep=["m"])
-    assert "m" in kept.nodes()
+    labeled = TreeSkeleton("p", [("p", "m", 1), ("m", "q", 1)], labels={"m": "m"})
+    assert "m" in canonicalize(labeled).nodes()
 
 
 def test_point_on_segment(tripod):
