@@ -11,6 +11,7 @@ usage or parse errors.  All numbers print as exact rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -132,10 +133,21 @@ def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
     raise CliError(f"unknown point {spec!r}")
 
 
-def _resolve_points(doc: treeio.TreeDocument, specs: Optional[str]) -> tuple[PointRef, ...]:
+def _point_names(specs: str, what: str) -> list[str]:
+    """The comma-separated names of an option; an empty name is an error."""
+    names = specs.split(",")
+    for i, name in enumerate(names):
+        if not name:
+            raise CliError(f"{what}: name {i + 1} of {len(names)} is empty")
+    return names
+
+
+def _resolve_points(
+    doc: treeio.TreeDocument, specs: Optional[str], what: str
+) -> tuple[PointRef, ...]:
     if not specs:
         return ()
-    return tuple(_resolve_point(doc, s) for s in specs.split(",") if s)
+    return tuple(_resolve_point(doc, s) for s in _point_names(specs, what))
 
 
 def _emit(text: str = "", err: bool = False) -> None:
@@ -157,14 +169,11 @@ def _cmd_check(args) -> int:
     doc = _load_doc(args.tree)
     radius = _rat_arg(args.radius, "--radius") if args.radius else doc.radius
     report = validate(doc.tree, radius)
-    structural = [v for v in report.violations if v.kind != "radius_exceeded"]
-    if structural:
-        for v in report.violations:
-            _emit(f"violation={v.kind} detail={v.detail}", err=True)
-        _emit("invalid")
-        return 1
     for v in report.violations:
         _emit(f"violation={v.kind} detail={v.detail}", err=True)
+    if any(v.kind != "radius_exceeded" for v in report.violations):
+        _emit("invalid")
+        return 1
     axioms = check_rt_axioms(doc.tree, radius, _default_mesh(args, radius))
     _emit(axioms.summary())
     return 0 if axioms.ok else 1
@@ -193,12 +202,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_matrix(args) -> int:
     doc = _load_doc(args.tree)
-    if not args.points:
-        raise CliError("--points is required")
-    names = args.points.split(",")
+    names = _point_names(args.points, "--points")
     for i, name in enumerate(names):
-        if not name:
-            raise CliError(f"--points: name {i + 1} of {len(names)} is empty")
         if name in names[:i]:
             raise CliError(f"--points: name {name!r} is repeated")
     m = tree_to_matrix(doc.tree, [_resolve_point(doc, name) for name in names], labels=names)
@@ -267,8 +272,8 @@ def _descriptor_from_file(path: str) -> NTypeDescriptor:
 def _cmd_type(args) -> int:
     if args.type_cmd == "of":
         doc = _load_doc(args.tree)
-        A = _resolve_points(doc, args.params)
-        b = _resolve_points(doc, args.points)
+        A = _resolve_points(doc, args.params, "--params")
+        b = _resolve_points(doc, args.points, "--points")
         q = type_of(doc.tree, A, b, doc.radius)
         for i, (e, s) in enumerate(zip(q.closest, q.offsets), start=1):
             _emit(f"closest {i} {format_point(e)}")
@@ -332,9 +337,9 @@ def _cmd_indep(args) -> int:
     doc = _load_doc(args.tree)
     query = IndependenceQuery(
         tree=doc.tree,
-        A=_resolve_points(doc, args.A),
-        B=_resolve_points(doc, args.B),
-        C=_resolve_points(doc, args.C),
+        A=_resolve_points(doc, args.A, "--A"),
+        B=_resolve_points(doc, args.B, "--B"),
+        C=_resolve_points(doc, args.C, "--C"),
     )
     verdict = is_star_independent(query)
     if verdict.independent:
@@ -396,7 +401,10 @@ def _cmd_psi(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared: each parse fills a fresh
+    namespace, and ``--at`` (append, default ``None``) starts a fresh list."""
     parser = argparse.ArgumentParser(
         prog="rtree",
         description="Exact operations on finitely spanned pointed real trees.",
@@ -499,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

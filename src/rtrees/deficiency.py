@@ -347,12 +347,18 @@ def _family_certificate(tree: TreeSkeleton, edge, r: Fraction, a: str, b: str, l
     ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``.
 
     For a sliding split at distance ``t2`` the best objective is
-    ``max(2 t2, |t2 - l|, l - D - H)`` (deep witness through ``b`` into its
-    largest reach ``H`` away from ``a``, second witness at the split, third
-    on the path), and the minimum over ``t2`` is attained at one of finitely
-    many breakpoint candidates, each a PL function of the edge offset.  The
-    result upper-bounds psi everywhere on the edge and captures the
-    fractional-slope envelope pieces that frozen witness triples cannot.
+    ``phi(t2) = max(2 t2, |t2 - l|, c3)`` with ``c3 = l - D - H`` (deep
+    witness through ``b`` into its largest reach ``H`` away from ``a``,
+    second witness at the split, third on the path).  At a fixed edge
+    offset ``phi`` is convex in ``t2`` and ``c3`` does not depend on it,
+    so its minimum over ``[lo, D]`` is at the clamp of its minimizer: for
+    ``l >= 0`` that is ``l/3``, where ``2 t2 = l - t2``; for ``l < 0``
+    ``phi`` is nondecreasing on ``t2 >= 0`` and ``l/3`` clamps to
+    ``lo >= 0``.  So the family's value at every offset is ``phi`` at
+    ``l/3`` clamped by ``max(lo)``, ``min(D)``, ``max(0)`` in that order
+    (if ``lo > D`` every split clamps to ``D``).  The result upper-bounds
+    psi everywhere on the edge and captures the fractional-slope envelope
+    pieces that frozen witness triples cannot.
     """
     length = tree.edge_length(*edge)
     zero = PL.const(Fraction(0), length, Fraction(0))
@@ -360,21 +366,8 @@ def _family_certificate(tree: TreeSkeleton, edge, r: Fraction, a: str, b: str, l
     D = distance_profile(tree, edge, Vertex(b))
     H = (tree.reaches_at(b, exclude=(a,)) or [Fraction(0)])[0]
     c3 = lfun.sub(D).sub(PL.const(Fraction(0), length, H))
-
-    cands = [
-        lo,
-        D,
-        lfun.scale(Fraction(1, 3)),
-        lfun,
-        c3.scale(Fraction(1, 2)),
-        lfun.sub(c3),
-        lfun.add(c3),
-    ]
-    objectives = []
-    for cand in cands:
-        t2 = cand.max_with(lo).min_with(D).max_with(zero)
-        objectives.append(t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3))
-    return reduce(PL.min_with, objectives)
+    t2 = lfun.scale(Fraction(1, 3)).max_with(lo).min_with(D).max_with(zero)
+    return t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3)
 
 
 def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) -> Fraction:
@@ -401,11 +394,7 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
             cache[node] = got
         return got
 
-    best = Fraction(0)
-    for node in tree.nodes():
-        val, _w = eval_vertex(node)
-        if val > best:
-            best = val
+    best = max(eval_vertex(node)[0] for node in tree.nodes())
 
     for u, v, length in tree.edges():
         zero = PL.const(Fraction(0), length, Fraction(0))

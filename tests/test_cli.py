@@ -333,10 +333,43 @@ BAD_INVOCATIONS = {
     "matrix-repeated-point-name": lambda tmp: [
         "matrix", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,a",
     ],
+    "type-of-empty-point-name": lambda tmp: [
+        "type", "of", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,,b",
+    ],
+    "type-of-empty-param-name": lambda tmp: [
+        "type", "of", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--params", "y,",
+        "--points", "a",
+    ],
+    "indep-empty-point-name": lambda tmp: [
+        "indep", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--A", "a", "--B", ",b",
+        "--C", "node:y",
+    ],
     "type-dist-exact-arity-4": lambda tmp: [
         "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",
     ],
 }
+
+
+def test_point_lists_reject_empty_names_but_allow_repeats(tripod_file, capsys):
+    code, out, err = run(capsys, "type", "of", "--tree", tripod_file, "--points", "a,,b")
+    assert (code, out) == (2, "") and "--points: name 2 of 3 is empty" in err
+    code, out, err = run(
+        capsys, "indep", "--tree", tripod_file, "--A", "a", "--B", "b", "--C", "node:y,"
+    )
+    assert (code, out) == (2, "") and "--C: name 2 of 2 is empty" in err
+    code, out, _ = run(capsys, "type", "of", "--tree", tripod_file, "--points", "a,a")
+    assert code == 0 and "pair 1 2 0" in out
+
+
+def test_parser_is_reused_without_carrying_bindings(tripod_file, capsys):
+    code, out, _ = run(
+        capsys, "eval", "--tree", tripod_file, "--formula", "d(q,p)", "--at", "q=a",
+    )
+    assert (code, out) == (0, "2\n")
+    code, out, err = run(capsys, "eval", "--tree", tripod_file, "--formula", "d(q,p)")
+    assert (code, out) == (2, "")
+    assert "formula has unbound points: q" in err
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_matrix_point_names_must_be_distinct_and_nonempty(tripod_file, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from functools import reduce
 
 from rtrees import (
     GlueSpec,
@@ -17,7 +18,13 @@ from rtrees import (
     segment,
     tripod,
 )
-from rtrees.deficiency import psi_at_with_witness, psi_objective
+from rtrees.deficiency import (
+    _family_certificate,
+    _reach_profile,
+    psi_at_with_witness,
+    psi_objective,
+)
+from rtrees.pl import PL, distance_profile
 from conftest import random_corpus, rng_for, tree_grid
 
 
@@ -204,3 +211,48 @@ PSI_PIN_SHA256 = "6dc247ff9ccc793c4c6d183b8e010c6b16c5c2f6a849cd3ad098113532909f
 def test_psi_witnesses_and_sup_unchanged():
     got = hashlib.sha256(_psi_pin_text().encode()).hexdigest()
     assert got == PSI_PIN_SHA256
+
+
+def _seven_candidate_family(tree, edge, r, a, b, lo):
+    """The family certificate as a min-envelope over seven clamped
+    candidates for the split distance, kept here as the reference that
+    the single clamped candidate of ``_family_certificate`` must equal."""
+    length = tree.edge_length(*edge)
+    zero = PL.const(Fraction(0), length, Fraction(0))
+    lfun = _reach_profile(tree, edge, r)
+    D = distance_profile(tree, edge, Vertex(b))
+    H = (tree.reaches_at(b, exclude=(a,)) or [Fraction(0)])[0]
+    c3 = lfun.sub(D).sub(PL.const(Fraction(0), length, H))
+    cands = [
+        lo,
+        D,
+        lfun.scale(Fraction(1, 3)),
+        lfun,
+        c3.scale(Fraction(1, 2)),
+        lfun.sub(c3),
+        lfun.add(c3),
+    ]
+    objectives = []
+    for cand in cands:
+        t2 = cand.max_with(lo).min_with(D).max_with(zero)
+        objectives.append(t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3))
+    return reduce(PL.min_with, objectives)
+
+
+def test_family_certificate_equals_seven_candidate_envelope():
+    trees = [rb_extend(tripod(1, 1, 1), R, k) for k in (1, 2)]
+    trees += [random_tree(s, max_nodes=7) for s in range(1, 17)]
+    checked = 0
+    for tree in trees:
+        edges = [(u, v) for u, v, _ in tree.edges()]
+        for edge in edges:
+            zero = PL.const(Fraction(0), tree.edge_length(*edge), Fraction(0))
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    for lo in (zero, distance_profile(tree, edge, Vertex(a))):
+                        new = _family_certificate(tree, edge, R, a, b, lo)
+                        old = _seven_candidate_family(tree, edge, R, a, b, lo)
+                        # sub samples both on the union of their breakpoints
+                        assert set(new.sub(old).ys) == {0}, (edge, a, b, lo)
+                        checked += 1
+    assert checked > 1000
