@@ -269,6 +269,14 @@ def _descriptor_from_file(path: str) -> NTypeDescriptor:
     )
 
 
+def _report_violation(q: NTypeDescriptor) -> bool:
+    """Print the descriptor's violation on stderr, if it has one."""
+    check = validate_descriptor(q)
+    if check is not True:
+        _emit(f"violation={check.kind} detail={check.detail}", err=True)
+    return check is not True
+
+
 def _cmd_type(args) -> int:
     if args.type_cmd == "of":
         doc = _load_doc(args.tree)
@@ -312,14 +320,14 @@ def _cmd_type(args) -> int:
     if args.type_cmd == "eq":
         q1 = _descriptor_from_file(args.q1)
         q2 = _descriptor_from_file(args.q2)
+        if _report_violation(q1) or _report_violation(q2):
+            return 1
         verdict = types_equal(q1, q2)
         _emit("equal" if verdict else "different")
         return 0 if verdict else 1
     if args.type_cmd == "realize":
         q = _descriptor_from_file(args.descriptor)
-        check = validate_descriptor(q)
-        if check is not True:
-            _emit(f"violation={check.kind} detail={check.detail}", err=True)
+        if _report_violation(q):
             return 1
         tree, points = realize_type(q.context.ambient, q)
         doc_points = {f"b{i + 1}": pt for i, pt in enumerate(points)}
@@ -327,6 +335,8 @@ def _cmd_type(args) -> int:
         return 0
     if args.type_cmd == "principal":
         q = _descriptor_from_file(args.descriptor)
+        if _report_violation(q):
+            return 1
         verdict = is_principal(q)
         _emit("principal" if verdict else "non-principal")
         return 0 if verdict else 1

@@ -328,11 +328,11 @@ def _reach_profile(tree: TreeSkeleton, edge, r: Fraction) -> PL:
     return PL.const(Fraction(0), tree.edge_length(*edge), r).sub(pp)
 
 
-def _certificate_profile(tree: TreeSkeleton, edge, r: Fraction, witnesses) -> PL:
+def _certificate_profile(tree: TreeSkeleton, edge, lfun: PL, witnesses) -> PL:
     """Objective of a fixed witness triple as a PL function of the edge
-    offset; a valid upper bound for psi along the whole edge."""
+    offset, given the edge's reach profile ``lfun``; a valid upper bound for
+    psi along the whole edge."""
     length = tree.edge_length(*edge)
-    lfun = _reach_profile(tree, edge, r)
     profs = [distance_profile(tree, edge, w) for w in witnesses]
     terms = [abs(prof.sub(lfun)) for prof in profs]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -341,10 +341,11 @@ def _certificate_profile(tree: TreeSkeleton, edge, r: Fraction, witnesses) -> PL
     return reduce(PL.max_with, terms)
 
 
-def _family_certificate(tree: TreeSkeleton, edge, r: Fraction, a: str, b: str, lo: PL) -> PL:
+def _family_certificate(tree: TreeSkeleton, edge, lfun: PL, a: str, b: str, lo: PL) -> PL:
     """Exact value, along the edge, of the config family whose outer split
     slides toward ``b`` over a host ray that ends with the tree edge
-    ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``.
+    ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``;
+    ``lfun`` is the edge's reach profile ``l = r - d(p, x)``.
 
     For a sliding split at distance ``t2`` the best objective is
     ``phi(t2) = max(2 t2, |t2 - l|, c3)`` with ``c3 = l - D - H`` (deep
@@ -362,7 +363,6 @@ def _family_certificate(tree: TreeSkeleton, edge, r: Fraction, a: str, b: str, l
     """
     length = tree.edge_length(*edge)
     zero = PL.const(Fraction(0), length, Fraction(0))
-    lfun = _reach_profile(tree, edge, r)
     D = distance_profile(tree, edge, Vertex(b))
     H = (tree.reaches_at(b, exclude=(a,)) or [Fraction(0)])[0]
     c3 = lfun.sub(D).sub(PL.const(Fraction(0), length, H))
@@ -398,14 +398,15 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
 
     for u, v, length in tree.edges():
         zero = PL.const(Fraction(0), length, Fraction(0))
+        lfun = _reach_profile(tree, (u, v), r)
         val_u, wit_u = eval_vertex(u)
         val_v, wit_v = eval_vertex(v)
-        bound_pl = _certificate_profile(tree, (u, v), r, wit_u).min_with(
-            _certificate_profile(tree, (u, v), r, wit_v)
+        bound_pl = _certificate_profile(tree, (u, v), lfun, wit_u).min_with(
+            _certificate_profile(tree, (u, v), lfun, wit_v)
         )
         # sliding families along the edge itself, in both directions
         for a, b in ((u, v), (v, u)):
-            bound_pl = bound_pl.min_with(_family_certificate(tree, (u, v), r, a, b, zero))
+            bound_pl = bound_pl.min_with(_family_certificate(tree, (u, v), lfun, a, b, zero))
 
         seen_hosts: set[tuple[str, str]] = set()
         steps = 0
@@ -424,12 +425,12 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
             if val > best:
                 best = val
             bound_pl = bound_pl.min_with(
-                _certificate_profile(tree, (u, v), r, wits)
+                _certificate_profile(tree, (u, v), lfun, wits)
             )
             if host is not None and host not in seen_hosts:
                 seen_hosts.add(host)
                 lo_pl = distance_profile(tree, (u, v), Vertex(host[0]))
                 bound_pl = bound_pl.min_with(
-                    _family_certificate(tree, (u, v), r, *host, lo_pl)
+                    _family_certificate(tree, (u, v), lfun, *host, lo_pl)
                 )
     return best

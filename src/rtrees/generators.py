@@ -21,6 +21,7 @@ from .skeleton import (
     distance,
     gensym,
     grid_points,
+    hang,
     materialize,
     normalize_point,
 )
@@ -135,9 +136,7 @@ def random_tree(
         length = random_rat(rng, budget / 4, budget)
         if length <= 0:
             continue
-        mat = materialize(tree, [pt], prefix=f"j{counter}_")
-        node = mat.node_for(normalize_point(tree, pt))
-        tree = mat.graft([(node, f"n{counter}", length)])
+        tree, _ = hang(tree, pt, length, f"n{counter}", f"j{counter}_")
         counter += 1
     return canonicalize(tree)
 

@@ -12,10 +12,8 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
-    canonicalize,
     distance,
-    gensym,
-    materialize,
+    hang,
     normalize_point,
     point_on_segment,
 )
@@ -210,9 +208,10 @@ def _insertion_tree(
 ) -> Optional[TreeSkeleton]:
     """Insert the labels of the matrix ``e`` one by one, each at its
     Gromov-product height on the path from the base to its best anchor, and
-    return the canonical tree; ``None`` if an attachment falls outside its
-    path or a distance between labels in the result differs from ``e``.  A leaf
-    whose label is already a Steiner node's id gets a fresh ``s`` id."""
+    return the tree; ``None`` if an attachment falls outside its path or a
+    distance between labels in the result differs from ``e``.  A leaf whose
+    label is already a Steiner node's id gets a fresh ``s`` id.  The tree is
+    canonical as built: every Steiner cut gets a leaf or a label."""
     index = {lbl: i for i, lbl in enumerate(labels)}
 
     # merge zero-distance labels
@@ -256,21 +255,10 @@ def _insertion_tree(
         attach_pt = point_on_segment(
             tree, Vertex(base), Vertex(anchor_node[best_anchor]), best_h
         )
-        mat = materialize(tree, [attach_pt], prefix="s")
-        node = mat.node_for(normalize_point(tree, attach_pt))
-        if leaf_len > 0:
-            leaf = lbl
-            if mat.tree.has_node(lbl):  # a Steiner node took the label's id
-                leaf = gensym(set(mat.tree.nodes()), "s")
-            tree = mat.graft([(node, leaf, leaf_len)], {leaf: groups[lbl]})
-            anchor_node[lbl] = leaf
-        else:
-            # lbl coincides with an existing (possibly Steiner) point
-            tree = mat.graft(labels={node: groups[lbl]})
-            anchor_node[lbl] = node
+        # a zero-length leaf labels the (possibly Steiner) attachment point
+        tree, anchor_node[lbl] = hang(tree, attach_pt, leaf_len, lbl, "s", groups[lbl])
         placed.append(lbl)
 
-    tree = canonicalize(tree)
     node_of = {name: node for node, names in tree.labels.items() for name in names}
     pts = [Vertex(node_of[l]) for l in labels]
     for i, row in enumerate(e):

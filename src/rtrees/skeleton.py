@@ -584,6 +584,38 @@ def materialize(
     return Materialization(out, point_map, to_source, spans)
 
 
+def hang(
+    tree: TreeSkeleton, at: PointRef, length, tip: str, prefix: str, names: Iterable[str] = ()
+) -> tuple[TreeSkeleton, str]:
+    """Hang a fresh segment of ``length >= 0`` at the point ``at``.
+
+    An edge point is cut first, and the cut is named ``gensym(nodes, prefix)``
+    as :func:`materialize` names a single cut.  For ``length > 0`` a new edge
+    runs from the point's node to ``tip``, which gets a fresh ``prefix`` id if
+    it is already taken.  Returns the new tree and its node for the end of the
+    segment, onto which ``names`` are merged by sorted union.
+    """
+    at = normalize_point(tree, at)
+    taken = set(tree.nodes())
+    edges = list(tree.edges())
+    if isinstance(at, Vertex):
+        node = at.node
+    else:
+        node = gensym(taken, prefix)
+        whole = tree.edge_length(at.u, at.v)
+        edges.remove((at.u, at.v, whole))
+        edges += [(at.u, node, at.offset), (node, at.v, whole - at.offset)]
+    if length > 0:
+        if tip in taken:
+            tip = gensym(taken, prefix)
+        edges.append((node, tip, length))
+        node = tip
+    labels = dict(tree.labels)
+    if names:
+        labels[node] = tuple(sorted(set(labels.get(node, ())) | set(names)))
+    return TreeSkeleton(tree.basepoint, edges, labels, extra_nodes=tree.nodes()), node
+
+
 def grid_points(
     tree: TreeSkeleton, mesh: Fraction, anchors: tuple[PointRef, ...] = ()
 ) -> list[PointRef]:

@@ -25,7 +25,8 @@ Descriptor format::
     offset <i> <rat>
     pair <i> <j> <rat>
 
-where ``<point>`` is ``node <id>`` or ``edge <id_u> <id_v> <offset>``.
+where the indices run ``1..n`` and ``<point>`` is ``node <id>`` or
+``edge <id_u> <id_v> <offset>``.
 """
 
 from __future__ import annotations
@@ -218,6 +219,13 @@ def serialize_matrix_text(labels, entries) -> str:
 # -- type descriptors -------------------------------------------------------------
 
 
+def _index(text: str) -> int:
+    i = int(text)
+    if i < 1:
+        raise ValueError(f"index {i} is below 1")
+    return i
+
+
 def parse_descriptor_text(text: str, base_dir: str = "."):
     """Parse descriptor data; returns ``(tree_doc, radius, closest, offsets,
     pairs)`` with 1-based indices resolved into dense tuples."""
@@ -244,11 +252,11 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
             elif kind == "closest":
                 if tree_doc is None:
                     raise FormatError("context must come before closest", lineno)
-                closest[int(parts[1])] = parse_point(tree_doc.tree, parts[2:])
+                closest[_index(parts[1])] = parse_point(tree_doc.tree, parts[2:])
             elif kind == "offset":
-                offsets[int(parts[1])] = as_rat(parts[2])
+                offsets[_index(parts[1])] = as_rat(parts[2])
             elif kind == "pair":
-                i, j = int(parts[1]), int(parts[2])
+                i, j = _index(parts[1]), _index(parts[2])
                 pairs[(min(i, j), max(i, j))] = as_rat(parts[3])
             else:
                 raise FormatError(f"unknown directive {kind!r}", lineno)

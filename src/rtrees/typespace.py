@@ -29,6 +29,7 @@ from .skeleton import (
     Vertex,
     distance,
     gensym,
+    hang,
     materialize,
     normalize_point,
     point_on_segment,
@@ -465,18 +466,6 @@ def _sphere_points(
     return sorted(uniq, key=point_sort_key)
 
 
-def _fresh_attach(
-    tree: TreeSkeleton, at: PointRef, length: Fraction, tag: str
-) -> tuple[TreeSkeleton, PointRef]:
-    """Hang a fresh segment at a point; returns the new tree and tip."""
-    if length == 0:
-        return tree, normalize_point(tree, at)
-    mat = materialize(tree, [at], prefix=f"c{tag}")
-    node = mat.node_for(normalize_point(tree, at))
-    tip = gensym(set(mat.tree.nodes()), f"b{tag}_")
-    return mat.graft([(node, tip, length)]), Vertex(tip)
-
-
 class _ReachedExact(Exception):
     """Unwinds the search once a configuration attains the exact distance."""
 
@@ -607,57 +596,40 @@ def type_distance_search(
         while k * mesh < length:
             lam_cands.append(k * mesh)
             k += 1
-        tried: set[PointRef] = set()
+        # the segment's tip lies ``rest`` beyond its point ``at`` of tree_now,
+        # so its distance to any y of tree_now is distance(tree_now, y, at) + rest
+        c_idx, child_node = key_node[child_key]
+        k_tree = classes[c_idx][2]
+        same_class = [
+            (k_tree.vertex_distance(key_node[key][1], child_node), transfer_point(tree_now, img))
+            for key, img in placed.items()
+            if key_node[key][0] == c_idx
+        ]
+        coords = [transfer_point(tree_now, a_points[i]) for i in info["coords"]]
+        tip_name = gensym(set(tree_now.nodes()), f"b{seg_idx}_")
         for lam in lam_cands:
             if budget[0] <= 0 and best[0] is not None:
                 truncated[0] = True
                 return
-            if lam == 0:
-                targets = [None]  # fully fresh
-            else:
-                targets = _sphere_points(tree_now, host, lam, ctx_in_base)
-            c_idx, child_node = key_node[child_key]
-            k_tree = classes[c_idx][2]
-            for z in targets:
+            targets = _sphere_points(tree_now, host, lam, ctx_in_base) if lam else [host]
+            rest = length - lam
+            for at in targets:
                 budget[0] -= 1
-                if z is None:
-                    t2, tip = _fresh_attach(tree_now, host, length, str(seg_idx))
-                else:
-                    if z in tried:
-                        continue
-                    tried.add(z)
-                    t2, tip = _fresh_attach(tree_now, z, length - lam, str(seg_idx))
                 # the placement must copy the class tree isometrically:
                 # reject fold-backs onto existing material
-                ok = True
-                for other_key, other_img in placed.items():
-                    oc, onode = key_node[other_key]
-                    if oc != c_idx:
-                        continue
-                    want = k_tree.vertex_distance(onode, child_node)
-                    got = distance(t2, transfer_point(t2, other_img), tip)
-                    if got != want:
-                        ok = False
-                        break
-                if not ok:
+                if any(distance(tree_now, y, at) + rest != want for want, y in same_class):
                     continue
                 new_max = cur_max
-                for i in info["coords"]:
-                    a_pt = transfer_point(t2, placed_a[i])
-                    d = distance(t2, a_pt, tip)
-                    if d > new_max:
-                        new_max = d
+                for y in coords:
+                    new_max = max(new_max, distance(tree_now, y, at) + rest)
                     if best[0] is not None and new_max >= best[0]:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                placed2 = dict(placed)
-                placed2[child_key] = tip
-                search(t2, placed2, seg_idx + 1, new_max)
-
-    # coordinates of q1's realization, re-addressed lazily during search
-    placed_a = {i: a_points[i] for i in range(n)}
+                else:
+                    t2, tip = tree_now, at
+                    if rest:
+                        t2, node = hang(tree_now, at, rest, tip_name, f"c{seg_idx}")
+                        tip = Vertex(node)
+                    search(t2, {**placed, child_key: tip}, seg_idx + 1, new_max)
 
     start_max = Fraction(0)
     start_placed = dict(roots)
@@ -665,7 +637,7 @@ def type_distance_search(
     for key, idxs in coord_at.items():
         if key[0] == "root":
             for i in idxs:
-                d = distance(base, transfer_point(base, placed_a[i]), start_placed[key])
+                d = distance(base, transfer_point(base, a_points[i]), start_placed[key])
                 if d > start_max:
                     start_max = d
     try:

@@ -347,7 +347,42 @@ BAD_INVOCATIONS = {
     "type-dist-exact-arity-4": lambda tmp: [
         "type", "dist", "--q1", _dist_files(tmp)[2], "--q2", _dist_files(tmp)[2], "--exact",
     ],
+    "type-eq-pair-index-zero": lambda tmp: _eq_argv(tmp, "pair 0 1 2"),
+    "type-eq-pair-index-negative": lambda tmp: _eq_argv(tmp, "pair -1 2 2"),
+    "type-principal-closest-index-zero": lambda tmp: [
+        "type", "principal", "--descriptor",
+        _write(tmp, "c0.desc", "context dot.tree\nclosest 0 node p\noffset 1 1\n"),
+    ],
+    "type-principal-offset-index-negative": lambda tmp: [
+        "type", "principal", "--descriptor",
+        _write(tmp, "o0.desc", "context dot.tree\nclosest 1 node p\noffset -1 1\n"),
+    ],
 }
+
+
+def _eq_argv(tmp, pair_line):
+    """``type eq`` of a 2-type whose pair line is ``pair_line`` against itself."""
+    _write(tmp, "dot.tree", DOT_TEXT)
+    text = _descriptor_text([1, 1], {}) + pair_line + "\n"
+    path = _write(tmp, "q.desc", text)
+    return ["type", "eq", "--q1", path, "--q2", path]
+
+
+def test_type_eq_and_principal_validate_descriptors(tmp_path, capsys):
+    # the same check, message and exit code as ``type realize``
+    _write(tmp_path, "dot.tree", DOT_TEXT)
+    bad = _write(tmp_path, "bad.desc", _descriptor_text([5], {}))
+    good = _write(tmp_path, "good.desc", _descriptor_text([1], {}))
+    violation = "violation=offset_bound detail=offset s_1=5 outside [0, 2]\n"
+    for argv in (
+        ["type", "eq", "--q1", bad, "--q2", bad],
+        ["type", "eq", "--q1", good, "--q2", bad],
+        ["type", "principal", "--descriptor", bad],
+        ["type", "realize", "--descriptor", bad],
+    ):
+        assert run(capsys, *argv) == (1, "", violation)
+    assert run(capsys, "type", "eq", "--q1", good, "--q2", good) == (0, "equal\n", "")
+    assert run(capsys, "type", "principal", "--descriptor", good) == (0, "principal\n", "")
 
 
 def test_point_lists_reject_empty_names_but_allow_repeats(tripod_file, capsys):

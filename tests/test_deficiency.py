@@ -247,10 +247,11 @@ def test_family_certificate_equals_seven_candidate_envelope():
         edges = [(u, v) for u, v, _ in tree.edges()]
         for edge in edges:
             zero = PL.const(Fraction(0), tree.edge_length(*edge), Fraction(0))
+            lfun = _reach_profile(tree, edge, R)
             for u, v in edges:
                 for a, b in ((u, v), (v, u)):
                     for lo in (zero, distance_profile(tree, edge, Vertex(a))):
-                        new = _family_certificate(tree, edge, R, a, b, lo)
+                        new = _family_certificate(tree, edge, lfun, a, b, lo)
                         old = _seven_candidate_family(tree, edge, R, a, b, lo)
                         # sub samples both on the union of their breakpoints
                         assert set(new.sub(old).ys) == {0}, (edge, a, b, lo)

@@ -6,8 +6,10 @@ from rtrees import (
     FourPointViolation,
     FourPointWitness,
     MetricMatrix,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
+    canonicalize,
     delta_hyperbolicity,
     distance,
     four_point_check,
@@ -188,6 +190,26 @@ def test_realize_label_named_like_a_steiner_node():
         t = realize_tree(m, "p")
         back = tree_to_matrix(t, [Vertex(node_of_label(t, s)) for s in m.labels], m.labels)
         assert back.entries == m.entries
+
+
+def test_realize_rejects_a_label_that_is_not_a_node_id():
+    with pytest.raises(SkeletonError, match="bad node id"):
+        realize_tree(MetricMatrix(("a", "b c"), ((0, 1), (1, 0))))
+
+
+def test_realized_tree_is_canonical():
+    # every Steiner cut gets a leaf or a label; labels s1, s2, ... collide
+    # with the ids the insertion gives its Steiner nodes
+    checked = 0
+    for k, tree in enumerate(random_corpus("realize-canonical", 40, max_nodes=8)):
+        rng = rng_for(("realize-canonical", k))
+        n = rng.randint(2, 7)
+        pts = [random_point(rng, tree) for _ in range(n)]
+        names = [f"s{i}" if k % 2 else f"x{i}" for i in range(n)]
+        realized = realize_tree(labeled_matrix(tree, pts, names), names[0])
+        assert canonicalize(realized) == realized
+        checked += any(realized.has_node(s) and not realized.labels_of(s) for s in names)
+    assert checked  # some labels did collide with Steiner ids
 
 
 def test_realize_merges_duplicates():

@@ -13,6 +13,33 @@ def test_all_lists_public_objects_not_modules():
         assert not isinstance(obj, types.ModuleType), name
 
 
+# the public API, sorted: a new public name is added here on purpose, not by accident
+PUBLIC_NAMES = """
+    CertifiedValue ContextMismatchError EdgePoint FormulaSyntaxError FourPointViolation
+    FourPointWitness GeneratorConfig GlueSpec InconsistentDescriptorError
+    IndependenceQuery IndependenceVerdict MalformedSpecError Materialization
+    MetricMatrix NTypeDescriptor NotIsometricError OneTypeDescriptor PointRef
+    RadiusExceededError Rat RtAxiomsReport SkeletonError SpannedSubtree StepFunction
+    SubtreeMap TreeSkeleton UnknownPointError ValidationReport Vertex amalgamate
+    apply_context_isometry as_rat au_distance au_sample_ball branch_degree_multiset
+    build_primitive canonical_base canonicalize caterpillar check_rt_axioms
+    combined_matrix dcl_acl degree_family_tree delta_hyperbolicity dist_to_center_ball
+    distance endpoints eval_qf eval_quantified extend_nonforking format_point format_rat
+    four_point_check free_vars glue_family gromov_product interpolate is_between
+    is_nonforking_extension is_principal is_star_independent k_star lipschitz_bound
+    materialize median normalize_point one_type_distance parse_formula
+    piecewise_segment_check point_on_edge point_on_segment project_to_subtree psi_at
+    psi_grid_oracle random_point random_tree rb_deficiency rb_extend realize_tree
+    realize_type restrict_descriptor same_context segment spanned_subtree star_amalgam
+    transfer_point tree_to_matrix tripod type_distance_exact type_distance_search
+    type_of types_equal types_equal_transferred validate validate_descriptor
+""".split()
+
+
+def test_public_names_are_pinned():
+    assert sorted(rtrees.__all__) == PUBLIC_NAMES
+
+
 def test_package_imports_only_the_standard_library():
     paths = sorted(Path(rtrees.__file__).parent.glob("*.py"))
     assert paths

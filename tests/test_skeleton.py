@@ -17,8 +17,8 @@ from rtrees import (
     validate,
 )
 from conftest import fw_distance, random_corpus, rng_for, tree_grid
-from rtrees.generators import random_point
-from rtrees.skeleton import grid_points
+from rtrees.generators import random_point, random_rat
+from rtrees.skeleton import gensym, grid_points, hang
 
 
 def test_constructor_rejects_malformed():
@@ -201,3 +201,37 @@ def test_graft_on_single_node_keeps_basepoint(lone_point):
     assert relabeled.labels_of("p") == ("origin",)
     grown = mat.graft([("p", "q", 1)])
     assert grown.basepoint == "p" and grown.edges() == (("p", "q", Fraction(1)),)
+
+
+def _materialize_and_graft(tree, at, length, tip, prefix, names):
+    """Reference for ``hang``: cut the point with ``materialize``, then hang
+    the segment and merge the names with ``graft``."""
+    mat = materialize(tree, [at], prefix=prefix)
+    node = mat.node_for(normalize_point(tree, at))
+    edges = []
+    if length > 0:
+        if mat.tree.has_node(tip):
+            tip = gensym(set(mat.tree.nodes()), prefix)
+        edges, node = [(node, tip, length)], tip
+    return mat.graft(edges, {node: names} if names else None), node
+
+
+def test_hang_equals_materialize_and_graft():
+    checked = 0
+    for k, tree in enumerate(random_corpus("hang", 10, max_nodes=7)):
+        rng = rng_for(("hang", k))
+        tree = TreeSkeleton(tree.basepoint, tree.edges(), labels={tree.nodes()[-1]: "x"})
+        u, v, w = tree.edges()[0]
+        pts = [Vertex(n) for n in tree.nodes()] + [random_point(rng, tree) for _ in range(5)]
+        pts += [EdgePoint(v, u, w / 3), EdgePoint(u, v, w)]  # reversed, and a boundary
+        for at in pts:
+            # a fresh tip, a node id, and the id the cut takes
+            for tip in ("t", tree.nodes()[-1], "c1"):
+                for length in (Fraction(0), random_rat(rng, Fraction(1, 8), 2)):
+                    for names in ((), ("x", "y")):
+                        got = hang(tree, at, length, tip, "c", names)
+                        want = _materialize_and_graft(tree, at, length, tip, "c", names)
+                        assert got[1] == want[1], (k, at, tip, length, names)
+                        assert got[0] == want[0], (k, at, tip, length, names)
+                        checked += 1
+    assert checked > 1000

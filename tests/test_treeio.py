@@ -5,6 +5,7 @@ import pytest
 from rtrees import EdgePoint, Vertex
 from rtrees.treeio import (
     FormatError,
+    parse_descriptor_text,
     parse_matrix_text,
     parse_tree,
     serialize_matrix_text,
@@ -89,3 +90,25 @@ def test_matrix_errors():
         parse_matrix_text("labels a b c\n1 2\n")  # short row count
     with pytest.raises(FormatError):
         parse_matrix_text("labels a b\n0.5\n")
+
+
+def _descriptor(*body):
+    return "\n".join(["context dot.tree", *body]) + "\n"
+
+
+def test_descriptor_indices_below_1_are_rejected(tmp_path):
+    (tmp_path / "dot.tree").write_text("radius 2\nnode p basepoint\n")
+    good = ["closest 1 node p", "closest 2 node p", "offset 1 1", "offset 2 1"]
+    _, _, _, _, rho = parse_descriptor_text(_descriptor(*good, "pair 1 2 2"), str(tmp_path))
+    assert rho == [[0, 2], [2, 0]]
+    bad = {
+        # negative list indexing used to read both pairs as ``pair 1 2 2``
+        _descriptor(*good, "pair 0 1 2"): 6,
+        _descriptor(*good, "pair -1 2 2"): 6,
+        _descriptor("closest 0 node p", "offset 1 1"): 2,
+        _descriptor("closest 1 node p", "offset -1 1"): 3,
+    }
+    for text, line in bad.items():
+        with pytest.raises(FormatError, match="below 1") as err:
+            parse_descriptor_text(text, str(tmp_path))
+        assert err.value.line == line

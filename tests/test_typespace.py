@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import rtrees.typespace as typespace
 from rtrees import (
     ContextMismatchError,
     GlueSpec,
@@ -34,7 +36,7 @@ from rtrees import (
     validate_descriptor,
 )
 from conftest import random_corpus, rng_for
-from rtrees.generators import random_point
+from rtrees.generators import random_point, random_tree
 
 
 R = Fraction(2)
@@ -379,3 +381,49 @@ def test_apply_context_isometry_and_canonical_base():
         pairwise=((Fraction(0),),),
     )
     assert not types_equal(q_moving, apply_context_isometry(q_moving, iso))
+
+
+def _search_pin_text(monkeypatch):
+    """``(lower, upper, truncated)`` of ``type_distance_search`` at mesh r/16
+    over a seeded corpus: 2- and 3-types of one random tree over 0-1 random
+    parameters, and shapes from two random trees over the empty context,
+    each with and without the early stop, at budgets that do and do not cut
+    the search short."""
+    lines = []
+    empty = spanned_subtree(TreeSkeleton("p", (), extra_nodes=["p"]), [])
+    exact_distance = typespace._exact_distance
+    for k in range(60):
+        rng = rng_for(("search-pin", k))
+        n = 2 + k % 2
+        tree = random_tree(rng, max_nodes=rng.randint(2, 6), radius=R)
+        if k % 3 == 2:
+            pair = []
+            for _ in range(2):
+                t = random_tree(rng, max_nodes=rng.randint(2, 6), radius=R)
+                q = type_of(t, [], [random_point(rng, t) for _ in range(n)], R)
+                pair.append(NTypeDescriptor(empty, R, (Vertex("p"),) * n, q.offsets, q.pairwise))
+            q1, q2 = pair
+        else:
+            A = [random_point(rng, tree) for _ in range(k % 3)]
+            q1 = type_of(tree, A, [random_point(rng, tree) for _ in range(n)], R)
+            q2 = type_of(tree, A, [random_point(rng, tree) for _ in range(n)], R)
+        for early in (True, False):
+            monkeypatch.setattr(
+                typespace, "_exact_distance", exact_distance if early else lambda _a, _b: None
+            )
+            for budget in (50000, 200, 40, 4):
+                got = type_distance_search(q1, q2, R / 16, max_configs=budget)
+                lines.append(f"{k} {early} {budget} {got.lower} {got.upper} {got.truncated}")
+    return "\n".join(lines)
+
+
+# sha256 of _search_pin_text(), recorded while every placement the search
+# tried was built as a tree before it was checked; 86 of its 480 results
+# are truncated
+SEARCH_PIN_SHA256 = "ff5fb25ed5b6d0c341b6faba481a7efec53b45c3749a7accce1af6fdfab593c8"
+
+
+def test_type_distance_search_results_unchanged(monkeypatch):
+    text = _search_pin_text(monkeypatch)
+    assert sum(line.endswith("True") for line in text.splitlines()) == 86
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_PIN_SHA256
