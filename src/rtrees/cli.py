@@ -39,6 +39,7 @@ from .matrices import (
 from .formulas import check_rt_axioms, eval_quantified, free_vars, parse_formula
 from .amalgams import SubtreeMap, amalgamate
 from .typespace import (
+    ContextMismatchError,
     NTypeDescriptor,
     OneTypeDescriptor,
     is_principal,
@@ -523,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ContextMismatchError) as exc:
         _emit(f"error: {exc}", err=True)
         return 2
     except (ValueError, KeyError) as exc:

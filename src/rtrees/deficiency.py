@@ -42,6 +42,11 @@ directly.  On each open edge, the objective of a concrete witness triple
 is a piecewise-linear function of the offset that bounds psi from above
 everywhere; starting from the endpoint triples, edges are refined at the
 argmax of the current bound until the bound matches the best exact sample.
+Edges are visited in decreasing order of a cap on psi, and the scan stops
+at the first edge whose cap does not beat the sup: every witness objective
+is 2-Lipschitz in ``x``, so psi is, and the triple ``(x, x, x)`` gives
+``psi(x) <= l``; so psi on an edge is at most the 2-Lipschitz tent over its
+endpoint values and at most ``r`` minus its nearer endpoint's depth.
 """
 
 from __future__ import annotations
@@ -376,6 +381,14 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
     Vertices are scanned directly.  On each edge, an upper envelope made of
     witness-triple certificates and sliding-split family certificates is
     refined at its argmax until it matches the best exact sample.
+
+    Every witness objective is 2-Lipschitz in ``x``, so psi is, and the
+    triple ``(x, x, x)`` gives ``psi(x) <= l(x)``.  So on an edge ``u``-``v``
+    of length ``L``, psi is at most ``min(a + 2L, b + 2L, (a + b)/2 + L,
+    r - min(d(p, u), d(p, v)))`` with ``a = psi(u)``, ``b = psi(v)`` (past
+    the radius sphere the tent runs through the sphere point, where psi is
+    0 as scanned).  Edges are refined in decreasing order of that cap, up to
+    the first whose cap does not exceed the sup found.
     """
     r = as_rat(r)
     if not tree.edges():
@@ -396,7 +409,17 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
 
     best = max(eval_vertex(node)[0] for node in tree.nodes())
 
-    for u, v, length in tree.edges():
+    def cap(edge) -> Fraction:
+        u, v, length = edge
+        a, b = eval_vertex(u)[0], eval_vertex(v)[0]
+        near = min(tree.dist_to_basepoint(u), tree.dist_to_basepoint(v))
+        return min(min(a, b) + 2 * length, (a + b) / 2 + length, r - near)
+
+    for bound_cap, (u, v, length) in sorted(
+        ((cap(e), e) for e in tree.edges()), key=lambda item: item[0], reverse=True
+    ):
+        if bound_cap <= best:
+            break  # no later edge can raise the sup either
         zero = PL.const(Fraction(0), length, Fraction(0))
         lfun = _reach_profile(tree, (u, v), r)
         val_u, wit_u = eval_vertex(u)

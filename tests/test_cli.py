@@ -357,7 +357,28 @@ BAD_INVOCATIONS = {
         "type", "principal", "--descriptor",
         _write(tmp, "o0.desc", "context dot.tree\nclosest 1 node p\noffset -1 1\n"),
     ],
+    "type-principal-nonempty-context": lambda tmp: [
+        "type", "principal", "--descriptor", _tripod_context_desc(tmp),
+    ],
+    "type-eq-different-contexts": lambda tmp: [
+        "type", "eq", "--q1", _dot_one_type(tmp), "--q2", _tripod_context_desc(tmp),
+    ],
+    "type-dist-different-arities": lambda tmp: [
+        "type", "dist", "--q1", _dot_one_type(tmp), "--q2", _dist_files(tmp)[0],
+    ],
 }
+
+
+def _dot_one_type(tmp):
+    """A 1-type over the empty context of the one-point tree."""
+    _write(tmp, "dot.tree", DOT_TEXT)
+    return _write(tmp, "one.desc", _descriptor_text([1], {}))
+
+
+def _tripod_context_desc(tmp):
+    """A 1-type over the context spanned by the tripod's declared points."""
+    _write(tmp, "tripod.tree", TRIPOD_TEXT)
+    return _write(tmp, "ctx.desc", "context tripod.tree\nclosest 1 node p\noffset 1 1\n")
 
 
 def _eq_argv(tmp, pair_line):

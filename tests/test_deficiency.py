@@ -6,6 +6,7 @@ from rtrees import (
     GlueSpec,
     TreeSkeleton,
     Vertex,
+    distance,
     glue_family,
     materialize,
     normalize_point,
@@ -18,8 +19,11 @@ from rtrees import (
     segment,
     tripod,
 )
+import rtrees.deficiency as deficiency
 from rtrees.deficiency import (
+    _certificate_profile,
     _family_certificate,
+    _psi_at,
     _reach_profile,
     psi_at_with_witness,
     psi_objective,
@@ -257,3 +261,98 @@ def test_family_certificate_equals_seven_candidate_envelope():
                         assert set(new.sub(old).ys) == {0}, (edge, a, b, lo)
                         checked += 1
     assert checked > 1000
+
+
+def _full_edge_scan(tree, r, max_refinements_per_edge=200):
+    """``rb_deficiency`` refining every edge in ``tree.edges()`` order, with
+    no cap and no early stop: the reference the pruned scan must equal."""
+    if not tree.edges():
+        return psi_at(tree, Vertex(tree.basepoint), r)
+    cache = {}
+
+    def eval_vertex(node):
+        if node not in cache:
+            key = Vertex(node)
+            if r <= tree.dist_to_basepoint(node):
+                cache[node] = (Fraction(0), (key, key, key))
+            else:
+                cache[node] = _psi_at(tree, r, key)[:2]
+        return cache[node]
+
+    best = max(eval_vertex(node)[0] for node in tree.nodes())
+    for u, v, length in tree.edges():
+        zero = PL.const(Fraction(0), length, Fraction(0))
+        lfun = _reach_profile(tree, (u, v), r)
+        bound_pl = _certificate_profile(tree, (u, v), lfun, eval_vertex(u)[1]).min_with(
+            _certificate_profile(tree, (u, v), lfun, eval_vertex(v)[1])
+        )
+        for a, b in ((u, v), (v, u)):
+            bound_pl = bound_pl.min_with(_family_certificate(tree, (u, v), lfun, a, b, zero))
+        seen_hosts = set()
+        steps = 0
+        while True:
+            bound, arg = bound_pl.argmax()
+            if bound <= best:
+                break
+            steps += 1
+            assert steps <= max_refinements_per_edge
+            if arg <= 0 or arg >= length:
+                break
+            val, wits, host = _psi_at(tree, r, point_on_edge(tree, u, v, arg))
+            best = max(best, val)
+            bound_pl = bound_pl.min_with(_certificate_profile(tree, (u, v), lfun, wits))
+            if host is not None and host not in seen_hosts:
+                seen_hosts.add(host)
+                lo_pl = distance_profile(tree, (u, v), Vertex(host[0]))
+                bound_pl = bound_pl.min_with(
+                    _family_certificate(tree, (u, v), lfun, *host, lo_pl)
+                )
+    return best
+
+
+def test_rb_deficiency_equals_full_edge_scan():
+    # the cap on each edge is a 2-Lipschitz tent; a 1-Lipschitz one (a + L,
+    # (a + b + L)/2) gives the same sup on the extensions but a smaller one
+    # on a few of the random trees; at radii 1 and 3/2 some of those reach
+    # past the sphere
+    cases = []
+    for base in [tripod(1, 1, 1), segment(2)] + [random_tree(s, max_nodes=5) for s in (3, 4)]:
+        cases += [(rb_extend(base, R, k), R) for k in (1, 2, 3)]
+    for tree in random_corpus("full-scan", 100, max_nodes=8):
+        cases += [(tree, r) for r in (Fraction(1), Fraction(3, 2), R, Fraction(5, 2))]
+    assert any(max(t.dist_to_basepoint(n) for n in t.nodes()) > r for t, r in cases)
+    for tree, r in cases:
+        assert rb_deficiency(tree, r) == _full_edge_scan(tree, r), (tree.edges(), r)
+
+
+def test_psi_is_2_lipschitz_and_at_most_l_along_edges():
+    # the premises of rb_deficiency's edge cap, on points of a common edge
+    trees = [(t, R) for t in random_corpus("lipschitz", 12, max_nodes=6)]
+    trees += [(t, Fraction(3, 2)) for t in random_corpus("lipschitz-cut", 6, max_nodes=6)]
+    trees.append((rb_extend(tripod(1, 1, 1), R, 1), R))
+    checked = 0
+    for tree, r in trees:
+        for u, v, length in tree.edges():
+            pts = [point_on_edge(tree, u, v, length * Fraction(k, 4)) for k in range(5)]
+            pts = [x for x in pts if distance(tree, x, Vertex(tree.basepoint)) <= r]
+            vals = [psi_at(tree, x, r) for x in pts]
+            for x, px in zip(pts, vals):
+                assert px <= r - distance(tree, x, Vertex(tree.basepoint))
+                for y, py in zip(pts, vals):
+                    assert abs(px - py) <= 2 * distance(tree, x, y)
+                    checked += 1
+    assert checked > 500
+
+
+def test_rb_deficiency_skips_edges_under_the_cap(monkeypatch):
+    # a guard on the pruning, not on timing: the full scan makes 117 calls
+    calls = []
+    real = deficiency._certificate_profile
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(deficiency, "_certificate_profile", counted)
+    assert rb_deficiency(rb_extend(tripod(1, 1, 1), R, 4), R) == 1
+    assert len(calls) <= 40
