@@ -23,6 +23,7 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
+    distance,
     format_point,
     normalize_point,
     validate,
@@ -73,6 +74,14 @@ def _rat_arg(text: str, what: str) -> Fraction:
         return as_rat(text)
     except ValueError as exc:
         raise CliError(f"{what}: {exc}")
+
+
+def _radius_arg(text: str) -> Fraction:
+    """The value of ``--radius``: an exact rational that is not negative."""
+    radius = _rat_arg(text, "--radius")
+    if radius < 0:
+        raise CliError(f"--radius: {text} is negative")
+    return radius
 
 
 def _default_mesh(args, radius: Fraction) -> Fraction:
@@ -168,7 +177,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _cmd_check(args) -> int:
     doc = _load_doc(args.tree)
-    radius = _rat_arg(args.radius, "--radius") if args.radius else doc.radius
+    radius = _radius_arg(args.radius) if args.radius else doc.radius
     report = validate(doc.tree, radius)
     for v in report.violations:
         _emit(f"violation={v.kind} detail={v.detail}", err=True)
@@ -237,7 +246,7 @@ def _cmd_delta(args) -> int:
 def _cmd_amalgamate(args) -> int:
     left = _load_doc(args.left)
     right = _load_doc(args.right)
-    radius = _rat_arg(args.radius, "--radius")
+    radius = _radius_arg(args.radius)
     pairs = []
     for lineno, line in enumerate(_read_text(args.shared).split("\n"), start=1):
         line = line.strip()
@@ -296,7 +305,7 @@ def _cmd_type(args) -> int:
             if args.s is None or args.t is None:
                 raise CliError("type dist --ctx empty needs --s and --t")
             s, t = _rat_arg(args.s, "--s"), _rat_arg(args.t, "--t")
-            radius = _rat_arg(args.radius, "--radius") if args.radius else max(s, t)
+            radius = _radius_arg(args.radius) if args.radius else max(s, t)
             ctx = spanned_subtree(
                 TreeSkeleton("p", (), extra_nodes=["p"]), [], adjoin_basepoint=True
             )
@@ -367,7 +376,7 @@ def _cmd_indep(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    radius = _rat_arg(args.radius, "--radius")
+    radius = _radius_arg(args.radius)
     if args.family == "rb":
         base = tripod(radius / 2, radius / 2, radius / 2)
         tree = rb_extend(base, radius, args.depth)
@@ -403,9 +412,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_psi(args) -> int:
     doc = _load_doc(args.tree)
-    radius = _rat_arg(args.radius, "--radius") if args.radius else doc.radius
+    radius = _radius_arg(args.radius) if args.radius else doc.radius
     if args.at:
         pt = _resolve_point(doc, args.at)
+        if distance(doc.tree, pt, Vertex(doc.tree.basepoint)) > radius:
+            raise CliError("point lies outside the radius bound")
         _emit(format_rat(psi_at(doc.tree, pt, radius)))
     else:
         _emit(format_rat(rb_deficiency(doc.tree, radius)))

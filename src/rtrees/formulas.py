@@ -463,8 +463,8 @@ def _exact_single_block(
 ) -> Fraction:
     """Exact optimum of a quantifier over a quantifier-free body."""
     body, var = f.body, f.var
-    pick = min if isinstance(f, Inf) else max
-    cands = [pick(_profile(tree, body, val, var, (u, v)).ys) for u, v, _ in tree.edges()]
+    pick, extremum = (min, PL.argmin) if isinstance(f, Inf) else (max, PL.argmax)
+    cands = [extremum(_profile(tree, body, val, var, (u, v)))[0] for u, v, _ in tree.edges()]
     cands += [
         eval_qf(tree, body, {**val, var: Vertex(node)})
         for node in tree.nodes()

@@ -11,8 +11,8 @@ Tree format (UTF-8, ``#`` comments)::
     radius <len>
 
 Lengths and offsets are exact rationals (``3`` or ``3/2``); floating-point
-literals are rejected.  ``radius`` appears exactly once.  Repeated ``node``
-lines accumulate labels on the same node.
+literals are rejected.  ``radius`` appears exactly once and is not negative.
+Repeated ``node`` lines accumulate labels on the same node.
 
 Matrix format: first line ``labels <n1> <n2> ...``, then the strict upper
 triangle row by row (row ``i`` holds the entries ``(i, i+1) .. (i, n-1)``).
@@ -50,6 +50,14 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def _radius(text: str) -> Fraction:
+    """The value of a ``radius`` line: an exact rational that is not negative."""
+    radius = as_rat(text)
+    if radius < 0:
+        raise ValueError(f"radius {text} is negative")
+    return radius
 
 
 @dataclass
@@ -105,7 +113,7 @@ def parse_tree(text: str) -> TreeDocument:
                     raise FormatError("radius needs one value", lineno)
                 if radius is not None:
                     raise FormatError("radius given twice", lineno)
-                radius = as_rat(parts[1])
+                radius = _radius(parts[1])
             else:
                 raise FormatError(f"unknown directive {kind!r}", lineno)
         except (ValueError, TypeError) as exc:
@@ -248,7 +256,7 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
                         f"cannot read context {parts[1]}: {exc.strerror}", lineno
                     ) from exc
             elif kind == "radius":
-                radius = as_rat(parts[1])
+                radius = _radius(parts[1])
             elif kind == "closest":
                 if tree_doc is None:
                     raise FormatError("context must come before closest", lineno)

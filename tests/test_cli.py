@@ -307,6 +307,18 @@ BAD_INVOCATIONS = {
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,p)",
         "--mesh", "0",
     ],
+    "psi-negative-radius-in-file": lambda tmp: [
+        "psi", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT.replace("radius 2", "radius -1")),
+    ],
+    "check-negative-radius": lambda tmp: [
+        "check", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--radius", "-1", "--mesh", "1/8",
+    ],
+    "generate-rb-negative-radius": lambda tmp: [
+        "generate", "rb", "--radius", "-2", "--depth", "1",
+    ],
+    "psi-at-past-the-radius": lambda tmp: [
+        "psi", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--radius", "3/2", "--at", "a",
+    ],
     "check-radius-zero": lambda tmp: [
         "check", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--radius", "0",
     ],

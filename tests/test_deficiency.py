@@ -7,9 +7,11 @@ from rtrees import (
     TreeSkeleton,
     Vertex,
     distance,
+    eval_quantified,
     glue_family,
     materialize,
     normalize_point,
+    parse_formula,
     point_on_edge,
     psi_at,
     psi_grid_oracle,
@@ -356,3 +358,82 @@ def test_rb_deficiency_skips_edges_under_the_cap(monkeypatch):
     monkeypatch.setattr(deficiency, "_certificate_profile", counted)
     assert rb_deficiency(rb_extend(tripod(1, 1, 1), R, 4), R) == 1
     assert len(calls) <= 40
+
+
+def _kernel_pin_cases():
+    """The 15 workload-shaped extensions at radius 2, and seeded
+    ``random_tree(max_nodes=8)`` at radii 1, 3/2, 2 and 5/2."""
+    bases = [tripod(1, 1, 1), segment(2)] + [random_tree(s, max_nodes=5) for s in (3, 4, 5)]
+    for i, base in enumerate(bases):
+        for k in (2, 3, 4):
+            yield f"ext{i}.{k}", rb_extend(base, R, k), [R]
+    radii = [Fraction(1), Fraction(3, 2), R, Fraction(5, 2)]
+    for i, tree in enumerate(random_corpus("pl-kernel-pin", 30, max_nodes=8)):
+        yield f"random{i}", tree, radii
+
+
+def _kernel_pin_text():
+    """``rb_deficiency`` and the exact single-block values of ``sup x.
+    d(x,p)`` and ``inf x. max(d(x,a), d(x,b))`` over the pinned cases; a
+    and b are seeded vertices and edge points with offsets over 11."""
+    height = parse_formula("sup x. d(x,p)")
+    middle = parse_formula("inf x. max(d(x,a), d(x,b))")
+    rng = rng_for("pl-kernel-pin-points")
+    lines = []
+    for name, tree, radii in _kernel_pin_cases():
+        for r in radii:
+            lines.append(f"{name} r={r} sup {rb_deficiency(tree, r)}")
+        pts = [Vertex(n) for n in tree.nodes()]
+        for u, v, length in tree.edges():
+            pts.append(point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, 11), 11)))
+        lines.append(f"{name} height {eval_quantified(tree, height, {}, R / 8)}")
+        for _ in range(4):
+            a, b = rng.choice(pts), rng.choice(pts)
+            got = eval_quantified(tree, middle, {"a": a, "b": b}, R / 8)
+            lines.append(f"{name} middle {a!r} {b!r} {got}")
+    return "\n".join(lines)
+
+
+# sha256 of _kernel_pin_text(), recorded while the PL kernel still held
+# Fraction breakpoints and values
+KERNEL_PIN_SHA256 = "a39923583373369b0882cc5f52d2c1de44edf2c885f8486fd129dbaf6e219732"
+
+
+def test_pl_kernel_values_unchanged():
+    got = hashlib.sha256(_kernel_pin_text().encode()).hexdigest()
+    assert got == KERNEL_PIN_SHA256
+
+
+def _coprime_offset(rng, tree, length):
+    """An offset in (0, length), a multiple of 1/p for a prime p that
+    divides neither the tree's denominator nor the length's."""
+    den = tree._root_data()[3] * length.denominator
+    p = next(p for p in (101, 103, 107, 109) if den % p)
+    return Fraction(rng.randrange(1, int(length * p)), p)
+
+
+def test_distance_profile_matches_distance():
+    # the profile is read off integer heights; distance() goes through
+    # normalize_point and the arc meet of two given points
+    rng = rng_for("distance-profile")
+    trees = random_corpus("distance-profile", 20, max_nodes=7)
+    trees += [rb_extend(tripod(1, 1, 1), R, 2), rb_extend(random_tree(3, max_nodes=5), R, 2)]
+    checked = 0
+    for tree in trees:
+        targets = [Vertex(n) for n in tree.nodes()]
+        for u, v, length in tree.edges():
+            targets.append(point_on_edge(tree, u, v, _coprime_offset(rng, tree, length)))
+        for u, v, length in tree.edges():
+            same_edge = point_on_edge(tree, u, v, _coprime_offset(rng, tree, length))
+            for q in targets + [same_edge]:
+                prof = distance_profile(tree, (u, v), q)
+                xs, ys = prof.xs, prof.ys
+                assert xs[0] == 0 and xs[-1] == length
+                for x, y in zip(xs, ys):
+                    assert y == distance(tree, point_on_edge(tree, u, v, x), q), (u, v, q, x)
+                for i in range(len(xs) - 1):
+                    mid = (xs[i] + xs[i + 1]) / 2
+                    want = distance(tree, point_on_edge(tree, u, v, mid), q)
+                    assert (ys[i] + ys[i + 1]) / 2 == want, (u, v, q, mid)
+                checked += 1
+    assert checked > 1000

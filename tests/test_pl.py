@@ -3,6 +3,7 @@ evaluation and the sort-then-evaluate merge the kernel replaced."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from rtrees.pl import PL
 
@@ -130,3 +131,172 @@ def test_argmin_argmax_are_leftmost():
         hi, at_hi = a.argmax()
         assert lo == min(a.ys) and a.xs.index(at_lo) == a.ys.index(lo)
         assert hi == max(a.ys) and a.xs.index(at_hi) == a.ys.index(hi)
+
+
+# -- the integer kernel against the Fraction kernel it replaced -------------------
+
+
+def _frac_sample(xs, ys, grid):
+    out = []
+    n = len(xs)
+    i = 0
+    for x in grid:
+        while i < n and xs[i] < x:
+            i += 1
+        if i == 0:
+            out.append(ys[0])
+        elif i == n:
+            out.append(ys[-1])
+        elif xs[i] == x:
+            out.append(ys[i])
+        else:
+            x0, y0 = xs[i - 1], ys[i - 1]
+            out.append(y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0))
+    return out
+
+
+class FracPL:
+    """The PL kernel with Fraction breakpoints and values, as it was before
+    the integer representation: the reference the kernel must equal."""
+
+    def __init__(self, xs, ys):
+        self.xs, self.ys = tuple(xs), tuple(ys)
+
+    def _merged(self, other):
+        xs, zs = self.xs, other.xs
+        if xs == zs:
+            return xs, self.ys, other.ys
+        grid = []
+        i = j = 0
+        while i < len(xs) and j < len(zs):
+            x, z = xs[i], zs[j]
+            if x < z:
+                grid.append(x)
+                i += 1
+            elif z < x:
+                grid.append(z)
+                j += 1
+            else:
+                grid.append(x)
+                i += 1
+                j += 1
+        grid.extend(xs[i:])
+        grid.extend(zs[j:])
+        return grid, _frac_sample(xs, self.ys, grid), _frac_sample(zs, other.ys, grid)
+
+    def _envelope(self, other, upper):
+        grid, ya, yb = self._merged(other)
+        xs, ys = [], []
+        prev, d0 = 0, None
+        for k, x in enumerate(grid):
+            a, b = ya[k], yb[k]
+            d = a - b
+            sign = d.numerator
+            if (prev > 0 > sign) or (prev < 0 < sign):
+                t = d0 / (d0 - d)
+                x0, a0 = grid[k - 1], ya[k - 1]
+                xs.append(x0 + (x - x0) * t)
+                ys.append(a0 + (a - a0) * t)
+            xs.append(x)
+            ys.append(a if (sign >= 0 if upper else sign <= 0) else b)
+            prev, d0 = sign, d
+        return FracPL(xs, ys)
+
+    def add(self, other):
+        grid, ya, yb = self._merged(other)
+        return FracPL(grid, [a + b for a, b in zip(ya, yb)])
+
+    def sub(self, other):
+        grid, ya, yb = self._merged(other)
+        return FracPL(grid, [a - b for a, b in zip(ya, yb)])
+
+    def max_with(self, other):
+        return self._envelope(other, True)
+
+    def min_with(self, other):
+        return self._envelope(other, False)
+
+    def scale(self, c):
+        return FracPL(self.xs, [c * y for y in self.ys])
+
+    def __abs__(self):
+        return self.max_with(self.scale(Fraction(-1)))
+
+    def argmin(self):
+        i = min(range(len(self.ys)), key=self.ys.__getitem__)
+        return self.ys[i], self.xs[i]
+
+    def argmax(self):
+        i = max(range(len(self.ys)), key=self.ys.__getitem__)
+        return self.ys[i], self.xs[i]
+
+
+def same(got, want):
+    """Identical breakpoints, values and extrema, and only ints inside."""
+    assert got.xs == want.xs and got.ys == want.ys
+    assert got.argmin() == want.argmin() and got.argmax() == want.argmax()
+    assert type(got.d) is int and got.d > 0
+    assert all(type(v) is int for v in got.xn + got.yn)
+    assert got == PL(want.xs, want.ys)
+
+
+def coprime_pl(rng, length, pieces, den):
+    """A PL on [0, length] with breakpoints and values over ``den``."""
+    inner = set()
+    while len(inner) < pieces - 1:
+        inner.add(Fraction(rng.randrange(1, 7 * den), 7 * den) * length)
+    xs = (Fraction(0),) + tuple(sorted(inner)) + (length,)
+    return [xs, [Fraction(rng.randrange(-5 * den, 5 * den + 1), den) for _ in xs]]
+
+
+def kernel_pairs():
+    """Operand pairs on [0, 3/2]: denominators drawn from pairwise coprime
+    sets, so the two operands mostly differ and their crossings need new
+    denominators."""
+    rng = random.Random("rtrees-tests-pl-kernel")
+    length = Fraction(3, 2)
+    for _ in range(120):
+        da, db = rng.choice((5, 7, 9)), rng.choice((11, 13, 16))
+        a = coprime_pl(rng, length, rng.randint(1, 5), da)
+        b = coprime_pl(rng, length, rng.randint(1, 5), db)
+        yield a, b
+        yield a, [a[0], [Fraction(rng.randrange(-50, 51), db) for _ in a[0]]]  # same breakpoints
+
+
+def test_integer_kernel_equals_fraction_kernel_on_every_op():
+    finer = 0
+    for (axs, ays), (bxs, bys) in kernel_pairs():
+        a, b = PL(axs, ays), PL(bxs, bys)
+        fa, fb = FracPL(axs, ays), FracPL(bxs, bys)
+        same(a, fa)
+        for name in ("add", "sub", "max_with", "min_with"):
+            got = getattr(a, name)(b)
+            same(got, getattr(fa, name)(fb))
+            finer += lcm(a.d, b.d) % got.d != 0
+        for c in (Fraction(1, 3), Fraction(-1), Fraction(2), Fraction(-5, 6), Fraction(0)):
+            same(a.scale(c), fa.scale(c))
+        same(abs(a), abs(fa))
+    assert finer > 50  # crossings and samples that brought in a new denominator
+
+
+def test_integer_kernel_equals_fraction_kernel_on_certificate_chains():
+    # the chain _family_certificate builds, on random operands in place of
+    # the reach profile l, the split distance profile D and the lower clamp
+    rng = random.Random("rtrees-tests-pl-chains")
+    length = Fraction(5, 3)
+    for _ in range(80):
+        args = [coprime_pl(rng, length, rng.randint(1, 4), rng.choice((3, 5, 7, 11))) for _ in range(3)]
+        h = Fraction(rng.randrange(0, 20), rng.choice((4, 9)))
+        for kernel in (PL, FracPL):
+            lfun, dist, lo = (kernel(xs, ys) for xs, ys in args)
+            const = kernel((Fraction(0), length), (h, h))
+            zero = kernel((Fraction(0), length), (Fraction(0), Fraction(0)))
+            c3 = lfun.sub(dist).sub(const)
+            t2 = lfun.scale(Fraction(1, 3)).max_with(lo).min_with(dist).max_with(zero)
+            steps = [c3, t2, t2.scale(Fraction(2)), abs(t2.sub(lfun))]
+            steps.append(steps[2].max_with(steps[3]).max_with(c3))
+            steps.append(steps[4].min_with(lfun.add(c3)))
+            if kernel is PL:
+                got = steps
+        for g, w in zip(got, steps):
+            same(g, w)

@@ -112,3 +112,17 @@ def test_descriptor_indices_below_1_are_rejected(tmp_path):
         with pytest.raises(FormatError, match="below 1") as err:
             parse_descriptor_text(text, str(tmp_path))
         assert err.value.line == line
+
+
+def test_negative_radius_is_rejected_with_its_line(tmp_path):
+    with pytest.raises(FormatError, match="negative") as err:
+        parse_tree(TRIPOD_TEXT.replace("radius 2", "radius -1/2"))
+    assert err.value.line == 2
+    assert parse_tree(TRIPOD_TEXT.replace("radius 2", "radius 0")).radius == 0
+    (tmp_path / "dot.tree").write_text("radius 2\nnode p basepoint\n")
+    body = ["radius -1", "closest 1 node p", "offset 1 1"]
+    with pytest.raises(FormatError, match="negative") as err:
+        parse_descriptor_text(_descriptor(*body), str(tmp_path))
+    assert err.value.line == 2
+    body[0] = "radius 0"
+    assert parse_descriptor_text(_descriptor(*body), str(tmp_path))[1] == 0
