@@ -316,6 +316,8 @@ def _cmd_type(args) -> int:
             raise CliError("type dist needs --ctx empty or both --q1 and --q2")
         q1 = _descriptor_from_file(args.q1)
         q2 = _descriptor_from_file(args.q2)
+        if _report_violation(q1) or _report_violation(q2):
+            return 1
         if args.exact:
             value = type_distance_exact(q1, q2)
             if value is None:

@@ -22,16 +22,28 @@ where ``R2`` is the second-largest reach at ``c2`` avoiding ``x`` and
 ``inner`` optimizes the third witness over ``c1``: a path vertex with its
 best off-path branch, the third branch at ``c2``, or a bare point on the
 path.  Vertex positions of ``c2`` are enumerated by a depth-first walk
-that carries the best inner option along the path; for ``c2`` interior to
-an edge every term is linear in the offset, so the objective is the upper
-envelope of a few lines, built exactly with the ``rtrees.pl`` kernel, and
-its leftmost argmin is the best split on that edge.  Every configuration
-costs at least the cross term ``2 t2``, which only grows along the walk,
-so the walk stops below a split, and skips an edge, once ``2 t2`` reaches
-the best value found.  A point inside an edge is evaluated in place as a
+that carries the best inner option along the path.  For ``c2`` at offset
+``s`` into an edge of length ``L`` that starts at distance ``ta`` from
+``x``, every term but a constant ``c3`` (the deep witness through the far
+end) is at most ``max(2 t2, l - t2)``, so the objective is
+``max(2 (ta + s), l - ta - s, c3)``.  The max of its first two terms is
+convex and least only at ``s*``, the clamp of ``(l - 3 ta) / 3`` to
+``[0, L]``, with value ``m``; so the best split on the edge is ``s*`` if
+``c3 < m``, else the first ``s`` with ``l - ta - s <= c3``, that is
+``max(0, l - ta - c3)``, at value ``c3``.  Every configuration costs at
+least the cross term ``2 t2``, which only grows along the walk, so the
+walk stops below a split, and skips an edge, once ``2 t2`` reaches the
+best value found.  A point inside an edge is evaluated in place as a
 degree-2 vertex: its two reaches come from the reach table of the edge's
 endpoints, and the walk, its witnesses and the host edge stay in the
 given tree, which is never copied.
+
+The walk runs on integers over one denominator ``den = 3 lcm(D q, r_d)``:
+``D`` is the skeleton's height denominator, ``q`` that of ``x``'s offset
+and ``r_d`` that of ``r``; the factor 3 makes ``l / 3`` integral.  Lengths
+and reaches come from the skeleton's integer heights and reach table.  The
+walk keeps a maker for its best triple, which builds ``Fraction`` points
+only when called; ``psi_at`` never calls it.
 
 ``psi_grid_oracle`` is the independent brute-force check: the same
 infimum restricted to witness triples on a finite grid.  It never
@@ -53,6 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Optional
 
 from .rationals import as_rat
@@ -61,52 +74,35 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
+    _meet,
+    _rooted,
     distance,
     grid_points,
     normalize_point,
     point_on_edge,
     point_on_segment,
 )
-from .pl import PL, distance_profile
+from .pl import PL, _pl, distance_profile
 
 
-def _g(t: Fraction, reach: Fraction, l: Fraction) -> Fraction:
+def _g(t: int, reach: int, l: int) -> int:
     """Best branch term for a witness hung at distance t into given reach."""
-    return max(t - l, l - t - reach, Fraction(0))
-
-
-def _leaving(tree: TreeSkeleton, x: PointRef):
-    """``(reach, direction)`` for every direction leaving the normalized point
-    ``x``.  A direction is ``(next node, distance to it, node it is entered
-    from)``; an edge point is a degree-2 vertex whose two reaches are read off
-    the table of its edge."""
-    table = tree.directional_reach()
-    if isinstance(x, Vertex):
-        return [
-            (table[(x.node, nb)], (nb, tree.edge_length(x.node, nb), x.node))
-            for nb in tree.neighbors(x.node)
-        ]
-    rest = tree.edge_length(x.u, x.v) - x.offset
-    return [
-        (table[(x.v, x.u)] - rest, (x.u, x.offset, x.v)),
-        (table[(x.u, x.v)] - x.offset, (x.v, rest, x.u)),
-    ]
+    return max(t - l, l - t - reach, 0)
 
 
 def _top(leaving, k: int):
     """The ``k`` largest reaches with their directions, padded with 0 and None."""
-    pairs = sorted(leaving, reverse=True)[:k]
-    vals = [p[0] for p in pairs] + [Fraction(0)] * k
-    dirs: list = [p[1] for p in pairs] + [None] * k
-    return vals[:k], dirs[:k]
+    pairs = (sorted(leaving, reverse=True) + [(0, None)] * k)[:k]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: Fraction) -> PointRef:
-    """The point at the given depth along a maximal-reach path that leaves
-    ``x`` in the given direction."""
+def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -> PointRef:
+    """The point at depth ``depth / den`` along a maximal-reach path that
+    leaves ``x`` in the given direction (its length over ``den`` too)."""
     if depth == 0 or direction is None:
         return x
-    table = tree.directional_reach()
+    _, num, _, D = tree._root_data()
+    table, scale = tree._reach_num(), den // D
     nxt, length, cur = direction
     rem = depth
     while rem > length:
@@ -118,37 +114,61 @@ def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: Fraction) -> Poi
         if best is None:
             raise AssertionError("descent ran past a leaf")
         cur, nxt = nxt, best[1]
-        length = tree.edge_length(cur, nxt)
-    return normalize_point(tree, EdgePoint(nxt, cur, length - rem))
+        length = abs(num[cur] - num[nxt]) * scale
+    return normalize_point(tree, EdgePoint(nxt, cur, Fraction(length - rem, den)))
 
 
-def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
-    """Exact psi at a normalized point; returns (value, witness triple, host).
+def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
+    """Exact psi at a normalized point as ``(n, den, maker, host)``: the value
+    is ``n / den``, and ``maker()`` builds an optimal witness triple.
 
     The host edge is ``(a, b)`` (``a`` nearer ``x``) when the optimum is
     attained with the outer split strictly inside that tree edge, else None.
     """
-    zero = Fraction(0)
-    l = r - distance(tree, x, Vertex(tree.basepoint))
+    parent, num, _, D = tree._root_data()
+    _, h, hd = _rooted(parent, num, D, x)
+    den = 3 * lcm(hd, r.denominator)
+    l = r.numerator * (den // r.denominator) - h * (den // hd)
     if l < 0:
         raise ValueError("point lies outside the radius bound")
     if l == 0:
-        return zero, (x, x, x), None
+        return 0, den, lambda: (x, x, x), None
+    table = tree._reach_num()
+    scale = den // D
+
+    def leaving(node: str, skip: Optional[str] = None):
+        """``(reach, direction)`` for every direction leaving a vertex but
+        ``skip``; a direction is ``(next node, distance to it, node)``."""
+        hn = num[node]
+        return [
+            (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
+            for nb in tree.neighbors(node)
+            if nb != skip
+        ]
 
     def inner_witness(desc):
         if desc[0] == "free":
             _, t2, c2ref = desc
-            return point_on_segment(tree, x, c2ref, min(l, t2))
+            return point_on_segment(tree, x, c2ref, Fraction(min(l, t2), den))
         _, start, t1, direction, reach = desc
-        return _descend(tree, start, direction, min(max(l - t1, zero), reach))
+        return _descend(tree, start, direction, min(max(l - t1, 0), reach), den)
 
-    # config c2 = x: witnesses into the three deepest branches at x itself
-    leave0 = _leaving(tree, x)
+    # config c2 = x: witnesses into the three deepest branches at x itself; an
+    # edge point is a degree-2 vertex with reaches read off its edge's ends
+    if isinstance(x, Vertex):
+        leave0 = leaving(x.node)
+    else:
+        off = x.offset.numerator * (den // x.offset.denominator)
+        rest = abs(num[x.u] - num[x.v]) * scale - off
+        leave0 = [
+            (table[(x.v, x.u)] * scale - rest, (x.u, off, x.v)),
+            (table[(x.u, x.v)] * scale - off, (x.v, rest, x.u)),
+        ]
     vals0, dirs0 = _top(leave0, 3)
-    best_val = _g(zero, vals0[2], l)
+    best_val = _g(0, vals0[2], l)
 
     def root_witnesses():
-        return tuple(_descend(tree, x, dirs0[i], min(l, vals0[i])) for i in range(3))
+        return tuple(_descend(tree, x, dirs0[i], min(l, vals0[i]), den) for i in range(3))
 
     best_maker = root_witnesses
     best_host: Optional[tuple[str, str]] = None
@@ -156,75 +176,63 @@ def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
     def consider(val, maker, host=None):
         nonlocal best_val, best_maker, best_host
         if val < best_val:
-            best_val = val
-            best_maker = maker
-            best_host = host
-
-    def edge_interior(start: PointRef, direction, ta: Fraction, c_in: Fraction, c_in_desc):
-        """Configs with the outer split strictly inside the segment that leaves
-        ``start`` (at distance ``ta`` from x) in the given direction."""
-        if 2 * ta >= best_val:
-            return  # the cross term alone rules out an improvement
-        b, L, a = direction
-        (H,), (h_dir,) = _top([p for p in _leaving(tree, Vertex(b)) if p[1][0] != a], 1)
-        c3 = l - ta - L - H  # constant deep-branch term through the far end
-        # objective at t2 = ta + s: max(2 t2, |t2 - l|, max(t2 - l, c3, 0),
-        # min(c_in, max(l - t2, 0))); as t2 >= 0 and l > 0 every term but c3
-        # is at most max(2 t2, l - t2), so it is the upper envelope of three
-        # lines, and its leftmost argmin is the first optimal offset
-        envelope = PL((zero, L), (2 * ta, 2 * (ta + L))).max_with(
-            PL((zero, L), (l - ta, l - ta - L))
-        ).max_with(PL.const(zero, L, c3))
-        val, s = envelope.argmin()
-        if val >= best_val:
-            return
-        t2 = ta + s
-
-        def maker():
-            c2ref = normalize_point(tree, EdgePoint(b, a, L - s))
-            u1 = min(max(l - t2, zero), (L - s) + H)
-            if u1 <= L - s:
-                y1 = normalize_point(tree, EdgePoint(b, a, L - s - u1))
-            else:
-                y1 = _descend(tree, Vertex(b), h_dir, u1 - (L - s))
-            if c_in <= max(l - t2, zero):
-                y3 = inner_witness(c_in_desc)
-            else:
-                y3 = inner_witness(("free", t2, c2ref))
-            return (y1, c2ref, y3)
-
-        consider(val, maker, host=(a, b) if start == Vertex(a) else None)
+            best_val, best_maker, best_host = val, maker, host
 
     # depth-first walk over vertex positions of the outer split, carrying the
     # best inner (third-witness) option found along the path from x
     stack = []
 
-    def step(start, direction, ta, in_val, in_desc):
-        edge_interior(start, direction, ta, in_val, in_desc)
+    def step(start: PointRef, direction, ta: int, c_in: int, c_in_desc):
+        """Push the far end of the segment that leaves ``start`` (at distance
+        ``ta`` from x) in the given direction, and consider the configs with
+        the outer split strictly inside it."""
+        if 2 * ta >= best_val:
+            return  # the cross term alone rules out an improvement below
         b, L, a = direction
-        stack.append((b, a, ta + L, in_val, in_desc))
+        far = leaving(b, a)
+        stack.append((b, far, ta + L, c_in, c_in_desc))
+        (H,), (h_dir,) = _top(far, 1)
+        c3 = l - ta - L - H  # constant deep-branch term through the far end
+        # the closed-form edge term of the module docstring
+        s = min(max((l - 3 * ta) // 3, 0), L)
+        val = max(2 * (ta + s), l - ta - s)
+        if c3 >= val:
+            val, s = c3, max(0, l - ta - c3)
+        if val >= best_val:
+            return
+        t2 = ta + s
+
+        def maker():
+            c2ref = normalize_point(tree, EdgePoint(b, a, Fraction(L - s, den)))
+            u1 = min(max(l - t2, 0), (L - s) + H)
+            if u1 <= L - s:
+                y1 = normalize_point(tree, EdgePoint(b, a, Fraction(L - s - u1, den)))
+            else:
+                y1 = _descend(tree, Vertex(b), h_dir, u1 - (L - s), den)
+            y3 = inner_witness(c_in_desc if c_in <= max(l - t2, 0) else ("free", t2, c2ref))
+            return (y1, c2ref, y3)
+
+        consider(val, maker, host=(a, b) if start == Vertex(a) else None)
 
     for _reach, d in leave0:
         i = 1 if dirs0[0] == d else 0  # the deepest other branch at x
-        step(x, d, zero, _g(zero, vals0[i], l), ("branch", x, zero, dirs0[i], vals0[i]))
+        step(x, d, 0, _g(0, vals0[i], l), ("branch", x, 0, dirs0[i], vals0[i]))
 
     while stack:
-        c2, parent, t2, in_val, in_desc = stack.pop()
+        c2, leave, t2, in_val, in_desc = stack.pop()
         if 2 * t2 >= best_val:
             continue  # t2 only grows below c2, and every config costs 2 t2
         C2 = Vertex(c2)
-        leave = [p for p in _leaving(tree, C2) if p[1][0] != parent]
         vals, dirs = _top(leave, 3)
-        free_val = max(l - t2, zero)
+        free_val = max(l - t2, 0)
         third_val = _g(t2, vals[2], l)
-        inner_best = min(in_val, free_val, third_val)
-        F = max(2 * t2, _g(t2, vals[1], l), inner_best)
+        F = max(2 * t2, _g(t2, vals[1], l), min(in_val, free_val, third_val))
 
         def vertex_maker(C2=C2, t2=t2, vals=vals, dirs=dirs, in_val=in_val,
                          in_desc=in_desc, free_val=free_val, third_val=third_val):
-            depth = max(l - t2, zero)
-            y1 = _descend(tree, C2, dirs[0], min(depth, vals[0]))
-            y2 = _descend(tree, C2, dirs[1], min(depth, vals[1]))
+            depth = max(l - t2, 0)
+            y1 = _descend(tree, C2, dirs[0], min(depth, vals[0]), den)
+            y2 = _descend(tree, C2, dirs[1], min(depth, vals[1]), den)
             m = min(in_val, free_val, third_val)
             if third_val == m:
                 y3 = inner_witness(("branch", C2, t2, dirs[2], vals[2]))
@@ -244,12 +252,18 @@ def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
             else:
                 step(C2, d, t2, in_val, in_desc)
 
-    return best_val, best_maker(), best_host
+    return best_val, den, best_maker, best_host
+
+
+def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
+    """Exact psi at a normalized point; returns (value, witness triple, host)."""
+    n, den, maker, host = _psi_walk(tree, r, x)
+    return Fraction(n, den), maker(), host
 
 
 def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
     """Exact branching deficiency at a point."""
-    return psi_at_with_witness(tree, x, r)[0]
+    return Fraction(*_psi_walk(tree, as_rat(r), normalize_point(tree, x))[:2])
 
 
 def psi_at_with_witness(tree: TreeSkeleton, x: PointRef, r):
@@ -327,22 +341,34 @@ def psi_grid_oracle(tree: TreeSkeleton, x: PointRef, r, mesh) -> Fraction:
 # -- exact supremum over the whole tree -------------------------------------------
 
 
+def _linear(tree: TreeSkeleton, edge, n0: int, n1: int, d: int) -> PL:
+    """The linear function from ``n0 / d`` at the edge's first endpoint to
+    ``n1 / d`` at its second, the edge's length read off the integer heights."""
+    _, num, _, D = tree._root_data()
+    e = lcm(D, d)
+    ln = abs(num[edge[0]] - num[edge[1]]) * (e // D)
+    return _pl(e, (0, ln), (n0 * (e // d), n1 * (e // d)))
+
+
 def _reach_profile(tree: TreeSkeleton, edge, r: Fraction) -> PL:
-    """``l = r - d(p, x)`` as a PL function of the edge offset."""
-    pp = distance_profile(tree, edge, Vertex(tree.basepoint))
-    return PL.const(Fraction(0), tree.edge_length(*edge), r).sub(pp)
+    """``l = r - d(p, x)`` as a PL function of the edge offset; the edge
+    joins a node to its parent, so ``d(p, x)`` is linear along it."""
+    _, num, _, D = tree._root_data()
+    rn, q = r.numerator * D, r.denominator
+    return _linear(tree, edge, rn - num[edge[0]] * q, rn - num[edge[1]] * q, D * q)
 
 
 def _certificate_profile(tree: TreeSkeleton, edge, lfun: PL, witnesses) -> PL:
     """Objective of a fixed witness triple as a PL function of the edge
     offset, given the edge's reach profile ``lfun``; a valid upper bound for
     psi along the whole edge."""
-    length = tree.edge_length(*edge)
+    witnesses = [normalize_point(tree, w) for w in witnesses]
     profs = [distance_profile(tree, edge, w) for w in witnesses]
     terms = [abs(prof.sub(lfun)) for prof in profs]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        dij = distance(tree, witnesses[i], witnesses[j])
-        terms.append(profs[i].add(profs[j]).sub(PL.const(Fraction(0), length, dij)))
+        _, hi, _, hj, m, d = _meet(tree, witnesses[i], witnesses[j])
+        dij = hi + hj - 2 * m
+        terms.append(profs[i].add(profs[j]).sub(_linear(tree, edge, dij, dij, d)))
     return reduce(PL.max_with, terms)
 
 
@@ -366,11 +392,11 @@ def _family_certificate(tree: TreeSkeleton, edge, lfun: PL, a: str, b: str, lo: 
     psi everywhere on the edge and captures the fractional-slope envelope
     pieces that frozen witness triples cannot.
     """
-    length = tree.edge_length(*edge)
-    zero = PL.const(Fraction(0), length, Fraction(0))
+    zero = _linear(tree, edge, 0, 0, 1)
     D = distance_profile(tree, edge, Vertex(b))
-    H = (tree.reaches_at(b, exclude=(a,)) or [Fraction(0)])[0]
-    c3 = lfun.sub(D).sub(PL.const(Fraction(0), length, H))
+    table = tree._reach_num()
+    H = max((table[(b, z)] for z in tree.neighbors(b) if z != a), default=0)
+    c3 = lfun.sub(D).sub(_linear(tree, edge, H, H, tree._root_data()[3]))
     t2 = lfun.scale(Fraction(1, 3)).max_with(lo).min_with(D).max_with(zero)
     return t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3)
 
@@ -388,44 +414,41 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
     r - min(d(p, u), d(p, v)))`` with ``a = psi(u)``, ``b = psi(v)`` (past
     the radius sphere the tent runs through the sphere point, where psi is
     0 as scanned).  Edges are refined in decreasing order of that cap, up to
-    the first whose cap does not exceed the sup found.
+    the first whose cap does not exceed the sup found.  A vertex's witness
+    triple is built only for an edge that is refined.
     """
     r = as_rat(r)
     if not tree.edges():
         return psi_at(tree, Vertex(tree.basepoint), r)
 
-    cache: dict[str, tuple[Fraction, tuple]] = {}
+    tree._reach_num()  # raises if a node is not connected to the basepoint
+    _, num, _, D = tree._root_data()
+    V = 3 * lcm(D, r.denominator)
+    k, rv = V // D, r.numerator * (V // r.denominator)
+    vals, makers = {}, {}
+    for node in tree.nodes():
+        if rv <= num[node] * k:
+            vals[node], makers[node] = 0, lambda key=Vertex(node): (key, key, key)
+        else:
+            vals[node], _, makers[node], _ = _psi_walk(tree, r, Vertex(node))
+    best = Fraction(max(vals.values()), V)
 
-    def eval_vertex(node: str):
-        got = cache.get(node)
-        if got is None:
-            key = Vertex(node)
-            if r <= tree.dist_to_basepoint(node):
-                got = (Fraction(0), (key, key, key))
-            else:
-                got = _psi_at(tree, r, key)[:2]
-            cache[node] = got
-        return got
-
-    best = max(eval_vertex(node)[0] for node in tree.nodes())
-
-    def cap(edge) -> Fraction:
-        u, v, length = edge
-        a, b = eval_vertex(u)[0], eval_vertex(v)[0]
-        near = min(tree.dist_to_basepoint(u), tree.dist_to_basepoint(v))
-        return min(min(a, b) + 2 * length, (a + b) / 2 + length, r - near)
+    def cap(edge) -> int:
+        """The cap on psi along the edge, over ``2 V``."""
+        u, v, _ = edge
+        a, b, length = vals[u], vals[v], abs(num[u] - num[v]) * k
+        near = min(num[u], num[v]) * k
+        return min(2 * min(a, b) + 4 * length, a + b + 2 * length, 2 * (rv - near))
 
     for bound_cap, (u, v, length) in sorted(
         ((cap(e), e) for e in tree.edges()), key=lambda item: item[0], reverse=True
     ):
-        if bound_cap <= best:
+        if bound_cap * best.denominator <= best.numerator * 2 * V:
             break  # no later edge can raise the sup either
-        zero = PL.const(Fraction(0), length, Fraction(0))
+        zero = _linear(tree, (u, v), 0, 0, 1)
         lfun = _reach_profile(tree, (u, v), r)
-        val_u, wit_u = eval_vertex(u)
-        val_v, wit_v = eval_vertex(v)
-        bound_pl = _certificate_profile(tree, (u, v), lfun, wit_u).min_with(
-            _certificate_profile(tree, (u, v), lfun, wit_v)
+        bound_pl = _certificate_profile(tree, (u, v), lfun, makers[u]()).min_with(
+            _certificate_profile(tree, (u, v), lfun, makers[v]())
         )
         # sliding families along the edge itself, in both directions
         for a, b in ((u, v), (v, u)):

@@ -18,9 +18,10 @@ naming that edge.
 
 All values are immutable after construction and every operation here is a
 pure function, so skeletons are safe to share across threads.  Internal
-caches (rooted data, sorted node and edge tuples, directional reach tables)
-are filled lazily with ``dict.setdefault``: each entry is written once, and
-every caller sees that one value.
+caches (rooted data, sorted node and edge tuples, directional reach tables
+as integers over ``D`` like the heights) are filled lazily with
+``dict.setdefault``: each entry is written once, and every caller sees that
+one value.
 """
 
 from __future__ import annotations
@@ -282,52 +283,42 @@ class TreeSkeleton:
 
     # -- directional reach (cached) ------------------------------------------
 
-    def directional_reach(self) -> dict[tuple[str, str], Fraction]:
+    def _reach_num(self) -> dict[tuple[str, str], int]:
         """For each directed edge ``(a, b)``: the farthest distance from ``a``
-        into the branch entered through ``b``."""
-        table = self._cache.get("reach")
+        into the branch entered through ``b``, as an integer over ``D``.  The
+        search inserts a node after its parent, so one pass from the leaves
+        fills every edge pointing down and one from the root every edge up."""
+        table = self._cache.get("reach_num")
         if table is None:
-            parent = self._root_data()[0]
+            parent, num, _, _ = self._root_data()
             if len(parent) != len(self._adj):
                 missing = min(set(self._adj) - set(parent))
                 raise SkeletonError(f"node {missing!r} not connected to the basepoint")
             table = {}
-            # iterative memoized DFS over directed edges
-            for a in self._adj:
-                for b in self._adj[a]:
-                    if (a, b) in table:
-                        continue
-                    stack = [(a, b)]
-                    while stack:
-                        x, y = stack[-1]
-                        if (x, y) in table:
-                            stack.pop()
-                            continue
-                        pending = [
-                            (y, z) for z in self._adj[y] if z != x and (y, z) not in table
-                        ]
-                        if pending:
-                            stack.extend(pending)
-                            continue
-                        best = Fraction(0)
-                        for z in self._adj[y]:
-                            if z != x:
-                                cand = table[(y, z)]
-                                if cand > best:
-                                    best = cand
-                        table[(x, y)] = self._adj[x][y] + best
-                        stack.pop()
-            table = self._cache.setdefault("reach", table)
+            order = [(parent[y], y) for y in parent if parent[y] is not None]
+            for x, y in reversed(order):
+                rest = (table[(y, z)] for z in self._adj[y] if z != x)
+                table[(x, y)] = num[y] - num[x] + max(rest, default=0)
+            for x, y in order:
+                rest = (table[(x, z)] for z in self._adj[x] if z != y)
+                table[(y, x)] = num[y] - num[x] + max(rest, default=0)
+            table = self._cache.setdefault("reach_num", table)
         return table
+
+    def directional_reach(self) -> dict[tuple[str, str], Fraction]:
+        """For each directed edge ``(a, b)``: the farthest distance from ``a``
+        into the branch entered through ``b``."""
+        den = self._root_data()[3]
+        return {key: Fraction(n, den) for key, n in self._reach_num().items()}
 
     def reaches_at(self, node: str, exclude: Iterable[str] = ()) -> list[Fraction]:
         """Sorted (descending) reaches of the branches at ``node``, skipping
         the directions listed in ``exclude``."""
-        table = self.directional_reach()
+        table, den = self._reach_num(), self._root_data()[3]
         skip = set(exclude)
         vals = [table[(node, nbr)] for nbr in self._adj[node] if nbr not in skip]
         vals.sort(reverse=True)
-        return vals
+        return [Fraction(n, den) for n in vals]
 
 
 # -- point normalization ----------------------------------------------------

@@ -110,7 +110,7 @@ def test_type_dist_empty_context(capsys):
 
 
 def test_type_dist_empty_context_checks_offsets(capsys):
-    # the same check, message and exit code as for descriptor files
+    # the descriptor check, reported as an error line with exit code 1
     code, out, err = run(
         capsys, "type", "dist", "--ctx", "empty", "--s", "3", "--t", "1", "--radius", "1"
     )
@@ -416,6 +416,20 @@ def test_type_eq_and_principal_validate_descriptors(tmp_path, capsys):
         assert run(capsys, *argv) == (1, "", violation)
     assert run(capsys, "type", "eq", "--q1", good, "--q2", good) == (0, "equal\n", "")
     assert run(capsys, "type", "principal", "--descriptor", good) == (0, "principal\n", "")
+
+
+def test_type_dist_validates_descriptors(tmp_path, capsys):
+    # the same check, message and exit code as ``type eq``, before either path
+    _write(tmp_path, "dot.tree", DOT_TEXT)
+    bad = _write(tmp_path, "bad.desc", _descriptor_text([3], {}))
+    good = _write(tmp_path, "good.desc", _descriptor_text([1], {}))
+    violation = "violation=offset_bound detail=offset s_1=3 outside [0, 2]\n"
+    for pair in ((bad, good), (good, bad)):
+        argv = ["type", "dist", "--q1", pair[0], "--q2", pair[1]]
+        assert run(capsys, *argv) == (1, "", violation)
+        assert run(capsys, *argv, "--exact") == (1, "", violation)
+        assert run(capsys, "type", "eq", *argv[2:]) == (1, "", violation)
+    assert run(capsys, "type", "dist", "--q1", good, "--q2", good, "--exact") == (0, "0\n", "")
 
 
 def test_point_lists_reject_empty_names_but_allow_repeats(tripod_file, capsys):

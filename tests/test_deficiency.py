@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import reduce
 
 from rtrees import (
+    EdgePoint,
     GlueSpec,
     TreeSkeleton,
     Vertex,
@@ -13,6 +14,7 @@ from rtrees import (
     normalize_point,
     parse_formula,
     point_on_edge,
+    point_on_segment,
     psi_at,
     psi_grid_oracle,
     random_tree,
@@ -31,6 +33,7 @@ from rtrees.deficiency import (
     psi_objective,
 )
 from rtrees.pl import PL, distance_profile
+from rtrees.cli import main
 from conftest import random_corpus, rng_for, tree_grid
 
 
@@ -437,3 +440,205 @@ def test_distance_profile_matches_distance():
                     assert (ys[i] + ys[i + 1]) / 2 == want, (u, v, q, mid)
                 checked += 1
     assert checked > 1000
+
+
+# -- the Fraction walk that the integer walk replaced, kept as a reference -----
+
+
+def _ref_g(t, reach, l):
+    return max(t - l, l - t - reach, Fraction(0))
+
+
+def _ref_leaving(tree, x):
+    table = tree.directional_reach()
+    if isinstance(x, Vertex):
+        return [
+            (table[(x.node, nb)], (nb, tree.edge_length(x.node, nb), x.node))
+            for nb in tree.neighbors(x.node)
+        ]
+    rest = tree.edge_length(x.u, x.v) - x.offset
+    return [
+        (table[(x.v, x.u)] - rest, (x.u, x.offset, x.v)),
+        (table[(x.u, x.v)] - x.offset, (x.v, rest, x.u)),
+    ]
+
+
+def _ref_top(leaving, k):
+    pairs = sorted(leaving, reverse=True)[:k]
+    vals = [p[0] for p in pairs] + [Fraction(0)] * k
+    dirs = [p[1] for p in pairs] + [None] * k
+    return vals[:k], dirs[:k]
+
+
+def _ref_descend(tree, x, direction, depth):
+    if depth == 0 or direction is None:
+        return x
+    table = tree.directional_reach()
+    nxt, length, cur = direction
+    rem = depth
+    while rem > length:
+        rem -= length
+        best = None
+        for z in tree.neighbors(nxt):
+            if z != cur and (best is None or table[(nxt, z)] > best[0]):
+                best = (table[(nxt, z)], z)
+        cur, nxt = nxt, best[1]
+        length = tree.edge_length(cur, nxt)
+    return normalize_point(tree, EdgePoint(nxt, cur, length - rem))
+
+
+def _ref_psi_at(tree, r, x):
+    """``_psi_at`` as it was before its walk moved to integers: Fractions
+    throughout, and the edge term as the leftmost argmin of an envelope."""
+    zero = Fraction(0)
+    l = r - distance(tree, x, Vertex(tree.basepoint))
+    if l == 0:
+        return zero, (x, x, x), None
+
+    def inner_witness(desc):
+        if desc[0] == "free":
+            _, t2, c2ref = desc
+            return point_on_segment(tree, x, c2ref, min(l, t2))
+        _, start, t1, direction, reach = desc
+        return _ref_descend(tree, start, direction, min(max(l - t1, zero), reach))
+
+    leave0 = _ref_leaving(tree, x)
+    vals0, dirs0 = _ref_top(leave0, 3)
+    best = [_ref_g(zero, vals0[2], l), None, None]
+    best[1] = lambda: tuple(
+        _ref_descend(tree, x, dirs0[i], min(l, vals0[i])) for i in range(3)
+    )
+
+    def consider(val, maker, host=None):
+        if val < best[0]:
+            best[:] = [val, maker, host]
+
+    def edge_interior(start, direction, ta, c_in, c_in_desc):
+        if 2 * ta >= best[0]:
+            return
+        b, L, a = direction
+        (H,), (h_dir,) = _ref_top([p for p in _ref_leaving(tree, Vertex(b)) if p[1][0] != a], 1)
+        c3 = l - ta - L - H
+        envelope = PL((zero, L), (2 * ta, 2 * (ta + L))).max_with(
+            PL((zero, L), (l - ta, l - ta - L))
+        ).max_with(PL.const(zero, L, c3))
+        val, s = envelope.argmin()
+        if val >= best[0]:
+            return
+        t2 = ta + s
+
+        def maker():
+            c2ref = normalize_point(tree, EdgePoint(b, a, L - s))
+            u1 = min(max(l - t2, zero), (L - s) + H)
+            if u1 <= L - s:
+                y1 = normalize_point(tree, EdgePoint(b, a, L - s - u1))
+            else:
+                y1 = _ref_descend(tree, Vertex(b), h_dir, u1 - (L - s))
+            if c_in <= max(l - t2, zero):
+                y3 = inner_witness(c_in_desc)
+            else:
+                y3 = inner_witness(("free", t2, c2ref))
+            return (y1, c2ref, y3)
+
+        consider(val, maker, host=(a, b) if start == Vertex(a) else None)
+
+    stack = []
+
+    def step(start, direction, ta, in_val, in_desc):
+        edge_interior(start, direction, ta, in_val, in_desc)
+        b, L, a = direction
+        stack.append((b, a, ta + L, in_val, in_desc))
+
+    for _reach, d in leave0:
+        i = 1 if dirs0[0] == d else 0
+        step(x, d, zero, _ref_g(zero, vals0[i], l), ("branch", x, zero, dirs0[i], vals0[i]))
+
+    while stack:
+        c2, parent, t2, in_val, in_desc = stack.pop()
+        if 2 * t2 >= best[0]:
+            continue
+        C2 = Vertex(c2)
+        leave = [p for p in _ref_leaving(tree, C2) if p[1][0] != parent]
+        vals, dirs = _ref_top(leave, 3)
+        free_val = max(l - t2, zero)
+        third_val = _ref_g(t2, vals[2], l)
+        F = max(2 * t2, _ref_g(t2, vals[1], l), min(in_val, free_val, third_val))
+
+        def vertex_maker(C2=C2, t2=t2, vals=vals, dirs=dirs, in_val=in_val,
+                         in_desc=in_desc, free_val=free_val, third_val=third_val):
+            depth = max(l - t2, zero)
+            y1 = _ref_descend(tree, C2, dirs[0], min(depth, vals[0]))
+            y2 = _ref_descend(tree, C2, dirs[1], min(depth, vals[1]))
+            m = min(in_val, free_val, third_val)
+            if third_val == m:
+                y3 = inner_witness(("branch", C2, t2, dirs[2], vals[2]))
+            elif in_val == m:
+                y3 = inner_witness(in_desc)
+            else:
+                y3 = inner_witness(("free", t2, C2))
+            return (y1, y2, y3)
+
+        consider(F, vertex_maker)
+
+        for _reach, d in leave:
+            i = 1 if dirs[0] == d else 0
+            branch_val = _ref_g(t2, vals[i], l)
+            if branch_val < in_val:
+                step(C2, d, t2, branch_val, ("branch", C2, t2, dirs[i], vals[i]))
+            else:
+                step(C2, d, t2, in_val, in_desc)
+
+    return best[0], best[1](), best[2]
+
+
+WALK_RADII = (Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(5, 2))
+
+
+def _walk_cases():
+    """The nine workload-shaped extensions and 40 seeded random trees, each
+    with every vertex and two edge points per edge (one at an offset over a
+    prime that divides neither ``D`` nor the radius's denominator) that lie
+    within each radius."""
+    rng = rng_for("psi-walk")
+    trees = [
+        rb_extend(base, R, k)
+        for base in (tripod(1, 1, 1), segment(2), random_tree(7, max_nodes=5))
+        for k in (2, 3, 4)
+    ]
+    trees += random_corpus("psi-walk", 40, max_nodes=8)
+    for tree in trees:
+        pts = [Vertex(n) for n in tree.nodes()]
+        for u, v, length in tree.edges():
+            pts.append(point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, 7), 7)))
+            pts.append(point_on_edge(tree, u, v, _coprime_offset(rng, tree, length)))
+        depth = {x: distance(tree, x, Vertex(tree.basepoint)) for x in pts}
+        for r in WALK_RADII:
+            yield tree, r, [x for x in pts if depth[x] <= r]
+
+
+def test_integer_walk_equals_fraction_walk():
+    checked = 0
+    for tree, r, pts in _walk_cases():
+        for x in pts:
+            want = _ref_psi_at(tree, r, x)
+            assert _psi_at(tree, r, x) == want, (tree.edges(), r, x)
+            assert psi_at(tree, x, r) == want[0]
+            checked += 1
+    assert checked > 3000
+
+
+def test_psi_at_builds_no_witness(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("psi_at built a witness")
+
+    monkeypatch.setattr(deficiency, "_descend", refuse)
+    tree = rb_extend(tripod(1, 1, 1), R, 2)
+    for x in tree_grid(tree, 3):
+        psi_at(tree, x, R)
+    path = tmp_path / "t.tree"
+    path.write_text(
+        "radius 2\nnode p basepoint\nnode y\nnode a\nnode b\n"
+        "edge p y 1\nedge y a 1\nedge y b 1\npoint m edge p y 1/2\n"
+    )
+    assert main(["psi", "--tree", str(path), "--at", "m"]) == 0
+    assert capsys.readouterr().out == "1\n"

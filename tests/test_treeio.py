@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtrees import EdgePoint, Vertex
+from rtrees import EdgePoint, TreeSkeleton, Vertex, random_point, random_tree, tree_to_matrix
 from rtrees.treeio import (
     FormatError,
     parse_descriptor_text,
@@ -126,3 +128,43 @@ def test_negative_radius_is_rejected_with_its_line(tmp_path):
     assert err.value.line == 2
     body[0] = "radius 0"
     assert parse_descriptor_text(_descriptor(*body), str(tmp_path))[1] == 0
+
+
+ROUND_TRIPS = settings(max_examples=60, deadline=None, derandomize=True)
+NAMES = st.text(alphabet="abcxyz019_=#", min_size=1, max_size=4)
+RADII = st.fractions(min_value=0, max_value=5, max_denominator=12)
+
+
+def _labelled_tree(seed, names):
+    """``random_tree(seed)`` with the given names spread over its nodes as
+    labels, and named points at its vertices and inside its edges."""
+    rng = random.Random(seed)
+    base = random_tree(seed, max_nodes=7)
+    labels = {}
+    for name in names:
+        labels.setdefault(rng.choice(base.nodes()), []).append(name)
+    tree = TreeSkeleton(base.basepoint, base.edges(), labels, extra_nodes=base.nodes())
+    points = {f"q{i}": random_point(rng, tree) for i in range(rng.randrange(6))}
+    return tree, points
+
+
+@ROUND_TRIPS
+@given(st.integers(0, 10**6), st.lists(NAMES, max_size=6), RADII)
+def test_tree_text_round_trip(seed, names, radius):
+    tree, points = _labelled_tree(seed, names)
+    text = serialize_tree(tree, radius, points)
+    doc = parse_tree(text)
+    assert (doc.tree, doc.radius, doc.points) == (tree, radius, points)
+    assert serialize_tree(doc.tree, doc.radius, doc.points) == text
+
+
+@ROUND_TRIPS
+@given(st.integers(0, 10**6))
+def test_matrix_text_round_trip(seed):
+    tree, points = _labelled_tree(seed, [])
+    pts = [Vertex(n) for n in tree.nodes()] + list(points.values())
+    m = tree_to_matrix(tree, pts)
+    text = serialize_matrix_text(m.labels, m.entries)
+    labels, entries = parse_matrix_text(text)
+    assert (labels, tuple(tuple(row) for row in entries)) == (m.labels, m.entries)
+    assert serialize_matrix_text(labels, entries) == text
