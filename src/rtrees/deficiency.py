@@ -26,17 +26,14 @@ that carries the best inner option along the path.  For ``c2`` at offset
 ``s`` into an edge of length ``L`` that starts at distance ``ta`` from
 ``x``, every term but a constant ``c3`` (the deep witness through the far
 end) is at most ``max(2 t2, l - t2)``, so the objective is
-``max(2 (ta + s), l - ta - s, c3)``.  The max of its first two terms is
-convex and least only at ``s*``, the clamp of ``(l - 3 ta) / 3`` to
-``[0, L]``, with value ``m``; so the best split on the edge is ``s*`` if
-``c3 < m``, else the first ``s`` with ``l - ta - s <= c3``, that is
-``max(0, l - ta - c3)``, at value ``c3``.  Every configuration costs at
-least the cross term ``2 t2``, which only grows along the walk, so the
-walk stops below a split, and skips an edge, once ``2 t2`` reaches the
-best value found.  A point inside an edge is evaluated in place as a
-degree-2 vertex: its two reaches come from the reach table of the edge's
-endpoints, and the walk, its witnesses and the host edge stay in the
-given tree, which is never copied.
+``max(2 (ta + s), l - ta - s, c3)``, least at ``s*``, the clamp of
+``(l - 3 ta) / 3`` to ``[0, L]``, with the edge term below as its value.
+Every configuration costs at least the cross term ``2 t2``, which only
+grows along the walk, so the walk stops below a split, and skips an edge,
+once ``2 t2`` reaches the best value found.  A point inside an edge is
+evaluated in place as a degree-2 vertex: its two reaches come from the
+reach table of the edge's endpoints, and the walk and its witnesses stay
+in the given tree, which is never copied.
 
 The walk runs on integers over one denominator ``den = 3 lcm(D q, r_d)``:
 ``D`` is the skeleton's height denominator, ``q`` that of ``x``'s offset
@@ -50,21 +47,48 @@ infimum restricted to witness triples on a finite grid.  It never
 undercuts the exact value and exceeds it by at most ``2 * mesh``.
 
 ``rb_deficiency`` computes sup_x psi(x) exactly.  Vertices are scanned
-directly.  On each open edge, the objective of a concrete witness triple
-is a piecewise-linear function of the offset that bounds psi from above
-everywhere; starting from the endpoint triples, edges are refined at the
-argmax of the current bound until the bound matches the best exact sample.
-Edges are visited in decreasing order of a cap on psi, and the scan stops
-at the first edge whose cap does not beat the sup: every witness objective
-is 2-Lipschitz in ``x``, so psi is, and the triple ``(x, x, x)`` gives
-``psi(x) <= l``; so psi on an edge is at most the 2-Lipschitz tent over its
-endpoint values and at most ``r`` minus its nearer endpoint's depth.
+directly.  Edges are visited in decreasing order of a cap on psi, and the
+scan stops at the first edge whose cap does not beat the sup: every witness
+objective is 2-Lipschitz in ``x``, so psi is, and the triple ``(x, x, x)``
+gives ``psi(x) <= l``; so psi on an edge is at most the 2-Lipschitz tent
+over its endpoint values and at most ``r`` minus its nearer endpoint's
+depth.  On a visited edge the walk runs once for all its points.  At offset
+``z``, ``l``, every ``t_i`` and the two reaches at ``x`` are linear in
+``z``, and the walk meets the same configurations for every ``z``; so psi
+on the edge is their lower envelope, of near-linear size (Sharir and
+Agarwal, *Davenport-Schinzel Sequences*, 1995).  Its domain is the offsets
+with ``l >= 0``: an edge that crosses the radius sphere is cut at the
+sphere point, and one wholly past it is skipped.  There three identities
+make every configuration a max or min of lines in ``z``:
+
+* Edge term: ``min over s in [0, L] of max(2 (ta + s), l - ta - s) =
+  max(2 ta, 2 l / 3, l - ta - L)``.  The two lines cross at ``s*``, at
+  ``2 l / 3``.  If ``0 <= s* <= L`` the min is ``2 l / 3``, and ``s* >= 0``
+  gives ``2 ta <= 2 l / 3``, ``s* <= L`` gives ``l - ta - L <= 2 l / 3``.
+  If ``s* < 0`` it is ``2 ta``, at ``s = 0``, above ``2 l / 3`` and
+  ``l - ta``; if ``s* > L`` it is ``l - ta - L``, at ``s = L``, above
+  ``2 l / 3`` and ``2 (ta + L)``.  The deep-branch constant
+  ``c3 = l - ta - L - H <= l - ta - L`` never exceeds it, and equals it
+  only when ``H = 0`` and ``s* >= L``, so it moves neither value nor split.
+* Branch terms: each ``g(t, R, l) = max(t - l, l - t - R, 0)`` has
+  ``t <= t2`` and sits under ``max(2 t2, .)``, directly or through a min.
+  Max distributes over min, and ``max(t - l, 0) <= 2 t2`` for ``l >= 0``,
+  so only ``l - t - R`` matters.
+* Vertex config: with ``v0 >= v1 >= v2`` the reaches off the path at ``c2``
+  (0 where missing), ``min(free, third) = max(l - t2 - v2, 0)``, as both
+  are 0 for ``t2 >= l`` and else ``third = max(l - t2 - v2, 0) <= l - t2 =
+  free``.  So ``F = max(2 t2, l - t2 - v1, min(in, l - t2 - v2))``, with
+  ``in`` the min of the path's terms ``l - t1 - R``.
+
+As in the walk, a vertex or edge is cut where ``2 t2`` is at least the
+envelope at every offset, and the walk stops once the envelope, which only
+falls, is at most the sup found; so the envelope is psi wherever psi
+exceeds that sup.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from typing import Optional
 
@@ -74,15 +98,13 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
-    _meet,
     _rooted,
     distance,
     grid_points,
     normalize_point,
-    point_on_edge,
     point_on_segment,
 )
-from .pl import PL, _pl, distance_profile
+from .pl import PL, _pl
 
 
 def _g(t: int, reach: int, l: int) -> int:
@@ -94,6 +116,19 @@ def _top(leaving, k: int):
     """The ``k`` largest reaches with their directions, padded with 0 and None."""
     pairs = (sorted(leaving, reverse=True) + [(0, None)] * k)[:k]
     return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _leaving(tree: TreeSkeleton, node: str, skip: Optional[str], scale: int):
+    """``(reach, direction)`` for every direction leaving a vertex but
+    ``skip``, over ``scale`` times the skeleton's height denominator; a
+    direction is ``(next node, distance to it, node)``."""
+    table, num = tree._reach_num(), tree._root_data()[1]
+    hn = num[node]
+    return [
+        (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
+        for nb in tree.neighbors(node)
+        if nb != skip
+    ]
 
 
 def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -> PointRef:
@@ -119,12 +154,8 @@ def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -
 
 
 def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
-    """Exact psi at a normalized point as ``(n, den, maker, host)``: the value
-    is ``n / den``, and ``maker()`` builds an optimal witness triple.
-
-    The host edge is ``(a, b)`` (``a`` nearer ``x``) when the optimum is
-    attained with the outer split strictly inside that tree edge, else None.
-    """
+    """Exact psi at a normalized point as ``(n, den, maker)``: the value is
+    ``n / den``, and ``maker()`` builds an optimal witness triple."""
     parent, num, _, D = tree._root_data()
     _, h, hd = _rooted(parent, num, D, x)
     den = 3 * lcm(hd, r.denominator)
@@ -132,19 +163,9 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
     if l < 0:
         raise ValueError("point lies outside the radius bound")
     if l == 0:
-        return 0, den, lambda: (x, x, x), None
+        return 0, den, lambda: (x, x, x)
     table = tree._reach_num()
     scale = den // D
-
-    def leaving(node: str, skip: Optional[str] = None):
-        """``(reach, direction)`` for every direction leaving a vertex but
-        ``skip``; a direction is ``(next node, distance to it, node)``."""
-        hn = num[node]
-        return [
-            (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
-            for nb in tree.neighbors(node)
-            if nb != skip
-        ]
 
     def inner_witness(desc):
         if desc[0] == "free":
@@ -156,7 +177,7 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
     # config c2 = x: witnesses into the three deepest branches at x itself; an
     # edge point is a degree-2 vertex with reaches read off its edge's ends
     if isinstance(x, Vertex):
-        leave0 = leaving(x.node)
+        leave0 = _leaving(tree, x.node, None, scale)
     else:
         off = x.offset.numerator * (den // x.offset.denominator)
         rest = abs(num[x.u] - num[x.v]) * scale - off
@@ -171,38 +192,33 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
         return tuple(_descend(tree, x, dirs0[i], min(l, vals0[i]), den) for i in range(3))
 
     best_maker = root_witnesses
-    best_host: Optional[tuple[str, str]] = None
 
-    def consider(val, maker, host=None):
-        nonlocal best_val, best_maker, best_host
+    def consider(val, maker):
+        nonlocal best_val, best_maker
         if val < best_val:
-            best_val, best_maker, best_host = val, maker, host
+            best_val, best_maker = val, maker
 
     # depth-first walk over vertex positions of the outer split, carrying the
     # best inner (third-witness) option found along the path from x
     stack = []
 
-    def step(start: PointRef, direction, ta: int, c_in: int, c_in_desc):
-        """Push the far end of the segment that leaves ``start`` (at distance
-        ``ta`` from x) in the given direction, and consider the configs with
+    def step(direction, ta: int, c_in: int, c_in_desc):
+        """Push the far end of the segment that leaves a point at distance
+        ``ta`` from x in the given direction, and consider the configs with
         the outer split strictly inside it."""
         if 2 * ta >= best_val:
             return  # the cross term alone rules out an improvement below
         b, L, a = direction
-        far = leaving(b, a)
+        far = _leaving(tree, b, a, scale)
         stack.append((b, far, ta + L, c_in, c_in_desc))
-        (H,), (h_dir,) = _top(far, 1)
-        c3 = l - ta - L - H  # constant deep-branch term through the far end
-        # the closed-form edge term of the module docstring
-        s = min(max((l - 3 * ta) // 3, 0), L)
-        val = max(2 * (ta + s), l - ta - s)
-        if c3 >= val:
-            val, s = c3, max(0, l - ta - c3)
+        val = max(2 * ta, 2 * l // 3, l - ta - L)  # the edge term
         if val >= best_val:
             return
-        t2 = ta + s
 
         def maker():
+            (H,), (h_dir,) = _top(far, 1)  # the deep witness goes through b
+            s = min(max((l - 3 * ta) // 3, 0), L)
+            t2 = ta + s
             c2ref = normalize_point(tree, EdgePoint(b, a, Fraction(L - s, den)))
             u1 = min(max(l - t2, 0), (L - s) + H)
             if u1 <= L - s:
@@ -212,11 +228,11 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
             y3 = inner_witness(c_in_desc if c_in <= max(l - t2, 0) else ("free", t2, c2ref))
             return (y1, c2ref, y3)
 
-        consider(val, maker, host=(a, b) if start == Vertex(a) else None)
+        consider(val, maker)
 
     for _reach, d in leave0:
         i = 1 if dirs0[0] == d else 0  # the deepest other branch at x
-        step(x, d, 0, _g(0, vals0[i], l), ("branch", x, 0, dirs0[i], vals0[i]))
+        step(d, 0, _g(0, vals0[i], l), ("branch", x, 0, dirs0[i], vals0[i]))
 
     while stack:
         c2, leave, t2, in_val, in_desc = stack.pop()
@@ -248,17 +264,11 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
             i = 1 if dirs[0] == d else 0  # the deepest branch off the path
             branch_val = _g(t2, vals[i], l)
             if branch_val < in_val:
-                step(C2, d, t2, branch_val, ("branch", C2, t2, dirs[i], vals[i]))
+                step(d, t2, branch_val, ("branch", C2, t2, dirs[i], vals[i]))
             else:
-                step(C2, d, t2, in_val, in_desc)
+                step(d, t2, in_val, in_desc)
 
-    return best_val, den, best_maker, best_host
-
-
-def _psi_at(tree: TreeSkeleton, r: Fraction, x: PointRef):
-    """Exact psi at a normalized point; returns (value, witness triple, host)."""
-    n, den, maker, host = _psi_walk(tree, r, x)
-    return Fraction(n, den), maker(), host
+    return best_val, den, best_maker
 
 
 def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
@@ -268,8 +278,8 @@ def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
 
 def psi_at_with_witness(tree: TreeSkeleton, x: PointRef, r):
     """Exact psi plus an optimal witness triple (points of the given tree)."""
-    val, wits, _host = _psi_at(tree, as_rat(r), normalize_point(tree, x))
-    return val, wits
+    n, den, maker = _psi_walk(tree, as_rat(r), normalize_point(tree, x))
+    return Fraction(n, den), maker()
 
 
 def psi_objective(tree: TreeSkeleton, x: PointRef, r, witnesses) -> Fraction:
@@ -341,81 +351,79 @@ def psi_grid_oracle(tree: TreeSkeleton, x: PointRef, r, mesh) -> Fraction:
 # -- exact supremum over the whole tree -------------------------------------------
 
 
-def _linear(tree: TreeSkeleton, edge, n0: int, n1: int, d: int) -> PL:
-    """The linear function from ``n0 / d`` at the edge's first endpoint to
-    ``n1 / d`` at its second, the edge's length read off the integer heights."""
-    _, num, _, D = tree._root_data()
-    e = lcm(D, d)
-    ln = abs(num[edge[0]] - num[edge[1]]) * (e // D)
-    return _pl(e, (0, ln), (n0 * (e // d), n1 * (e // d)))
-
-
-def _reach_profile(tree: TreeSkeleton, edge, r: Fraction) -> PL:
-    """``l = r - d(p, x)`` as a PL function of the edge offset; the edge
-    joins a node to its parent, so ``d(p, x)`` is linear along it."""
-    _, num, _, D = tree._root_data()
-    rn, q = r.numerator * D, r.denominator
-    return _linear(tree, edge, rn - num[edge[0]] * q, rn - num[edge[1]] * q, D * q)
-
-
-def _certificate_profile(tree: TreeSkeleton, edge, lfun: PL, witnesses) -> PL:
-    """Objective of a fixed witness triple as a PL function of the edge
-    offset, given the edge's reach profile ``lfun``; a valid upper bound for
-    psi along the whole edge."""
-    witnesses = [normalize_point(tree, w) for w in witnesses]
-    profs = [distance_profile(tree, edge, w) for w in witnesses]
-    terms = [abs(prof.sub(lfun)) for prof in profs]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        _, hi, _, hj, m, d = _meet(tree, witnesses[i], witnesses[j])
-        dij = hi + hj - 2 * m
-        terms.append(profs[i].add(profs[j]).sub(_linear(tree, edge, dij, dij, d)))
-    return reduce(PL.max_with, terms)
-
-
-def _family_certificate(tree: TreeSkeleton, edge, lfun: PL, a: str, b: str, lo: PL) -> PL:
-    """Exact value, along the edge, of the config family whose outer split
-    slides toward ``b`` over a host ray that ends with the tree edge
-    ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``;
-    ``lfun`` is the edge's reach profile ``l = r - d(p, x)``.
-
-    For a sliding split at distance ``t2`` the best objective is
-    ``phi(t2) = max(2 t2, |t2 - l|, c3)`` with ``c3 = l - D - H`` (deep
-    witness through ``b`` into its largest reach ``H`` away from ``a``,
-    second witness at the split, third on the path).  At a fixed edge
-    offset ``phi`` is convex in ``t2`` and ``c3`` does not depend on it,
-    so its minimum over ``[lo, D]`` is at the clamp of its minimizer: for
-    ``l >= 0`` that is ``l/3``, where ``2 t2 = l - t2``; for ``l < 0``
-    ``phi`` is nondecreasing on ``t2 >= 0`` and ``l/3`` clamps to
-    ``lo >= 0``.  So the family's value at every offset is ``phi`` at
-    ``l/3`` clamped by ``max(lo)``, ``min(D)``, ``max(0)`` in that order
-    (if ``lo > D`` every split clamps to ``D``).  The result upper-bounds
-    psi everywhere on the edge and captures the fractional-slope envelope
-    pieces that frozen witness triples cannot.
-    """
-    zero = _linear(tree, edge, 0, 0, 1)
-    D = distance_profile(tree, edge, Vertex(b))
+def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
+    """psi along the edge ``u``-``v`` as a ``PL`` of the offset from ``u``,
+    over the offsets with ``l >= 0``, or None if there are none: the lower
+    envelope of ``_psi_walk``'s configurations for every point of the edge at
+    once (see the module docstring).  Walking stops once the envelope is at
+    most ``best``, so the result is psi wherever psi exceeds ``best``."""
+    parent, num, _, D = tree._root_data()
     table = tree._reach_num()
-    H = max((table[(b, z)] for z in tree.neighbors(b) if z != a), default=0)
-    c3 = lfun.sub(D).sub(_linear(tree, edge, H, H, tree._root_data()[3]))
-    t2 = lfun.scale(Fraction(1, 3)).max_with(lo).min_with(D).max_with(zero)
-    return t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3)
+    den = 3 * lcm(D, r.denominator)
+    scale = den // D
+    length = abs(num[u] - num[v]) * scale
+    l0 = r.numerator * (den // r.denominator) - num[u] * scale  # l at u
+    sl = -1 if parent.get(v) == u else 1  # l = l0 + sl * offset
+    lo, hi = (0, min(length, l0)) if sl < 0 else (max(0, -l0), length)
+    if lo >= hi:
+        return None
+
+    # a distance from x is ``(c, s)``: ``c + s * offset``, over den
+    def line(c: int, s: int) -> PL:
+        return _pl(den, (lo, hi), (c + s * lo, c + s * hi))
+
+    def cut(c: int, s: int) -> bool:
+        """Whether the line ``2 (c, s)`` is at least the envelope at its breakpoints."""
+        d = env.d
+        return all(2 * (c * d + s * x * den) >= y * den for x, y in zip(env.xn, env.yn))
+
+    two_l3 = _pl(den, (lo, hi), (2 * (l0 + sl * lo) // 3, 2 * (l0 + sl * hi) // 3))
+
+    def edge_term(ta, tb) -> PL:
+        """The edge term for an edge from distance ``ta`` to ``tb``."""
+        return line(2 * ta[0], 2 * ta[1]).max_with(two_l3).max_with(line(l0 - tb[0], sl - tb[1]))
+
+    # c2 = x, where the third reach is 0, and the half-edges at x, each with
+    # the other one's reach as the inner option; 2 t2 = 0 cuts neither
+    env = line(l0, sl).min_with(edge_term((0, 0), (0, 1)))
+    env = env.min_with(edge_term((0, 0), (length, -1)))
+    stack = [
+        (u, v, (0, 1), line(l0 - table[(u, v)] * scale, sl + 1)),
+        (v, u, (length, -1), line(l0 - table[(v, u)] * scale + length, sl - 1)),
+    ]
+    while stack and max(env.yn) * best.denominator > best.numerator * env.d:
+        b, a, t2, inner = stack.pop()
+        if cut(*t2):
+            continue
+        leave = _leaving(tree, b, a, scale)
+        vals, dirs = _top(leave, 3)
+        c, s = l0 - t2[0], sl - t2[1]  # l - t2; a branch term is l - t2 - R
+        config = inner.min_with(line(c - vals[2], s)).max_with(line(2 * t2[0], 2 * t2[1]))
+        env = env.min_with(config.max_with(line(c - vals[1], s)))
+        inners = {}
+        for _reach, d in leave:
+            if cut(*t2):
+                break  # 2 t2 bounds every config on and below the edges left
+            i = 1 if dirs[0] == d else 0  # the deepest branch off the path
+            if i not in inners:
+                inners[i] = inner.min_with(line(c - vals[i], s))
+            tb = (t2[0] + d[1], t2[1])
+            stack.append((d[0], b, tb, inners[i]))
+            env = env.min_with(edge_term(t2, tb))
+    return env
 
 
-def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) -> Fraction:
+def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     """Exact sup of psi over the induced real tree.
 
-    Vertices are scanned directly.  On each edge, an upper envelope made of
-    witness-triple certificates and sliding-split family certificates is
-    refined at its argmax until it matches the best exact sample.
-
-    Every witness objective is 2-Lipschitz in ``x``, so psi is, and the
-    triple ``(x, x, x)`` gives ``psi(x) <= l(x)``.  So on an edge ``u``-``v``
-    of length ``L``, psi is at most ``min(a + 2L, b + 2L, (a + b)/2 + L,
-    r - min(d(p, u), d(p, v)))`` with ``a = psi(u)``, ``b = psi(v)`` (past
-    the radius sphere the tent runs through the sphere point, where psi is
-    0 as scanned).  Edges are refined in decreasing order of that cap, up to
-    the first whose cap does not exceed the sup found.  A vertex's witness
-    triple is built only for an edge that is refined.
+    Vertices are scanned directly.  On an edge ``u``-``v`` of length ``L``
+    psi is at most ``min(a + 2L, b + 2L, (a + b)/2 + L, r - min(d(p, u),
+    d(p, v)))`` with ``a = psi(u)``, ``b = psi(v)`` (past the radius sphere
+    the tent runs through the sphere point, where psi is 0 as scanned).
+    Edges are visited in decreasing order of that cap until it no longer
+    beats the sup found.  On a visited edge psi is one exact lower envelope
+    over the offsets with ``l >= 0``, made of lines by the three identities
+    of the module docstring (``_edge_sup``); its max is the edge's sup.
     """
     r = as_rat(r)
     if not tree.edges():
@@ -425,12 +433,10 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
     _, num, _, D = tree._root_data()
     V = 3 * lcm(D, r.denominator)
     k, rv = V // D, r.numerator * (V // r.denominator)
-    vals, makers = {}, {}
-    for node in tree.nodes():
-        if rv <= num[node] * k:
-            vals[node], makers[node] = 0, lambda key=Vertex(node): (key, key, key)
-        else:
-            vals[node], _, makers[node], _ = _psi_walk(tree, r, Vertex(node))
+    vals = {
+        node: 0 if rv <= num[node] * k else _psi_walk(tree, r, Vertex(node))[0]
+        for node in tree.nodes()
+    }
     best = Fraction(max(vals.values()), V)
 
     def cap(edge) -> int:
@@ -440,43 +446,12 @@ def rb_deficiency(tree: TreeSkeleton, r, max_refinements_per_edge: int = 200) ->
         near = min(num[u], num[v]) * k
         return min(2 * min(a, b) + 4 * length, a + b + 2 * length, 2 * (rv - near))
 
-    for bound_cap, (u, v, length) in sorted(
+    for bound_cap, (u, v, _length) in sorted(
         ((cap(e), e) for e in tree.edges()), key=lambda item: item[0], reverse=True
     ):
         if bound_cap * best.denominator <= best.numerator * 2 * V:
             break  # no later edge can raise the sup either
-        zero = _linear(tree, (u, v), 0, 0, 1)
-        lfun = _reach_profile(tree, (u, v), r)
-        bound_pl = _certificate_profile(tree, (u, v), lfun, makers[u]()).min_with(
-            _certificate_profile(tree, (u, v), lfun, makers[v]())
-        )
-        # sliding families along the edge itself, in both directions
-        for a, b in ((u, v), (v, u)):
-            bound_pl = bound_pl.min_with(_family_certificate(tree, (u, v), lfun, a, b, zero))
-
-        seen_hosts: set[tuple[str, str]] = set()
-        steps = 0
-        while True:
-            bound, arg = bound_pl.argmax()
-            if bound <= best:
-                break
-            steps += 1
-            if steps > max_refinements_per_edge:
-                raise RuntimeError(
-                    f"deficiency refinement did not converge on edge {u}-{v}"
-                )
-            if arg <= 0 or arg >= length:
-                break  # endpoint bound equals an exact sample <= best
-            val, wits, host = _psi_at(tree, r, point_on_edge(tree, u, v, arg))
-            if val > best:
-                best = val
-            bound_pl = bound_pl.min_with(
-                _certificate_profile(tree, (u, v), lfun, wits)
-            )
-            if host is not None and host not in seen_hosts:
-                seen_hosts.add(host)
-                lo_pl = distance_profile(tree, (u, v), Vertex(host[0]))
-                bound_pl = bound_pl.min_with(
-                    _family_certificate(tree, (u, v), lfun, *host, lo_pl)
-                )
+        env = _edge_sup(tree, r, u, v, best)
+        if env is not None:
+            best = max(best, Fraction(max(env.yn), env.d))
     return best

@@ -13,7 +13,8 @@ height ``h / den`` on the arc from ``node`` up to its parent.  One
 common-ancestor loop gives the height at which two root arcs part, and one
 ancestor walk finds the point at a given height; a ``Fraction`` is built only
 for a result.  A skeleton whose search meets an edge off its spanning tree is
-not a tree, and every distance query on it raises :class:`SkeletonError`
+not a tree, and one whose search meets an edge of length at most 0 is not
+a metric tree; every distance query on either raises :class:`SkeletonError`
 naming that edge.
 
 All values are immutable after construction and every operation here is a
@@ -227,22 +228,26 @@ class TreeSkeleton:
     # -- rooted path data (cached) ------------------------------------------
 
     def _search(self):
-        """``(parent, num, depth, D, cycle)`` from one search of the
-        basepoint's component: ``num[x] / D`` is ``d(p, x)``, and ``cycle``
-        is the first edge met that is off the search's spanning tree, as
-        ``(from, to)``, or ``None``."""
+        """``(parent, num, depth, D, cycle, short)`` from one search of the
+        basepoint's component: ``num[x] / D`` is ``d(p, x)``, ``cycle`` is
+        the first edge met that is off the search's spanning tree, as
+        ``(from, to)``, and ``short`` the first spanning-tree edge met of
+        length at most 0, as ``(from, to, length)``; each is ``None`` if
+        there is none."""
         data = self._cache.get("root")
         if data is None:
             parent: dict[str, Optional[str]] = {self.basepoint: None}
             dist: dict[str, Fraction] = {self.basepoint: Fraction(0)}
             depth: dict[str, int] = {self.basepoint: 0}
-            cycle = None
+            cycle = short = None
             stack = [self.basepoint]
             while stack:
                 cur = stack.pop()
                 up = parent[cur]
                 for nbr, w in self._adj[cur].items():
                     if nbr not in parent:
+                        if w.numerator <= 0 and short is None:
+                            short = (cur, nbr, w)
                         parent[nbr] = cur
                         dist[nbr] = dist[cur] + w
                         depth[nbr] = depth[cur] + 1
@@ -251,19 +256,23 @@ class TreeSkeleton:
                         cycle = (cur, nbr)
             den = lcm(*(d.denominator for d in dist.values()))
             num = {x: d.numerator * (den // d.denominator) for x, d in dist.items()}
-            data = self._cache.setdefault("root", (parent, num, depth, den, cycle))
+            data = self._cache.setdefault("root", (parent, num, depth, den, cycle, short))
         return data
 
     def _root_data(self):
         """``(parent, num, depth, D)`` of the tree rooted at the basepoint;
-        raises :class:`SkeletonError` if the skeleton has a cycle there."""
+        raises :class:`SkeletonError` if the skeleton has a cycle or an edge
+        of length at most 0 there."""
         data = self._cache.get("rooted")
         if data is None:
-            parent, num, depth, den, cycle = self._search()
+            parent, num, depth, den, cycle, short = self._search()
             if cycle is not None:
                 raise SkeletonError(
                     f"edge {cycle[0]}-{cycle[1]} closes a cycle: the skeleton is not a tree"
                 )
+            if short is not None:
+                u, v = edge_key(short[0], short[1])
+                raise SkeletonError(f"edge {u}-{v} has length {format_rat(short[2])}")
             data = self._cache.setdefault("rooted", (parent, num, depth, den))
         return data
 
@@ -671,7 +680,7 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
             )
 
     # connectivity / acyclicity from the search of the basepoint's component
-    parent, _, _, _, cycle_witness = tree._search()
+    parent, num, _, den, cycle_witness, _ = tree._search()
     missing = sorted(set(tree.nodes()) - set(parent))
     if missing:
         violations.append(
@@ -696,7 +705,7 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
     if not missing and cycle_witness is None and n_edges == len(tree.nodes()) - 1:
         max_dist = Fraction(0)
         for node in tree.nodes():
-            d = tree.dist_to_basepoint(node)
+            d = Fraction(num[node], den)
             if d > max_dist:
                 max_dist = d
             if d > r:

@@ -61,6 +61,18 @@ def test_check_structural_failure(tmp_path, capsys):
     assert "non_positive_edge" in err
 
 
+@pytest.mark.parametrize("length", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv", [["matrix", "--points", "p,a"], ["psi"], ["eval", "--formula", "sup x. d(x,p)"]]
+)
+def test_non_positive_edge_is_an_error(tmp_path, capsys, length, argv):
+    path = tmp_path / "bad.tree"
+    path.write_text(f"radius 2\nnode p basepoint\nnode q\nnode a\nedge p q 1\nedge q a {length}\n")
+    code, out, err = run(capsys, *argv, "--tree", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: edge a-q has length {length}\n"
+
+
 def test_eval(tripod_file, capsys):
     code, out, _ = run(capsys, "eval", "--tree", tripod_file, "--formula", "sup x. d(x,p)")
     assert code == 0 and out.strip() == "2"

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from rtrees import (
     EdgePoint,
@@ -10,6 +11,7 @@ from rtrees import (
     distance,
     eval_quantified,
     glue_family,
+    k_star,
     materialize,
     normalize_point,
     parse_formula,
@@ -24,15 +26,9 @@ from rtrees import (
     tripod,
 )
 import rtrees.deficiency as deficiency
-from rtrees.deficiency import (
-    _certificate_profile,
-    _family_certificate,
-    _psi_at,
-    _reach_profile,
-    psi_at_with_witness,
-    psi_objective,
-)
-from rtrees.pl import PL, distance_profile
+from rtrees.deficiency import _edge_sup, psi_at_with_witness, psi_objective
+from rtrees.pl import PL, _pl, distance_profile
+from rtrees.skeleton import _meet
 from rtrees.cli import main
 from conftest import random_corpus, rng_for, tree_grid
 
@@ -222,6 +218,57 @@ def test_psi_witnesses_and_sup_unchanged():
     assert got == PSI_PIN_SHA256
 
 
+# -- the certificates of the refinement loop that rb_deficiency ran before its
+# -- exact envelope, kept as the reference the envelope must equal
+
+
+def _linear(tree, edge, n0, n1, d):
+    """The linear function from ``n0 / d`` at the edge's first endpoint to
+    ``n1 / d`` at its second, the edge's length read off the integer heights."""
+    _, num, _, D = tree._root_data()
+    e = lcm(D, d)
+    ln = abs(num[edge[0]] - num[edge[1]]) * (e // D)
+    return _pl(e, (0, ln), (n0 * (e // d), n1 * (e // d)))
+
+
+def _reach_profile(tree, edge, r):
+    """``l = r - d(p, x)`` as a PL function of the edge offset; the edge
+    joins a node to its parent, so ``d(p, x)`` is linear along it."""
+    _, num, _, D = tree._root_data()
+    rn, q = r.numerator * D, r.denominator
+    return _linear(tree, edge, rn - num[edge[0]] * q, rn - num[edge[1]] * q, D * q)
+
+
+def _certificate_profile(tree, edge, lfun, witnesses):
+    """Objective of a fixed witness triple as a PL function of the edge
+    offset, given the edge's reach profile ``lfun``; a valid upper bound for
+    psi along the whole edge."""
+    witnesses = [normalize_point(tree, w) for w in witnesses]
+    profs = [distance_profile(tree, edge, w) for w in witnesses]
+    terms = [abs(prof.sub(lfun)) for prof in profs]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        _, hi, _, hj, m, d = _meet(tree, witnesses[i], witnesses[j])
+        dij = hi + hj - 2 * m
+        terms.append(profs[i].add(profs[j]).sub(_linear(tree, edge, dij, dij, d)))
+    return reduce(PL.max_with, terms)
+
+
+def _family_certificate(tree, edge, lfun, a, b, lo):
+    """Exact value, along the edge, of the config family whose outer split
+    slides toward ``b`` over a host ray that ends with the tree edge
+    ``a``-``b``, at distances ``t2`` from ``lo`` up to ``D = d(x, b)``: for a
+    split at ``t2`` the best objective is ``max(2 t2, |t2 - l|, c3)`` with
+    ``c3 = l - D - H``, convex in ``t2``, so least at ``l/3`` clamped by
+    ``max(lo)``, ``min(D)``, ``max(0)`` in that order."""
+    zero = _linear(tree, edge, 0, 0, 1)
+    D = distance_profile(tree, edge, Vertex(b))
+    table = tree._reach_num()
+    H = max((table[(b, z)] for z in tree.neighbors(b) if z != a), default=0)
+    c3 = lfun.sub(D).sub(_linear(tree, edge, H, H, tree._root_data()[3]))
+    t2 = lfun.scale(Fraction(1, 3)).max_with(lo).min_with(D).max_with(zero)
+    return t2.scale(Fraction(2)).max_with(abs(t2.sub(lfun))).max_with(c3)
+
+
 def _seven_candidate_family(tree, edge, r, a, b, lo):
     """The family certificate as a min-envelope over seven clamped
     candidates for the split distance, kept here as the reference that
@@ -269,10 +316,19 @@ def test_family_certificate_equals_seven_candidate_envelope():
 
 
 def _full_edge_scan(tree, r, max_refinements_per_edge=200):
-    """``rb_deficiency`` refining every edge in ``tree.edges()`` order, with
-    no cap and no early stop: the reference the pruned scan must equal."""
+    """The refinement loop on every edge in ``tree.edges()`` order, with no
+    cap and no early stop.  Edges that cross the radius sphere are first cut
+    at the sphere point (psi depends only on the metric tree), so every edge
+    lies within the ball or outside it, and the loop may stop at an endpoint
+    of an edge within it: psi there is an exact sample."""
     if not tree.edges():
         return psi_at(tree, Vertex(tree.basepoint), r)
+    cuts = []
+    for u, v, length in tree.edges():
+        du, dv = tree.dist_to_basepoint(u), tree.dist_to_basepoint(v)
+        if min(du, dv) < r < max(du, dv):
+            cuts.append(point_on_edge(tree, u, v, abs(r - du)))
+    tree = materialize(tree, cuts, prefix="sphere").tree
     cache = {}
 
     def eval_vertex(node):
@@ -281,11 +337,13 @@ def _full_edge_scan(tree, r, max_refinements_per_edge=200):
             if r <= tree.dist_to_basepoint(node):
                 cache[node] = (Fraction(0), (key, key, key))
             else:
-                cache[node] = _psi_at(tree, r, key)[:2]
+                cache[node] = _ref_psi_at(tree, r, key)[:2]
         return cache[node]
 
     best = max(eval_vertex(node)[0] for node in tree.nodes())
     for u, v, length in tree.edges():
+        if min(tree.dist_to_basepoint(u), tree.dist_to_basepoint(v)) >= r:
+            continue  # outside the ball
         zero = PL.const(Fraction(0), length, Fraction(0))
         lfun = _reach_profile(tree, (u, v), r)
         bound_pl = _certificate_profile(tree, (u, v), lfun, eval_vertex(u)[1]).min_with(
@@ -303,7 +361,7 @@ def _full_edge_scan(tree, r, max_refinements_per_edge=200):
             assert steps <= max_refinements_per_edge
             if arg <= 0 or arg >= length:
                 break
-            val, wits, host = _psi_at(tree, r, point_on_edge(tree, u, v, arg))
+            val, wits, host = _ref_psi_at(tree, r, point_on_edge(tree, u, v, arg))
             best = max(best, val)
             bound_pl = bound_pl.min_with(_certificate_profile(tree, (u, v), lfun, wits))
             if host is not None and host not in seen_hosts:
@@ -350,17 +408,36 @@ def test_psi_is_2_lipschitz_and_at_most_l_along_edges():
 
 
 def test_rb_deficiency_skips_edges_under_the_cap(monkeypatch):
-    # a guard on the pruning, not on timing: the full scan makes 117 calls
+    # a guard on the pruning, not on timing: the tree has 54 edges
     calls = []
-    real = deficiency._certificate_profile
+    real = deficiency._edge_sup
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[2:4])
         return real(*args)
 
-    monkeypatch.setattr(deficiency, "_certificate_profile", counted)
+    monkeypatch.setattr(deficiency, "_edge_sup", counted)
     assert rb_deficiency(rb_extend(tripod(1, 1, 1), R, 4), R) == 1
-    assert len(calls) <= 40
+    assert len(calls) <= 20
+
+
+def test_sup_past_the_sphere(tmp_path, capsys):
+    # trees that reach past the radius: psi 1/4 from p on a leg is 1/2, which
+    # the sup once missed by taking an endpoint bound past the sphere as exact
+    star = k_star(3, Fraction(3, 2))
+    pins = random_corpus("pl-kernel-pin", 30, max_nodes=8)
+    for tree, leg in ((star, "l1"), (pins[11], "n2"), (pins[26], "n2")):
+        x = point_on_edge(tree, "p", leg, Fraction(1, 4))
+        assert psi_at(tree, x, 1) == Fraction(1, 2)
+        assert psi_grid_oracle(tree, x, 1, Fraction(1, 16)) == Fraction(1, 2)
+        assert rb_deficiency(tree, 1) == Fraction(1, 2)
+    path = tmp_path / "star.tree"
+    path.write_text(
+        "radius 3/2\nnode p basepoint\nnode l1\nnode l2\nnode l3\n"
+        "edge p l1 3/2\nedge p l2 3/2\nedge p l3 3/2\n"
+    )
+    assert main(["psi", "--tree", str(path), "--radius", "1"]) == 0
+    assert capsys.readouterr().out == "1/2\n"
 
 
 def _kernel_pin_cases():
@@ -398,8 +475,10 @@ def _kernel_pin_text():
 
 
 # sha256 of _kernel_pin_text(), recorded while the PL kernel still held
-# Fraction breakpoints and values
-KERNEL_PIN_SHA256 = "a39923583373369b0882cc5f52d2c1de44edf2c885f8486fd129dbaf6e219732"
+# Fraction breakpoints and values, and re-recorded when the sup past the
+# radius sphere was corrected: only "random11 r=1 sup" (1/3 -> 1/2) and
+# "random26 r=1 sup" (0 -> 1/2) changed (test_sup_past_the_sphere)
+KERNEL_PIN_SHA256 = "9016855c49f729594ebd93ab65bba149781cf457258119ac8e6c5f2b67075203"
 
 
 def test_pl_kernel_values_unchanged():
@@ -488,7 +567,7 @@ def _ref_descend(tree, x, direction, depth):
 
 
 def _ref_psi_at(tree, r, x):
-    """``_psi_at`` as it was before its walk moved to integers: Fractions
+    """The psi walk before it moved to integers: Fractions
     throughout, and the edge term as the leftmost argmin of an envelope."""
     zero = Fraction(0)
     l = r - distance(tree, x, Vertex(tree.basepoint))
@@ -594,19 +673,22 @@ def _ref_psi_at(tree, r, x):
 WALK_RADII = (Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(5, 2))
 
 
-def _walk_cases():
-    """The nine workload-shaped extensions and 40 seeded random trees, each
-    with every vertex and two edge points per edge (one at an offset over a
-    prime that divides neither ``D`` nor the radius's denominator) that lie
-    within each radius."""
-    rng = rng_for("psi-walk")
+def _walk_trees():
+    """The nine workload-shaped extensions and 40 seeded random trees."""
     trees = [
         rb_extend(base, R, k)
         for base in (tripod(1, 1, 1), segment(2), random_tree(7, max_nodes=5))
         for k in (2, 3, 4)
     ]
-    trees += random_corpus("psi-walk", 40, max_nodes=8)
-    for tree in trees:
+    return trees + random_corpus("psi-walk", 40, max_nodes=8)
+
+
+def _walk_cases():
+    """The walk trees, each with every vertex and two edge points per edge
+    (one at an offset over a prime that divides neither ``D`` nor the
+    radius's denominator) that lie within each radius."""
+    rng = rng_for("psi-walk")
+    for tree in _walk_trees():
         pts = [Vertex(n) for n in tree.nodes()]
         for u, v, length in tree.edges():
             pts.append(point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, 7), 7)))
@@ -620,11 +702,36 @@ def test_integer_walk_equals_fraction_walk():
     checked = 0
     for tree, r, pts in _walk_cases():
         for x in pts:
-            want = _ref_psi_at(tree, r, x)
-            assert _psi_at(tree, r, x) == want, (tree.edges(), r, x)
+            want = _ref_psi_at(tree, r, x)[:2]
+            assert psi_at_with_witness(tree, x, r) == want, (tree.edges(), r, x)
             assert psi_at(tree, x, r) == want[0]
             checked += 1
     assert checked > 3000
+
+
+def test_edge_envelope_equals_psi_everywhere():
+    # with no sup to beat the walk never stops early, so the envelope is psi
+    # at every offset within the radius, not only at its max
+    checked = edges = 0
+    for tree in _walk_trees():
+        for r in WALK_RADII:
+            for u, v, length in tree.edges():
+                env = _edge_sup(tree, r, u, v, Fraction(-1))
+                depths = [tree.dist_to_basepoint(u), tree.dist_to_basepoint(v)]
+                assert (env is None) == (min(depths) >= r)
+                if env is None:
+                    continue
+                edges += 1
+                xs, ys = env.xs, env.ys
+                assert xs[0] == 0 or max(depths) - xs[0] == r
+                assert xs[-1] == length or min(depths) + xs[-1] == r
+                probes = list(zip(xs, ys))
+                for i in range(len(xs) - 1):
+                    probes.append(((xs[i] + xs[i + 1]) / 2, (ys[i] + ys[i + 1]) / 2))
+                for x, y in probes:
+                    assert psi_at(tree, point_on_edge(tree, u, v, x), r) == y, (u, v, r, x)
+                    checked += 1
+    assert edges > 1000 and checked > 10000
 
 
 def test_psi_at_builds_no_witness(tmp_path, monkeypatch, capsys):
