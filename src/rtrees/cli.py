@@ -54,6 +54,7 @@ from .typespace import (
 )
 from .independence import IndependenceQuery, is_star_independent
 from .generators import (
+    GeneratorArgumentError,
     GeneratorConfig,
     au_sample_ball,
     build_primitive,
@@ -389,18 +390,12 @@ def _cmd_generate(args) -> int:
             degrees = tuple(int(x) for x in args.degrees.split(","))
         except ValueError as exc:
             raise CliError(f"--degrees: {exc}")
-        cfg = GeneratorConfig(
-            seed=args.seed, depth=args.depth, radius=radius, degree_set=degrees
-        )
-        tree = degree_family_tree(cfg)
+        tree = degree_family_tree(GeneratorConfig(args.seed, args.depth, radius, degrees))
     elif args.family == "universal":
         _fs, tree = au_sample_ball(args.mu, args.count, radius, args.seed)
     elif args.family == "primitive":
         params = [_rat_arg(x, "--params") for x in args.params.split(",")] if args.params else []
-        try:
-            tree = build_primitive(args.kind, params)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        tree = build_primitive(args.kind, params)
     else:
         raise CliError(f"unknown family {args.family!r}")
     report = validate(tree, radius)
@@ -537,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ContextMismatchError) as exc:
+    except (CliError, ContextMismatchError, GeneratorArgumentError) as exc:
         _emit(f"error: {exc}", err=True)
         return 2
     except (ValueError, KeyError) as exc:

@@ -28,6 +28,10 @@ from .skeleton import (
 from .matrices import MetricMatrix, realize_tree
 
 
+class GeneratorArgumentError(ValueError):
+    """A generator parameter out of its range; ``rtree generate`` exits 2."""
+
+
 # -- primitives -------------------------------------------------------------------
 
 
@@ -50,9 +54,9 @@ def tripod(a, b, c, basepoint: str = "p") -> TreeSkeleton:
 def k_star(k: int, r, basepoint: str = "p") -> TreeSkeleton:
     """``k`` legs of length ``r`` at the basepoint; center degree ``k``."""
     if as_rat(k).denominator != 1:
-        raise ValueError(f"leg count must be an integer, got {k}")
+        raise GeneratorArgumentError(f"leg count must be an integer, got {k}")
     if k < 1:
-        raise ValueError("a star needs at least one leg")
+        raise GeneratorArgumentError("a star needs at least one leg")
     r = as_rat(r)
     return TreeSkeleton(
         basepoint, [(basepoint, f"l{i}", r) for i in range(1, int(k) + 1)]
@@ -64,7 +68,7 @@ def caterpillar(spine: Sequence, legs: Sequence, basepoint: str = "p") -> TreeSk
     spine = [as_rat(s) for s in spine]
     legs = [as_rat(s) for s in legs]
     if len(legs) != max(0, len(spine) - 1):
-        raise ValueError("need one leg per interior spine joint")
+        raise GeneratorArgumentError("need one leg per interior spine joint")
     edges = []
     prev = basepoint
     for i, s in enumerate(spine, start=1):
@@ -95,9 +99,9 @@ def build_primitive(kind: str, params: Sequence) -> TreeSkeleton:
     try:
         arity, maker = _PRIMITIVES[kind]
     except KeyError:
-        raise ValueError(f"unknown primitive {kind!r}") from None
+        raise GeneratorArgumentError(f"unknown primitive {kind!r}") from None
     if arity is not None and len(params) != arity:
-        raise ValueError(f"primitive {kind!r} takes {arity} parameters, got {len(params)}")
+        raise GeneratorArgumentError(f"primitive {kind!r} takes {arity} parameters, got {len(params)}")
     return maker(*params)
 
 
@@ -192,7 +196,7 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     """
     r = as_rat(r)
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise GeneratorArgumentError("depth must be >= 0")
 
     def missing(work: TreeSkeleton, node: str, l: Fraction) -> int:
         return 3 - sum(1 for reach in work.reaches_at(node) if reach >= l)
@@ -217,7 +221,7 @@ class GeneratorConfig:
         object.__setattr__(self, "radius", as_rat(self.radius))
         degrees = tuple(sorted(set(int(k) for k in self.degree_set)))
         if not degrees or any(k < 3 for k in degrees):
-            raise ValueError("degree set must be nonempty with all degrees >= 3")
+            raise GeneratorArgumentError("degree set must be nonempty with all degrees >= 3")
         object.__setattr__(self, "degree_set", degrees)
         if self.mesh is not None:
             object.__setattr__(self, "mesh", as_rat(self.mesh))
@@ -351,9 +355,9 @@ def au_sample_ball(
     """Deterministically sample step functions within the given distance of
     the zero basepoint function and realize their exact distance matrix."""
     if mu_alphabet < 3:
-        raise ValueError("the richly branching regime needs an alphabet >= 3")
+        raise GeneratorArgumentError("the richly branching regime needs an alphabet >= 3")
     if count < 1:
-        raise ValueError("need at least one sample")
+        raise GeneratorArgumentError("need at least one sample")
     radius = as_rat(radius)
     rng = random.Random(seed)
     samples: list[StepFunction] = [_zero_function()]

@@ -8,15 +8,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .rationals import as_rat, format_rat
-from .skeleton import (
-    PointRef,
-    TreeSkeleton,
-    Vertex,
-    distance,
-    hang,
-    normalize_point,
-    point_on_segment,
-)
+from .skeleton import PointRef, TreeSkeleton, _TreeBuilder, distance, normalize_point
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ def _is_tree_metric(m: MetricMatrix) -> bool:
     if not m.labels:
         return True
     names = tuple(f"x{i}" for i in range(len(m)))
-    return _insertion_tree(m.entries, names, "x0") is not None
+    return _insertion_tree(m, names, "x0") is not None
 
 
 def _scaled_entries(m: MetricMatrix) -> tuple[list[list[int]], int]:
@@ -168,9 +160,7 @@ def tree_to_matrix(tree: TreeSkeleton, points: Sequence[PointRef], labels=None) 
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = distance(tree, pts[i], pts[j])
-            rows[i][j] = d
-            rows[j][i] = d
+            rows[i][j] = rows[j][i] = distance(tree, pts[i], pts[j])
     return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
 
 
@@ -187,6 +177,8 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
     to raise :class:`FourPointViolation` with the lexicographically first
     witness.
     """
+    if not m.labels:
+        raise ValueError("cannot realize an empty matrix")
     if basepoint_label is None:
         basepoint_label = m.labels[0]
     if basepoint_label not in m.labels:
@@ -194,9 +186,9 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
         if check is not True:
             raise FourPointViolation(check)
         raise ValueError(f"unknown basepoint label {basepoint_label!r}")
-    tree = _insertion_tree(m.entries, m.labels, basepoint_label)
+    tree = _insertion_tree(m, m.labels, basepoint_label)
     if tree is not None:
-        return tree
+        return tree.freeze()
     check = _four_point_scan(m)
     if check is True:
         raise RuntimeError("insertion failed on a matrix that passes the four-point scan")
@@ -204,66 +196,54 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
 
 
 def _insertion_tree(
-    e: tuple[tuple[Fraction, ...], ...], labels: tuple[str, ...], basepoint_label: str
-) -> Optional[TreeSkeleton]:
-    """Insert the labels of the matrix ``e`` one by one, each at its
-    Gromov-product height on the path from the base to its best anchor, and
-    return the tree; ``None`` if an attachment falls outside its path or a
-    distance between labels in the result differs from ``e``.  A leaf whose
-    label is already a Steiner node's id gets a fresh ``s`` id.  The tree is
-    canonical as built: every Steiner cut gets a leaf or a label."""
-    index = {lbl: i for i, lbl in enumerate(labels)}
+    m: MetricMatrix, labels: tuple[str, ...], basepoint_label: str
+) -> Optional[_TreeBuilder]:
+    """Insert the labels of ``m`` one by one into a :class:`_TreeBuilder`,
+    each at its Gromov-product height on the path from the base to its best
+    anchor (Culberson and Rudnicki 1989), and return the builder; ``None``
+    if an attachment falls outside its path or a distance between labels in
+    the result differs from ``m``.  Heights are integers over twice the
+    scale of :func:`_scaled_entries`.  A leaf whose label is already a
+    Steiner node's id gets a fresh ``s`` id.  The tree is canonical as
+    built: every Steiner cut gets a leaf or a label."""
+    e, scale = _scaled_entries(m)
 
     # merge zero-distance labels
-    order = [basepoint_label] + [l for l in labels if l != basepoint_label]
-    rep: dict[str, str] = {}
-    groups: dict[str, list[str]] = {}
-    for lbl in order:
-        row = e[index[lbl]]
-        for seen in groups:
-            if row[index[seen]] == 0:
-                rep[lbl] = seen
-                groups[seen].append(lbl)
-                break
-        else:
-            rep[lbl] = lbl
-            groups[lbl] = [lbl]
+    first = labels.index(basepoint_label)
+    order = [first] + [i for i in range(len(labels)) if i != first]
+    groups: dict[int, list[str]] = {}
+    rep = [0] * len(labels)
+    for i in order:
+        rep[i] = next((g for g in groups if e[i][g] == 0), i)
+        groups.setdefault(rep[i], []).append(labels[i])
 
-    reps = [l for l in order if rep[l] == l]
-    base = reps[0]
-    base_row = e[index[base]]
-    tree = TreeSkeleton(base, (), labels={base: tuple(sorted(groups[base]))}, extra_nodes=[base])
-    anchor_node: dict[str, str] = {base: base}
-
-    placed: list[str] = [base]
-    for lbl in reps[1:]:
+    base, *reps = groups
+    base_row = e[base]
+    start = TreeSkeleton(labels[base], (), {labels[base]: groups[base]}, [labels[base]])
+    tree = _TreeBuilder(start, 2 * scale)
+    node_of = {base: labels[base]}
+    for i in reps:
         # attachment height along the path from the base toward the deepest
         # already-placed witness of the Gromov product
-        row = e[index[lbl]]
-        d_base = base_row[index[lbl]]
-        best_h = Fraction(0)
-        best_anchor = base
-        for other in placed[1:]:
-            j = index[other]
-            h = (d_base + base_row[j] - row[j]) / 2
+        row, d_base = e[i], base_row[i]
+        best_h, anchor = 0, base
+        for j in node_of:
+            h = d_base + base_row[j] - row[j]
             if h > best_h:
-                best_h = h
-                best_anchor = other
-        leaf_len = d_base - best_h
-        if best_h > base_row[index[best_anchor]] or leaf_len < 0:
+                best_h, anchor = h, j
+        leaf_len = 2 * d_base - best_h
+        if best_h > 2 * base_row[anchor] or leaf_len < 0:
             return None
-        attach_pt = point_on_segment(
-            tree, Vertex(base), Vertex(anchor_node[best_anchor]), best_h
-        )
         # a zero-length leaf labels the (possibly Steiner) attachment point
-        tree, anchor_node[lbl] = hang(tree, attach_pt, leaf_len, lbl, "s", groups[lbl])
-        placed.append(lbl)
+        at = tree.cut(node_of[anchor], best_h, "s")
+        node_of[i] = tree.hang(at, leaf_len, labels[i], "s", groups[i])
 
-    node_of = {name: node for node, names in tree.labels.items() for name in names}
-    pts = [Vertex(node_of[l]) for l in labels]
+    # the round trip: d(i, j) = h_i + h_j - 2 meet, against twice e[i][j]
+    height, nodes = tree.h, [node_of[r] for r in rep]
     for i, row in enumerate(e):
+        a = nodes[i]
         for j in range(i + 1, len(row)):
-            if distance(tree, pts[i], pts[j]) != row[j]:
+            if height[a] + height[nodes[j]] - 2 * tree.meet(a, nodes[j]) != 2 * row[j]:
                 return None
     return tree
 

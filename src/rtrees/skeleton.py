@@ -584,36 +584,76 @@ def materialize(
     return Materialization(out, point_map, to_source, spans)
 
 
+class _TreeBuilder:
+    """A copy of a connected skeleton grown in place: each node's parent and
+    its height from the basepoint as an integer over ``den``, the labels,
+    and the set of taken node ids.  Every edge has positive length, so
+    heights strictly increase away from the basepoint."""
+
+    def __init__(self, tree: TreeSkeleton, den: int) -> None:
+        parent, num, _, D = tree._root_data()
+        if len(parent) != len(tree._adj):
+            raise SkeletonError("the skeleton is not connected")
+        self.basepoint, self.den = tree.basepoint, lcm(D, den)
+        self.h = {x: n * (self.den // D) for x, n in num.items()}
+        self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(parent)
+
+    def cut(self, node: str, height: int, prefix: str) -> str:
+        """The node at ``0 <= height <= h[node]`` on the root arc of ``node``;
+        an edge is cut there, and the cut named ``gensym(taken, prefix)``."""
+        parent, h = self.parent, self.h
+        while h[node] > height:
+            up = parent[node]
+            if h[up] < height:
+                mid = gensym(self.taken, prefix)
+                parent[mid], h[mid], parent[node] = up, height, mid
+                return mid
+            node = up
+        return node
+
+    def hang(self, node: str, length: int, tip: str, prefix: str, names: Iterable[str] = ()) -> str:
+        """The end of a segment of ``length >= 0`` hung below ``node``, with
+        ``names`` merged onto it by sorted union.  The tip keeps its id, or
+        gets ``gensym(taken, prefix)`` if that id is taken."""
+        if length > 0:
+            tip = gensym(self.taken, prefix) if tip in self.taken else tip
+            self.taken.add(tip)
+            self.parent[tip], self.h[tip], node = node, self.h[node] + length, tip
+        if names:
+            self.labels[node] = tuple(sorted(set(self.labels.get(node, ())) | set(names)))
+        return node
+
+    def meet(self, x: str, y: str) -> int:
+        """The height of the common ancestor of ``x`` and ``y``: walk up the
+        higher of the two."""
+        parent, h = self.parent, self.h
+        while x != y:
+            if h[x] < h[y]:
+                x, y = y, x
+            x = parent[x]
+        return h[x]
+
+    def freeze(self) -> TreeSkeleton:
+        """The grown tree as one :class:`TreeSkeleton`."""
+        h, den = self.h, self.den
+        edges = [(up, x, Fraction(h[x] - h[up], den)) for x, up in self.parent.items() if up]
+        return TreeSkeleton(self.basepoint, edges, self.labels, extra_nodes=[self.basepoint])
+
+
 def hang(
     tree: TreeSkeleton, at: PointRef, length, tip: str, prefix: str, names: Iterable[str] = ()
 ) -> tuple[TreeSkeleton, str]:
-    """Hang a fresh segment of ``length >= 0`` at the point ``at``.
-
-    An edge point is cut first, and the cut is named ``gensym(nodes, prefix)``
-    as :func:`materialize` names a single cut.  For ``length > 0`` a new edge
-    runs from the point's node to ``tip``, which gets a fresh ``prefix`` id if
-    it is already taken.  Returns the new tree and its node for the end of the
-    segment, onto which ``names`` are merged by sorted union.
-    """
-    at = normalize_point(tree, at)
-    taken = set(tree.nodes())
-    edges = list(tree.edges())
-    if isinstance(at, Vertex):
-        node = at.node
-    else:
-        node = gensym(taken, prefix)
-        whole = tree.edge_length(at.u, at.v)
-        edges.remove((at.u, at.v, whole))
-        edges += [(at.u, node, at.offset), (node, at.v, whole - at.offset)]
-    if length > 0:
-        if tip in taken:
-            tip = gensym(taken, prefix)
-        edges.append((node, tip, length))
-        node = tip
-    labels = dict(tree.labels)
-    if names:
-        labels[node] = tuple(sorted(set(labels.get(node, ())) | set(names)))
-    return TreeSkeleton(tree.basepoint, edges, labels, extra_nodes=tree.nodes()), node
+    """Hang a fresh segment of ``length >= 0`` at the point ``at``: the
+    single step of a :class:`_TreeBuilder` on a copy of ``tree``, which cuts
+    an edge point as :func:`materialize` names a single cut and hangs the
+    segment.  Returns the new tree and its node for the end of the segment."""
+    length = as_rat(length)
+    parent, num, _, D = tree._root_data()
+    node, h, hd = _rooted(parent, num, D, normalize_point(tree, at))
+    b = _TreeBuilder(tree, lcm(hd, length.denominator))
+    node = b.cut(node, h * (b.den // hd), prefix)
+    node = b.hang(node, length.numerator * (b.den // length.denominator), tip, prefix, names)
+    return b.freeze(), node
 
 
 def grid_points(

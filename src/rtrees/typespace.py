@@ -41,6 +41,7 @@ from .matrices import (
     MetricMatrix,
     four_point_check,
     realize_tree,
+    tree_to_matrix,
 )
 from .amalgams import GlueSpec, glue_family
 from .formulas import CertifiedValue
@@ -121,19 +122,12 @@ def type_of(
         e, s = project_to_subtree(tree, ctx, x)
         closest.append(e)
         offsets.append(s)
-    n = len(pts)
-    rho = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(tree, pts[i], pts[j])
-            rho[i][j] = d
-            rho[j][i] = d
     return NTypeDescriptor(
         context=ctx,
         radius=r,
         closest=tuple(closest),
         offsets=tuple(offsets),
-        pairwise=tuple(tuple(row) for row in rho),
+        pairwise=tree_to_matrix(tree, pts).entries,
     )
 
 
@@ -141,21 +135,13 @@ def combined_matrix(q: NTypeDescriptor) -> MetricMatrix:
     """Distances on the symbols ``e_1..e_n, x_1..x_n`` induced by the
     descriptor data."""
     n = q.n
-    tree = q.context.ambient
     labels = tuple(f"e{i + 1}" for i in range(n)) + tuple(f"x{i + 1}" for i in range(n))
-    size = 2 * n
-    m = [[Fraction(0)] * size for _ in range(size)]
-    de = [
-        [distance(tree, q.closest[i], q.closest[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            m[i][j] = de[i][j]
-            m[n + i][j] = de[i][j] + q.offsets[i]
-            m[j][n + i] = m[n + i][j]
-            m[n + i][n + j] = q.pairwise[i][j]
-    return MetricMatrix(labels, tuple(tuple(row) for row in m))
+    de = tree_to_matrix(q.context.ambient, q.closest).entries
+    # d(x_i, e_j) = s_i + d(e_i, e_j), as e_i is the closest point of x_i
+    cross = [tuple(de[i][j] + q.offsets[i] for j in range(n)) for i in range(n)]
+    rows = [de[j] + tuple(cross[i][j] for i in range(n)) for j in range(n)]
+    rows += [cross[i] + tuple(q.pairwise[i]) for i in range(n)]
+    return MetricMatrix(labels, tuple(rows))
 
 
 def validate_descriptor(q: NTypeDescriptor):
@@ -253,16 +239,11 @@ def _class_trees(q: NTypeDescriptor) -> list[tuple[PointRef, list[int], TreeSkel
 
     out = []
     for e, members in classes:
-        labels = ["a"] + [f"t{i + 1}" for i in members]
-        size = len(labels)
-        m = [[Fraction(0)] * size for _ in range(size)]
-        for a_idx, i in enumerate(members, start=1):
-            m[0][a_idx] = q.offsets[i]
-            m[a_idx][0] = q.offsets[i]
-            for b_idx, j in enumerate(members, start=1):
-                if a_idx != b_idx:
-                    m[a_idx][b_idx] = q.pairwise[i][j]
-        k_tree = realize_tree(MetricMatrix(tuple(labels), tuple(tuple(r_) for r_ in m)), "a")
+        # rows of a, then of each member: offsets, then the pairwise block
+        labels = ("a",) + tuple(f"t{i + 1}" for i in members)
+        rows = [(0, *(q.offsets[i] for i in members))]
+        rows += [(q.offsets[i], *(q.pairwise[i][j] for j in members)) for i in members]
+        k_tree = realize_tree(MetricMatrix(labels, tuple(rows)), "a")
         out.append((e, members, k_tree))
     return out
 

@@ -270,6 +270,20 @@ def test_universal_sampling_failure_is_an_error(capsys):
     assert err == "error: sampling failed to produce enough distinct functions\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rb", "--depth", "-1"), "depth must be >= 0"),
+        (("degrees", "--degrees", "1"), "degree set must be nonempty with all degrees >= 3"),
+        (("universal", "--mu", "2"), "the richly branching regime needs an alphabet >= 3"),
+        (("universal", "--count", "0"), "need at least one sample"),
+    ],
+)
+def test_generator_argument_errors_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "generate", *argv, "--radius", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_mesh_env_var(tripod_file, capsys, monkeypatch):
     monkeypatch.setenv("RTREE_MESH", "1/4")
     code, out, _ = run(capsys, "check", "--tree", tripod_file)
@@ -294,6 +308,18 @@ BAD_INVOCATIONS = {
     "type-dist-without-descriptors": lambda tmp: ["type", "dist"],
     "primitive-wrong-arity": lambda tmp: [
         "generate", "primitive", "--radius", "2", "--kind", "tripod", "--params", "1",
+    ],
+    "generate-rb-negative-depth": lambda tmp: [
+        "generate", "rb", "--radius", "2", "--depth", "-1",
+    ],
+    "generate-degrees-below-3": lambda tmp: [
+        "generate", "degrees", "--radius", "2", "--degrees", "1",
+    ],
+    "generate-universal-alphabet-2": lambda tmp: [
+        "generate", "universal", "--radius", "2", "--mu", "2",
+    ],
+    "generate-universal-no-samples": lambda tmp: [
+        "generate", "universal", "--radius", "2", "--count", "0",
     ],
     "check-tree-is-directory": lambda tmp: ["check", "--tree", str(tmp)],
     "check-tree-not-utf8": lambda tmp: [

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtrees import (
     FourPointViolation,
@@ -18,7 +19,8 @@ from rtrees import (
 )
 from conftest import random_corpus, rng_for
 from rtrees.generators import random_point
-from rtrees.matrices import node_of_label
+from rtrees.matrices import _insertion_tree, node_of_label
+from rtrees.skeleton import gensym, materialize, normalize_point, point_on_segment
 
 
 TRIPOD_LEAVES = MetricMatrix(
@@ -285,3 +287,136 @@ def test_realize_unknown_basepoint():
     with pytest.raises(ValueError) as info:
         realize_tree(TRIPOD_LEAVES, "nowhere")
     assert not isinstance(info.value, FourPointViolation)
+
+
+def test_realize_empty_matrix():
+    empty = MetricMatrix((), ())
+    for basepoint in (None, "p"):
+        with pytest.raises(ValueError, match="empty matrix") as info:
+            realize_tree(empty, basepoint)
+        assert not isinstance(info.value, FourPointViolation)
+    assert four_point_check(empty) is True
+    assert delta_hyperbolicity(empty) == 0
+
+
+def reference_insertion(m, basepoint_label):
+    """Independent reference for the insertion: the same construction in
+    ``Fraction``s, each step cutting the attachment point with
+    ``materialize`` and hanging the leaf with ``graft``, checked by a
+    ``distance`` round trip; ``None`` where it gives up."""
+    e, labels = m.entries, m.labels
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    order = [basepoint_label] + [l for l in labels if l != basepoint_label]
+    groups = {}
+    for lbl in order:
+        seen = next((g for g in groups if e[index[lbl]][index[g]] == 0), lbl)
+        groups.setdefault(seen, []).append(lbl)
+    base, *reps = groups
+    base_row = e[index[base]]
+    tree = TreeSkeleton(base, (), labels={base: tuple(groups[base])}, extra_nodes=[base])
+    node_of = {base: base}
+    for lbl in reps:
+        row, d_base = e[index[lbl]], base_row[index[lbl]]
+        best_h, anchor = Fraction(0), base
+        for other in list(node_of)[1:]:
+            h = (d_base + base_row[index[other]] - row[index[other]]) / 2
+            if h > best_h:
+                best_h, anchor = h, other
+        leaf_len = d_base - best_h
+        if best_h > base_row[index[anchor]] or leaf_len < 0:
+            return None
+        at = point_on_segment(tree, Vertex(base), Vertex(node_of[anchor]), best_h)
+        mat = materialize(tree, [at], prefix="s")
+        node, edges = mat.node_for(normalize_point(tree, at)), []
+        if leaf_len > 0:
+            tip = gensym(set(mat.tree.nodes()), "s") if mat.tree.has_node(lbl) else lbl
+            edges, node = [(node, tip, leaf_len)], tip
+        tree, node_of[lbl] = mat.graft(edges, {node: groups[lbl]}), node
+    pts = [Vertex(node_of_label(tree, l)) for l in labels]
+    for i, row in enumerate(e):
+        for j in range(i + 1, len(row)):
+            if distance(tree, pts[i], pts[j]) != row[j]:
+                return None
+    return tree
+
+
+def grouped_matrices(seed, count):
+    """Tree metrics on points drawn with repeats from a small pool, so that
+    labels fall into zero-distance groups, some with one entry perturbed."""
+    out = []
+    for k, tree in enumerate(random_corpus(seed, count, max_nodes=7)):
+        rng = rng_for((seed, k))
+        pool = [random_point(rng, tree) for _ in range(3)]
+        n = rng.randint(2, 7)
+        names = [f"x{i}" for i in range(n)]
+        m = labeled_matrix(tree, [rng.choice(pool) for _ in range(n)], names)
+        out.append(m)
+        rows = [list(r) for r in m.entries]
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 3)
+        out.append(MetricMatrix(m.labels, tuple(tuple(r) for r in rows)))
+    return out
+
+
+def canonical_corpus_matrices():
+    """The matrices of ``test_realized_tree_is_canonical``, whose ``s``
+    labels collide with the insertion's Steiner ids."""
+    out = []
+    for k, tree in enumerate(random_corpus("realize-canonical", 40, max_nodes=8)):
+        rng = rng_for(("realize-canonical", k))
+        n = rng.randint(2, 7)
+        pts = [random_point(rng, tree) for _ in range(n)]
+        out.append(labeled_matrix(tree, pts, [f"s{i}" if k % 2 else f"x{i}" for i in range(n)]))
+    return out
+
+
+def test_insertion_matches_fraction_reference():
+    matrices = (
+        perturbed_matrices("perturbed", 40)
+        + canonical_corpus_matrices()
+        + grouped_matrices("grouped", 30)
+    )
+    built = grouped = 0
+    for m in matrices:
+        for basepoint in (m.labels[0], m.labels[-1]):
+            want = reference_insertion(m, basepoint)
+            got = _insertion_tree(m, m.labels, basepoint)
+            assert (got is None) == (want is None), (m, basepoint)
+            if got is not None:
+                assert got.freeze() == want, (m, basepoint)
+                built += 1
+                grouped += any(len(names) > 1 for names in want.labels.values())
+    assert built > 100 and grouped > 10
+
+
+@st.composite
+def small_matrices(draw):
+    """Symmetric matrices, n <= 6, entries in [0, 4] with denominators up to
+    6; many are not metrics at all."""
+    n = draw(st.integers(1, 6))
+    # k % (4 q + 1) / q spans [0, 4], zero included
+    entry = st.tuples(st.integers(0, 24), st.integers(1, 6))
+    drawn = iter(draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k, q = next(drawn)
+            rows[i][j] = rows[j][i] = Fraction(k % (4 * q + 1), q)
+    prefix = draw(st.sampled_from("xs"))  # "s" labels collide with Steiner ids
+    return MetricMatrix(tuple(f"{prefix}{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_matrices())
+def test_matrix_checks_match_references(m):
+    ref = reference_four_point(m)
+    got = four_point_check(m)
+    if ref is None:
+        assert got is True
+        realize_tree(m)
+    else:
+        assert witness_tuple(got) == ref
+        with pytest.raises(FourPointViolation) as info:
+            realize_tree(m)
+        assert witness_tuple(info.value.witness) == ref
+    assert delta_hyperbolicity(m) == reference_delta(m)
