@@ -6,13 +6,21 @@ are unchanged, and a path between factors runs through the identified
 attachment points.  Amalgamation over a shared subtree decomposes the right
 factor into the branches hanging off the shared part and reattaches each
 branch wholesale at the image of its attachment point in the left factor.
+The shared part ``s2`` of the right factor contains the basepoint, so the
+root arc of a point outside ``s2`` leaves it at the point's projection, and
+the branches are the subtrees below these exits: one for each node outside
+``s2`` whose parent lies in ``s2``, hung at the image of its exit.
+
+Both constructions copy one factor into a tree builder, cut it at the
+attachment points, hang the other factors' nodes on it and freeze it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 from .rationals import as_rat, format_rat
 from .skeleton import (
@@ -21,15 +29,16 @@ from .skeleton import (
     SkeletonError,
     TreeSkeleton,
     Vertex,
+    _cut,
     distance,
     format_point,
-    materialize,
     normalize_point,
     canonicalize,
     point_on_segment,
+    transfer_point,
     validate,
 )
-from .geometry import is_between, spanned_subtree
+from .geometry import is_between, project_to_subtree, spanned_subtree
 
 
 class MalformedSpecError(ValueError):
@@ -87,7 +96,6 @@ def glue_family(spec: GlueSpec, r) -> TreeSkeleton:
     """
     r = as_rat(r)
     base = spec.base
-    attach_base_pts = []
     prepared = []
     for idx, (sub, at_sub, at_base) in enumerate(spec.attachments):
         try:
@@ -95,36 +103,40 @@ def glue_family(spec: GlueSpec, r) -> TreeSkeleton:
         except SkeletonError as exc:
             raise MalformedSpecError(f"attachment {idx}: {exc}") from exc
         base_dist = distance(base, Vertex(base.basepoint), at_base)
-        mat_sub = materialize(sub, [at_sub], prefix="at")
-        anchor = mat_sub.node_for(normalize_point(sub, at_sub))
-        for node in mat_sub.tree.nodes():
-            ecc = mat_sub.tree.vertex_distance(anchor, node)
-            if base_dist + ecc > r:
-                raise RadiusExceededError(Vertex(node), base_dist + ecc, r)
-        attach_base_pts.append(at_base)
-        prepared.append((mat_sub.tree, anchor, at_base))
+        anchor = normalize_point(sub, at_sub)
+        ecc = {}
+        for node in sub.nodes():
+            ecc[node] = distance(sub, anchor, Vertex(node))
+            if base_dist + ecc[node] > r:
+                raise RadiusExceededError(Vertex(node), base_dist + ecc[node], r)
+        prepared.append((sub, anchor, at_base, ecc))
 
-    mat_base = materialize(base, attach_base_pts, prefix="gl")
-    edges: list[tuple[str, str, Fraction]] = []
-    labels: dict[str, set[str]] = {}
-    taken = set(mat_base.tree.nodes())
+    parent, _, _, _, cycle, short = base._search()
+    if cycle or short or len(parent) != len(base.nodes()):
+        # not a tree, so validate reports it; an attachment got this far
+        # only to a disconnected base, and would add nothing to the report
+        glued = TreeSkeleton(base.basepoint, base.edges(), base.labels, extra_nodes=base.nodes())
+    else:
+        den = lcm(*(d.denominator for *_, ecc in prepared for d in ecc.values()))
+        b, node_of = _cut(base, [at_base for _, _, at_base, _ in prepared], den, "gl")
+        for idx, (sub, anchor, at_base, ecc) in enumerate(prepared):
+            prefix = f"g{idx}:"
+            while any((prefix + n) in b.taken for n in sub.nodes() if Vertex(n) != anchor):
+                prefix = prefix[:-1] + "+:"
+            # walk the factor outward from its anchor, the base's node ``top``
+            top = node_of[at_base]
+            if isinstance(anchor, Vertex):
+                stack = [(anchor.node, top, None)]
+            else:
+                stack = [(anchor.u, top, anchor.v), (anchor.v, top, anchor.u)]
+            while stack:
+                y, up, came = stack.pop()
+                h = b.h[top] + ecc[y].numerator * (b.den // ecc[y].denominator)
+                node = b.hang(up, h - b.h[up], prefix + y, prefix, sub.labels_of(y))
+                stack.extend((z, node, y) for z in sub.neighbors(y) if z != came)
+        glued = b.freeze()
 
-    for idx, (sub_tree, anchor, at_base) in enumerate(prepared):
-        prefix = f"g{idx}:"
-        while any((prefix + n) in taken for n in sub_tree.nodes() if n != anchor):
-            prefix = prefix[:-1] + "+:"
-        base_node = mat_base.node_for(at_base)
-
-        def rn(node: str) -> str:
-            return base_node if node == anchor else prefix + node
-
-        for u, v, w in sub_tree.edges():
-            edges.append((rn(u), rn(v), w))
-        for n, names in sub_tree.labels.items():
-            labels.setdefault(rn(n), set()).update(names)
-        taken.update(rn(n) for n in sub_tree.nodes())
-
-    glued = canonicalize(mat_base.graft(edges, labels))
+    glued = canonicalize(glued)
     report = validate(glued, r)
     if not report.ok:
         raise MalformedSpecError(f"glued tree invalid: {report}")
@@ -222,113 +234,51 @@ def amalgamate(
     shared.check()
     inv = shared.inverse()
 
-    right_gens = [b for _, b in shared.pairs]
-    s2 = spanned_subtree(m2, right_gens, adjoin_basepoint=True)
-
-    # cut m2 at the boundary of the shared coverage
-    boundary: list[PointRef] = []
-    for (u, v), intervals in s2.edge_cover.items():
-        for lo, hi in intervals:
-            for off in (lo, hi):
-                pt = normalize_point(m2, EdgePoint(u, v, off))
-                if isinstance(pt, EdgePoint):
-                    boundary.append(pt)
-    mat2 = materialize(m2, boundary, prefix="bd")
-    work2 = mat2.tree
-
-    def work_edge_covered(u: str, v: str) -> bool:
-        src_key, o_u, o_v = mat2.spans[(u, v) if u < v else (v, u)]
-        lo, hi = (o_u, o_v) if o_u <= o_v else (o_v, o_u)
-        for clo, chi in s2.edge_cover.get(src_key, ()):
-            if clo <= lo and hi <= chi:
-                return True
-        return False
-
-    def work_node_covered(n: str) -> bool:
-        return s2.covers(mat2.to_source[n])
-
-    # hanging components of m2 off the shared subtree
-    comps: list[tuple[str, list[tuple[str, str, Fraction]], set[str]]] = []
-    seen: set[str] = set()
-    for start in work2.nodes():
-        if start in seen or work_node_covered(start):
-            continue
-        nodes = {start}
-        comp_edges: list[tuple[str, str, Fraction]] = []
-        attach: Optional[str] = None
-        queue = [start]
-        seen.add(start)
-        while queue:
-            cur = queue.pop()
-            for nb in work2.neighbors(cur):
-                key = (cur, nb) if cur < nb else (nb, cur)
-                if work_edge_covered(*key):
-                    continue
-                if work_node_covered(nb):
-                    if attach is not None and attach != nb:
-                        raise MalformedSpecError(
-                            "hanging branch touches the shared subtree twice"
-                        )
-                    attach = nb
-                    comp_edges.append((cur, nb, work2.edge_length(cur, nb)))
-                    continue
-                if nb not in nodes:
-                    nodes.add(nb)
-                    seen.add(nb)
-                    comp_edges.append((cur, nb, work2.edge_length(cur, nb)))
-                    queue.append(nb)
-        if attach is None:
-            raise MalformedSpecError("hanging branch never meets the shared subtree")
-        comps.append((attach, comp_edges, nodes))
-
-    # assemble: left copy of m1, materialized at the attachment images
+    s2 = spanned_subtree(m2, [b for _, b in shared.pairs], adjoin_basepoint=True)
+    parent2, num2, _, den2 = m2._root_data()
+    if len(parent2) != len(m2.nodes()):  # a node off the basepoint's component
+        raise MalformedSpecError("hanging branch never meets the shared subtree")
+    # the left copy is grown only if it is a tree
     left = _rename_tree(m1, "left:")
-    attach_pts_left: list[PointRef] = []
-    for attach, _, _ in comps:
-        m2_pt = mat2.to_source[attach]
-        m1_pt = inv.map_point(m2_pt)
-        attach_pts_left.append(_rename_point(normalize_point(m1, m1_pt), "left:"))
-    mat_left = materialize(left, attach_pts_left, prefix="am")
-    edges: list[tuple[str, str, Fraction]] = []
-    labels: dict[str, tuple[str, ...]] = {}
-    for (attach, comp_edges, nodes), left_pt in zip(comps, attach_pts_left):
-        attach_node = mat_left.node_for(normalize_point(left, left_pt))
-
-        def rn(node: str) -> str:
-            return attach_node if node == attach else f"right:{node}"
-
-        for u, v, w in comp_edges:
-            edges.append((rn(u), rn(v), w))
-        for n in nodes:
-            if work2.labels_of(n):
-                labels[rn(n)] = work2.labels_of(n)
-
-    amalgam = mat_left.graft(edges, labels)
-    report = validate(amalgam, r)
-    for viol in report.violations:
-        if viol.kind == "radius_exceeded":
-            node = viol.detail.split()[1]
-            raise RadiusExceededError(
-                Vertex(node), amalgam.dist_to_basepoint(node), r
-            )
+    for viol in validate(left, r).violations:
         if viol.kind in ("cycle", "disconnected", "non_positive_edge"):
             raise MalformedSpecError(f"amalgam invalid: {viol.detail}")
 
+    def image(pt: PointRef) -> PointRef:
+        return _rename_point(inv.map_point(pt), "left:")
+
+    # a branch starts at each node outside s2 whose parent is in s2, and hangs
+    # at the image of its exit; the shared map is an isometry fixing the
+    # basepoint, so every node of m2 keeps its height
+    exits = {
+        y: image(project_to_subtree(m2, s2, Vertex(y))[0])
+        for y in parent2
+        if y not in s2.vertex_cover and parent2[y] in s2.vertex_cover
+    }
+    b, node_of = _cut(left, exits.values(), den2, "am")
+    for y in parent2:  # the search lists each node after its parent
+        if y not in s2.vertex_cover:
+            at = node_of[exits[y]] if y in exits else "right:" + parent2[y]
+            h = num2[y] * (b.den // den2)
+            b.hang(at, h - b.h[at], "right:" + y, "right:", m2.labels_of(y))
+    far = min((n for n, h in b.h.items() if Fraction(h, b.den) > r), default=None)
+    if far is not None:
+        raise RadiusExceededError(Vertex(far), Fraction(b.h[far], b.den), r)
+
+    amalgam = b.freeze()
     g1 = SubtreeMap(
         source=m1,
         target=amalgam,
+        pairs=tuple((Vertex(n), Vertex("left:" + n)) for n in m1.nodes()),
+    )
+    g2 = SubtreeMap(
+        source=m2,
+        target=amalgam,
         pairs=tuple(
-            (Vertex(n), mat_left.push_forward(Vertex("left:" + n)))
-            for n in m1.nodes()
+            (Vertex(n), transfer_point(amalgam, image(Vertex(n))))
+            if n in s2.vertex_cover
+            else (Vertex(n), Vertex("right:" + n))
+            for n in m2.nodes()
         ),
     )
-    g2_pairs = []
-    for n in m2.nodes():
-        if s2.covers(Vertex(n)):
-            m1_pt = inv.map_point(Vertex(n))
-            npt = mat_left.push_forward(_rename_point(normalize_point(m1, m1_pt), "left:"))
-            g2_pairs.append((Vertex(n), normalize_point(amalgam, npt)))
-        else:
-            g2_pairs.append((Vertex(n), Vertex(f"right:{n}")))
-    g2 = SubtreeMap(source=m2, target=amalgam, pairs=tuple(g2_pairs))
     return amalgam, g1, g2

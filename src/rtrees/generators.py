@@ -17,12 +17,11 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
+    _cut,
     canonicalize,
     distance,
-    gensym,
     grid_points,
     hang,
-    materialize,
     normalize_point,
 )
 from .matrices import MetricMatrix, realize_tree
@@ -171,19 +170,19 @@ def _hang_at_net(
 ) -> TreeSkeleton:
     """Cut ``tree`` at the net points and hang ``count(work, node, l)`` fresh
     edges of length ``l = r - d(p, x)`` at each net point ``x`` strictly
-    inside the radius sphere, one tip name from ``tip_prefixes`` per edge."""
-    mat = materialize(tree, net, prefix=prefix)
-    work = mat.tree
-    taken = set(work.nodes())
-    fresh = []
+    inside the radius sphere, one tip name from ``tip_prefixes`` per edge;
+    ``work`` is the cut tree before any edge is hung."""
+    b, node_of = _cut(tree, net, r.denominator, prefix)
+    work, top = b.freeze(), r.numerator * (b.den // r.denominator)
     for pt in net:
-        node = mat.node_for(normalize_point(tree, pt))
-        l = r - work.dist_to_basepoint(node)
+        node = node_of[normalize_point(tree, pt)]
+        l = top - b.h[node]
         if l <= 0:
             continue
-        for _ in range(count(work, node, l)):
-            fresh.append((node, gensym(taken, next(tip_prefixes)), l))
-    return mat.graft(fresh)
+        for _ in range(count(work, node, Fraction(l, b.den))):
+            p = next(tip_prefixes)
+            b.hang(node, l, p + "1", p)
+    return b.freeze()
 
 
 def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
@@ -197,6 +196,8 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     r = as_rat(r)
     if depth < 0:
         raise GeneratorArgumentError("depth must be >= 0")
+    if r <= 0:
+        raise GeneratorArgumentError("radius must be positive")
 
     def missing(work: TreeSkeleton, node: str, l: Fraction) -> int:
         return 3 - sum(1 for reach in work.reaches_at(node) if reach >= l)
@@ -222,6 +223,10 @@ class GeneratorConfig:
         degrees = tuple(sorted(set(int(k) for k in self.degree_set)))
         if not degrees or any(k < 3 for k in degrees):
             raise GeneratorArgumentError("degree set must be nonempty with all degrees >= 3")
+        if self.depth < 0:
+            raise GeneratorArgumentError("depth must be >= 0")
+        if self.radius <= 0:
+            raise GeneratorArgumentError("radius must be positive")
         object.__setattr__(self, "degree_set", degrees)
         if self.mesh is not None:
             object.__setattr__(self, "mesh", as_rat(self.mesh))

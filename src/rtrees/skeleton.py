@@ -640,6 +640,19 @@ class _TreeBuilder:
         return TreeSkeleton(self.basepoint, edges, self.labels, extra_nodes=[self.basepoint])
 
 
+def _cut(
+    tree: TreeSkeleton, pts: Iterable[PointRef], den: int, prefix: str
+) -> tuple[_TreeBuilder, dict[PointRef, str]]:
+    """A :class:`_TreeBuilder` copy of ``tree`` over a multiple of ``den``,
+    cut at the points in ``point_sort_key`` order, so that the cuts get the
+    names :func:`materialize` gives them; and each normalized point's node."""
+    parent, num, _, D = tree._root_data()
+    norm = sorted({normalize_point(tree, pt) for pt in pts}, key=point_sort_key)
+    rooted = {pt: _rooted(parent, num, D, pt) for pt in norm}
+    b = _TreeBuilder(tree, lcm(den, *(d for _, _, d in rooted.values())))
+    return b, {pt: b.cut(node, h * (b.den // d), prefix) for pt, (node, h, d) in rooted.items()}
+
+
 def hang(
     tree: TreeSkeleton, at: PointRef, length, tip: str, prefix: str, names: Iterable[str] = ()
 ) -> tuple[TreeSkeleton, str]:
@@ -654,6 +667,14 @@ def hang(
     node = b.cut(node, h * (b.den // hd), prefix)
     node = b.hang(node, length.numerator * (b.den // length.denominator), tip, prefix, names)
     return b.freeze(), node
+
+
+def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:
+    """Re-address a point in an extension that kept the original node ids
+    (edges may have been subdivided by gluing)."""
+    if isinstance(pt, Vertex) or dst.has_edge(pt.u, pt.v):
+        return normalize_point(dst, pt)
+    return point_on_segment(dst, Vertex(pt.u), Vertex(pt.v), pt.offset)
 
 
 def grid_points(

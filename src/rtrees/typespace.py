@@ -27,13 +27,13 @@ from .skeleton import (
     SkeletonError,
     TreeSkeleton,
     Vertex,
+    _cut,
     distance,
     gensym,
     hang,
-    materialize,
     normalize_point,
-    point_on_segment,
     point_sort_key,
+    transfer_point,
 )
 from .geometry import SpannedSubtree, project_to_subtree, spanned_subtree
 from .matrices import (
@@ -193,16 +193,6 @@ def types_equal(q1: NTypeDescriptor, q2: NTypeDescriptor) -> bool:
         and q1.offsets == q2.offsets
         and q1.pairwise == q2.pairwise
     )
-
-
-def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:
-    """Re-address a point in an extension that kept the original node ids
-    (edges may have been subdivided by gluing)."""
-    if isinstance(pt, Vertex):
-        return normalize_point(dst, pt)
-    if dst.has_edge(pt.u, pt.v):
-        return normalize_point(dst, pt)
-    return point_on_segment(dst, Vertex(pt.u), Vertex(pt.v), pt.offset)
 
 
 def types_equal_transferred(q_small: NTypeDescriptor, q_big: NTypeDescriptor) -> bool:
@@ -499,13 +489,13 @@ def type_distance_search(
     # edge lists in depth-first order
     classes = _class_trees(q2)
 
-    # pre-materialize the class roots so that later fresh attachments never
-    # subdivide a context edge (keeps the coverage test valid throughout)
+    # cut the tree at the class roots first so that later fresh attachments
+    # never subdivide a context edge (keeps the coverage test valid throughout)
     roots_raw = [
         normalize_point(base0, transfer_point(base0, e)) for e, _m, _k in classes
     ]
-    mat_roots = materialize(base0, roots_raw, prefix="rt")
-    base = mat_roots.tree
+    roots_cut, root_node = _cut(base0, roots_raw, 1, "rt")
+    base = roots_cut.freeze()
     ctx_in_base = spanned_subtree(
         base,
         [transfer_point(base, g) for g in q1.context.generators],
@@ -546,7 +536,7 @@ def type_distance_search(
                 stack.append((nb, node))
 
     roots = {
-        ("root", c_idx): Vertex(mat_roots.node_for(roots_raw[c_idx]))
+        ("root", c_idx): Vertex(root_node[roots_raw[c_idx]])
         for c_idx in range(len(classes))
     }
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from rtrees import (
+    EdgePoint,
     GlueSpec,
+    MalformedSpecError,
     NotIsometricError,
     RadiusExceededError,
     SubtreeMap,
@@ -76,6 +78,33 @@ def test_glue_radius_precondition(tripod):
             GlueSpec(base=tripod, attachments=((long_arm, Vertex("s0"), Vertex("a")),)),
             R,
         )
+
+
+def test_glue_radius_error_names_a_node_of_the_factor():
+    # anchored inside its edge, the factor's nearer end p lands at 3 + 1/2
+    half = EdgePoint("p", "q", Fraction(1, 2))
+    with pytest.raises(RadiusExceededError) as err:
+        glue_family(GlueSpec(base=segment(3), attachments=((segment(1), half, Vertex("q")),)), R)
+    assert str(err.value) == "point p would sit at distance 7/2 > 2 from the basepoint"
+
+
+def test_glue_on_a_disconnected_base_is_malformed():
+    base = TreeSkeleton("p", [("p", "y", 1), ("y", "a", 1), ("u", "w", 1)])
+    arm = segment(Fraction(1, 2))
+    for attachments in ((), ((arm, Vertex("p"), Vertex("y")),)):
+        with pytest.raises(MalformedSpecError) as err:
+            glue_family(GlueSpec(base=base, attachments=attachments), R)
+        assert str(err.value) == (
+            "glued tree invalid: disconnected: nodes unreachable from basepoint: u, w"
+        )
+
+
+def test_amalgamate_with_a_cyclic_left_factor_is_malformed():
+    cyclic = TreeSkeleton("p", [("p", "y", 1), ("y", "a", 1), ("y", "b", 1), ("a", "b", 1)])
+    t = tripod(1, 1, 1)
+    with pytest.raises(MalformedSpecError) as err:
+        amalgamate(cyclic, t, SubtreeMap(source=cyclic, target=t, pairs=()), R)
+    assert str(err.value) == "amalgam invalid: extra adjacency at left:b-left:a"
 
 
 def test_star_amalgam():

@@ -230,6 +230,24 @@ def test_amalgamate(tmp_path, tripod_file, capsys):
     assert out.count("edge") == 5  # shared trunk + four leaf edges
 
 
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        ("right", "error: hanging branch never meets the shared subtree"),
+        ("left", "error: amalgam invalid: nodes unreachable from basepoint: left:u, left:w"),
+    ],
+)
+def test_amalgamate_disconnected_factor_is_an_error(tmp_path, tripod_file, capsys, side, message):
+    broken = _write(tmp_path, "broken.tree", TRIPOD_TEXT + "node u\nnode w\nedge u w 1\n")
+    left, right = (tripod_file, broken) if side == "right" else (broken, tripod_file)
+    shared = _write(tmp_path, "map.txt", "pair node:p node:p\npair node:y node:y\n")
+    code, out, err = run(
+        capsys, "amalgamate", "--left", left, "--right", right, "--shared", shared,
+        "--radius", "2",
+    )
+    assert (code, out, err) == (1, "", message + "\n")
+
+
 def test_psi(tripod_file, capsys):
     code, out, _ = run(capsys, "psi", "--tree", tripod_file, "--at", "m")
     assert code == 0 and out.strip() == "1"
@@ -311,6 +329,13 @@ BAD_INVOCATIONS = {
     ],
     "generate-rb-negative-depth": lambda tmp: [
         "generate", "rb", "--radius", "2", "--depth", "-1",
+    ],
+    "generate-degrees-negative-depth": lambda tmp: [
+        "generate", "degrees", "--radius", "2", "--degrees", "3", "--depth", "-1",
+    ],
+    "generate-rb-radius-zero": lambda tmp: ["generate", "rb", "--radius", "0"],
+    "generate-degrees-radius-zero": lambda tmp: [
+        "generate", "degrees", "--radius", "0", "--degrees", "3",
     ],
     "generate-degrees-below-3": lambda tmp: [
         "generate", "degrees", "--radius", "2", "--degrees", "1",

@@ -53,3 +53,19 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_modules_use_every_name_they_import():
+    paths = sorted(Path(rtrees.__file__).parent.glob("*.py"))
+    for path in paths:
+        if path.name == "__init__.py":  # imports there are the public API
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name
