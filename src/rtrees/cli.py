@@ -201,6 +201,10 @@ def _cmd_eval(args) -> int:
         name, _, spec = item.partition("=")
         if not spec:
             raise CliError(f"bad --at binding {item!r}; use name=point")
+        if name == "p":
+            raise CliError("--at: name 'p' is the basepoint and cannot be bound")
+        if name in val:
+            raise CliError(f"--at: name {name!r} is repeated")
         val[name] = _resolve_point(doc, spec)
     unbound = free_vars(formula) - set(val)
     if unbound:

@@ -9,6 +9,15 @@ Quantifier-free formulas are piecewise linear along every edge, so a single
 quantifier block is evaluated exactly by piecewise-linear analysis.  Nested
 quantifiers fall back to exhaustive grid enumeration with a certified
 Lipschitz error interval.
+
+A single block reads its distances from one integer table per named point
+(:func:`rtrees.pl.distance_table`), made by one pass down the basepoint's
+parent map.  The height at which the root arcs of ``q`` and a node ``n``
+part is ``min(h_n, h_q)`` when ``n`` lies on ``q``'s root arc; off that arc
+it is the same as for ``n``'s parent, because ``n``'s root arc runs through
+its parent and leaves ``q``'s arc where the parent's does.  Each edge's leaf
+is then a line between two table entries, or a V on ``q``'s own edge, and a
+leaf without the bound variable is one ``distance`` per call.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .skeleton import (
 )
 from .geometry import interpolate
 from .matrices import delta_hyperbolicity, tree_to_matrix
-from .pl import PL, distance_profile
+from .pl import PL, distance_table, table_profile
 
 
 class FormulaSyntaxError(ValueError):
@@ -395,30 +404,36 @@ def eval_qf(tree: TreeSkeleton, f: Formula, val: Valuation) -> Fraction:
 # -- piecewise-linear profiles along one edge ----------------------------------
 
 
-def _profile(
-    tree: TreeSkeleton,
-    f: Formula,
-    val: Valuation,
-    var: str,
-    edge: tuple[str, str],
-) -> PL:
-    length = tree.edge_length(*edge)
-    if isinstance(f, Const):
-        return PL.const(Fraction(0), length, f.value)
+_ZERO = Fraction(0)
+
+
+def _dists(f: Formula):
+    """The ``(a, b)`` names of every ``Dist`` leaf of a quantifier-free ``f``."""
     if isinstance(f, Dist):
-        if f.a == var and f.b == var:
-            return PL.const(Fraction(0), length, Fraction(0))
-        if f.a == var:
-            return distance_profile(tree, edge, _resolve(tree, f.b, val))
-        if f.b == var:
-            return distance_profile(tree, edge, _resolve(tree, f.a, val))
-        c = distance(tree, _resolve(tree, f.a, val), _resolve(tree, f.b, val))
-        return PL.const(Fraction(0), length, c)
+        yield f.a, f.b
+    elif isinstance(f, Scale):
+        yield from _dists(f.body)
+    elif isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
+        yield from _dists(f.left)
+        yield from _dists(f.right)
+
+
+def _profile(f: Formula, leaves, edge: tuple[str, str, Fraction]) -> PL:
+    """``f`` along ``edge = (u, v, length)`` as its bound point sweeps from
+    ``u``; each ``Dist`` leaf is read from ``leaves``, keyed by its names: a
+    constant, or the :func:`distance_table` of its other point."""
+    if isinstance(f, Dist):
+        leaf = leaves[f.a, f.b]
+        if isinstance(leaf, Fraction):
+            return PL.const(_ZERO, edge[2], leaf)
+        return table_profile(leaf, edge[0], edge[1])
+    if isinstance(f, Const):
+        return PL.const(_ZERO, edge[2], f.value)
     if isinstance(f, Scale):
-        return _profile(tree, f.body, val, var, edge).scale(f.coeff)
+        return _profile(f.body, leaves, edge).scale(f.coeff)
     if isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
-        left = _profile(tree, f.left, val, var, edge)
-        right = _profile(tree, f.right, val, var, edge)
+        left = _profile(f.left, leaves, edge)
+        right = _profile(f.right, leaves, edge)
         if isinstance(f, Add):
             return left.add(right)
         if isinstance(f, Max):
@@ -427,7 +442,7 @@ def _profile(
             return left.min_with(right)
         diff = left.sub(right)
         if isinstance(f, TruncSub):
-            return diff.max_with(PL.const(Fraction(0), length, Fraction(0)))
+            return diff.max_with(PL.const(_ZERO, edge[2], _ZERO))
         return abs(diff)
     raise ValueError("profile requires a quantifier-free body")
 
@@ -461,16 +476,36 @@ class CertifiedValue:
 def _exact_single_block(
     tree: TreeSkeleton, f: Union[Inf, Sup], val: Valuation
 ) -> Fraction:
-    """Exact optimum of a quantifier over a quantifier-free body."""
+    """Exact optimum of a quantifier over a quantifier-free body.  Each
+    named point gets one distance table and each constant leaf one
+    ``distance`` per call; the optimum is kept as a numerator over the
+    denominator of the profile or value that attains it."""
     body, var = f.body, f.var
-    pick, extremum = (min, PL.argmin) if isinstance(f, Inf) else (max, PL.argmax)
-    cands = [extremum(_profile(tree, body, val, var, (u, v)))[0] for u, v, _ in tree.edges()]
-    cands += [
-        eval_qf(tree, body, {**val, var: Vertex(node)})
-        for node in tree.nodes()
-        if tree.degree(node) == 0 or not tree.edges()
-    ]
-    return pick(cands)
+    leaves: dict[tuple[str, str], object] = {}
+    tables: dict[str, tuple] = {}
+    for a, b in _dists(body):
+        if (a, b) in leaves:
+            continue
+        if a == var and b == var:
+            leaves[a, b] = _ZERO
+        elif var in (a, b):
+            q = b if a == var else a
+            if q not in tables:
+                tables[q] = distance_table(tree, _resolve(tree, q, val))
+            leaves[a, b] = tables[q]
+        else:
+            leaves[a, b] = distance(tree, _resolve(tree, a, val), _resolve(tree, b, val))
+    pick, sign = (min, -1) if isinstance(f, Inf) else (max, 1)
+    cands = [(pick(pl.yn), pl.d) for pl in (_profile(body, leaves, e) for e in tree.edges())]
+    for node in tree.nodes():
+        if tree.degree(node) == 0 or not tree.edges():
+            c = eval_qf(tree, body, {**val, var: Vertex(node)})
+            cands.append((c.numerator, c.denominator))
+    bn, bd = cands[0]
+    for n, d in cands[1:]:
+        if sign * (n * bd - bn * d) > 0:
+            bn, bd = n, d
+    return Fraction(bn, bd)
 
 
 def eval_quantified(

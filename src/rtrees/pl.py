@@ -15,8 +15,13 @@ finer denominator: the operation records it as a numerator over ``d * f``
 and rescales the whole result once, by the lcm of every such ``f``.
 ``Fraction``s are built only at the boundary: the ``PL(xs, ys)``
 constructor, ``const``, ``scale``, the ``xs``/``ys`` properties and
-``argmin``/``argmax``.  ``distance_profile`` builds its PL straight from
-the skeleton's integer heights.
+``argmin``/``argmax``.
+
+Distances along an edge come from ``distance_table``: one pass over the
+skeleton's integer heights gives ``d(q, n)`` for every node ``n``, over
+``q``'s rooted denominator, and ``table_profile`` builds an edge's profile
+from two of its entries, with no root-arc meet per edge.
+``distance_profile`` is that read for one edge.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .skeleton import EdgePoint, PointRef, TreeSkeleton, Vertex, _meet, normalize_point
+from .skeleton import EdgePoint, PointRef, SkeletonError, TreeSkeleton, _rooted, normalize_point
 
 
 def _sample(xs, ys, grid):
@@ -226,26 +231,50 @@ class PL:
         return Fraction(self.yn[i], self.d), Fraction(self.xn[i], self.d)
 
 
-def distance_profile(tree: TreeSkeleton, edge: tuple[str, str], q: PointRef) -> PL:
-    """d(x, q) as x sweeps the edge from its canonical first endpoint.
+def distance_table(tree: TreeSkeleton, q: PointRef):
+    """``(dist, den, host)``: ``dist[n] / den`` is ``d(q, n)`` for every node
+    ``n`` of the basepoint's component, over ``q``'s rooted denominator, and
+    ``host`` is ``q``'s edge, or ``None`` if ``q`` is a vertex; ``q`` is then
+    ``dist[host[0]] / den`` from ``host[0]``.
 
-    One root-arc meet of ``q`` with the edge's lower endpoint gives both
-    endpoint distances: ``q`` lies in the subtree below that endpoint exactly
-    when their root arcs part at its height."""
-    u, v = edge
-    length = tree.edge_length(u, v)
-    parent = tree._root_data()[0]
-    low = v if parent.get(v) == u else u
+    One pass down the basepoint's parent map, in which a parent comes before
+    its children, gives the height ``m[n]`` at which the root arcs of ``q``
+    and ``n`` part: ``min(h_n, h_q)`` on ``q``'s root arc, and off it
+    ``m[parent[n]]``, since ``n``'s root arc leaves ``q``'s where its
+    parent's does.  Then ``d(q, n) = h_q + h_n - 2 m[n]``."""
+    parent, num, _, D = tree._root_data()
     q = normalize_point(tree, q)
-    _, h, _, hq, m, den = _meet(tree, Vertex(low), q)
-    # den is the skeleton's denominator times q's offset denominator, so it
-    # is a multiple of both the length's and the offset's denominators
-    ln = length.numerator * (den // length.denominator)
-    if isinstance(q, EdgePoint) and (q.u, q.v) == (u, v):
-        at = q.offset.numerator * (den // q.offset.denominator)
-        return _pl(den, (0, at, ln), (at, 0, ln - at))
-    d_low = h + hq - 2 * m
-    d_high = d_low + ln if m == h else d_low - ln
-    if low == u:
-        return _pl(den, (0, ln), (d_low, d_high))
-    return _pl(den, (0, ln), (d_high, d_low))
+    node, hq, den = _rooted(parent, num, D, q)
+    k = den // D
+    m = {}
+    x = node
+    while x is not None:
+        m[x] = num[x] * k
+        x = parent[x]
+    m[node] = min(m[node], hq)
+    for n, up in parent.items():
+        if n not in m:
+            m[n] = m[up]
+    dist = {n: hq + h * k - 2 * m[n] for n, h in num.items()}
+    return dist, den, (q.u, q.v) if isinstance(q, EdgePoint) else None
+
+
+def table_profile(table, u: str, v: str) -> PL:
+    """d(x, q) as x sweeps the edge from ``u`` to ``v``, read off ``q``'s
+    :func:`distance_table`: a V with its tip at ``q`` on ``q``'s own edge,
+    one line on every other, as the arc from ``q`` enters it at one end."""
+    dist, den, host = table
+    try:
+        du, dv = dist[u], dist[v]
+    except KeyError:
+        raise SkeletonError("distance query across disconnected components") from None
+    if host == (u, v) or host == (v, u):
+        return _pl(den, (0, du, du + dv), (du, 0, dv))
+    return _pl(den, (0, abs(du - dv)), (du, dv))
+
+
+def distance_profile(tree: TreeSkeleton, edge: tuple[str, str], q: PointRef) -> PL:
+    """d(x, q) as x sweeps the edge from its first endpoint."""
+    u, v = edge
+    tree.edge_length(u, v)  # UnknownPointError if u-v is not an edge
+    return table_profile(distance_table(tree, q), u, v)

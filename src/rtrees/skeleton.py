@@ -588,13 +588,15 @@ class _TreeBuilder:
     """A copy of a connected skeleton grown in place: each node's parent and
     its height from the basepoint as an integer over ``den``, the labels,
     and the set of taken node ids.  Every edge has positive length, so
-    heights strictly increase away from the basepoint."""
+    heights strictly increase away from the basepoint.  A new parent link
+    always has a new node at one end, so a link between two nodes adjacent
+    in the source tree is a source edge, and keeps its length."""
 
     def __init__(self, tree: TreeSkeleton, den: int) -> None:
         parent, num, _, D = tree._root_data()
         if len(parent) != len(tree._adj):
             raise SkeletonError("the skeleton is not connected")
-        self.basepoint, self.den = tree.basepoint, lcm(D, den)
+        self.basepoint, self.den, self.src = tree.basepoint, lcm(D, den), tree._adj
         self.h = {x: n * (self.den // D) for x, n in num.items()}
         self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(parent)
 
@@ -635,8 +637,12 @@ class _TreeBuilder:
 
     def freeze(self) -> TreeSkeleton:
         """The grown tree as one :class:`TreeSkeleton`."""
-        h, den = self.h, self.den
-        edges = [(up, x, Fraction(h[x] - h[up], den)) for x, up in self.parent.items() if up]
+        h, den, src = self.h, self.den, self.src
+        edges = [
+            (up, x, src[x][up] if up in src.get(x, ()) else Fraction(h[x] - h[up], den))
+            for x, up in self.parent.items()
+            if up
+        ]
         return TreeSkeleton(self.basepoint, edges, self.labels, extra_nodes=[self.basepoint])
 
 

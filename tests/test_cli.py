@@ -394,6 +394,14 @@ BAD_INVOCATIONS = {
     "eval-unbound-point": lambda tmp: [
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "sup x. d(x,q)",
     ],
+    "eval-binds-the-basepoint": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "d(p,q)",
+        "--at", "p=a", "--at", "q=a",
+    ],
+    "eval-binds-a-name-twice": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "d(p,q)",
+        "--at", "q=y", "--at", "q=a",
+    ],
     "eval-deep-parens": lambda tmp: [
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT),
         "--formula", "(" * 2000 + "d(p,p)" + ")" * 2000,
@@ -515,6 +523,14 @@ def test_parser_is_reused_without_carrying_bindings(tripod_file, capsys):
     assert (code, out) == (2, "")
     assert "formula has unbound points: q" in err
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_eval_bindings_are_distinct_and_never_the_basepoint(tripod_file, capsys):
+    base = ("eval", "--tree", tripod_file, "--formula", "d(p,q)")
+    code, out, err = run(capsys, *base, "--at", "p=a", "--at", "q=a")
+    assert (code, out, err) == (2, "", "error: --at: name 'p' is the basepoint and cannot be bound\n")
+    code, out, err = run(capsys, *base, "--at", "q=y", "--at", "q=a")
+    assert (code, out, err) == (2, "", "error: --at: name 'q' is repeated\n")
 
 
 def test_matrix_point_names_must_be_distinct_and_nonempty(tripod_file, capsys):

@@ -521,6 +521,15 @@ def test_distance_profile_matches_distance():
     assert checked > 1000
 
 
+def test_distance_profile_sweeps_from_the_first_endpoint_given():
+    tree = tripod(1, 1, 1)
+    q = point_on_edge(tree, "a", "y", Fraction(1, 3))
+    for u, v in (("a", "y"), ("y", "a")):
+        prof = distance_profile(tree, (u, v), q)
+        for x, y in zip(prof.xs, prof.ys):
+            assert y == distance(tree, point_on_edge(tree, u, v, x), q), (u, v, x)
+
+
 # -- the Fraction walk that the integer walk replaced, kept as a reference -----
 
 

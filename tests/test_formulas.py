@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from rtrees import (
+    EdgePoint,
     FormulaSyntaxError,
+    SkeletonError,
+    TreeSkeleton,
     Vertex,
     check_rt_axioms,
     distance,
@@ -12,9 +15,31 @@ from rtrees import (
     free_vars,
     lipschitz_bound,
     parse_formula,
+    point_on_edge,
+    random_point,
+    random_tree,
+    rb_extend,
+    segment,
+    tripod,
 )
-from rtrees.formulas import MAX_DEPTH, Dist, Inf, Max, Min, Sup, TruncSub
-from conftest import random_corpus, tree_grid
+from rtrees import skeleton
+from rtrees.formulas import (
+    MAX_DEPTH,
+    AbsDiff,
+    Add,
+    Const,
+    Dist,
+    Inf,
+    Max,
+    Min,
+    Scale,
+    Sup,
+    TruncSub,
+    _resolve,
+)
+from rtrees.pl import PL, _pl
+from rtrees.skeleton import _meet, normalize_point
+from conftest import random_corpus, rng_for, tree_grid
 
 
 P, Y, A, B = Vertex("p"), Vertex("y"), Vertex("a"), Vertex("b")
@@ -205,3 +230,187 @@ def test_axiom3_zero_on_random_trees():
     for tree in random_corpus("ax3", 4, max_nodes=5):
         rep = check_rt_axioms(tree, 2, Fraction(1, 2))
         assert rep.axiom3.lower == 0 and rep.axiom3.exact
+
+
+def test_single_block_on_a_disconnected_skeleton_is_a_skeleton_error():
+    tree = TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)])
+    cases = [("sup x. d(x,p)", {}), ("sup x. d(x,q)", {"q": A}), ("sup x. d(x,q)", {"q": B})]
+    for text, val in cases:
+        with pytest.raises(SkeletonError, match="^distance query across disconnected components$"):
+            eval_quantified(tree, parse_formula(text), val, Fraction(1, 2))
+
+
+def test_single_block_makes_no_meet_per_edge(monkeypatch):
+    # one distance table per named point: the only root-arc meet is the one
+    # ``distance`` makes for the leaf without the bound variable
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _meet(*args)
+
+    monkeypatch.setattr(skeleton, "_meet", counting)
+    tree = rb_extend(tripod(1, 1, 1), 2, 4)
+    assert len(tree.edges()) > 50
+    f = parse_formula("sup x. max(d(x,a), d(a,b)) + d(x,p) -. d(b,x)")
+    got = eval_quantified(tree, f, {"a": Vertex("a"), "b": Vertex("b")}, Fraction(1, 4))
+    assert got.exact
+    assert len(calls) == 1
+
+
+# -- the per-edge evaluation that the distance tables replaced, as a reference --
+
+
+def _ref_distance_profile(tree, edge, q):
+    u, v = edge
+    length = tree.edge_length(u, v)
+    parent = tree._root_data()[0]
+    low = v if parent.get(v) == u else u
+    q = normalize_point(tree, q)
+    _, h, _, hq, m, den = _meet(tree, Vertex(low), q)
+    ln = length.numerator * (den // length.denominator)
+    if isinstance(q, EdgePoint) and (q.u, q.v) == (u, v):
+        at = q.offset.numerator * (den // q.offset.denominator)
+        return _pl(den, (0, at, ln), (at, 0, ln - at))
+    d_low = h + hq - 2 * m
+    d_high = d_low + ln if m == h else d_low - ln
+    if low == u:
+        return _pl(den, (0, ln), (d_low, d_high))
+    return _pl(den, (0, ln), (d_high, d_low))
+
+
+def _ref_profile(tree, f, val, var, edge):
+    length = tree.edge_length(*edge)
+    if isinstance(f, Const):
+        return PL.const(Fraction(0), length, f.value)
+    if isinstance(f, Dist):
+        if f.a == var and f.b == var:
+            return PL.const(Fraction(0), length, Fraction(0))
+        if f.a == var:
+            return _ref_distance_profile(tree, edge, _resolve(tree, f.b, val))
+        if f.b == var:
+            return _ref_distance_profile(tree, edge, _resolve(tree, f.a, val))
+        c = distance(tree, _resolve(tree, f.a, val), _resolve(tree, f.b, val))
+        return PL.const(Fraction(0), length, c)
+    if isinstance(f, Scale):
+        return _ref_profile(tree, f.body, val, var, edge).scale(f.coeff)
+    left = _ref_profile(tree, f.left, val, var, edge)
+    right = _ref_profile(tree, f.right, val, var, edge)
+    if isinstance(f, Add):
+        return left.add(right)
+    if isinstance(f, Max):
+        return left.max_with(right)
+    if isinstance(f, Min):
+        return left.min_with(right)
+    diff = left.sub(right)
+    if isinstance(f, TruncSub):
+        return diff.max_with(PL.const(Fraction(0), length, Fraction(0)))
+    return abs(diff)
+
+
+def _ref_single_block(tree, f, val):
+    body, var = f.body, f.var
+    pick, extremum = (min, PL.argmin) if isinstance(f, Inf) else (max, PL.argmax)
+    cands = [extremum(_ref_profile(tree, body, val, var, (u, v)))[0] for u, v, _ in tree.edges()]
+    cands += [
+        eval_qf(tree, body, {**val, var: Vertex(node)})
+        for node in tree.nodes()
+        if tree.degree(node) == 0 or not tree.edges()
+    ]
+    return pick(cands)
+
+
+# every connective, a negative scale, d(x,x) and a leaf without x
+FIXED_BODIES = [
+    "d(x,p)",
+    "max(d(x,a), d(x,b))",
+    "d(x,x) + 2 * d(a,b) -. d(x,a)",
+    "-3/2 * abs(d(x,a) - d(x,p)) + 1",
+    "min(d(b,x), 1/3) -. d(b,a)",
+    "abs(d(a,x) - d(x,b)) + -1/2 * min(d(x,p), d(p,a))",
+]
+LEAF_NAMES = ("x", "x", "a", "b", "p")
+
+
+def _random_body(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            return Const(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+        return Dist(rng.choice(LEAF_NAMES), rng.choice(LEAF_NAMES))
+    kind = rng.choice((Add, TruncSub, Max, Min, AbsDiff, Scale))
+    if kind is Scale:
+        return Scale(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3))), _random_body(rng, depth - 1))
+    return kind(_random_body(rng, depth - 1), _random_body(rng, depth - 1))
+
+
+def _reference_trees():
+    rng = rng_for("single-block-reference")
+    trees = [TreeSkeleton("p", (), extra_nodes=["p"])]
+    trees += [random_tree(rng, max_nodes=n, min_nodes=1) for n in range(2, 13) for _ in range(3)]
+    seeds = [tripod(1, 1, 1), segment(2), random_tree(rng, max_nodes=5)]
+    trees += [rb_extend(seed, 2, k) for seed in seeds for k in (2, 3, 4)]
+    return trees
+
+
+def _parameters(rng, tree):
+    """A vertex, the basepoint or a point inside an edge, each in turn."""
+    u, v, length = rng.choice(tree.edges() or ((None, None, None),))
+    choices = [Vertex(rng.choice(tree.nodes())), Vertex(tree.basepoint)]
+    if u is not None:
+        choices.append(point_on_edge(tree, u, v, length * Fraction(rng.randint(1, 6), 7)))
+    return rng.choice(choices)
+
+
+def test_single_block_matches_the_per_edge_reference():
+    rng = rng_for("single-block-bodies")
+    checked = 0
+    for tree in _reference_trees():
+        bodies = [parse_formula(t) for t in FIXED_BODIES]
+        bodies += [_random_body(rng, 3) for _ in range(12)]
+        for body in bodies:
+            val = {"a": _parameters(rng, tree), "b": _parameters(rng, tree)}
+            for quant in (Inf, Sup):
+                f = quant("x", body)
+                want = _ref_single_block(tree, f, val)
+                got = eval_quantified(tree, f, val, Fraction(1, 4))
+                assert got.exact and got.lower == want, (tree, f, val)
+                checked += 1
+    assert checked > 1500
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_PROPERTY_TREES = [TreeSkeleton("p", (), extra_nodes=["p"])] + random_corpus(
+    "single-block-property", 12, max_nodes=9
+) + [rb_extend(tripod(1, 1, 1), 2, 2)]
+
+_leaves = st.one_of(
+    st.builds(Dist, st.sampled_from(LEAF_NAMES), st.sampled_from(LEAF_NAMES)),
+    st.builds(Const, st.fractions(-3, 3, max_denominator=4)),
+)
+_bodies = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.builds(Scale, st.fractions(-3, 3, max_denominator=4), kids),
+        *(st.builds(kind, kids, kids) for kind in (Add, TruncSub, Max, Min, AbsDiff)),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _instances(draw):
+    tree = draw(st.sampled_from(_PROPERTY_TREES))
+    rng = rng_for(draw(st.integers(0, 10**6)))
+    points = [random_point(rng, tree) for _ in range(2)]
+    return tree, {"a": points[0], "b": points[1]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bodies, st.sampled_from((Inf, Sup)), _instances())
+def test_single_block_property_matches_the_reference(body, quant, instance):
+    tree, val = instance
+    f = quant("x", body)
+    got = eval_quantified(tree, f, val, Fraction(1, 2))
+    assert got.exact and got.lower == _ref_single_block(tree, f, val)
