@@ -199,7 +199,7 @@ def _cmd_eval(args) -> int:
     val = {}
     for item in args.at or ():
         name, _, spec = item.partition("=")
-        if not spec:
+        if not name or not spec:
             raise CliError(f"bad --at binding {item!r}; use name=point")
         if name == "p":
             raise CliError("--at: name 'p' is the basepoint and cannot be bound")

@@ -175,14 +175,17 @@ class TreeSkeleton:
     def has_node(self, node: str) -> bool:
         return node in self._adj
 
-    def neighbors(self, node: str) -> tuple[str, ...]:
+    def _adjacent(self, node: str) -> dict[str, Fraction]:
         try:
-            return tuple(sorted(self._adj[node]))
+            return self._adj[node]
         except KeyError:
             raise UnknownPointError(f"unknown node {node!r}") from None
 
+    def neighbors(self, node: str) -> tuple[str, ...]:
+        return tuple(sorted(self._adjacent(node)))
+
     def degree(self, node: str) -> int:
-        return len(self._adj[node])
+        return len(self._adjacent(node))
 
     def edge_length(self, u: str, v: str) -> Fraction:
         try:
@@ -325,7 +328,7 @@ class TreeSkeleton:
         the directions listed in ``exclude``."""
         table, den = self._reach_num(), self._root_data()[3]
         skip = set(exclude)
-        vals = [table[(node, nbr)] for nbr in self._adj[node] if nbr not in skip]
+        vals = [table[(node, nbr)] for nbr in self._adjacent(node) if nbr not in skip]
         vals.sort(reverse=True)
         return [Fraction(n, den) for n in vals]
 

@@ -26,7 +26,8 @@ Descriptor format::
     pair <i> <j> <rat>
 
 where the indices run ``1..n`` and ``<point>`` is ``node <id>`` or
-``edge <id_u> <id_v> <offset>``.
+``edge <id_u> <id_v> <offset>``.  Each line appears at most once
+(``pair i j`` and ``pair j i`` are one line) and has no extra tokens.
 """
 
 from __future__ import annotations
@@ -242,6 +243,7 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
     closest: dict[int, PointRef] = {}
     offsets: dict[int, Fraction] = {}
     pairs: dict[tuple[int, int], Fraction] = {}
+    seen: set[tuple] = set()
 
     for lineno, parts in _content_lines(text):
         kind = parts[0]
@@ -249,6 +251,7 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
             if kind == "context":
                 if len(parts) != 2:
                     raise FormatError("context needs a tree file path", lineno)
+                key = (kind,)
                 try:
                     tree_doc = load_tree(os.path.join(base_dir, parts[1]))
                 except OSError as exc:
@@ -256,20 +259,32 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
                         f"cannot read context {parts[1]}: {exc.strerror}", lineno
                     ) from exc
             elif kind == "radius":
+                if len(parts) != 2:
+                    raise FormatError("radius needs one value", lineno)
+                key = (kind,)
                 radius = _radius(parts[1])
             elif kind == "closest":
                 if tree_doc is None:
                     raise FormatError("context must come before closest", lineno)
-                closest[_index(parts[1])] = parse_point(tree_doc.tree, parts[2:])
+                key = (kind, _index(parts[1]))
+                closest[key[1]] = parse_point(tree_doc.tree, parts[2:])
             elif kind == "offset":
-                offsets[_index(parts[1])] = as_rat(parts[2])
+                if len(parts) != 3:
+                    raise FormatError("offset needs an index and a value", lineno)
+                key = (kind, _index(parts[1]))
+                offsets[key[1]] = as_rat(parts[2])
             elif kind == "pair":
-                i, j = _index(parts[1]), _index(parts[2])
-                pairs[(min(i, j), max(i, j))] = as_rat(parts[3])
+                if len(parts) != 4:
+                    raise FormatError("pair needs two indices and a value", lineno)
+                key = (kind, *sorted((_index(parts[1]), _index(parts[2]))))
+                pairs[key[1:]] = as_rat(parts[3])
             else:
                 raise FormatError(f"unknown directive {kind!r}", lineno)
+            if key in seen:
+                raise FormatError(f"{' '.join(map(str, key))} given twice", lineno)
+            seen.add(key)
         except (ValueError, TypeError, IndexError) as exc:
-            if isinstance(exc, FormatError):
+            if isinstance(exc, FormatError) and exc.line is not None:
                 raise
             raise FormatError(str(exc), lineno) from exc
 

@@ -218,17 +218,12 @@ def _class_trees(q: NTypeDescriptor) -> list[tuple[PointRef, list[int], TreeSkel
     """The coordinates grouped by closest point ``e``, each class with its
     realization: a tree whose node labeled ``a`` sits at ``e`` and whose
     node labeled ``t{i+1}`` realizes coordinate ``i``."""
-    classes: list[tuple[PointRef, list[int]]] = []
-    for i in range(q.n):
-        for e, members in classes:
-            if e == q.closest[i]:
-                members.append(i)
-                break
-        else:
-            classes.append((q.closest[i], [i]))
+    classes: dict[PointRef, list[int]] = {}
+    for i, e in enumerate(q.closest):
+        classes.setdefault(e, []).append(i)
 
     out = []
-    for e, members in classes:
+    for e, members in classes.items():
         # rows of a, then of each member: offsets, then the pairwise block
         labels = ("a",) + tuple(f"t{i + 1}" for i in members)
         rows = [(0, *(q.offsets[i] for i in members))]
@@ -375,66 +370,37 @@ def _sphere_points(
     radius_: Fraction,
     forbidden: SpannedSubtree,
 ) -> list[PointRef]:
-    """Points at tree-distance exactly ``radius_`` from ``host`` whose arc
-    from ``host`` leaves the forbidden subtree immediately."""
-    if radius_ == 0:
-        return [normalize_point(tree, host)]
+    """Points at tree-distance exactly ``radius_ > 0`` from ``host``, in
+    ``point_sort_key`` order, along the directions whose first edge piece,
+    from ``host`` to the end of its edge, has its midpoint outside the
+    forbidden subtree (or on an edge unknown to its ambient).  Only that
+    midpoint is tested, so a returned point may lie in the subtree.  On a
+    direction ``(a, b, start)`` the point at distance ``s`` from ``host`` is
+    ``EdgePoint(a, b, start + s)``."""
     host = normalize_point(tree, host)
-    results: list[PointRef] = []
-    seen: set[tuple[str, str]] = set()
+    if isinstance(host, Vertex):
+        dirs = [(host.node, nb, Fraction(0)) for nb in tree.neighbors(host.node)]
+    else:
+        length = tree.edge_length(host.u, host.v)
+        dirs = [(host.v, host.u, length - host.offset), (host.u, host.v, host.offset)]
 
-    def along_ok(u: str, v: str, lo: Fraction, hi: Fraction) -> bool:
-        # first-step filter: skip directions that stay inside the context;
-        # edges unknown to the context's ambient are fresh, hence outside
-        mid = normalize_point(tree, EdgePoint(u, v, (lo + hi) / 2))
+    def leaves(a: str, b: str, start: Fraction) -> bool:
+        mid = normalize_point(tree, EdgePoint(a, b, (start + tree.edge_length(a, b)) / 2))
         try:
             return not forbidden.covers(mid)
         except SkeletonError:
             return True
 
-    starts: list[tuple[str, Fraction, Optional[str]]] = []
-    if isinstance(host, Vertex):
-        starts.append((host.node, Fraction(0), None))
-    else:
-        length = tree.edge_length(host.u, host.v)
-        if along_ok(host.u, host.v, Fraction(0), host.offset):
-            if host.offset >= radius_:
-                results.append(
-                    normalize_point(tree, EdgePoint(host.u, host.v, host.offset - radius_))
-                )
-            else:
-                starts.append((host.u, host.offset, host.v))
-        if along_ok(host.u, host.v, host.offset, length):
-            if length - host.offset >= radius_:
-                results.append(
-                    normalize_point(tree, EdgePoint(host.u, host.v, host.offset + radius_))
-                )
-            else:
-                starts.append((host.v, length - host.offset, host.u))
-
-    stack = [(node, dist, block) for node, dist, block in starts]
+    results: list[PointRef] = []
+    stack = [d for d in dirs if leaves(*d)]
     while stack:
-        node, dist, block = stack.pop()
-        for nb in tree.neighbors(node):
-            if nb == block:
-                continue
-            if (node, nb) in seen:
-                continue
-            seen.add((node, nb))
-            length = tree.edge_length(node, nb)
-            if dist == 0 and not along_ok(node, nb, Fraction(0), length):
-                # leaving the host vertex: skip directions inside the context
-                continue
-            if dist + length >= radius_:
-                off = radius_ - dist
-                results.append(normalize_point(tree, EdgePoint(node, nb, off)))
-            else:
-                stack.append((nb, dist + length, node))
-    uniq = []
-    for pt in results:
-        if pt not in uniq:
-            uniq.append(pt)
-    return sorted(uniq, key=point_sort_key)
+        a, b, start = stack.pop()
+        length = tree.edge_length(a, b)
+        if start + radius_ <= length:
+            results.append(normalize_point(tree, EdgePoint(a, b, start + radius_)))
+        else:
+            stack.extend((b, nb, start - length) for nb in tree.neighbors(b) if nb != a)
+    return sorted(results, key=point_sort_key)
 
 
 class _ReachedExact(Exception):
@@ -471,121 +437,85 @@ def type_distance_search(
     require_valid(q2)
     if q1.n != q2.n:
         raise ContextMismatchError("descriptors have different arities")
-    n = q1.n
 
-    marginal = max(
-        one_type_distance(q1.marginal(i), q2.marginal(i)) for i in range(n)
-    )
-    if n == 1:
+    marginal = max(one_type_distance(q1.marginal(i), q2.marginal(i)) for i in range(q1.n))
+    if q1.n == 1:
         return CertifiedValue(marginal, marginal, mesh)
     if types_equal(q1, q2):
         return CertifiedValue(Fraction(0), Fraction(0), mesh)
 
     exact = _exact_distance(q1, q2)
-    ambient = q1.context.ambient
-    base0, a_points = realize_type(ambient, q1)
+    base0, a_points = realize_type(q1.context.ambient, q1)
 
-    # realization skeletons of q2, one per closest-point class, as rooted
-    # edge lists in depth-first order
+    # realization trees of q2, one per closest-point class; a key
+    # ``(class, node)`` names a node of one, and the coordinates landing
+    # there are those of its ``t{i+1}`` labels
     classes = _class_trees(q2)
+
+    def coords_at(c: int, node: str) -> list[int]:
+        _e, members, k_tree = classes[c]
+        return [i for i in members if f"t{i + 1}" in k_tree.labels_of(node)]
 
     # cut the tree at the class roots first so that later fresh attachments
     # never subdivide a context edge (keeps the coverage test valid throughout)
-    roots_raw = [
-        normalize_point(base0, transfer_point(base0, e)) for e, _m, _k in classes
-    ]
-    roots_cut, root_node = _cut(base0, roots_raw, 1, "rt")
+    roots = [transfer_point(base0, e) for e, _m, _k in classes]
+    roots_cut, root_node = _cut(base0, roots, 1, "rt")
     base = roots_cut.freeze()
-    ctx_in_base = spanned_subtree(
-        base,
-        [transfer_point(base, g) for g in q1.context.generators],
-        adjoin_basepoint=True,
-    )
+    ctx_in_base = spanned_subtree(base, [transfer_point(base, g) for g in q1.context.generators])
 
-    segments: list[tuple[object, object, Fraction, dict]] = []
-    # (parent_key, child_key, length, coordinate indices landing at child)
-    coord_at: dict[object, list[int]] = {}
-    key_node: dict[object, tuple[int, str]] = {}
-    for c_idx, (_e, members, k_tree) in enumerate(classes):
+    # the class trees' edges as (class, parent, child, length), each class
+    # walked depth-first from its anchor
+    segments: list[tuple[int, str, str, Fraction]] = []
+    start: dict[tuple[int, str], PointRef] = {}
+    for c, (_e, _members, k_tree) in enumerate(classes):
         anchor = k_tree.find_label("a")
-        root_key = ("root", c_idx)
-        key_node[root_key] = (c_idx, anchor)
-        coord_at.setdefault(root_key, [])
-        for i in members:
-            if q2.offsets[i] == 0:
-                coord_at[root_key].append(i)
-        # DFS from the anchor
+        start[c, anchor] = Vertex(root_node[roots[c]])
         stack = [(anchor, None)]
-        node_key = {anchor: root_key}
         while stack:
             node, par = stack.pop()
-            for nb in sorted(k_tree.neighbors(node)):
-                if nb == par:
-                    continue
-                child_key = ("k", c_idx, nb)
-                length = k_tree.edge_length(node, nb)
-                idxs = [
-                    i
-                    for i in members
-                    if f"t{i + 1}" in k_tree.labels_of(nb)
-                ]
-                segments.append((node_key[node], child_key, length, {"coords": idxs}))
-                node_key[nb] = child_key
-                key_node[child_key] = (c_idx, nb)
-                coord_at[child_key] = idxs
-                stack.append((nb, node))
+            for nb in k_tree.neighbors(node):
+                if nb != par:
+                    segments.append((c, node, nb, k_tree.edge_length(node, nb)))
+                    stack.append((nb, node))
 
-    roots = {
-        ("root", c_idx): Vertex(root_node[roots_raw[c_idx]])
-        for c_idx in range(len(classes))
-    }
-
-    best: list[Optional[Fraction]] = [None]
-    budget = [max_configs]
+    best: Optional[Fraction] = None
+    budget = max_configs
     # the budget applies once a first configuration is complete; truncated
     # is set when it cuts a branch of the search
-    truncated = [False]
+    truncated = False
 
     def search(tree_now: TreeSkeleton, placed: dict, seg_idx: int, cur_max: Fraction):
-        if best[0] is not None and cur_max >= best[0]:
+        nonlocal best, budget, truncated
+        if best is not None and cur_max >= best:
             return
         if seg_idx == len(segments):
-            if best[0] is None or cur_max < best[0]:
-                best[0] = cur_max
-                if cur_max == exact:
-                    raise _ReachedExact
+            best = cur_max
+            if cur_max == exact:
+                raise _ReachedExact
             return
-        if budget[0] <= 0 and best[0] is not None:
-            truncated[0] = True
-            return
-        parent_key, child_key, length, info = segments[seg_idx]
-        host = transfer_point(tree_now, placed[parent_key])
-        # candidate prefixes: exact full overlaps to existing points, fresh,
-        # mesh-grid partial overlaps
-        lam_cands: list[Fraction] = [length, Fraction(0)]
-        k = 1
-        while k * mesh < length:
-            lam_cands.append(k * mesh)
-            k += 1
+        c, parent, child, length = segments[seg_idx]
+        host = transfer_point(tree_now, placed[c, parent])
         # the segment's tip lies ``rest`` beyond its point ``at`` of tree_now,
         # so its distance to any y of tree_now is distance(tree_now, y, at) + rest
-        c_idx, child_node = key_node[child_key]
-        k_tree = classes[c_idx][2]
+        k_tree = classes[c][2]
         same_class = [
-            (k_tree.vertex_distance(key_node[key][1], child_node), transfer_point(tree_now, img))
-            for key, img in placed.items()
-            if key_node[key][0] == c_idx
+            (k_tree.vertex_distance(node, child), transfer_point(tree_now, img))
+            for (c2, node), img in placed.items()
+            if c2 == c
         ]
-        coords = [transfer_point(tree_now, a_points[i]) for i in info["coords"]]
+        coords = [transfer_point(tree_now, a_points[i]) for i in coords_at(c, child)]
         tip_name = gensym(set(tree_now.nodes()), f"b{seg_idx}_")
-        for lam in lam_cands:
-            if budget[0] <= 0 and best[0] is not None:
-                truncated[0] = True
+        # candidate prefixes: a full overlap onto existing points, fresh,
+        # then the mesh multiples below the length
+        grid = (k * mesh for k in range(1, -(-length // mesh)))
+        for lam in (length, Fraction(0), *grid):
+            if budget <= 0 and best is not None:
+                truncated = True
                 return
             targets = _sphere_points(tree_now, host, lam, ctx_in_base) if lam else [host]
             rest = length - lam
             for at in targets:
-                budget[0] -= 1
+                budget -= 1
                 # the placement must copy the class tree isometrically:
                 # reject fold-backs onto existing material
                 if any(distance(tree_now, y, at) + rest != want for want, y in same_class):
@@ -593,37 +523,30 @@ def type_distance_search(
                 new_max = cur_max
                 for y in coords:
                     new_max = max(new_max, distance(tree_now, y, at) + rest)
-                    if best[0] is not None and new_max >= best[0]:
+                    if best is not None and new_max >= best:
                         break
                 else:
                     t2, tip = tree_now, at
                     if rest:
                         t2, node = hang(tree_now, at, rest, tip_name, f"c{seg_idx}")
                         tip = Vertex(node)
-                    search(t2, {**placed, child_key: tip}, seg_idx + 1, new_max)
+                    search(t2, {**placed, (c, child): tip}, seg_idx + 1, new_max)
 
-    start_max = Fraction(0)
-    start_placed = dict(roots)
     # coordinates sitting at a class root (offset 0)
-    for key, idxs in coord_at.items():
-        if key[0] == "root":
-            for i in idxs:
-                d = distance(base, transfer_point(base, a_points[i]), start_placed[key])
-                if d > start_max:
-                    start_max = d
+    start_max = Fraction(0)
+    for (c, node), pt in start.items():
+        for i in coords_at(c, node):
+            start_max = max(start_max, distance(base, transfer_point(base, a_points[i]), pt))
     try:
-        search(base, start_placed, 0, start_max)
+        search(base, start, 0, start_max)
     except _ReachedExact:
         pass
 
-    if best[0] is None:
+    if best is None:
         raise RuntimeError("type distance search found no configuration")
-    upper = best[0]
-    if truncated[0]:
+    if truncated:
         # upper - L * mesh bounds only an exhaustive grid search
         lower = marginal
     else:
-        L = 2 * max(1, len(segments))
-        lower = max(upper - L * mesh, marginal)
-    lower = min(lower, upper)
-    return CertifiedValue(lower, upper, mesh, truncated=truncated[0])
+        lower = max(best - 2 * max(1, len(segments)) * mesh, marginal)
+    return CertifiedValue(min(lower, best), best, mesh, truncated=truncated)

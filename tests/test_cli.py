@@ -402,6 +402,10 @@ BAD_INVOCATIONS = {
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "d(p,q)",
         "--at", "q=y", "--at", "q=a",
     ],
+    "eval-binds-an-empty-name": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "d(p,p)",
+        "--at", "=a",
+    ],
     "eval-deep-parens": lambda tmp: [
         "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT),
         "--formula", "(" * 2000 + "d(p,p)" + ")" * 2000,
@@ -432,6 +436,8 @@ BAD_INVOCATIONS = {
     ],
     "type-eq-pair-index-zero": lambda tmp: _eq_argv(tmp, "pair 0 1 2"),
     "type-eq-pair-index-negative": lambda tmp: _eq_argv(tmp, "pair -1 2 2"),
+    "type-eq-pair-repeated-reversed": lambda tmp: _eq_argv(tmp, "pair 1 2 2\npair 2 1 1"),
+    "type-eq-offset-extra-token": lambda tmp: _eq_argv(tmp, "offset 1 1/2 junk"),
     "type-principal-closest-index-zero": lambda tmp: [
         "type", "principal", "--descriptor",
         _write(tmp, "c0.desc", "context dot.tree\nclosest 0 node p\noffset 1 1\n"),
@@ -531,6 +537,8 @@ def test_eval_bindings_are_distinct_and_never_the_basepoint(tripod_file, capsys)
     assert (code, out, err) == (2, "", "error: --at: name 'p' is the basepoint and cannot be bound\n")
     code, out, err = run(capsys, *base, "--at", "q=y", "--at", "q=a")
     assert (code, out, err) == (2, "", "error: --at: name 'q' is repeated\n")
+    code, out, err = run(capsys, *base, "--at", "=a", "--at", "q=a")
+    assert (code, out, err) == (2, "", "error: bad --at binding '=a'; use name=point\n")
 
 
 def test_matrix_point_names_must_be_distinct_and_nonempty(tripod_file, capsys):

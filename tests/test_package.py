@@ -69,3 +69,36 @@ def test_modules_use_every_name_they_import():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == [], path.name
+
+
+def _module_level_names(stmt):
+    """The names a top-level statement defines (imports only refer)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_every_private_module_name_is_used():
+    # a private helper that nothing in the package refers to, outside its
+    # own definition, is dead code
+    defined, used = {}, set()
+    for path in sorted(Path(rtrees.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = {
+                name for name in _module_level_names(stmt)
+                if name.startswith("_") and not name.endswith("__")
+            }
+            defined.update((name, path.name) for name in own)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    refs = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    refs = {alias.name for alias in node.names}
+                else:
+                    continue
+                used |= refs - own
+    assert defined
+    assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in used) == []

@@ -89,6 +89,14 @@ def test_normalize_point(tripod):
         normalize_point(tripod, Vertex("zzz"))
 
 
+def test_node_queries_reject_unknown_nodes(tripod):
+    assert (tripod.neighbors("y"), tripod.degree("y")) == (("a", "b", "p"), 3)
+    assert tripod.reaches_at("y", exclude=["p"]) == [1, 1]
+    for query in (tripod.neighbors, tripod.degree, tripod.reaches_at):
+        with pytest.raises(UnknownPointError, match="unknown node 'zzz'"):
+            query("zzz")
+
+
 def test_distance_examples(tripod):
     p, a, b = Vertex("p"), Vertex("a"), Vertex("b")
     assert distance(tripod, p, p) == 0

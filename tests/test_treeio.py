@@ -116,6 +116,37 @@ def test_descriptor_indices_below_1_are_rejected(tmp_path):
         assert err.value.line == line
 
 
+def test_descriptor_lines_are_not_repeated_and_take_no_extra_tokens(tmp_path):
+    (tmp_path / "dot.tree").write_text("radius 2\nnode p basepoint\n")
+    good = ["radius 2", "closest 1 node p", "closest 2 node p", "offset 1 1", "offset 2 1"]
+    _, _, _, _, rho = parse_descriptor_text(_descriptor(*good, "pair 2 1 2"), str(tmp_path))
+    assert rho == [[0, 2], [2, 0]]
+    repeated = {
+        "context dot.tree": "context given twice",
+        "radius 1": "radius given twice",
+        "closest 2 node p": "closest 2 given twice",
+        "offset 1 1/2": "offset 1 given twice",
+        "pair 1 2 1": "pair 1 2 given twice",
+        "pair 2 1 1": "pair 1 2 given twice",
+    }
+    for extra, message in repeated.items():
+        for pair in ("pair 1 2 2", "pair 2 1 2"):
+            with pytest.raises(FormatError, match=message) as err:
+                parse_descriptor_text(_descriptor(*good, pair, extra), str(tmp_path))
+            assert err.value.line == 8
+    extra_tokens = {
+        "context dot.tree junk": "context needs a tree file path",
+        "radius 2 junk": "radius needs one value",
+        "closest 1 node p junk": "bad point location",
+        "offset 1 1/2 junk": "offset needs an index and a value",
+        "pair 1 2 2 junk": "pair needs two indices and a value",
+    }
+    for line, message in extra_tokens.items():
+        with pytest.raises(FormatError, match=message) as err:
+            parse_descriptor_text(_descriptor(line, *good), str(tmp_path))
+        assert err.value.line == 2
+
+
 def test_negative_radius_is_rejected_with_its_line(tmp_path):
     with pytest.raises(FormatError, match="negative") as err:
         parse_tree(TRIPOD_TEXT.replace("radius 2", "radius -1/2"))

@@ -37,6 +37,7 @@ from rtrees import (
 )
 from conftest import random_corpus, rng_for
 from rtrees.generators import random_point, random_tree
+from rtrees.skeleton import SkeletonError, hang, point_on_segment, point_sort_key
 
 
 R = Fraction(2)
@@ -250,6 +251,73 @@ def test_type_distance_search_truncated_stays_certified():
         assert cv.lower <= full.upper <= cv.upper
         if budget in (1, 3):
             assert cv.truncated
+
+
+def _sphere_oracle(tree, host, lam, forbidden):
+    """The points at distance ``lam`` from ``host``, found edge by edge,
+    kept when the first edge piece of their arc from ``host`` has its
+    midpoint outside ``forbidden`` (an unknown edge counts as outside)."""
+    found = set()
+    for u, v, length in tree.edges():
+        du, dv = distance(tree, host, Vertex(u)), distance(tree, host, Vertex(v))
+        for off in (lam - du, du - lam, length - lam + dv, length + lam - dv):
+            if 0 <= off <= length and distance(tree, host, point_on_edge(tree, u, v, off)) == lam:
+                found.add(point_on_edge(tree, u, v, off))
+    pieces = [w for _, _, w in tree.edges()]
+    if not isinstance(host, Vertex):
+        pieces += [host.offset, tree.edge_length(host.u, host.v) - host.offset]
+    eps = min(pieces + [lam]) / 2
+    kept = []
+    for pt in found:
+        # a point just off host on the arc names the first edge; the piece
+        # runs from host to that edge's end on the far side
+        step = point_on_segment(tree, host, pt, eps)
+        far = Vertex(step.u)
+        if distance(tree, step, far) > distance(tree, host, far):
+            far = Vertex(step.v)
+        mid = point_on_segment(tree, host, far, distance(tree, host, far) / 2)
+        try:
+            covered = forbidden.covers(mid)
+        except SkeletonError:
+            covered = False
+        if not covered:
+            kept.append(pt)
+    return sorted(kept, key=point_sort_key)
+
+
+def test_sphere_points_match_an_edgewise_oracle():
+    cases = 0
+    for k in range(30):
+        rng = rng_for(("sphere-points", k))
+        tree = random_tree(rng, max_nodes=rng.randint(2, 8), radius=R)
+        forbidden = spanned_subtree(tree, [random_point(rng, tree) for _ in range(rng.randint(0, 2))])
+        if k % 2:
+            # fresh edges, unknown to the context's ambient
+            at = random_point(rng, tree)
+            tree, _ = hang(tree, at, Fraction(rng.randint(1, 8), 8), "h", "hc")
+        u, v, length = rng.choice(tree.edges())
+        hosts = [
+            Vertex(tree.basepoint),
+            Vertex(rng.choice(tree.nodes())),
+            point_on_edge(tree, u, v, length * Fraction(rng.randint(1, 3), 4)),
+        ]
+        for host in hosts:
+            for j in range(1, 41):
+                lam = Fraction(j, 8)
+                got = typespace._sphere_points(tree, host, lam, forbidden)
+                assert got == _sphere_oracle(tree, host, lam, forbidden), (k, host, lam)
+                cases += 1
+    assert cases == 3600
+
+
+def test_sphere_points_test_the_first_pieces_midpoint_only():
+    # the first piece from p is the whole edge, whose midpoint lies outside
+    # the span of p~q@1/2, so a point inside that span is still returned
+    t = segment(2)
+    forbidden = spanned_subtree(t, [point_on_edge(t, "p", "q", Fraction(1, 2))])
+    got = typespace._sphere_points(t, P, Fraction(3, 8), forbidden)
+    assert got == [point_on_edge(t, "p", "q", Fraction(3, 8))]
+    assert forbidden.covers(got[0])
 
 
 def test_type_distance_exact_tripod_family():
