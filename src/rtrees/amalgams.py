@@ -261,7 +261,7 @@ def amalgamate(
             at = node_of[exits[y]] if y in exits else "right:" + parent2[y]
             h = num2[y] * (b.den // den2)
             b.hang(at, h - b.h[at], "right:" + y, "right:", m2.labels_of(y))
-    far = min((n for n, h in b.h.items() if Fraction(h, b.den) > r), default=None)
+    far = min((n for n, h in b.h.items() if h * r.denominator > r.numerator * b.den), default=None)
     if far is not None:
         raise RadiusExceededError(Vertex(far), Fraction(b.h[far], b.den), r)
 

@@ -32,9 +32,11 @@ class FourPointViolation(ValueError):
         super().__init__(str(witness))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricMatrix:
-    """Symmetric matrix of exact rationals with named rows."""
+    """Symmetric matrix of exact rationals with named rows.  Frozen: it is
+    checked, and kept in private attributes, as integers over the lcm of
+    the entries' denominators, which the insertion and the scans read."""
 
     labels: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
@@ -46,15 +48,17 @@ class MetricMatrix:
         entries = tuple(tuple(as_rat(x) for x in row) for row in self.entries)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("matrix shape does not match labels")
-        for i in range(n):
-            if entries[i][i] != 0:
+        scale = lcm(*(x.denominator for row in entries for x in row))
+        ints = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+        for i, row in enumerate(ints):
+            if row[i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.labels[i]}")
-            for j in range(n):
-                if entries[i][j] != entries[j][i]:
+            for j, x in enumerate(row):
+                if x != ints[j][i]:
                     raise ValueError("matrix is not symmetric")
-                if entries[i][j] < 0:
+                if x < 0:
                     raise ValueError("negative entry")
-        object.__setattr__(self, "entries", entries)
+        vars(self).update(entries=entries, _ints=ints, _scale=scale)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -84,17 +88,10 @@ def _is_tree_metric(m: MetricMatrix) -> bool:
     return _insertion_tree(m, names, "x0") is not None
 
 
-def _scaled_entries(m: MetricMatrix) -> tuple[list[list[int]], int]:
-    """The entries as integers over the LCM of their denominators."""
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
-    return ints, scale
-
-
 def _four_point_scan(m: MetricMatrix):
     """The quadruple scan behind :func:`four_point_check`, in integers."""
     n = len(m)
-    e, scale = _scaled_entries(m)
+    e, scale = m._ints, m._scale
     for x in range(n):
         ex = e[x]
         for y in range(n):
@@ -130,7 +127,7 @@ def delta_hyperbolicity(m: MetricMatrix) -> Fraction:
     if _is_tree_metric(m):
         return Fraction(0)
     n = len(m)
-    e, scale = _scaled_entries(m)
+    e, scale = m._ints, m._scale
     # twice the Gromov products, so every value stays an integer
     worst = 0
     for w in range(n):
@@ -203,10 +200,10 @@ def _insertion_tree(
     anchor (Culberson and Rudnicki 1989), and return the builder; ``None``
     if an attachment falls outside its path or a distance between labels in
     the result differs from ``m``.  Heights are integers over twice the
-    scale of :func:`_scaled_entries`.  A leaf whose label is already a
-    Steiner node's id gets a fresh ``s`` id.  The tree is canonical as
-    built: every Steiner cut gets a leaf or a label."""
-    e, scale = _scaled_entries(m)
+    matrix's scale.  A leaf whose label is already a Steiner node's id gets
+    a fresh ``s`` id.  The tree is canonical as built: every Steiner cut
+    gets a leaf or a label."""
+    e, scale = m._ints, m._scale
 
     # merge zero-distance labels
     first = labels.index(basepoint_label)
@@ -238,12 +235,19 @@ def _insertion_tree(
         at = tree.cut(node_of[anchor], best_h, "s")
         node_of[i] = tree.hang(at, leaf_len, labels[i], "s", groups[i])
 
-    # the round trip: d(i, j) = h_i + h_j - 2 meet, against twice e[i][j]
-    height, nodes = tree.h, [node_of[r] for r in rep]
+    # the round trip: d(i, j) = h_i + h_j - 2 h_m against twice e[i][j],
+    # where m is the first node of j's root arc on the root arc of i
+    height, parent, nodes = tree.h, tree.parent, [node_of[r] for r in rep]
     for i, row in enumerate(e):
-        a = nodes[i]
+        arc, x = set(), nodes[i]
+        while x:
+            arc.add(x)
+            x = parent[x]
         for j in range(i + 1, len(row)):
-            if height[a] + height[nodes[j]] - 2 * tree.meet(a, nodes[j]) != 2 * row[j]:
+            m = nodes[j]
+            while m not in arc:
+                m = parent[m]
+            if height[nodes[i]] + height[nodes[j]] - 2 * height[m] != 2 * row[j]:
                 return None
     return tree
 

@@ -8,14 +8,17 @@ plus the interiors of the edges, addressed by :class:`PointRef` values.
 Distances and points on arcs are computed in a rooted, integer-valued form.
 One search from the basepoint gives every node's parent, depth and distance
 from the basepoint as an integer numerator over ``D``, the lcm of the
+denominators of the edge lengths; on a tree that is the lcm of the
 denominators of those distances.  A point is ``(node, h, den)``: the point at
 height ``h / den`` on the arc from ``node`` up to its parent.  One
 common-ancestor loop gives the height at which two root arcs part, and one
-ancestor walk finds the point at a given height; a ``Fraction`` is built only
-for a result.  A skeleton whose search meets an edge off its spanning tree is
-not a tree, and one whose search meets an edge of length at most 0 is not
-a metric tree; every distance query on either raises :class:`SkeletonError`
-naming that edge.
+ancestor walk finds the point at a given height.  Radius checks compare
+these integers too; a ``Fraction`` is built only for a result or a report.
+A private builder grows a copy of a tree in the same integer heights: it
+cuts edges, hangs segments and freezes the result once.  A skeleton whose
+search meets an edge off its spanning tree is not a tree, and one whose
+search meets an edge of length at most 0 is not a metric tree; every
+distance query on either raises :class:`SkeletonError` naming that edge.
 
 All values are immutable after construction and every operation here is a
 pure function, so skeletons are safe to share across threads.  Internal
@@ -232,15 +235,17 @@ class TreeSkeleton:
 
     def _search(self):
         """``(parent, num, depth, D, cycle, short)`` from one search of the
-        basepoint's component: ``num[x] / D`` is ``d(p, x)``, ``cycle`` is
-        the first edge met that is off the search's spanning tree, as
-        ``(from, to)``, and ``short`` the first spanning-tree edge met of
-        length at most 0, as ``(from, to, length)``; each is ``None`` if
-        there is none."""
+        basepoint's component: ``num[x] / D`` is ``d(p, x)``, summed in
+        integers over the lcm ``D`` of the edge lengths' denominators,
+        ``cycle`` is the first edge met that is off the search's spanning
+        tree, as ``(from, to)``, and ``short`` the first spanning-tree edge
+        met of length at most 0, as ``(from, to, length)``; each is ``None``
+        if there is none."""
         data = self._cache.get("root")
         if data is None:
+            den = lcm(*{w.denominator for nbrs in self._adj.values() for w in nbrs.values()})
             parent: dict[str, Optional[str]] = {self.basepoint: None}
-            dist: dict[str, Fraction] = {self.basepoint: Fraction(0)}
+            num: dict[str, int] = {self.basepoint: 0}
             depth: dict[str, int] = {self.basepoint: 0}
             cycle = short = None
             stack = [self.basepoint]
@@ -252,13 +257,11 @@ class TreeSkeleton:
                         if w.numerator <= 0 and short is None:
                             short = (cur, nbr, w)
                         parent[nbr] = cur
-                        dist[nbr] = dist[cur] + w
+                        num[nbr] = num[cur] + w.numerator * (den // w.denominator)
                         depth[nbr] = depth[cur] + 1
                         stack.append(nbr)
                     elif nbr != up and cycle is None:
                         cycle = (cur, nbr)
-            den = lcm(*(d.denominator for d in dist.values()))
-            num = {x: d.numerator * (den // d.denominator) for x, d in dist.items()}
             data = self._cache.setdefault("root", (parent, num, depth, den, cycle, short))
         return data
 
@@ -628,16 +631,6 @@ class _TreeBuilder:
             self.labels[node] = tuple(sorted(set(self.labels.get(node, ())) | set(names)))
         return node
 
-    def meet(self, x: str, y: str) -> int:
-        """The height of the common ancestor of ``x`` and ``y``: walk up the
-        higher of the two."""
-        parent, h = self.parent, self.h
-        while x != y:
-            if h[x] < h[y]:
-                x, y = y, x
-            x = parent[x]
-        return h[x]
-
     def freeze(self) -> TreeSkeleton:
         """The grown tree as one :class:`TreeSkeleton`."""
         h, den, src = self.h, self.den, self.src
@@ -667,13 +660,11 @@ def hang(
 ) -> tuple[TreeSkeleton, str]:
     """Hang a fresh segment of ``length >= 0`` at the point ``at``: the
     single step of a :class:`_TreeBuilder` on a copy of ``tree``, which cuts
-    an edge point as :func:`materialize` names a single cut and hangs the
-    segment.  Returns the new tree and its node for the end of the segment."""
+    an edge point with :func:`_cut` and hangs the segment.  Returns the new
+    tree and its node for the end of the segment."""
     length = as_rat(length)
-    parent, num, _, D = tree._root_data()
-    node, h, hd = _rooted(parent, num, D, normalize_point(tree, at))
-    b = _TreeBuilder(tree, lcm(hd, length.denominator))
-    node = b.cut(node, h * (b.den // hd), prefix)
+    b, node_of = _cut(tree, [at], length.denominator, prefix)
+    (node,) = node_of.values()
     node = b.hang(node, length.numerator * (b.den // length.denominator), tip, prefix, names)
     return b.freeze(), node
 
@@ -773,17 +764,12 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
 
     max_dist: Optional[Fraction] = None
     if not missing and cycle_witness is None and n_edges == len(tree.nodes()) - 1:
-        max_dist = Fraction(0)
+        max_dist = Fraction(max(num.values()), den)
         for node in tree.nodes():
-            d = Fraction(num[node], den)
-            if d > max_dist:
-                max_dist = d
-            if d > r:
+            if num[node] * r.denominator > r.numerator * den:
+                d = format_rat(Fraction(num[node], den))
                 violations.append(
-                    Violation(
-                        "radius_exceeded",
-                        f"node {node} at distance {format_rat(d)} > {format_rat(r)}",
-                    )
+                    Violation("radius_exceeded", f"node {node} at distance {d} > {format_rat(r)}")
                 )
 
     return ValidationReport(ok=not violations, violations=tuple(violations), max_distance=max_dist)

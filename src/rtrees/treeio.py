@@ -146,9 +146,9 @@ def parse_tree(text: str) -> TreeDocument:
 def parse_point(tree: TreeSkeleton, loc: list[str]) -> PointRef:
     """Parse a point location given as ``["node", id]`` or
     ``["edge", u, v, offset]``."""
-    if loc[0] == "node" and len(loc) == 2:
+    if len(loc) == 2 and loc[0] == "node":
         return normalize_point(tree, Vertex(loc[1]))
-    if loc[0] == "edge" and len(loc) == 4:
+    if len(loc) == 4 and loc[0] == "edge":
         return normalize_point(tree, EdgePoint(loc[1], loc[2], as_rat(loc[3])))
     raise FormatError(f"bad point location: {' '.join(loc)}")
 

@@ -263,14 +263,22 @@ def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
     """Exact distance between 1-types over a common context.  Raises
     InconsistentDescriptorError for a 1-type that does not exist."""
     _require_same_context(q1, q2)
-    for q in (q1, q2):
-        require_valid(NTypeDescriptor(q.context, q.radius, (q.e,), (q.s,), ((Fraction(0),),)))
+    qs = [NTypeDescriptor(q.context, q.radius, (q.e,), (q.s,), ((Fraction(0),),)) for q in (q1, q2)]
+    for q in qs:
+        require_valid(q)
+    return _marginal_distance(*qs)
+
+
+def _marginal_distance(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Fraction:
+    """``max_i one_type_distance(q1.marginal(i), q2.marginal(i))`` of two
+    valid descriptors of one arity over one context: ``|s1_i - s2_i|`` where
+    the closest points agree, else ``s1_i + d(e1_i, e2_i) + s2_i``."""
     tree = q1.context.ambient
-    e1 = normalize_point(tree, q1.e)
-    e2 = normalize_point(tree, q2.e)
-    if e1 == e2:
-        return abs(q1.s - q2.s)
-    return q1.s + distance(tree, e1, e2) + q2.s
+    best = Fraction(0)
+    for e1, s1, e2, s2 in zip(q1.closest, q1.offsets, q2.closest, q2.offsets):
+        e1, e2 = normalize_point(tree, e1), normalize_point(tree, e2)
+        best = max(best, abs(s1 - s2) if e1 == e2 else s1 + distance(tree, e1, e2) + s2)
+    return best
 
 
 def type_distance_exact(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fraction]:
@@ -309,14 +317,10 @@ def _exact_distance(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fracti
     e1 = [normalize_point(tree, e) for e in q1.closest]
     e2 = [normalize_point(tree, e) for e in q2.closest]
     s1, s2 = q1.offsets, q2.offsets
-    best = Fraction(0)
+    best = _marginal_distance(q1, q2)
     for i in range(q1.n):
-        if e1[i] != e2[i]:
-            best = max(best, s1[i] + distance(tree, e1[i], e2[i]) + s2[i])
-            continue
-        best = max(best, abs(s1[i] - s2[i]))
         for j in range(i):
-            if e1[j] != e2[j] or e1[j] != e1[i]:
+            if not e1[i] == e2[i] == e1[j] == e2[j]:
                 continue
             a = (s1[i] + s1[j] - q1.pairwise[i][j]) / 2
             b = (s2[i] + s2[j] - q2.pairwise[i][j]) / 2
@@ -438,7 +442,7 @@ def type_distance_search(
     if q1.n != q2.n:
         raise ContextMismatchError("descriptors have different arities")
 
-    marginal = max(one_type_distance(q1.marginal(i), q2.marginal(i)) for i in range(q1.n))
+    marginal = _marginal_distance(q1, q2)
     if q1.n == 1:
         return CertifiedValue(marginal, marginal, mesh)
     if types_equal(q1, q2):

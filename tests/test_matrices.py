@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -94,12 +95,52 @@ def perturbed_matrices(seed, count):
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
         MetricMatrix(("a", "b"), ((0, 1), (2, 0)))  # asymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nonzero diagonal at a$"):
         MetricMatrix(("a", "b"), ((1, 1), (1, 0)))  # nonzero diagonal
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate labels$"):
         MetricMatrix(("a", "a"), ((0, 0), (0, 0)))  # duplicate labels
+    with pytest.raises(ValueError, match="^matrix shape does not match labels$"):
+        MetricMatrix(("a", "b"), ((0, 1), (1, 0), (0, 0)))
+    with pytest.raises(ValueError, match="^negative entry$"):
+        MetricMatrix(("a", "b"), ((0, Fraction(-1, 3)), (Fraction(-2, 6), 0)))
+    # the order of the checks: row by row, the diagonal entry first, then
+    # each pair for symmetry before its sign
+    order = {
+        "matrix is not symmetric": [
+            ((0, -1), (2, 0)),  # asymmetric and negative
+            ((0, 1, 0), (2, 5, 0), (0, 0, 0)),  # nonzero diagonal after an asymmetric pair
+            ((0, Fraction(1, 3)), (Fraction(1, 2), 0)),
+        ],
+        "negative entry": [((0, -1, 1), (-1, 0, 0), (2, 0, 0))],
+        "nonzero diagonal at b": [((0, 0, 0), (0, 3, 1), (0, 2, 0))],
+    }
+    for message, rows in order.items():
+        for entries in rows:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                MetricMatrix(tuple("abc"[: len(entries)]), entries)
+    # equal matrices over other denominators compare, print and copy equal
+    half = MetricMatrix(("a", "b"), ((0, Fraction(1, 2)), (Fraction(2, 4), 0)))
+    assert half == MetricMatrix(("a", "b"), ((0, "1/2"), ("1/2", 0)))
+    assert [f.name for f in dataclasses.fields(half)] == ["labels", "entries"]
+    assert repr(half) == (
+        "MetricMatrix(labels=('a', 'b'), "
+        "entries=((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0, 1))))"
+    )
+    assert dataclasses.replace(half) == half
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        dataclasses.replace(half, entries=((0, 1), (Fraction(1, 2), 0)))
+
+
+def test_matrix_is_frozen_with_its_integer_form():
+    # the scans read the integers kept at construction, so they must stay
+    # those of the entries
+    m = MetricMatrix(("x", "y"), ((0, 1), (1, 0)))
+    for name, value in (("entries", ((0, 2), (2, 0))), ("labels", ("y", "x"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, value)
+    assert (m._ints, m._scale) == ([[0, 1], [1, 0]], 1)
 
 
 def test_four_point_examples():

@@ -102,3 +102,33 @@ def test_every_private_module_name_is_used():
                 used |= refs - own
     assert defined
     assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in used) == []
+
+
+def test_every_private_class_method_is_used():
+    # a method of a module-level private class that nothing in the package
+    # reaches as an attribute, outside its own definition, is dead code
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(rtrees.__file__).parent.glob("*.py"))
+    }
+    refs: dict[str, set[int]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, set()).add(id(node))
+    methods = [
+        (module, cls.name, fn)
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+    ]
+    assert {cls for _, cls, _ in methods} >= {"_TreeBuilder", "_Parser"}
+    unused = [
+        f"{module}:{cls}.{fn.name}"
+        for module, cls, fn in methods
+        if not refs.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}
+    ]
+    assert unused == []

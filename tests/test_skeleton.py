@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -17,7 +18,14 @@ from rtrees import (
     validate,
 )
 from conftest import fw_distance, random_corpus, rng_for, tree_grid
-from rtrees.generators import random_point, random_rat
+from rtrees.generators import (
+    GeneratorConfig,
+    degree_family_tree,
+    random_point,
+    random_rat,
+    random_tree,
+    rb_extend,
+)
 from rtrees.skeleton import gensym, grid_points, hang
 
 
@@ -243,3 +251,28 @@ def test_hang_equals_materialize_and_graft():
                         assert got[0] == want[0], (k, at, tip, length, names)
                         checked += 1
     assert checked > 1000
+
+
+def test_root_scale_is_the_lcm_of_the_root_distances():
+    # the search sums integer heights over the lcm of the edge lengths'
+    # denominators; on a tree each edge is a difference of two root
+    # distances, so that is also the lcm of the root distances'
+    radii = (Fraction(2), Fraction(7, 3), Fraction(5, 4))
+    trees = [random_tree(seed, max_nodes=12, radius=radii[seed % 3]) for seed in range(60)]
+    trees += [
+        rb_extend(random_tree(seed, max_nodes=5, radius=radii[seed % 3]), radii[seed % 3], depth)
+        for seed in range(6)
+        for depth in (1, 2)
+    ]
+    trees += [
+        degree_family_tree(GeneratorConfig(seed, depth, r, (3, 4)))
+        for seed in range(3)
+        for depth in (0, 1)
+        for r in radii
+    ]
+    dens = set()
+    for tree in trees:
+        den = tree._root_data()[3]
+        assert den == lcm(*(tree.dist_to_basepoint(n).denominator for n in tree.nodes()))
+        dens.add(den)
+    assert len(dens) > 5

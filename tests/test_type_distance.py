@@ -1,5 +1,6 @@
 """The exact n-type distance against the exhaustive certified search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from rtrees import (
     type_distance_exact,
     type_distance_search,
     type_of,
+    validate_descriptor,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -64,3 +66,24 @@ def test_exact_inside_full_search_empty_context(rng, n):
         return NTypeDescriptor(ctx, R, (Vertex("p"),) * n, q.offsets, q.pairwise)
 
     assert_agrees(draw(), draw())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_checks_each_descriptor_once(n):
+    # q1 and q2 once at entry and q1 once more by realize_type; the marginal
+    # bound and the early stop reuse those checks
+    rng = random.Random(n)
+    tree = random_tree(rng, min_nodes=4, max_nodes=6, radius=R)
+    q1, q2 = (type_of(tree, [], [random_point(rng, tree) for _ in range(n)], R) for _ in "12")
+    assert q1.offsets != q2.offsets
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return validate_descriptor(q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typespace, "validate_descriptor", counting)
+        got = type_distance_search(q1, q2, MESH)
+    assert got == type_distance_search(q1, q2, MESH)
+    assert [q is q1 for q in calls] == [True, False, True]
