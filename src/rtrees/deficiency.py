@@ -90,7 +90,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .rationals import as_rat
 from .skeleton import (
@@ -98,6 +97,8 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
+    _leaving,
+    _leaving_point,
     _rooted,
     distance,
     grid_points,
@@ -118,38 +119,20 @@ def _top(leaving, k: int):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-def _leaving(tree: TreeSkeleton, node: str, skip: Optional[str], scale: int):
-    """``(reach, direction)`` for every direction leaving a vertex but
-    ``skip``, over ``scale`` times the skeleton's height denominator; a
-    direction is ``(next node, distance to it, node)``."""
-    table, num = tree._reach_num(), tree._root_data()[1]
-    hn = num[node]
-    return [
-        (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
-        for nb in tree.neighbors(node)
-        if nb != skip
-    ]
-
-
 def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -> PointRef:
     """The point at depth ``depth / den`` along a maximal-reach path that
     leaves ``x`` in the given direction (its length over ``den`` too)."""
     if depth == 0 or direction is None:
         return x
-    _, num, _, D = tree._root_data()
-    table, scale = tree._reach_num(), den // D
+    scale = den // tree._root_data()[3]
     nxt, length, cur = direction
     rem = depth
     while rem > length:
         rem -= length
-        best = None
-        for z in tree.neighbors(nxt):
-            if z != cur and (best is None or table[(nxt, z)] > best[0]):
-                best = (table[(nxt, z)], z)
-        if best is None:
+        leave = _leaving(tree, nxt, cur, scale)
+        if not leave:
             raise AssertionError("descent ran past a leaf")
-        cur, nxt = nxt, best[1]
-        length = abs(num[cur] - num[nxt]) * scale
+        _, (nxt, length, cur) = max(leave, key=lambda pair: pair[0])  # the first deepest
     return normalize_point(tree, EdgePoint(nxt, cur, Fraction(length - rem, den)))
 
 
@@ -164,7 +147,6 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
         raise ValueError("point lies outside the radius bound")
     if l == 0:
         return 0, den, lambda: (x, x, x)
-    table = tree._reach_num()
     scale = den // D
 
     def inner_witness(desc):
@@ -174,17 +156,8 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
         _, start, t1, direction, reach = desc
         return _descend(tree, start, direction, min(max(l - t1, 0), reach), den)
 
-    # config c2 = x: witnesses into the three deepest branches at x itself; an
-    # edge point is a degree-2 vertex with reaches read off its edge's ends
-    if isinstance(x, Vertex):
-        leave0 = _leaving(tree, x.node, None, scale)
-    else:
-        off = x.offset.numerator * (den // x.offset.denominator)
-        rest = abs(num[x.u] - num[x.v]) * scale - off
-        leave0 = [
-            (table[(x.v, x.u)] * scale - rest, (x.u, off, x.v)),
-            (table[(x.u, x.v)] * scale - off, (x.v, rest, x.u)),
-        ]
+    # config c2 = x: witnesses into the three deepest branches at x itself
+    leave0 = _leaving_point(tree, x, den)
     vals0, dirs0 = _top(leave0, 3)
     best_val = _g(0, vals0[2], l)
 

@@ -259,7 +259,7 @@ class _Parser:
 
     # expr := quantifier | sum
     def parse_expr(self) -> tuple[Formula, int]:
-        kind, value, line, col = self.peek()
+        kind, value, _line, _col = self.peek()
         if kind == "NAME" and value in ("inf", "sup"):
             self.enter(self.next())
             var_tok = self.expect("NAME")
@@ -310,7 +310,7 @@ class _Parser:
         return -q if neg else q
 
     def parse_operand(self) -> tuple[Formula, int]:
-        kind, value, line, col = self.peek()
+        kind, value, _line, _col = self.peek()
         if kind in ("INT", "-"):
             q = self.parse_rational()
             if self.peek()[0] == "*":

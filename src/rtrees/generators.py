@@ -1,6 +1,6 @@
 """Tree generators: primitives, random corpora, richly-branching
 extensions, degree families, and sampled balls of the step-function tree.
-All generators are deterministic functions of their parameters and seed.
+All generators are deterministic functions of their parameters.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .rationals import as_rat
@@ -18,6 +19,7 @@ from .skeleton import (
     TreeSkeleton,
     Vertex,
     _cut,
+    _leaving_point,
     canonicalize,
     distance,
     grid_points,
@@ -166,20 +168,20 @@ def _hang_at_net(
     net: list[PointRef],
     prefix: str,
     tip_prefixes: Iterator[str],
-    count: Callable[[TreeSkeleton, str, Fraction], int],
+    count: Callable[[PointRef, Fraction], int],
 ) -> TreeSkeleton:
-    """Cut ``tree`` at the net points and hang ``count(work, node, l)`` fresh
+    """Cut ``tree`` at the normalized net points and hang ``count(x, l)`` fresh
     edges of length ``l = r - d(p, x)`` at each net point ``x`` strictly
     inside the radius sphere, one tip name from ``tip_prefixes`` per edge;
-    ``work`` is the cut tree before any edge is hung."""
+    a cut changes no reach and no degree, so ``count`` reads ``tree``."""
     b, node_of = _cut(tree, net, r.denominator, prefix)
-    work, top = b.freeze(), r.numerator * (b.den // r.denominator)
+    top = r.numerator * (b.den // r.denominator)
     for pt in net:
-        node = node_of[normalize_point(tree, pt)]
+        node = node_of[pt]
         l = top - b.h[node]
         if l <= 0:
             continue
-        for _ in range(count(work, node, Fraction(l, b.den))):
+        for _ in range(count(pt, Fraction(l, b.den))):
             p = next(tip_prefixes)
             b.hang(node, l, p + "1", p)
     return b.freeze()
@@ -199,10 +201,14 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     if r <= 0:
         raise GeneratorArgumentError("radius must be positive")
 
-    def missing(work: TreeSkeleton, node: str, l: Fraction) -> int:
-        return 3 - sum(1 for reach in work.reaches_at(node) if reach >= l)
+    mesh = r / (2 ** depth)
+    den = lcm(tree._root_data()[3], mesh.denominator)  # net offsets are multiples of mesh
 
-    net = grid_points(tree, r / (2 ** depth))
+    def missing(x: PointRef, l: Fraction) -> int:
+        reaches = _leaving_point(tree, x, den)
+        return 3 - sum(1 for reach, _ in reaches if reach * l.denominator >= l.numerator * den)
+
+    net = grid_points(tree, mesh)
     tips = (f"w{i}_" for i in itertools.count(1))
     return _hang_at_net(tree, r, net, "net", tips, missing)
 
@@ -212,6 +218,9 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Parameters of :func:`degree_family_tree`, which reads no randomness:
+    ``seed`` is kept for callers that record it and does not change the tree."""
+
     seed: int
     depth: int
     radius: Fraction
@@ -220,6 +229,9 @@ class GeneratorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", as_rat(self.radius))
+        if any(as_rat(k).denominator != 1 for k in self.degree_set):
+            bad = ", ".join(map(str, self.degree_set))
+            raise GeneratorArgumentError(f"degrees must be integers, got {bad}")
         degrees = tuple(sorted(set(int(k) for k in self.degree_set)))
         if not degrees or any(k < 3 for k in degrees):
             raise GeneratorArgumentError("degree set must be nonempty with all degrees >= 3")
@@ -230,6 +242,8 @@ class GeneratorConfig:
         object.__setattr__(self, "degree_set", degrees)
         if self.mesh is not None:
             object.__setattr__(self, "mesh", as_rat(self.mesh))
+            if self.mesh <= 0:
+                raise GeneratorArgumentError("mesh must be positive")
 
 
 def degree_family_tree(cfg: GeneratorConfig) -> TreeSkeleton:
@@ -238,7 +252,8 @@ def degree_family_tree(cfg: GeneratorConfig) -> TreeSkeleton:
     the round's prescribed degree with sphere-reaching edges.
 
     Every branch point's degree lies in the configured set, and each
-    configured degree occurs once enough rounds have run.
+    configured degree occurs once enough rounds have run.  ``cfg.seed`` does
+    not change the tree.
     """
     r = cfg.radius
     degrees = cfg.degree_set
@@ -246,15 +261,10 @@ def degree_family_tree(cfg: GeneratorConfig) -> TreeSkeleton:
     tree = segment(r, basepoint="p", tip="z0")
     tips = (f"r{i}_" for i in itertools.count(1))
     for j in range(cfg.depth + 1):
-        k_j = degrees[j % len(degrees)]
-
-        def enrich(work: TreeSkeleton, node: str, l: Fraction) -> int:
-            # points enriched in an earlier round already have their degree
-            return k_j - 2 if work.degree(node) == 2 else 0
-
+        extra = degrees[j % len(degrees)] - 2
         grid = grid_points(tree, mesh0 / (2 ** j))
         net = [pt for pt in grid if isinstance(pt, EdgePoint)]
-        tree = _hang_at_net(tree, r, net, f"d{j}_", tips, enrich)
+        tree = _hang_at_net(tree, r, net, f"d{j}_", tips, lambda x, l: extra)
     return tree
 
 
@@ -300,27 +310,13 @@ class StepFunction:
 
 def au_distance(f: StepFunction, g: StepFunction) -> Fraction:
     """d(f, g) = (rho_f - s) + (rho_g - s), where s is the supremum of the
-    agreement prefix of the two functions."""
+    agreement prefix: canonical form makes each ``(breakpoint, value)`` list
+    unique, so s is where the lists part, capped at ``min(rho_f, rho_g)``."""
     horizon = min(f.rho, g.rho)
-    cuts = sorted(
-        set(b for b in f.breakpoints if b < horizon)
-        | set(b for b in g.breakpoints if b < horizon)
+    steps = itertools.zip_longest(
+        zip(f.breakpoints, f.values), zip(g.breakpoints, g.values), fillvalue=(horizon, -1)
     )
-
-    def value_at(fn: StepFunction, t: Fraction) -> int:
-        val = 0
-        for b, v in zip(fn.breakpoints, fn.values):
-            if b <= t:
-                val = v
-            else:
-                break
-        return val
-
-    s = horizon
-    for b in cuts:
-        if value_at(f, b) != value_at(g, b):
-            s = b
-            break
+    s = min(horizon, next((min(a[0], b[0]) for a, b in steps if a != b), horizon))
     return (f.rho - s) + (g.rho - s)
 
 
@@ -329,29 +325,16 @@ def _zero_function() -> StepFunction:
 
 
 def _random_step_function(rng: random.Random, mu: int, scale: Fraction) -> StepFunction:
+    """Canonical by construction: each value differs from the one before, the first from 0."""
     k = rng.randint(1, 3)
     cuts = sorted(
         {random_rat(rng, -scale / 2, scale / 2, max_den=8) for _ in range(k)}
     )
-    values = []
-    prev = 0
+    values = [0]
     for _ in cuts:
-        choices = [v for v in range(mu) if v != prev]
-        v = rng.choice(choices)
-        values.append(v)
-        prev = v
-    if values and values[0] == 0:
-        values[0] = 1 if mu > 1 else 0
-    rho = cuts[-1] + random_rat(rng, 0, scale / 2, max_den=8) if cuts else Fraction(0)
-    # re-canonicalize after the first-value fix
-    bps, vals = [], []
-    prev = 0
-    for b, v in zip(cuts, values):
-        if v != prev:
-            bps.append(b)
-            vals.append(v)
-            prev = v
-    return StepFunction(tuple(bps), tuple(vals), rho)
+        values.append(rng.choice([v for v in range(mu) if v != values[-1]]))
+    rho = cuts[-1] + random_rat(rng, 0, scale / 2, max_den=8)
+    return StepFunction(tuple(cuts), tuple(values[1:]), rho)
 
 
 def au_sample_ball(
@@ -379,10 +362,9 @@ def au_sample_ball(
         raise ValueError("sampling failed to produce enough distinct functions")
 
     labels = tuple(f"f{i}" for i in range(count))
-    n = count
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
+    entries = [[Fraction(0)] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
             d = au_distance(samples[i], samples[j])
             entries[i][j] = d
             entries[j][i] = d

@@ -669,6 +669,36 @@ def hang(
     return b.freeze(), node
 
 
+def _leaving(tree: TreeSkeleton, node: str, skip: Optional[str], scale: int):
+    """``(reach, direction)`` for every direction leaving a vertex but
+    ``skip``, over ``scale`` times the skeleton's height denominator; a
+    direction is ``(next node, distance to it, node)``."""
+    table, num = tree._reach_num(), tree._root_data()[1]
+    hn = num[node]
+    return [
+        (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
+        for nb in tree.neighbors(node)
+        if nb != skip
+    ]
+
+
+def _leaving_point(tree: TreeSkeleton, x: PointRef, den: int):
+    """:func:`_leaving` for every direction leaving a normalized point, over
+    ``den``, a multiple of ``D`` and of an edge point's offset denominator.
+    An edge point is a degree-2 vertex whose reach towards one end ``e`` of
+    its edge is the reach from the other end ``o`` through ``e``, less
+    ``d(o, x)``; its direction is ``(e, d(x, e), o)``."""
+    _, num, _, D = tree._root_data()
+    if isinstance(x, Vertex):
+        return _leaving(tree, x.node, None, den // D)
+    table, length = tree._reach_num(), abs(num[x.u] - num[x.v]) * (den // D)
+    off = x.offset.numerator * (den // x.offset.denominator)
+    return [
+        (table[(o, e)] * (den // D) - (length - t), (e, t, o))
+        for e, o, t in ((x.u, x.v, off), (x.v, x.u, length - off))
+    ]
+
+
 def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:
     """Re-address a point in an extension that kept the original node ids
     (edges may have been subdivided by gluing)."""

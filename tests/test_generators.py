@@ -34,7 +34,9 @@ from rtrees import (
 )
 from conftest import rng_for
 from rtrees import treeio
+from rtrees.generators import GeneratorArgumentError
 from rtrees.matrices import node_of_label
+from rtrees.skeleton import _TreeBuilder
 
 
 R = Fraction(2)
@@ -98,6 +100,29 @@ def test_degree_family_tree():
         GeneratorConfig(seed=0, depth=1, radius=R, degree_set=(2,))
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, depth=1, radius=R, degree_set=())
+    with pytest.raises(GeneratorArgumentError, match="degrees must be integers, got 7/2, 4"):
+        GeneratorConfig(seed=0, depth=1, radius=R, degree_set=(Fraction(7, 2), 4))
+    assert GeneratorConfig(0, 1, R, (Fraction(4), 3)).degree_set == (3, 4)
+    for mesh in (0, -1):
+        with pytest.raises(GeneratorArgumentError, match="mesh must be positive"):
+            GeneratorConfig(seed=0, depth=1, radius=R, degree_set=(3,), mesh=mesh)
+
+    # the construction reads no randomness: the seed does not change the tree
+    assert degree_family_tree(GeneratorConfig(7, 2, R, (3, 4))) == degree_family_tree(
+        GeneratorConfig(0, 2, R, (3, 4))
+    )
+
+
+def test_net_extensions_freeze_once_per_round(monkeypatch, tripod):
+    calls = []
+    freeze = _TreeBuilder.freeze
+    monkeypatch.setattr(_TreeBuilder, "freeze", lambda self: calls.append(self) or freeze(self))
+    rb_extend(tripod, R, 2)
+    assert len(calls) == 1
+    for depth in range(4):
+        calls.clear()
+        degree_family_tree(GeneratorConfig(0, depth, R, (3, 4)))
+        assert len(calls) == depth + 1
 
 
 def test_degree_family_trees_distinguished_by_degree_sets():
@@ -133,6 +158,58 @@ def test_au_distance_examples():
     h1 = StepFunction((Fraction(-1),), (1,), Fraction(1))
     h2 = StepFunction((Fraction(-1),), (2,), Fraction(2))
     assert au_distance(h1, h2) == (1 - (-1)) + (2 - (-1))
+
+
+def _au_distance_by_scan(f, g):
+    """Reference: the values of both functions at every breakpoint below
+    ``min(rho_f, rho_g)``, in order, up to the first that differ."""
+    horizon = min(f.rho, g.rho)
+
+    def value_at(fn, t):
+        val = 0
+        for b, v in zip(fn.breakpoints, fn.values):
+            if b > t:
+                break
+            val = v
+        return val
+
+    cuts = sorted({b for b in f.breakpoints + g.breakpoints if b < horizon})
+    s = next((b for b in cuts if value_at(f, b) != value_at(g, b)), horizon)
+    return (f.rho - s) + (g.rho - s)
+
+
+def _step_family(rng):
+    """Step functions that share prefixes of one base function and then part
+    from it; some end at their last breakpoint."""
+    def extend(bps, vals, n):
+        bps, vals = list(bps), list(vals)
+        t = bps[-1] if bps else Fraction(rng.randint(-8, 0), 4)
+        for _ in range(n):
+            t += Fraction(rng.randint(1, 4), 4)
+            bps.append(t)
+            vals.append(rng.choice([v for v in range(4) if v != (vals[-1] if vals else 0)]))
+        rho = (bps[-1] if bps else t) + Fraction(rng.randint(0, 2), 4)
+        return StepFunction(tuple(bps), tuple(vals), rho)
+
+    base = extend((), (), rng.randint(0, 4))
+    family = [base]
+    for _ in range(4):
+        k = rng.randint(0, len(base.breakpoints))
+        family.append(extend(base.breakpoints[:k], base.values[:k], rng.randint(0, 2)))
+    return family
+
+
+def test_au_distance_matches_the_pointwise_scan():
+    rng = rng_for("au-scan")
+    fs = [f for _ in range(12) for f in _step_family(rng)]
+    assert any(f.breakpoints and f.breakpoints[-1] == f.rho for f in fs)
+    parted_after_a_shared_step = 0
+    for f in fs:
+        for g in fs:
+            assert au_distance(f, g) == _au_distance_by_scan(f, g), (f, g)
+            shared = f.breakpoints[:1] == g.breakpoints[:1] and f.values[:1] == g.values[:1]
+            parted_after_a_shared_step += bool(f.breakpoints) and shared and f != g
+    assert parted_after_a_shared_step > 50
 
 
 def test_au_distance_metric_and_four_point():
@@ -231,6 +308,9 @@ def _regression_cases():
     cut = EdgePoint("p", "y", half)
     amalgam, _g1, _g2 = amalgamate(t, right, SubtreeMap(t, right, ((cut, cut),)), R)
     yield "amalgamate", amalgam, None
+    # recorded later than the cases above, before au_distance lost its
+    # pointwise scan and the step-function sampler its re-canonicalization
+    yield "au_sample_ball", au_sample_ball(4, 7, Fraction(5, 2), seed=3)[1], None
 
 
 # sha256 of the serialized outputs, recorded before the cut-and-hang sites
@@ -243,6 +323,7 @@ REGRESSION_SHA256 = {
     "realize_type": "3324316099c8440b81cda9f6f29fcb73a2f9933406f49cbc2244c86954951efd",
     "glue_family": "9d9f916a2b77a6661e612b8676ef31e2a8f391a9fcfb02c12bc8458a4a012a70",
     "amalgamate": "fe00c07b3fe460f03fd1708db0a683cd121bbaba47014ddbff9b7b68a9ec3541",
+    "au_sample_ball": "7cebb425605628f317f529dc17c503ec46b423f5bb6ef6ee38e945c30f597708",
 }
 
 

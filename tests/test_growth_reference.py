@@ -209,7 +209,7 @@ def _hang_at_net_ref(tree, r, net, prefix, tip_prefixes, count):
         l = r - work.dist_to_basepoint(node)
         if l <= 0:
             continue
-        for _ in range(count(work, node, l)):
+        for _ in range(count(pt, l)):
             fresh.append((node, gensym(taken, next(tip_prefixes)), l))
     return mat.graft(fresh)
 

@@ -132,3 +132,42 @@ def test_every_private_class_method_is_used():
         if not refs.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}
     ]
     assert unused == []
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, outside the functions, lambdas and
+    classes nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_local_is_read():
+    # a name a function assigns and nothing in it, or in a function nested
+    # in it, reads is a dead local; a leading "_" marks one unpacked on purpose
+    dead = []
+    for path in sorted(Path(rtrees.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            declared = {
+                name for node in _own_nodes(fn)
+                if isinstance(node, (ast.Nonlocal, ast.Global)) for name in node.names
+            }
+            assigned = {
+                node.id for node in _own_nodes(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            read = {
+                node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            dead += [
+                f"{path.name}:{fn.name}:{name}"
+                for name in sorted(assigned - read - declared)
+                if not name.startswith("_")
+            ]
+    assert dead == []

@@ -26,7 +26,7 @@ from rtrees.generators import (
     random_tree,
     rb_extend,
 )
-from rtrees.skeleton import gensym, grid_points, hang
+from rtrees.skeleton import _leaving_point, gensym, grid_points, hang
 
 
 def test_constructor_rejects_malformed():
@@ -276,3 +276,24 @@ def test_root_scale_is_the_lcm_of_the_root_distances():
         assert den == lcm(*(tree.dist_to_basepoint(n).denominator for n in tree.nodes()))
         dens.add(den)
     assert len(dens) > 5
+
+
+def test_leaving_point_matches_the_materialized_vertex():
+    # an edge point is a degree-2 vertex: its directions carry the reaches
+    # of the node that materialize makes of it, and lead to its edge's ends
+    checked = 0
+    for tree in random_corpus("leaving", 12, max_nodes=7):
+        D = tree._root_data()[3]
+        for x in grid_points(tree, Fraction(1, 3)):
+            if not isinstance(x, EdgePoint):
+                continue
+            den = lcm(D, x.offset.denominator)
+            leaving = _leaving_point(tree, x, den)
+            mat = materialize(tree, [x])
+            got = sorted(Fraction(reach, den) for reach, _ in leaving)
+            assert got == sorted(mat.tree.reaches_at(mat.node_for(x))), (tree, x)
+            for _, (end, length, other) in leaving:
+                assert {end, other} == {x.u, x.v}
+                assert Fraction(length, den) == distance(tree, x, Vertex(end))
+            checked += 1
+    assert checked > 50
