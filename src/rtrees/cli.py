@@ -228,8 +228,10 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_realize(args) -> int:
     m = _load_matrix(args.matrix)
+    if args.basepoint is not None and args.basepoint not in m.labels:
+        raise CliError(f"unknown basepoint label {args.basepoint!r}")
     try:
-        tree = realize_tree(m, args.basepoint or m.labels[0])
+        tree = realize_tree(m, args.basepoint)
     except FourPointViolation as exc:
         w = exc.witness
         _emit(

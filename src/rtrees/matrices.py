@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .rationals import as_rat, format_rat
-from .skeleton import PointRef, TreeSkeleton, _TreeBuilder, distance, normalize_point
+from .skeleton import PointRef, TreeSkeleton, _TreeBuilder, _rooted, normalize_point
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,24 @@ class FourPointViolation(ValueError):
 @dataclass(frozen=True)
 class MetricMatrix:
     """Symmetric matrix of exact rationals with named rows.  Frozen: it is
-    checked, and kept in private attributes, as integers over the lcm of
-    the entries' denominators, which the insertion and the scans read."""
+    checked, and kept in private attributes, as integers over one scale, which
+    the insertion and the scans read."""
 
     labels: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def __post_init__(self, ints: Optional[list[list[int]]] = None, scale: int = 0):
+        """Check the entries as ``ints`` over ``scale`` (or read by ``as_rat``); keep them."""
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
-        entries = tuple(tuple(as_rat(x) for x in row) for row in self.entries)
-        if len(entries) != n or any(len(row) != n for row in entries):
+        entries = self.entries
+        if ints is None:
+            entries = tuple(tuple(as_rat(x) for x in row) for row in entries)
+            scale = lcm(*(x.denominator for row in entries for x in row))
+            ints = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+        if len(ints) != n or any(len(row) != n for row in ints):
             raise ValueError("matrix shape does not match labels")
-        scale = lcm(*(x.denominator for row in entries for x in row))
-        ints = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
         for i, row in enumerate(ints):
             if row[i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.labels[i]}")
@@ -59,6 +62,15 @@ class MetricMatrix:
                 if x < 0:
                     raise ValueError("negative entry")
         vars(self).update(entries=entries, _ints=ints, _scale=scale)
+
+    @classmethod
+    def _of_ints(cls, labels: tuple[str, ...], ints: list[list[int]], scale: int) -> "MetricMatrix":
+        """Entries ``ints[i][j] / scale``, one ``Fraction`` per value, checked without ``as_rat``."""
+        frac = {x: Fraction(x, scale) for x in {x for row in ints for x in row}}
+        m = object.__new__(cls)
+        vars(m).update(labels=labels, entries=tuple(tuple(map(frac.__getitem__, r)) for r in ints))
+        m.__post_init__(ints, scale)
+        return m
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -149,16 +161,36 @@ def delta_hyperbolicity(m: MetricMatrix) -> Fraction:
 
 
 def tree_to_matrix(tree: TreeSkeleton, points: Sequence[PointRef], labels=None) -> MetricMatrix:
-    """Exact pairwise distance matrix between the given points."""
+    """Exact pairwise distance matrix between the given points, as integers
+    from :func:`_arc_distances`; with fewer than two, no distance is read."""
     pts = [normalize_point(tree, p) for p in points]
-    if labels is None:
-        labels = tuple(f"x{i}" for i in range(len(pts)))
-    n = len(pts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = distance(tree, pts[i], pts[j])
-    return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
+    labels = tuple(f"x{i}" for i in range(len(pts))) if labels is None else tuple(labels)
+    if len(pts) < 2:
+        return MetricMatrix._of_ints(labels, [[0] for _ in pts], 1)
+    parent, num, _, den = tree._root_data()
+    rooted = [_rooted(parent, num, den, p) for p in pts]
+    scale = lcm(*(d for _, _, d in rooted))
+    rows = _arc_distances(parent, num, [(x, h * (scale // d)) for x, h, d in rooted], scale // den)
+    upper = list(rows)
+    ints = [[upper[j][i - j - 1] for j in range(i)] + [0] + row for i, row in enumerate(upper)]
+    return MetricMatrix._of_ints(labels, ints, scale)
+
+
+def _arc_distances(parent, height, pts, k: int = 1) -> Iterator[list[int]]:
+    """Rows of distances from each point ``(node, h)``, at height ``h`` (over
+    ``k`` times the scale of ``height``) on the arc from ``node`` up, to the
+    later ones: ``h_i + h_j - 2 min(a[y], h_j)``, for ``y`` the first node of
+    ``j``'s root arc in ``a``, ``i``'s arc: ``h_i`` at its node, ``k height`` above."""
+    for i, (x, hi) in enumerate(pts):
+        arc, row = {x: hi}, []
+        while (x := parent[x]) is not None:
+            arc[x] = height[x] * k
+        for y, hj in pts[i + 1:]:
+            while y not in arc:
+                y = parent[y]
+            m = arc[y]
+            row.append(hi + hj - 2 * (m if m < hj else hj))
+        yield row
 
 
 def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> TreeSkeleton:
@@ -235,20 +267,11 @@ def _insertion_tree(
         at = tree.cut(node_of[anchor], best_h, "s")
         node_of[i] = tree.hang(at, leaf_len, labels[i], "s", groups[i])
 
-    # the round trip: d(i, j) = h_i + h_j - 2 h_m against twice e[i][j],
-    # where m is the first node of j's root arc on the root arc of i
-    height, parent, nodes = tree.h, tree.parent, [node_of[r] for r in rep]
-    for i, row in enumerate(e):
-        arc, x = set(), nodes[i]
-        while x:
-            arc.add(x)
-            x = parent[x]
-        for j in range(i + 1, len(row)):
-            m = nodes[j]
-            while m not in arc:
-                m = parent[m]
-            if height[nodes[i]] + height[nodes[j]] - 2 * height[m] != 2 * row[j]:
-                return None
+    # the round trip: the distances between the labels' nodes against twice e
+    got = _arc_distances(tree.parent, tree.h, [(node_of[r], tree.h[node_of[r]]) for r in rep])
+    for i, row in enumerate(got):
+        if row != [2 * x for x in e[i][i + 1:]]:
+            return None
     return tree
 
 

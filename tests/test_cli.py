@@ -116,6 +116,17 @@ def test_realize_rejects_non_additive(tmp_path, capsys):
     assert "four_point" in err and "lhs=4" in err
 
 
+@pytest.mark.parametrize("name", ["zz", ""])
+@pytest.mark.parametrize(
+    "text", ["labels a b\n1\n", "labels x y z t\n2 1 1\n1 1\n2\n"], ids=["tree", "non-additive"]
+)
+def test_realize_basepoint_naming_no_label_is_a_usage_error(tmp_path, capsys, name, text):
+    # checked before the realization, so also before a four-point verdict
+    mat = _write(tmp_path, "m.mat", text)
+    code, out, err = run(capsys, "realize", "--matrix", mat, "--basepoint", name)
+    assert (code, out, err) == (2, "", f"error: unknown basepoint label {name!r}\n")
+
+
 def test_type_dist_empty_context(capsys):
     code, out, _ = run(capsys, "type", "dist", "--ctx", "empty", "--s", "2", "--t", "1/2")
     assert code == 0 and out.strip() == "3/2"
@@ -277,6 +288,13 @@ def test_cyclic_tree_is_an_error(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_matrix_of_one_point_on_a_cyclic_tree(tmp_path, capsys):
+    # one point needs no distance, so the cycle is never reached
+    path = _write(tmp_path, "cyc.tree", CYCLIC_TEXT)
+    code, out, err = run(capsys, "matrix", "--tree", path, "--points", "a")
+    assert (code, out, err) == (0, "labels a\n", "")
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["realize"]) == 2
     assert main(["no-such-command"]) == 2
@@ -352,6 +370,12 @@ BAD_INVOCATIONS = {
         _write(tmp, "latin1.tree", "radius 1\nnode p\xe9 basepoint\n", encoding="latin-1"),
     ],
     "realize-matrix-is-directory": lambda tmp: ["realize", "--matrix", str(tmp)],
+    "realize-unknown-basepoint": lambda tmp: [
+        "realize", "--matrix", _write(tmp, "m.mat", "labels a b\n1\n"), "--basepoint", "zz",
+    ],
+    "realize-empty-basepoint": lambda tmp: [
+        "realize", "--matrix", _write(tmp, "m.mat", "labels a b\n1\n"), "--basepoint", "",
+    ],
     "realize-duplicate-labels": lambda tmp: [
         "realize", "--matrix", _write(tmp, "dup.mat", "labels x x\n1\n"),
     ],

@@ -4,24 +4,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rtrees.matrices as matrices
 from rtrees import (
+    EdgePoint,
     FourPointViolation,
     FourPointWitness,
     MetricMatrix,
     SkeletonError,
     TreeSkeleton,
+    UnknownPointError,
     Vertex,
     canonicalize,
     delta_hyperbolicity,
     distance,
     four_point_check,
+    rb_extend,
     realize_tree,
     tree_to_matrix,
+    tripod,
 )
-from conftest import random_corpus, rng_for
+from conftest import fw_distance, random_corpus, rng_for
+from rtrees.cli import main
 from rtrees.generators import random_point
 from rtrees.matrices import _insertion_tree, node_of_label
-from rtrees.skeleton import gensym, materialize, normalize_point, point_on_segment
+from rtrees.skeleton import gensym, grid_points, materialize, normalize_point, point_on_segment
 
 
 TRIPOD_LEAVES = MetricMatrix(
@@ -198,6 +204,118 @@ def test_tree_to_matrix_examples(tripod):
     assert m.entries == TRIPOD_LEAVES.entries
     single = tree_to_matrix(tripod, [Vertex("p")])
     assert single.entries == ((Fraction(0),),)
+
+
+def reference_tree_to_matrix(tree, points, labels=None):
+    """Independent reference: ``normalize_point`` on every point, then one
+    ``distance`` per pair, read by the public constructor."""
+    pts = [normalize_point(tree, p) for p in points]
+    if labels is None:
+        labels = tuple(f"x{i}" for i in range(len(pts)))
+    n = len(pts)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = distance(tree, pts[i], pts[j])
+    return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
+
+
+def matrix_point_sets():
+    """Seeded ``(tree, points)`` cases: random points, vertices, the
+    basepoint, several edge points on one edge (given from either end, over
+    mixed denominators) and repeats, on random trees; and grids of
+    richly branching extensions of a tripod."""
+    out = []
+    for k, tree in enumerate(random_corpus("tree-to-matrix", 60, max_nodes=9)):
+        rng = rng_for(("tree-to-matrix", k))
+        pts = [random_point(rng, tree) for _ in range(rng.randint(0, 6))]
+        pts += [Vertex(rng.choice(tree.nodes())) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            pts.append(Vertex(tree.basepoint))
+        if tree.edges():
+            u, v, length = rng.choice(tree.edges())
+            for q in rng.sample((2, 3, 5, 7), 3):
+                ends = (u, v) if rng.random() < 0.5 else (v, u)
+                pts.append(EdgePoint(*ends, length * Fraction(rng.randint(1, q - 1), q)))
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))] if pts else []
+        rng.shuffle(pts)
+        out.append((tree, pts))
+    for depth, mesh in ((1, Fraction(1, 3)), (2, Fraction(1, 2)), (4, Fraction(1, 4))):
+        tree = rb_extend(tripod(1, 1, 1), 2, depth)
+        out.append((tree, grid_points(tree, mesh)))
+    return out
+
+
+def test_tree_to_matrix_matches_pairwise_reference():
+    cases = matrix_point_sets()
+    assert sum(len(pts) > 100 for _, pts in cases) >= 1
+    for tree, pts in cases:
+        got, want = tree_to_matrix(tree, pts), reference_tree_to_matrix(tree, pts)
+        assert got == want and got.entries == want.entries and hash(got) == hash(want)
+        assert four_point_check(got) == four_point_check(want) is True
+        assert delta_hyperbolicity(got) == delta_hyperbolicity(want) == 0
+        if pts:
+            assert realize_tree(got) == realize_tree(want)
+    # the Floyd-Warshall oracle of conftest, on the small cases
+    checked = 0
+    for tree, pts in cases[:30]:
+        m = tree_to_matrix(tree, pts)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                assert m.entries[i][j] == fw_distance(tree, pts[i], pts[j])
+                checked += 1
+    assert checked > 300
+
+
+def test_tree_to_matrix_edge_cases():
+    cyclic = TreeSkeleton("p", [("p", "a", 1), ("a", "b", 1), ("b", "p", 2)])
+    apart = TreeSkeleton("p", [("p", "a", 1), ("q", "r", 2)])
+    tree = tripod(1, 1, 1)
+    # fewer than two points need no distance, so neither a cycle nor a
+    # second component is reached
+    for t, pts, labels, want in (
+        (cyclic, [], None, MetricMatrix((), ())),
+        (cyclic, [Vertex("b")], ("a",), MetricMatrix(("a",), ((0,),))),
+        (apart, [EdgePoint("r", "q", Fraction(1, 2))], None, MetricMatrix(("x0",), ((0,),))),
+    ):
+        got = tree_to_matrix(t, pts, labels)
+        assert got == want == reference_tree_to_matrix(t, pts, labels)
+        assert got.entries == want.entries
+    a, b, shape = Vertex("a"), Vertex("b"), "^matrix shape does not match labels$"
+    errors = [
+        # an unknown point is reported before any cycle
+        (cyclic, [a, b, Vertex("zz")], None, UnknownPointError, "^unknown node 'zz'$"),
+        (cyclic, [a, b], None, SkeletonError, r"^edge \S+-\S+ closes a cycle"),
+        (apart, [a, Vertex("q")], None, SkeletonError, "across disconnected components"),
+        (tree, [a, b], ("s", "s"), ValueError, "^duplicate labels$"),
+        (tree, [a, b], ("s",), ValueError, shape),
+        (tree, [a], ("s", "t"), ValueError, shape),
+        (tree, [], ("s",), ValueError, shape),
+    ]
+    for t, pts, labels, error, message in errors:
+        for build in (tree_to_matrix, reference_tree_to_matrix):
+            with pytest.raises(error, match=message):
+                build(t, pts, labels)
+
+
+def test_tree_to_matrix_reads_no_entry_through_as_rat(tmp_path, monkeypatch, capsys):
+    # a matrix read off a tree is built from its integers: no entry goes
+    # through as_rat
+    def refuse(*args):
+        raise AssertionError("an entry was read through as_rat")
+
+    tree = rb_extend(tripod(1, 1, 1), 2, 1)
+    pts = grid_points(tree, Fraction(1, 3))[:20]
+    want = reference_tree_to_matrix(tree, pts)
+    monkeypatch.setattr(matrices, "as_rat", refuse)
+    assert len(pts) == 20 and tree_to_matrix(tree, pts) == want
+    path = tmp_path / "t.tree"
+    path.write_text(
+        "radius 2\nnode p basepoint\nnode y\nnode a\nnode b\n"
+        "edge p y 1\nedge y a 1\nedge y b 1\npoint m edge p y 1/3\n"
+    )
+    assert main(["matrix", "--tree", str(path), "--points", "p,a,m"]) == 0
+    assert capsys.readouterr().out == "labels p a m\n2 1/3\n5/3\n"
 
 
 def test_realize_examples():
