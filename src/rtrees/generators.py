@@ -9,20 +9,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rationals import as_rat
 from .skeleton import (
     EdgePoint,
     PointRef,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
-    _cut,
-    _leaving_point,
+    _TreeBuilder,
     canonicalize,
     distance,
-    grid_points,
     hang,
     normalize_point,
 )
@@ -162,31 +160,6 @@ def random_point(rng: random.Random, tree: TreeSkeleton) -> PointRef:
 # -- richly branching extension -----------------------------------------------------
 
 
-def _hang_at_net(
-    tree: TreeSkeleton,
-    r: Fraction,
-    net: list[PointRef],
-    prefix: str,
-    tip_prefixes: Iterator[str],
-    count: Callable[[PointRef, Fraction], int],
-) -> TreeSkeleton:
-    """Cut ``tree`` at the normalized net points and hang ``count(x, l)`` fresh
-    edges of length ``l = r - d(p, x)`` at each net point ``x`` strictly
-    inside the radius sphere, one tip name from ``tip_prefixes`` per edge;
-    a cut changes no reach and no degree, so ``count`` reads ``tree``."""
-    b, node_of = _cut(tree, net, r.denominator, prefix)
-    top = r.numerator * (b.den // r.denominator)
-    for pt in net:
-        node = node_of[pt]
-        l = top - b.h[node]
-        if l <= 0:
-            continue
-        for _ in range(count(pt, Fraction(l, b.den))):
-            p = next(tip_prefixes)
-            b.hang(node, l, p + "1", p)
-    return b.freeze()
-
-
 def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     """Attach sphere-reaching witness branches at every net point.
 
@@ -201,16 +174,30 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
     if r <= 0:
         raise GeneratorArgumentError("radius must be positive")
 
-    mesh = r / (2 ** depth)
-    den = lcm(tree._root_data()[3], mesh.denominator)  # net offsets are multiples of mesh
-
-    def missing(x: PointRef, l: Fraction) -> int:
-        reaches = _leaving_point(tree, x, den)
-        return 3 - sum(1 for reach, _ in reaches if reach * l.denominator >= l.numerator * den)
-
-    net = grid_points(tree, mesh)
+    mesh = r / (2 ** depth)  # r is a multiple of mesh
+    parent, _, _, D = tree._root_data()
+    if len(parent) != len(tree._adj):  # as a distance query off the basepoint's component
+        raise SkeletonError("distance query across disconnected components")
+    b = _TreeBuilder(tree, mesh.denominator)
+    scale, h, table = b.den // D, b.h, tree._reach_num()
+    top = r.numerator * (b.den // r.denominator)
+    cuts = b.net(mesh.numerator * (b.den // mesh.denominator), "net")
+    # a cut changes no reach: the vertices' reaches, then each cut's towards
+    # both ends of its source edge, all read off ``tree``
+    net = [(x, [table[(x, nb)] * scale for nb in tree._adj[x]]) for x in tree.nodes()]
+    net += [
+        (c, [table[(x, up)] * scale - (h[x] - h[c]), table[(up, x)] * scale - (h[c] - h[up])])
+        for c, x, up in cuts
+    ]
     tips = (f"w{i}_" for i in itertools.count(1))
-    return _hang_at_net(tree, r, net, "net", tips, missing)
+    for node, reaches in net:
+        l = top - h[node]
+        if l <= 0:
+            continue
+        for _ in range(3 - sum(1 for reach in reaches if reach >= l)):
+            p = next(tips)
+            b.hang(node, l, p + "1", p)
+    return b.freeze()
 
 
 # -- degree families ----------------------------------------------------------------
@@ -257,15 +244,19 @@ def degree_family_tree(cfg: GeneratorConfig) -> TreeSkeleton:
     """
     r = cfg.radius
     degrees = cfg.degree_set
-    mesh0 = cfg.mesh if cfg.mesh is not None else r / 2
-    tree = segment(r, basepoint="p", tip="z0")
+    last = (cfg.mesh if cfg.mesh is not None else r / 2) / 2 ** cfg.depth  # every mesh a multiple
+    b = _TreeBuilder(segment(r, basepoint="p", tip="z0"), last.denominator)
+    top = r.numerator * (b.den // r.denominator)
+    step = last.numerator * (b.den // last.denominator)
     tips = (f"r{i}_" for i in itertools.count(1))
     for j in range(cfg.depth + 1):
         extra = degrees[j % len(degrees)] - 2
-        grid = grid_points(tree, mesh0 / (2 ** j))
-        net = [pt for pt in grid if isinstance(pt, EdgePoint)]
-        tree = _hang_at_net(tree, r, net, f"d{j}_", tips, lambda x, l: extra)
-    return tree
+        # a cut lies strictly below its link's lower end, so inside the sphere
+        for node, _, _ in b.net(step << (cfg.depth - j), f"d{j}_"):
+            for _ in range(extra):
+                p = next(tips)
+                b.hang(node, top - b.h[node], p + "1", p)
+    return b.freeze()
 
 
 def branch_degree_multiset(tree: TreeSkeleton) -> tuple[int, ...]:
@@ -347,6 +338,8 @@ def au_sample_ball(
     if count < 1:
         raise GeneratorArgumentError("need at least one sample")
     radius = as_rat(radius)
+    if radius <= 0:
+        raise GeneratorArgumentError("radius must be positive")
     rng = random.Random(seed)
     samples: list[StepFunction] = [_zero_function()]
     attempts = 0

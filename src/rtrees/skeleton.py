@@ -15,7 +15,8 @@ common-ancestor loop gives the height at which two root arcs part, and one
 ancestor walk finds the point at a given height.  Radius checks compare
 these integers too; a ``Fraction`` is built only for a result or a report.
 A private builder grows a copy of a tree in the same integer heights: it
-cuts edges, hangs segments and freezes the result once.  A skeleton whose
+cuts edges, one at a time or all at the multiples of a mesh, hangs
+segments and freezes the result once.  A skeleton whose
 search meets an edge off its spanning tree is not a tree, and one whose
 search meets an edge of length at most 0 is not a metric tree; every
 distance query on either raises :class:`SkeletonError` naming that edge.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
@@ -631,6 +633,30 @@ class _TreeBuilder:
             self.labels[node] = tuple(sorted(set(self.labels.get(node, ())) | set(names)))
         return node
 
+    def net(self, mesh: int, prefix: str) -> list[tuple[str, str, str]]:
+        """Cut every parent link ``(x, up)`` at the multiples ``k * mesh``,
+        ``1 <= k <= _net_steps(L, mesh)``, of its length ``L``, measured from
+        the link's :func:`edge_key`-first end, as :func:`grid_points` measures
+        them.  The links are taken in :func:`edge_key` order and the cuts
+        named ``gensym(taken, prefix)`` in that order, so the cuts get the
+        names :func:`_cut` gives those grid points.  Returns
+        ``(cut, x, up)`` for every cut, in that order."""
+        parent, h, taken = self.parent, self.h, self.taken
+        # gensym's names, in one pass: each is past the last and not taken
+        fresh = (name for name in (f"{prefix}{i}" for i in count(1)) if name not in taken)
+        cuts = []
+        for _, x, up in sorted((edge_key(x, up), x, up) for x, up in parent.items() if up):
+            lo, hi = h[up], h[x]
+            start, step = (lo, mesh) if up < x else (hi, -mesh)
+            chain = [(next(fresh), start + k * step) for k in range(1, _net_steps(hi - lo, mesh) + 1)]
+            cuts.extend((mid, x, up) for mid, _ in chain)
+            below = up
+            for mid, height in chain if step > 0 else reversed(chain):
+                parent[mid], h[mid], below = below, height, mid
+            parent[x] = below
+        taken.update(mid for mid, _, _ in cuts)
+        return cuts
+
     def freeze(self) -> TreeSkeleton:
         """The grown tree as one :class:`TreeSkeleton`."""
         h, den, src = self.h, self.den, self.src
@@ -707,6 +733,12 @@ def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:
     return point_on_segment(dst, Vertex(pt.u), Vertex(pt.v), pt.offset)
 
 
+def _net_steps(length, mesh) -> int:
+    """The number of ``k >= 1`` with ``k * mesh < length``, for ints or
+    ``Fraction``s alike."""
+    return -(-length // mesh) - 1
+
+
 def grid_points(
     tree: TreeSkeleton, mesh: Fraction, anchors: tuple[PointRef, ...] = ()
 ) -> list[PointRef]:
@@ -715,9 +747,7 @@ def grid_points(
         raise ValueError("mesh must be positive")
     pts: list[PointRef] = [Vertex(n) for n in tree.nodes()]
     for u, v, length in tree.edges():
-        # k * mesh for every k >= 1 with k * mesh < length
-        count = -(-length // mesh) - 1
-        pts.extend(EdgePoint(u, v, k * mesh) for k in range(1, count + 1))
+        pts.extend(EdgePoint(u, v, k * mesh) for k in range(1, _net_steps(length, mesh) + 1))
     for a in anchors:
         a = normalize_point(tree, a)
         if a not in pts:
@@ -765,7 +795,7 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
     violations: list[Violation] = []
 
     for u, v, w in tree.edges():
-        if w <= 0:
+        if w.numerator <= 0:
             violations.append(
                 Violation("non_positive_edge", f"edge {u}-{v} has length {format_rat(w)}")
             )
@@ -782,15 +812,10 @@ def validate(tree: TreeSkeleton, r) -> ValidationReport:
         where = f"extra adjacency at {cycle_witness[0]}-{cycle_witness[1]}" if cycle_witness else "edge count"
         violations.append(Violation("cycle", where))
 
+    adj = tree._adj
     for node in tree.nodes():
-        if (
-            tree.degree(node) == 2
-            and node != tree.basepoint
-            and node not in tree.labels
-        ):
-            violations.append(
-                Violation("non_canonical", f"unlabeled degree-2 node {node}")
-            )
+        if len(adj[node]) == 2 and node != tree.basepoint and node not in tree.labels:
+            violations.append(Violation("non_canonical", f"unlabeled degree-2 node {node}"))
 
     max_dist: Optional[Fraction] = None
     if not missing and cycle_witness is None and n_edges == len(tree.nodes()) - 1:

@@ -301,9 +301,12 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_universal_sampling_failure_is_an_error(capsys):
-    code, _, err = run(capsys, "generate", "universal", "--radius", "0", "--count", "2")
+    code, _, err = run(capsys, "generate", "universal", "--radius", "1/20", "--count", "2")
     assert code == 1
     assert err == "error: sampling failed to produce enough distinct functions\n"
+    # radius 0 is no ball to sample: a usage error before any draw
+    code, out, err = run(capsys, "generate", "universal", "--radius", "0", "--count", "3")
+    assert (code, out, err) == (2, "", "error: radius must be positive\n")
 
 
 @pytest.mark.parametrize(
@@ -363,6 +366,9 @@ BAD_INVOCATIONS = {
     ],
     "generate-universal-no-samples": lambda tmp: [
         "generate", "universal", "--radius", "2", "--count", "0",
+    ],
+    "generate-universal-radius-zero": lambda tmp: [
+        "generate", "universal", "--radius", "0", "--count", "3",
     ],
     "check-tree-is-directory": lambda tmp: ["check", "--tree", str(tmp)],
     "check-tree-not-utf8": lambda tmp: [

@@ -114,6 +114,8 @@ def test_degree_family_tree():
 
 
 def test_net_extensions_freeze_once_per_round(monkeypatch, tripod):
+    """A degree family grows all its rounds on one builder, so it freezes
+    once at every depth, like ``rb_extend``'s single round."""
     calls = []
     freeze = _TreeBuilder.freeze
     monkeypatch.setattr(_TreeBuilder, "freeze", lambda self: calls.append(self) or freeze(self))
@@ -122,7 +124,7 @@ def test_net_extensions_freeze_once_per_round(monkeypatch, tripod):
     for depth in range(4):
         calls.clear()
         degree_family_tree(GeneratorConfig(0, depth, R, (3, 4)))
-        assert len(calls) == depth + 1
+        assert len(calls) == 1
 
 
 def test_degree_family_trees_distinguished_by_degree_sets():
@@ -254,9 +256,12 @@ def test_au_sample_ball():
     with pytest.raises(ValueError):
         au_sample_ball(2, 3, R, seed=0)
     # a ball too small to hold two distinct functions
-    for radius in (0, Fraction(1, 20)):
-        with pytest.raises(ValueError, match="enough distinct functions"):
-            au_sample_ball(3, 2, radius, seed=0)
+    with pytest.raises(ValueError, match="enough distinct functions"):
+        au_sample_ball(3, 2, Fraction(1, 20), seed=0)
+    # no ball at all: refused before any draw, whatever the count
+    for radius, count in ((0, 2), (0, 1), (-1, 3)):
+        with pytest.raises(GeneratorArgumentError, match="^radius must be positive$"):
+            au_sample_ball(3, count, radius, seed=0)
 
 
 def test_au_sample_tripod_from_diverging_functions():

@@ -7,6 +7,7 @@ included), equal embeddings and the same errors on a seeded corpus.
 """
 
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from rtrees import (
@@ -26,14 +27,14 @@ from rtrees import (
     normalize_point,
     random_tree,
     rb_extend,
+    segment,
     spanned_subtree,
     transfer_point,
     validate,
 )
-from rtrees import generators
 from rtrees.amalgams import MalformedSpecError, RadiusExceededError
 from rtrees.generators import random_point, random_rat
-from rtrees.skeleton import gensym
+from rtrees.skeleton import grid_points, gensym
 from conftest import rng_for
 
 
@@ -199,7 +200,10 @@ def amalgamate_ref(m1, m2, shared, r):
     return amalgam, g1, SubtreeMap(source=m2, target=amalgam, pairs=tuple(g2_pairs))
 
 
-def _hang_at_net_ref(tree, r, net, prefix, tip_prefixes, count):
+def _hang_at_net_ref(tree, r, net, prefix, tip_prefixes, how_many):
+    """Materialize ``tree`` at the net and graft ``how_many(work, node, l)``
+    fresh edges of length ``l = r - d(p, node)`` at each net node inside
+    the sphere, ``work`` being the materialized tree."""
     mat = materialize(tree, net, prefix=prefix)
     work = mat.tree
     taken = set(work.nodes())
@@ -209,9 +213,35 @@ def _hang_at_net_ref(tree, r, net, prefix, tip_prefixes, count):
         l = r - work.dist_to_basepoint(node)
         if l <= 0:
             continue
-        for _ in range(count(pt, l)):
+        for _ in range(how_many(work, node, l)):
             fresh.append((node, gensym(taken, next(tip_prefixes)), l))
     return mat.graft(fresh)
+
+
+def rb_extend_ref(tree, r, depth):
+    """One round on the grid of mesh ``r / 2**depth``, vertices included,
+    topping each net node up to three directions that reach the sphere."""
+    r = Fraction(r)
+    tips = (f"w{i}_" for i in count(1))
+    return _hang_at_net_ref(
+        tree, r, grid_points(tree, r / 2 ** depth), "net", tips,
+        lambda work, node, l: 3 - sum(1 for reach in work.reaches_at(node) if reach >= l),
+    )
+
+
+def degree_family_ref(cfg):
+    """Round ``j`` rebuilds the whole tree: the edge points of the grid of
+    mesh ``mesh0 / 2**j`` on the last round's tree, with ``k - 2`` edges at
+    each for the round's degree ``k``."""
+    r = cfg.radius
+    mesh0 = cfg.mesh if cfg.mesh is not None else r / 2
+    tree = segment(r, basepoint="p", tip="z0")
+    tips = (f"r{i}_" for i in count(1))
+    for j in range(cfg.depth + 1):
+        extra = cfg.degree_set[j % len(cfg.degree_set)] - 2
+        net = [pt for pt in grid_points(tree, mesh0 / 2 ** j) if isinstance(pt, EdgePoint)]
+        tree = _hang_at_net_ref(tree, r, net, f"d{j}_", tips, lambda work, node, l: extra)
+    return tree
 
 
 def _outcome(fn, *args):
@@ -300,14 +330,17 @@ def test_amalgamate_matches_materialize_and_graft():
     assert outcomes == {"tree", "RadiusExceededError"}
 
 
-def test_net_extensions_match_materialize_and_graft(monkeypatch):
-    cases = []
-    for k in range(12):
+def test_net_extensions_match_materialize_and_graft():
+    meshes = [None, None, Fraction(2, 3), Fraction(4, 5), Fraction(1, 2)]
+    for k in range(30):
         rng = rng_for(("net-ref", k))
         tree = _labelled(rng, random_tree(rng, max_nodes=6, radius=Fraction(2)))
-        cases.append(lambda t=tree, d=k % 3: rb_extend(t, 2, d))
-        cfg = GeneratorConfig(k, k % 3, rng.choice([1, 2, Fraction(3, 2)]), rng.choice([(3,), (3, 4), (4, 5)]))
-        cases.append(lambda c=cfg: degree_family_tree(c))
-    got = [case() for case in cases]
-    monkeypatch.setattr(generators, "_hang_at_net", _hang_at_net_ref)
-    assert got == [case() for case in cases]
+        r = rng.choice([2, Fraction(5, 2), Fraction(7, 3)])
+        got, want = rb_extend(tree, r, k % 3), rb_extend_ref(tree, r, k % 3)
+        assert got == want and got.basepoint == want.basepoint, ("rb", k)
+        cfg = GeneratorConfig(
+            k, k % 3, rng.choice([1, 2, Fraction(3, 2), Fraction(5, 3)]),
+            rng.choice([(3,), (3, 4), (4, 5), (3, 5, 6)]), rng.choice(meshes),
+        )
+        got, want = degree_family_tree(cfg), degree_family_ref(cfg)
+        assert got == want and got.basepoint == want.basepoint, ("degrees", k, cfg)

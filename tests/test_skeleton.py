@@ -26,7 +26,7 @@ from rtrees.generators import (
     random_tree,
     rb_extend,
 )
-from rtrees.skeleton import _leaving_point, gensym, grid_points, hang
+from rtrees.skeleton import _leaving_point, _TreeBuilder, gensym, grid_points, hang
 
 
 def test_constructor_rejects_malformed():
@@ -180,6 +180,31 @@ def test_grid_points_rejects_non_positive_mesh(tripod):
     for mesh in (0, -1):
         with pytest.raises(ValueError, match="mesh must be positive"):
             grid_points(tripod, mesh)
+
+
+def test_net_step_cuts_at_the_grid_points():
+    # the builder's net step cuts where grid_points lists the edge points,
+    # in that order, under the names gensym gives them in turn
+    rng = rng_for("net-step")
+    for k, tree in enumerate(random_corpus("net-step", 24, max_nodes=7)):
+        # some ids that the cuts' names must step over
+        rename = {n: f"c{i}" for i, n in enumerate(tree.nodes()) if n != tree.basepoint and i % 2}
+        tree = TreeSkeleton(
+            tree.basepoint,
+            [(rename.get(u, u), rename.get(v, v), w) for u, v, w in tree.edges()],
+            extra_nodes=[rename.get(n, n) for n in tree.nodes()],
+        )
+        mesh = rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4), Fraction(1)])
+        b = _TreeBuilder(tree, mesh.denominator)
+        cuts = b.net(mesh.numerator * (b.den // mesh.denominator), "c")
+        out = b.freeze()
+        want = [pt for pt in grid_points(tree, mesh) if isinstance(pt, EdgePoint)]
+        taken = set(tree.nodes())
+        assert [c for c, _, _ in cuts] == [gensym(taken, "c") for _ in want], k
+        for (c, x, up), pt in zip(cuts, want):
+            assert {x, up} == {pt.u, pt.v}
+            assert out.dist_to_basepoint(c) == distance(tree, Vertex(tree.basepoint), pt)
+        assert out == materialize(tree, want, prefix="c").tree, k
 
 
 def test_point_on_segment_distances_consistent():
