@@ -21,6 +21,7 @@ from .rationals import as_rat, format_rat
 from .skeleton import (
     EdgePoint,
     PointRef,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
     distance,
@@ -127,15 +128,18 @@ def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
     ``edge:<u>:<v>:<offset>``."""
     if spec in doc.points:
         return doc.points[spec]
-    if spec.startswith("node:"):
-        return normalize_point(doc.tree, Vertex(spec[len("node:"):]))
-    if spec.startswith("edge:"):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise CliError(f"bad edge point spec {spec!r}")
-        return normalize_point(
-            doc.tree, EdgePoint(parts[1], parts[2], _rat_arg(parts[3], spec))
-        )
+    try:
+        if spec.startswith("node:"):
+            return normalize_point(doc.tree, Vertex(spec[len("node:"):]))
+        if spec.startswith("edge:"):
+            parts = spec.split(":")
+            if len(parts) != 4:
+                raise CliError(f"bad edge point spec {spec!r}")
+            return normalize_point(
+                doc.tree, EdgePoint(parts[1], parts[2], _rat_arg(parts[3], spec))
+            )
+    except SkeletonError as exc:  # no such node, edge or offset: a usage error
+        raise CliError(str(exc))
     if doc.tree.has_node(spec):
         return Vertex(spec)
     node = doc.tree.find_label(spec)

@@ -33,8 +33,8 @@ from .skeleton import (
     Vertex,
     distance,
     grid_points,
+    point_on_segment,
 )
-from .geometry import interpolate
 from .matrices import delta_hyperbolicity, tree_to_matrix
 from .pl import PL, distance_table, table_profile
 
@@ -612,8 +612,8 @@ def check_rt_axioms(tree: TreeSkeleton, r, mesh) -> RtAxiomsReport:
     nodes = tree.nodes()
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:
-            z = interpolate(tree, Vertex(x), Vertex(y), Fraction(1, 2))
             half = tree.vertex_distance(x, y) / 2
+            z = point_on_segment(tree, Vertex(x), Vertex(y), half)
             gap = max(
                 abs(distance(tree, Vertex(x), z) - half),
                 abs(distance(tree, Vertex(y), z) - half),

@@ -15,7 +15,6 @@ from .rationals import as_rat
 from .skeleton import (
     EdgePoint,
     PointRef,
-    SkeletonError,
     TreeSkeleton,
     Vertex,
     _TreeBuilder,
@@ -175,9 +174,7 @@ def rb_extend(tree: TreeSkeleton, r, depth: int) -> TreeSkeleton:
         raise GeneratorArgumentError("radius must be positive")
 
     mesh = r / (2 ** depth)  # r is a multiple of mesh
-    parent, _, _, D = tree._root_data()
-    if len(parent) != len(tree._adj):  # as a distance query off the basepoint's component
-        raise SkeletonError("distance query across disconnected components")
+    D = tree._root_data()[3]
     b = _TreeBuilder(tree, mesh.denominator)
     scale, h, table = b.den // D, b.h, tree._reach_num()
     top = r.numerator * (b.den // r.denominator)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .rationals import as_rat
 from .skeleton import (
@@ -96,16 +96,16 @@ class SpannedSubtree:
 
     It is the union of the generators' root arcs above its top, the lowest
     height at which two of those arcs part.  ``vertex_cover`` holds the
-    ambient vertices it contains and ``edge_cover`` the offset interval it
-    covers on each canonical edge it meets in more than an endpoint (the
-    span of one edge point covers ``(o, o)``); they back exact membership
-    tests and closest-point projections.
+    ambient vertices it contains and ``edge_cover`` the one offset interval
+    ``((lo, hi),)`` it covers on each canonical edge it meets in more than
+    an endpoint (the span of one edge point covers ``((o, o),)``); they
+    back exact membership tests and closest-point projections.
     """
 
     ambient: TreeSkeleton
     generators: tuple[PointRef, ...]
     vertex_cover: frozenset[str]
-    edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction], ...]]
+    edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction]]]
 
     def __eq__(self, other: object) -> bool:
         # equality as point sets of a common ambient tree
@@ -121,10 +121,8 @@ class SpannedSubtree:
         pt = normalize_point(self.ambient, pt)
         if isinstance(pt, Vertex):
             return pt.node in self.vertex_cover
-        for lo, hi in self.edge_cover.get((pt.u, pt.v), ()):
-            if lo <= pt.offset <= hi:
-                return True
-        return False
+        cover = self.edge_cover.get((pt.u, pt.v))
+        return cover is not None and cover[0][0] <= pt.offset <= cover[0][1]
 
     def is_single_point(self) -> bool:
         return len(self.generators) == 1
@@ -185,7 +183,7 @@ def spanned_subtree(
                 break
             node, h = parent[node], low
 
-    edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction], ...]] = {}
+    edge_cover: dict[tuple[str, str], tuple[tuple[Fraction, Fraction]]] = {}
     for node, hi in entry.items():
         up = parent[node]
         low = num[up] * scale
@@ -220,27 +218,20 @@ def project_to_subtree(
         return a, Fraction(0)
     parent, num, _, den = tree._root_data()
     node, h, hd = _rooted(parent, num, den, a)
-    h_a = Fraction(h, hd)
+    at = Fraction(h, hd)
     while parent[node] is not None:
         up = parent[node]
-        key = edge_key(up, node)
-        cover = sub.edge_cover.get(key)
-        if cover:
-            # the highest covered point at height <= h on the edge up to ``up``
-            at, low, high = Fraction(h, hd), Fraction(num[up], den), Fraction(num[node], den)
-            best: Optional[Fraction] = None
-            for lo, hi in cover:
-                if key[0] == up:
-                    lo, hi = low + lo, low + hi
-                else:
-                    lo, hi = high - hi, high - lo
-                if lo <= at and (best is None or min(hi, at) > best):
-                    best = min(hi, at)
-            if best is not None:
-                return _at_height(tree, node, best.numerator, best.denominator), h_a - best
+        cover = sub.edge_cover.get(edge_key(up, node))
+        if cover is not None:
+            # the highest covered height on this edge; below ``a``, which is
+            # not covered, unless the span's top lies above ``a`` on this edge
+            ((lo, hi),) = cover
+            end = Fraction(num[up], den) + hi if up < node else Fraction(num[node], den) - lo
+            if end < at:
+                return _at_height(tree, node, end.numerator, end.denominator), at - end
         if up in sub.vertex_cover:
-            return Vertex(up), h_a - Fraction(num[up], den)
-        node, h, hd = up, num[up], den
+            return Vertex(up), at - Fraction(num[up], den)
+        node = up
     pts, t, big = _span_top(tree, sub.generators)
     top = _at_height(tree, pts[0][0], t, big)
     return top, distance(tree, a, top)

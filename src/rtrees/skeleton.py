@@ -603,7 +603,7 @@ class _TreeBuilder:
     def __init__(self, tree: TreeSkeleton, den: int) -> None:
         parent, num, _, D = tree._root_data()
         if len(parent) != len(tree._adj):
-            raise SkeletonError("the skeleton is not connected")
+            raise SkeletonError("distance query across disconnected components")
         self.basepoint, self.den, self.src = tree.basepoint, lcm(D, den), tree._adj
         self.h = {x: n * (self.den // D) for x, n in num.items()}
         self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(parent)

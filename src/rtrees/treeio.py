@@ -264,6 +264,8 @@ def parse_descriptor_text(text: str, base_dir: str = "."):
                 key = (kind,)
                 radius = _radius(parts[1])
             elif kind == "closest":
+                if len(parts) < 2:
+                    raise FormatError("closest needs an index and a location", lineno)
                 if tree_doc is None:
                     raise FormatError("context must come before closest", lineno)
                 key = (kind, _index(parts[1]))

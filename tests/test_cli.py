@@ -450,6 +450,29 @@ BAD_INVOCATIONS = {
     "matrix-repeated-point-name": lambda tmp: [
         "matrix", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,a",
     ],
+    "psi-at-unknown-node-spec": lambda tmp: [
+        "psi", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--at", "node:zz",
+    ],
+    "matrix-edge-spec-on-no-edge": lambda tmp: [
+        "matrix", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,edge:a:b:1/2",
+    ],
+    "indep-edge-spec-offset-outside": lambda tmp: [
+        "indep", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--A", "a", "--B", "b",
+        "--C", "edge:y:a:3",
+    ],
+    "eval-at-unknown-node-spec": lambda tmp: [
+        "eval", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--formula", "d(p,q)",
+        "--at", "q=node:zz",
+    ],
+    "type-of-edge-spec-negative-offset": lambda tmp: [
+        "type", "of", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "edge:p:y:-1",
+    ],
+    "amalgamate-shared-unknown-node-spec": lambda tmp: [
+        "amalgamate", "--left", _write(tmp, "l.tree", TRIPOD_TEXT),
+        "--right", _write(tmp, "r.tree", TRIPOD_TEXT),
+        "--shared", _write(tmp, "map.txt", "pair node:p node:p\npair node:y node:zz\n"),
+        "--radius", "2",
+    ],
     "type-of-empty-point-name": lambda tmp: [
         "type", "of", "--tree", _write(tmp, "t.tree", TRIPOD_TEXT), "--points", "a,,b",
     ],
@@ -569,6 +592,36 @@ def test_eval_bindings_are_distinct_and_never_the_basepoint(tripod_file, capsys)
     assert (code, out, err) == (2, "", "error: --at: name 'q' is repeated\n")
     code, out, err = run(capsys, *base, "--at", "=a", "--at", "q=a")
     assert (code, out, err) == (2, "", "error: bad --at binding '=a'; use name=point\n")
+
+
+def test_malformed_node_and_edge_specs_are_usage_errors(tmp_path, tripod_file, capsys):
+    # the text the library gives, as for a bare unknown name, with exit 2
+    shared = _write(tmp_path, "map.txt", "pair node:p node:p\npair edge:p:y:2 node:y\n")
+    for argv, message in (
+        (["psi", "--tree", tripod_file, "--at", "node:zz"], "unknown node 'zz'"),
+        (["matrix", "--tree", tripod_file, "--points", "a,edge:a:b:1/2"], "unknown edge a-b"),
+        (
+            ["indep", "--tree", tripod_file, "--A", "a", "--B", "b", "--C", "edge:y:a:3"],
+            "offset 3 outside edge y-a of length 1",
+        ),
+        (
+            ["eval", "--tree", tripod_file, "--formula", "d(p,q)", "--at", "q=node:zz"],
+            "unknown node 'zz'",
+        ),
+        (
+            ["type", "of", "--tree", tripod_file, "--points", "edge:p:y:-1"],
+            "offset -1 outside edge p-y of length 1",
+        ),
+        (
+            ["amalgamate", "--left", tripod_file, "--right", tripod_file, "--shared", shared,
+             "--radius", "2"],
+            "offset 2 outside edge p-y of length 1",
+        ),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert run(capsys, "psi", "--tree", tripod_file, "--at", "zz") == (
+        2, "", "error: unknown point 'zz'\n"
+    )
 
 
 def test_matrix_point_names_must_be_distinct_and_nonempty(tripod_file, capsys):

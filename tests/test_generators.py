@@ -7,6 +7,7 @@ from rtrees import (
     EdgePoint,
     GeneratorConfig,
     GlueSpec,
+    SkeletonError,
     StepFunction,
     SubtreeMap,
     TreeSkeleton,
@@ -83,6 +84,20 @@ def test_rb_extend_determinism_and_contract(tripod):
     for node in e1.nodes():
         if node not in tripod.nodes() and e1.degree(node) == 1:
             assert e1.dist_to_basepoint(node) == R
+
+
+def test_rb_extend_refuses_a_second_component():
+    # one connectivity check, the tree builder's, with the text every
+    # distance query gives
+    for apart in (
+        TreeSkeleton("p", [("p", "a", 1), ("z", "w", 1)]),
+        TreeSkeleton("p", [("p", "a", 1)], extra_nodes=["z"]),
+    ):
+        for depth in (0, 2):
+            with pytest.raises(
+                SkeletonError, match="^distance query across disconnected components$"
+            ):
+                rb_extend(apart, R, depth)
 
 
 def test_degree_family_tree():

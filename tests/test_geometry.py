@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rtrees import (
+    EdgePoint,
     SkeletonError,
     TreeSkeleton,
     Vertex,
@@ -20,7 +21,9 @@ from rtrees import (
     spanned_subtree,
 )
 from conftest import random_corpus, rng_for, tree_grid
-from rtrees.generators import random_point, segment
+from rtrees.generators import random_point, rb_extend, segment, tripod as make_tripod
+from rtrees.geometry import _span_top
+from rtrees.skeleton import _at_height, _rooted, edge_key, normalize_point
 
 
 P, Y, A, B = Vertex("p"), Vertex("y"), Vertex("a"), Vertex("b")
@@ -266,3 +269,101 @@ def test_projection_against_brute_force():
             for b in tree_grid(tree, 3):
                 if sub.covers(b):
                     assert distance(tree, a, b) == d + distance(tree, e, b)
+
+
+def reference_covers(sub, a):
+    """Membership as it read a covered edge as a tuple of intervals."""
+    a = normalize_point(sub.ambient, a)
+    if isinstance(a, Vertex):
+        return a.node in sub.vertex_cover
+    return any(lo <= a.offset <= hi for lo, hi in sub.edge_cover.get((a.u, a.v), ()))
+
+
+def reference_project_to_subtree(tree, sub, a):
+    """The projection as it read a covered edge as a tuple of intervals:
+    the highest covered point at height <= ``a``'s on the first covered edge
+    up the arc, tracked in ``Fraction`` heights across every interval."""
+    if sub.ambient is not tree and sub.ambient != tree:
+        raise SkeletonError("subtree belongs to a different ambient skeleton")
+    a = normalize_point(tree, a)
+    if reference_covers(sub, a):
+        return a, Fraction(0)
+    parent, num, _, den = tree._root_data()
+    node, h, hd = _rooted(parent, num, den, a)
+    h_a = Fraction(h, hd)
+    while parent[node] is not None:
+        up = parent[node]
+        key = edge_key(up, node)
+        cover = sub.edge_cover.get(key)
+        if cover:
+            at, low, high = Fraction(h, hd), Fraction(num[up], den), Fraction(num[node], den)
+            best = None
+            for lo, hi in cover:
+                if key[0] == up:
+                    lo, hi = low + lo, low + hi
+                else:
+                    lo, hi = high - hi, high - lo
+                if lo <= at and (best is None or min(hi, at) > best):
+                    best = min(hi, at)
+            if best is not None:
+                return _at_height(tree, node, best.numerator, best.denominator), h_a - best
+        if up in sub.vertex_cover:
+            return Vertex(up), h_a - Fraction(num[up], den)
+        node, h, hd = up, num[up], den
+    pts, t, big = _span_top(tree, sub.generators)
+    top = _at_height(tree, pts[0][0], t, big)
+    return top, distance(tree, a, top)
+
+
+def projection_cases():
+    """Seeded ``(tree, span, probes)`` cases: spans of grid and random
+    points (edge points among them), with and without the basepoint, on
+    random trees and on richly branching extensions of a tripod."""
+    trees = [("random", t) for t in random_corpus("proj-ref", 40, max_nodes=9)]
+    trees += [("rb", rb_extend(make_tripod(1, 1, 1), 2, k)) for k in range(6)]
+    for k, (kind, tree) in enumerate(trees):
+        rng = rng_for(("proj-ref", k))
+        grid = tree_grid(tree, 4 if kind == "random" else 2)
+        probes = grid + [random_point(rng, tree) for _ in range(8)]
+        for trial in range(6):
+            gens = [
+                rng.choice(grid) if rng.random() < 0.5 else random_point(rng, tree)
+                for _ in range(trial % 4 + 1)
+            ]
+            for adjoin in (True, False):
+                yield tree, spanned_subtree(tree, gens, adjoin_basepoint=adjoin), probes
+
+
+def test_membership_and_projection_match_interval_scan_reference():
+    probes = no_basepoint = 0
+    for tree, sub, points in projection_cases():
+        no_basepoint += not sub.covers(Vertex(tree.basepoint))
+        for a in points:
+            assert sub.covers(a) == reference_covers(sub, a)
+            got = project_to_subtree(tree, sub, a)
+            assert got == reference_project_to_subtree(tree, sub, a)
+            assert got[0] == normalize_point(tree, got[0])
+            probes += 1
+    assert probes > 15000 and no_basepoint > 150
+    # a point on another component, and a subtree of another tree
+    apart = TreeSkeleton("p", [("p", "a", 2), ("z", "w", 1)])
+    sub = spanned_subtree(apart, [EdgePoint("p", "a", Fraction(1, 2))], adjoin_basepoint=False)
+    for a in (Vertex("z"), EdgePoint("w", "z", Fraction(1, 3))):
+        for project in (project_to_subtree, reference_project_to_subtree):
+            with pytest.raises(SkeletonError, match="^distance query across disconnected components$"):
+                project(apart, sub, a)
+    for project in (project_to_subtree, reference_project_to_subtree):
+        with pytest.raises(SkeletonError, match="different ambient skeleton"):
+            project(segment(2), sub, P)
+
+
+def test_spanned_subtree_covers_each_edge_with_one_interval():
+    # ``covers`` and ``project_to_subtree`` read exactly one interval per edge
+    spans = 0
+    for tree, sub, _ in projection_cases():
+        spans += 1
+        for (u, v), cover in sub.edge_cover.items():
+            assert u < v and tree.has_edge(u, v)
+            ((lo, hi),) = cover
+            assert 0 <= lo <= hi <= tree.edge_length(u, v)
+    assert spans > 500

@@ -139,6 +139,7 @@ def test_descriptor_lines_are_not_repeated_and_take_no_extra_tokens(tmp_path):
         "radius 2 junk": "radius needs one value",
         "closest 1 node p junk": "bad point location",
         "closest 1": "bad point location",
+        "closest": "closest needs an index and a location",
         "offset 1 1/2 junk": "offset needs an index and a value",
         "pair 1 2 2 junk": "pair needs two indices and a value",
     }
