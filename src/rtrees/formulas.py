@@ -29,11 +29,11 @@ from typing import Mapping, Union
 from .rationals import as_rat, format_rat
 from .skeleton import (
     PointRef,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
     distance,
     grid_points,
-    point_on_segment,
 )
 from .matrices import delta_hyperbolicity, tree_to_matrix
 from .pl import PL, distance_table, table_profile
@@ -598,31 +598,64 @@ def check_rt_axioms(tree: TreeSkeleton, r, mesh) -> RtAxiomsReport:
     """Evaluate the three axioms exactly on a structurally valid skeleton.
 
     Axiom 1 (radius): the sup of d(x, p) is attained at a vertex.  Axiom 2
-    (midpoints): exact midpoints are produced constructively for every
-    vertex pair, so the defect is exactly 0.  Axiom 3 (0-hyperbolicity):
-    the Gromov four-point defect over vertices and grid points, which is 0
-    on every tree.
+    (midpoints): for every vertex pair a midpoint is placed on the arc
+    [x, y], and its distances to x and y are measured from one integer
+    distance row per vertex; the defect is the largest gap to half of
+    d(x, y), 0 on every tree.  Axiom 3 (0-hyperbolicity): the Gromov
+    four-point defect over vertices and grid points, which is 0 on every
+    tree.
     """
     r = as_rat(r)
     mesh = as_rat(mesh)
-    sup_d = max(tree.dist_to_basepoint(n) for n in tree.nodes())
+    parent, num, _, den = tree._root_data()
+    nodes = tree.nodes()
+    if len(num) != len(nodes):
+        missing = min(set(nodes) - set(num))
+        raise SkeletonError(f"node {missing!r} not connected to the basepoint")
+    sup_d = Fraction(max(num.values()), den)
     ax1 = CertifiedValue(sup_d, sup_d, mesh)
 
-    defect = Fraction(0)
-    nodes = tree.nodes()
+    # heights over 2 * den, so that half of every vertex distance is an integer
+    h = {x: 2 * n for x, n in num.items()}
+    rows = [distance_table(tree, Vertex(x))[0] for x in nodes]
+    defect = 0
     for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            half = tree.vertex_distance(x, y) / 2
-            z = point_on_segment(tree, Vertex(x), Vertex(y), half)
-            gap = max(
-                abs(distance(tree, Vertex(x), z) - half),
-                abs(distance(tree, Vertex(y), z) - half),
-            )
+        rx = rows[i]
+        for y, ry in zip(nodes[i + 1:], rows[i + 1:]):
+            half = rx[y]  # d(x, y) over den is its half over 2 * den
+            # the root arcs part at (h_x + h_y - d(x, y)) / 2
+            u, v, t = _midpoint(parent, h, x, y, half, num[x] + num[y] - half)
+            if v is None:
+                dx, dy = 2 * rx[u], 2 * ry[u]
+            else:  # on the edge u-v, at |uz| below u and |vz| above v
+                uz, vz = h[u] - t, t - h[v]
+                dx = min(2 * rx[u] + uz, 2 * rx[v] + vz)
+                dy = min(2 * ry[u] + uz, 2 * ry[v] + vz)
+            gap = max(abs(dx - half), abs(dy - half))
             if gap > defect:
                 defect = gap
+    defect = Fraction(defect, 2 * den)
     ax2 = CertifiedValue(defect, defect, mesh)
 
     pts = grid_points(tree, mesh)
     delta = delta_hyperbolicity(tree_to_matrix(tree, pts))
     ax3 = CertifiedValue(delta, delta, mesh)
     return RtAxiomsReport(axiom1=ax1, axiom2=ax2, axiom3=ax3, radius=r)
+
+
+def _midpoint(parent, h, x: str, y: str, half: int, m: int):
+    """The point at distance ``half`` from ``x`` on the arc [x, y], given the
+    height ``m`` at which the root arcs of ``x`` and ``y`` part, all over the
+    scale of the heights ``h``: ``(u, None, h[u])`` at a vertex ``u``, or
+    ``(u, parent[u], t)`` at height ``t`` inside the edge above ``u``."""
+    hx = h[x]
+    if half <= hx - m:
+        node, t = x, hx - half
+    else:
+        node, t = y, 2 * m - hx + half
+    while h[node] > t:
+        up = parent[node]
+        if h[up] < t:
+            return node, up, t
+        node = up
+    return node, None, t

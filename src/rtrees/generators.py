@@ -300,36 +300,58 @@ def au_distance(f: StepFunction, g: StepFunction) -> Fraction:
     """d(f, g) = (rho_f - s) + (rho_g - s), where s is the supremum of the
     agreement prefix: canonical form makes each ``(breakpoint, value)`` list
     unique, so s is where the lists part, capped at ``min(rho_f, rho_g)``."""
-    horizon = min(f.rho, g.rho)
-    steps = itertools.zip_longest(
-        zip(f.breakpoints, f.values), zip(g.breakpoints, g.values), fillvalue=(horizon, -1)
-    )
+    return _au((f.breakpoints, f.values, f.rho), (g.breakpoints, g.values, g.rho))
+
+
+def _au(f, g):
+    """:func:`au_distance` of two ``(breakpoints, values, rho)`` triples, on
+    ``Fraction``s or on integer numerators over one denominator alike."""
+    (fb, fv, fr), (gb, gv, gr) = f, g
+    horizon = fr if fr < gr else gr
+    steps = itertools.zip_longest(zip(fb, fv), zip(gb, gv), fillvalue=(horizon, -1))
     s = min(horizon, next((min(a[0], b[0]) for a, b in steps if a != b), horizon))
-    return (f.rho - s) + (g.rho - s)
+    return fr + gr - 2 * s
 
 
 def _zero_function() -> StepFunction:
     return StepFunction((), (), Fraction(0))
 
 
-def _random_step_function(rng: random.Random, mu: int, scale: Fraction) -> StepFunction:
-    """Canonical by construction: each value differs from the one before, the first from 0."""
+def _draw(rng: random.Random, lo: int, hi: int, n: int) -> int:
+    """:func:`random_rat` of ``lo / n`` and ``hi / n`` as a numerator over
+    ``n``, a multiple of 24, the lcm of its denominators: the same ``rng``
+    calls, the same bounds and the same fallback to ``lo``."""
+    unit = n // rng.choice((1, 2, 3, 4, 6, 8))
+    lo_num, hi_num = -(-lo // unit), hi // unit
+    if hi_num < lo_num:
+        return lo
+    return rng.randint(lo_num, hi_num) * unit
+
+
+def _random_step_function(rng: random.Random, mu: int, scale) -> StepFunction:
+    """A step function with one to three breakpoints in ``[-scale/2,
+    scale/2]`` and ``rho`` at most ``scale/2`` past the last, drawn as
+    :func:`random_rat` draws them, as numerators over ``24`` times the
+    scale's denominator.  Canonical by construction: each value differs from
+    the one before, the first from 0."""
+    scale = as_rat(scale)
+    n, half = 24 * scale.denominator, 12 * scale.numerator
     k = rng.randint(1, 3)
-    cuts = sorted(
-        {random_rat(rng, -scale / 2, scale / 2, max_den=8) for _ in range(k)}
-    )
+    cuts = sorted({_draw(rng, -half, half, n) for _ in range(k)})
     values = [0]
     for _ in cuts:
         values.append(rng.choice([v for v in range(mu) if v != values[-1]]))
-    rho = cuts[-1] + random_rat(rng, 0, scale / 2, max_den=8)
-    return StepFunction(tuple(cuts), tuple(values[1:]), rho)
+    rho = cuts[-1] + _draw(rng, 0, half, n)
+    return StepFunction(tuple(Fraction(c, n) for c in cuts), tuple(values[1:]), Fraction(rho, n))
 
 
 def au_sample_ball(
     mu_alphabet: int, count: int, radius, seed: int
 ) -> tuple[tuple[StepFunction, ...], TreeSkeleton]:
     """Deterministically sample step functions within the given distance of
-    the zero basepoint function and realize their exact distance matrix."""
+    the zero basepoint function and realize their exact distance matrix.
+    Every breakpoint is drawn as an integer numerator over 24 times the
+    radius's denominator, and every distance is compared in those integers."""
     if mu_alphabet < 3:
         raise GeneratorArgumentError("the richly branching regime needs an alphabet >= 3")
     if count < 1:
@@ -337,27 +359,38 @@ def au_sample_ball(
     radius = as_rat(radius)
     if radius <= 0:
         raise GeneratorArgumentError("radius must be positive")
+    n = 24 * radius.denominator
+    top = 24 * radius.numerator  # the radius over n
+
+    def numerators(f: StepFunction):  # its breakpoints and rho over n
+        return (
+            tuple(b.numerator * (n // b.denominator) for b in f.breakpoints),
+            f.values,
+            f.rho.numerator * (n // f.rho.denominator),
+        )
+
     rng = random.Random(seed)
-    samples: list[StepFunction] = [_zero_function()]
+    samples = [_zero_function()]
+    nums = [numerators(samples[0])]
     attempts = 0
     while len(samples) < count and attempts < 1000 * count:
         attempts += 1
         cand = _random_step_function(rng, mu_alphabet, radius)
-        if au_distance(cand, samples[0]) > radius:
+        num = numerators(cand)
+        if _au(num, nums[0]) > top:
             continue
-        if any(au_distance(cand, f) == 0 for f in samples):
+        # distance 0, not list equality: a step starting at rho adds no point
+        if any(_au(num, f) == 0 for f in nums):
             continue
         samples.append(cand)
+        nums.append(num)
     if len(samples) < count:
         raise ValueError("sampling failed to produce enough distinct functions")
 
     labels = tuple(f"f{i}" for i in range(count))
-    entries = [[Fraction(0)] * count for _ in range(count)]
+    ints = [[0] * count for _ in range(count)]
     for i in range(count):
         for j in range(i + 1, count):
-            d = au_distance(samples[i], samples[j])
-            entries[i][j] = d
-            entries[j][i] = d
-    matrix = MetricMatrix(labels, tuple(tuple(row) for row in entries))
-    tree = realize_tree(matrix, basepoint_label="f0")
+            ints[i][j] = ints[j][i] = _au(nums[i], nums[j])
+    tree = realize_tree(MetricMatrix._of_ints(labels, ints, n), basepoint_label="f0")
     return tuple(samples), tree

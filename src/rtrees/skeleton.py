@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .rationals import as_rat, format_rat
 
@@ -542,6 +542,14 @@ def gensym(taken: set[str], prefix: str) -> str:
     return name
 
 
+def _names(taken: set[str], prefix: str):
+    """``prefix1``, ``prefix2``, ... lazily, skipping the names in ``taken``
+    as it stands when each is reached.  ``taken`` only grows and the walk
+    never goes back, so each next name is the one :func:`gensym` gives once
+    the earlier ones are taken: one walk names any number of cuts."""
+    return (name for i in count(1) if (name := f"{prefix}{i}") not in taken)
+
+
 def materialize(
     tree: TreeSkeleton, points: Iterable[PointRef], prefix: str = "cut"
 ) -> Materialization:
@@ -552,7 +560,7 @@ def materialize(
         if isinstance(pt, EdgePoint):
             cuts.setdefault((pt.u, pt.v), set()).add(pt.offset)
 
-    taken = set(tree.nodes())
+    fresh = _names(set(tree.nodes()), prefix)
     new_edges: list[tuple[str, str, Fraction]] = []
     spans: dict[tuple[str, str], tuple[tuple[str, str], Fraction, Fraction]] = {}
     to_source: dict[str, PointRef] = {n: Vertex(n) for n in tree.nodes()}
@@ -570,7 +578,7 @@ def materialize(
             continue
         prev_node, prev_off = u, Fraction(0)
         for off in offs:
-            node = gensym(taken, prefix)
+            node = next(fresh)
             to_source[node] = EdgePoint(u, v, off)
             cut_node[(u, v, off)] = node
             record(prev_node, node, off - prev_off, (u, v), prev_off, off)
@@ -598,7 +606,8 @@ class _TreeBuilder:
     and the set of taken node ids.  Every edge has positive length, so
     heights strictly increase away from the basepoint.  A new parent link
     always has a new node at one end, so a link between two nodes adjacent
-    in the source tree is a source edge, and keeps its length."""
+    in the source tree is a source edge, and keeps its length.  New names
+    come from one :func:`_names` walk per prefix."""
 
     def __init__(self, tree: TreeSkeleton, den: int) -> None:
         parent, num, _, D = tree._root_data()
@@ -607,6 +616,16 @@ class _TreeBuilder:
         self.basepoint, self.den, self.src = tree.basepoint, lcm(D, den), tree._adj
         self.h = {x: n * (self.den // D) for x, n in num.items()}
         self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(parent)
+        self._walks: dict[str, Iterator[str]] = {}
+
+    def _fresh(self, prefix: str) -> str:
+        """``gensym(taken, prefix)``, read off the prefix's walk."""
+        walk = self._walks.get(prefix)
+        if walk is None:
+            walk = self._walks[prefix] = _names(self.taken, prefix)
+        name = next(walk)
+        self.taken.add(name)
+        return name
 
     def cut(self, node: str, height: int, prefix: str) -> str:
         """The node at ``0 <= height <= h[node]`` on the root arc of ``node``;
@@ -615,7 +634,7 @@ class _TreeBuilder:
         while h[node] > height:
             up = parent[node]
             if h[up] < height:
-                mid = gensym(self.taken, prefix)
+                mid = self._fresh(prefix)
                 parent[mid], h[mid], parent[node] = up, height, mid
                 return mid
             node = up
@@ -626,7 +645,7 @@ class _TreeBuilder:
         ``names`` merged onto it by sorted union.  The tip keeps its id, or
         gets ``gensym(taken, prefix)`` if that id is taken."""
         if length > 0:
-            tip = gensym(self.taken, prefix) if tip in self.taken else tip
+            tip = self._fresh(prefix) if tip in self.taken else tip
             self.taken.add(tip)
             self.parent[tip], self.h[tip], node = node, self.h[node] + length, tip
         if names:
@@ -641,20 +660,18 @@ class _TreeBuilder:
         named ``gensym(taken, prefix)`` in that order, so the cuts get the
         names :func:`_cut` gives those grid points.  Returns
         ``(cut, x, up)`` for every cut, in that order."""
-        parent, h, taken = self.parent, self.h, self.taken
-        # gensym's names, in one pass: each is past the last and not taken
-        fresh = (name for name in (f"{prefix}{i}" for i in count(1)) if name not in taken)
+        parent, h = self.parent, self.h
         cuts = []
         for _, x, up in sorted((edge_key(x, up), x, up) for x, up in parent.items() if up):
             lo, hi = h[up], h[x]
             start, step = (lo, mesh) if up < x else (hi, -mesh)
-            chain = [(next(fresh), start + k * step) for k in range(1, _net_steps(hi - lo, mesh) + 1)]
+            steps = range(1, _net_steps(hi - lo, mesh) + 1)
+            chain = [(self._fresh(prefix), start + k * step) for k in steps]
             cuts.extend((mid, x, up) for mid, _ in chain)
             below = up
             for mid, height in chain if step > 0 else reversed(chain):
                 parent[mid], h[mid], below = below, height, mid
             parent[x] = below
-        taken.update(mid for mid, _, _ in cuts)
         return cuts
 
     def freeze(self) -> TreeSkeleton:

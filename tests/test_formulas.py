@@ -5,10 +5,13 @@ import pytest
 from rtrees import (
     EdgePoint,
     FormulaSyntaxError,
+    GeneratorConfig,
     SkeletonError,
     TreeSkeleton,
     Vertex,
     check_rt_axioms,
+    degree_family_tree,
+    delta_hyperbolicity,
     distance,
     eval_qf,
     eval_quantified,
@@ -16,22 +19,26 @@ from rtrees import (
     lipschitz_bound,
     parse_formula,
     point_on_edge,
+    point_on_segment,
     random_point,
     random_tree,
     rb_extend,
     segment,
+    tree_to_matrix,
     tripod,
 )
-from rtrees import skeleton
+from rtrees import formulas, skeleton
 from rtrees.formulas import (
     MAX_DEPTH,
     AbsDiff,
     Add,
+    CertifiedValue,
     Const,
     Dist,
     Inf,
     Max,
     Min,
+    RtAxiomsReport,
     Scale,
     Sup,
     TruncSub,
@@ -224,6 +231,67 @@ def test_check_rt_axioms(tripod, lone_point):
 
     with pytest.raises(ValueError, match="mesh must be positive"):
         check_rt_axioms(tripod, 2, 0)
+
+
+def _reference_axioms(tree, r, mesh):
+    """``check_rt_axioms`` as it stood on ``Fraction``s: axiom 1 from one
+    distance per node, axiom 2 from one ``vertex_distance``, one
+    ``point_on_segment`` and two ``distance`` calls per vertex pair."""
+    r, mesh = Fraction(r), Fraction(mesh)
+    sup_d = max(tree.dist_to_basepoint(n) for n in tree.nodes())
+    defect = Fraction(0)
+    nodes = tree.nodes()
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            half = tree.vertex_distance(x, y) / 2
+            z = point_on_segment(tree, Vertex(x), Vertex(y), half)
+            gap = max(
+                abs(distance(tree, Vertex(x), z) - half),
+                abs(distance(tree, Vertex(y), z) - half),
+            )
+            defect = max(defect, gap)
+    delta = delta_hyperbolicity(tree_to_matrix(tree, skeleton.grid_points(tree, mesh)))
+    return RtAxiomsReport(
+        CertifiedValue(sup_d, sup_d, mesh),
+        CertifiedValue(defect, defect, mesh),
+        CertifiedValue(delta, delta, mesh),
+        r,
+    )
+
+
+def test_check_rt_axioms_matches_the_fraction_loop():
+    trees = [(t, 2, Fraction(1, 2)) for t in random_corpus("ax2", 40, max_nodes=9)]
+    trees += [(t, Fraction(3, 2), 1) for t in random_corpus("ax2-small", 10, radius=Fraction(5, 7))]
+    trees += [(rb_extend(tripod(1, 1, 1), 2, k), 2, 2) for k in range(6)]
+    trees += [
+        (degree_family_tree(GeneratorConfig(0, depth, 2, degrees)), 2, 1)
+        for depth, degrees in ((0, (3,)), (1, (3, 4)), (2, (4,)), (2, (3, 5)), (3, (3,)))
+    ]
+    trees += [(segment(Fraction(7, 3)), 2, 1), (TreeSkeleton("p", (), extra_nodes=["p"]), 1, 1)]
+    for tree, r, mesh in trees:
+        assert check_rt_axioms(tree, r, mesh) == _reference_axioms(tree, r, mesh)
+
+
+def test_axiom2_measures_the_midpoint_it_placed(monkeypatch):
+    """The midpoint's distances come from the vertices' distance rows, not
+    from the walk that placed it: a midpoint placed from ``y`` as if the
+    root arcs of ``x`` and ``y`` parted at the basepoint lies at half of
+    ``d(x, y)`` from ``y`` but off the arc [x, y], and the defect shows it.
+    For the pair (a, c) it lands halfway up p-c, 9/2 from a for a half of
+    3/2."""
+    tree = TreeSkeleton("p", [("p", "c", 2), ("c", "a", 3), ("c", "b", 1)])
+    assert check_rt_axioms(tree, 5, 1).axiom2.upper == 0
+    place = formulas._midpoint
+    monkeypatch.setattr(
+        formulas, "_midpoint", lambda parent, h, x, y, half, m: place(parent, h, y, x, half, 0)
+    )
+    assert check_rt_axioms(tree, 5, 1).axiom2.upper == 3
+
+
+def test_check_rt_axioms_on_a_disconnected_skeleton():
+    tree = TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)])
+    with pytest.raises(SkeletonError, match="^node 'b' not connected to the basepoint$"):
+        check_rt_axioms(tree, 2, 1)
 
 
 def test_axiom3_zero_on_random_trees():

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from rtrees import (
     EdgePoint,
     GeneratorConfig,
     GlueSpec,
+    MetricMatrix,
     SkeletonError,
     StepFunction,
     SubtreeMap,
@@ -35,7 +38,7 @@ from rtrees import (
 )
 from conftest import rng_for
 from rtrees import treeio
-from rtrees.generators import GeneratorArgumentError
+from rtrees.generators import GeneratorArgumentError, random_rat
 from rtrees.matrices import node_of_label
 from rtrees.skeleton import _TreeBuilder
 
@@ -277,6 +280,80 @@ def test_au_sample_ball():
     for radius, count in ((0, 2), (0, 1), (-1, 3)):
         with pytest.raises(GeneratorArgumentError, match="^radius must be positive$"):
             au_sample_ball(3, count, radius, seed=0)
+
+
+def _reference_au_distance(f, g):
+    """``au_distance`` as it stood on ``Fraction``s, one pass over the lists."""
+    horizon = min(f.rho, g.rho)
+    steps = itertools.zip_longest(
+        zip(f.breakpoints, f.values), zip(g.breakpoints, g.values), fillvalue=(horizon, -1)
+    )
+    s = min(horizon, next((min(a[0], b[0]) for a, b in steps if a != b), horizon))
+    return (f.rho - s) + (g.rho - s)
+
+
+def _reference_sample_ball(mu_alphabet, count, radius, seed):
+    """The step-function sampler as it stood on ``Fraction``s: every draw
+    through ``random_rat``, every comparison on ``Fraction`` distances."""
+    radius = Fraction(radius)
+    rng = random.Random(seed)
+
+    def step_function():
+        k = rng.randint(1, 3)
+        cuts = sorted({random_rat(rng, -radius / 2, radius / 2, max_den=8) for _ in range(k)})
+        values = [0]
+        for _ in cuts:
+            values.append(rng.choice([v for v in range(mu_alphabet) if v != values[-1]]))
+        rho = cuts[-1] + random_rat(rng, 0, radius / 2, max_den=8)
+        return StepFunction(tuple(cuts), tuple(values[1:]), rho)
+
+    samples = [StepFunction((), (), Fraction(0))]
+    attempts = 0
+    while len(samples) < count and attempts < 1000 * count:
+        attempts += 1
+        cand = step_function()
+        if _reference_au_distance(cand, samples[0]) > radius:
+            continue
+        if any(_reference_au_distance(cand, f) == 0 for f in samples):
+            continue
+        samples.append(cand)
+    if len(samples) < count:
+        raise ValueError("sampling failed to produce enough distinct functions")
+    labels = tuple(f"f{i}" for i in range(count))
+    entries = tuple(tuple(_reference_au_distance(f, g) for g in samples) for f in samples)
+    return tuple(samples), realize_tree(MetricMatrix(labels, entries), basepoint_label="f0")
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_au_sample_ball_matches_the_fraction_sampler():
+    cases = [
+        (mu, count, radius, seed)
+        for mu in (3, 4, 5)
+        for count in range(1, 8)
+        for radius in (Fraction(2), Fraction(3, 2), Fraction(1), Fraction(5, 7))
+        for seed in range(4)
+    ]
+    # a ball too small for two distinct functions: every attempt is spent
+    cases += [(mu, count, Fraction(1, 20), seed) for mu in (3, 4, 5) for count in (1, 2) for seed in (0, 1)]
+    failed, drawn = 0, []
+    for case in cases:
+        want = _outcome(_reference_sample_ball, *case)
+        got = _outcome(au_sample_ball, *case)
+        assert got == want, case
+        if isinstance(want[0], type):
+            failed += 1
+        else:
+            drawn += got[0]
+    assert failed == 6
+    assert all(type(x) is Fraction for f in drawn for x in (*f.breakpoints, f.rho))
+    # some sample ends on its last breakpoint, so the dedupe must compare distances
+    assert any(f.breakpoints and f.breakpoints[-1] == f.rho for f in drawn)
 
 
 def test_au_sample_tripod_from_diverging_functions():
