@@ -16,7 +16,8 @@ ancestor walk finds the point at a given height.  Radius checks compare
 these integers too; a ``Fraction`` is built only for a result or a report.
 A private builder grows a copy of a tree in the same integer heights: it
 cuts edges, one at a time or all at the multiples of a mesh, hangs
-segments and freezes the result once.  A skeleton whose
+segments and freezes the result once; :func:`materialize` is its cuts at a
+set of points, frozen.  A skeleton whose
 search meets an edge off its spanning tree is not a tree, and one whose
 search meets an edge of length at most 0 is not a metric tree; every
 distance query on either raises :class:`SkeletonError` naming that edge.
@@ -487,13 +488,13 @@ class Materialization:
         return self.points[pt]
 
     def pull_back(self, pt: PointRef) -> PointRef:
-        """Map a point of the materialized tree to the source skeleton."""
+        """Map a normalized point of the materialized tree to the source
+        skeleton."""
+        if normalize_point(self.tree, pt) != pt:
+            raise SkeletonError("pull_back expects normalized points")
         if isinstance(pt, Vertex):
             return self.to_source[pt.node]
-        key = edge_key(pt.u, pt.v)
-        src_key, off_u, off_v = self.spans[key]
-        if (pt.u, pt.v) != key:
-            raise SkeletonError("pull_back expects normalized points")
+        src_key, off_u, off_v = self.spans[(pt.u, pt.v)]
         if off_u <= off_v:
             src_off = off_u + pt.offset
         else:
@@ -533,19 +534,10 @@ class Materialization:
         )
 
 
-def gensym(taken: set[str], prefix: str) -> str:
-    i = 1
-    while f"{prefix}{i}" in taken:
-        i += 1
-    name = f"{prefix}{i}"
-    taken.add(name)
-    return name
-
-
 def _names(taken: set[str], prefix: str):
     """``prefix1``, ``prefix2``, ... lazily, skipping the names in ``taken``
     as it stands when each is reached.  ``taken`` only grows and the walk
-    never goes back, so each next name is the one :func:`gensym` gives once
+    never goes back, so each next name is the first free ``prefix<i>`` once
     the earlier ones are taken: one walk names any number of cuts."""
     return (name for i in count(1) if (name := f"{prefix}{i}") not in taken)
 
@@ -553,51 +545,28 @@ def _names(taken: set[str], prefix: str):
 def materialize(
     tree: TreeSkeleton, points: Iterable[PointRef], prefix: str = "cut"
 ) -> Materialization:
-    """Subdivide edges so that every requested point is a vertex."""
-    norm = [normalize_point(tree, pt) for pt in points]
-    cuts: dict[tuple[str, str], set[Fraction]] = {}
-    for pt in norm:
-        if isinstance(pt, EdgePoint):
-            cuts.setdefault((pt.u, pt.v), set()).add(pt.offset)
-
-    fresh = _names(set(tree.nodes()), prefix)
-    new_edges: list[tuple[str, str, Fraction]] = []
-    spans: dict[tuple[str, str], tuple[tuple[str, str], Fraction, Fraction]] = {}
-    to_source: dict[str, PointRef] = {n: Vertex(n) for n in tree.nodes()}
-    cut_node: dict[tuple[str, str, Fraction], str] = {}
-
-    def record(u: str, v: str, length: Fraction, src, lo: Fraction, hi: Fraction):
-        new_edges.append((u, v, length))
-        key = edge_key(u, v)
-        spans[key] = (src, lo, hi) if key == (u, v) else (src, hi, lo)
-
-    for u, v, length in tree.edges():
-        offs = sorted(cuts.get((u, v), ()))
-        if not offs:
-            record(u, v, length, (u, v), Fraction(0), length)
-            continue
-        prev_node, prev_off = u, Fraction(0)
-        for off in offs:
-            node = next(fresh)
-            to_source[node] = EdgePoint(u, v, off)
-            cut_node[(u, v, off)] = node
-            record(prev_node, node, off - prev_off, (u, v), prev_off, off)
-            prev_node, prev_off = node, off
-        record(prev_node, v, length - prev_off, (u, v), prev_off, length)
-
-    out = TreeSkeleton(
-        tree.basepoint,
-        new_edges,
-        labels=dict(tree.labels),
-        extra_nodes=[n for n in tree.nodes() if tree.degree(n) == 0],
-    )
-    point_map: dict[PointRef, str] = {}
-    for pt in norm:
-        if isinstance(pt, Vertex):
-            point_map[pt] = pt.node
-        else:
-            point_map[pt] = cut_node[(pt.u, pt.v, pt.offset)]
-    return Materialization(out, point_map, to_source, spans)
+    """Subdivide edges so that every requested point is a vertex: the
+    :func:`_cut` of the points, frozen.  Raises :class:`SkeletonError` if
+    ``tree`` is not a metric tree."""
+    b, node_of = _cut(tree, points, 1, prefix)
+    on_edge = {node: pt for pt, node in node_of.items() if isinstance(pt, EdgePoint)}
+    to_source: dict[str, PointRef] = {n: Vertex(n) for n in tree._adj}
+    to_source.update(on_edge)
+    adj, zero, spans = tree._adj, Fraction(0), {}
+    for x, up in b.parent.items():
+        if up:
+            key = (x, up) if x < up else (up, x)
+            # a link with a cut end lies on that cut's source edge
+            cut = on_edge.get(x) or on_edge.get(up)
+            if cut is None:
+                spans[key] = (key, zero, adj[x][up])
+                continue
+            length = adj[cut.u][cut.v]
+            lo, hi = (
+                on_edge[n].offset if n in on_edge else zero if n == cut.u else length for n in key
+            )
+            spans[key] = ((cut.u, cut.v), lo, hi)
+    return Materialization(b.freeze(), node_of, to_source, spans)
 
 
 class _TreeBuilder:
@@ -619,7 +588,7 @@ class _TreeBuilder:
         self._walks: dict[str, Iterator[str]] = {}
 
     def _fresh(self, prefix: str) -> str:
-        """``gensym(taken, prefix)``, read off the prefix's walk."""
+        """The first free ``prefix<i>``, read off the prefix's walk."""
         walk = self._walks.get(prefix)
         if walk is None:
             walk = self._walks[prefix] = _names(self.taken, prefix)
@@ -629,7 +598,7 @@ class _TreeBuilder:
 
     def cut(self, node: str, height: int, prefix: str) -> str:
         """The node at ``0 <= height <= h[node]`` on the root arc of ``node``;
-        an edge is cut there, and the cut named ``gensym(taken, prefix)``."""
+        an edge is cut there, and the cut named by :meth:`_fresh`."""
         parent, h = self.parent, self.h
         while h[node] > height:
             up = parent[node]
@@ -643,7 +612,7 @@ class _TreeBuilder:
     def hang(self, node: str, length: int, tip: str, prefix: str, names: Iterable[str] = ()) -> str:
         """The end of a segment of ``length >= 0`` hung below ``node``, with
         ``names`` merged onto it by sorted union.  The tip keeps its id, or
-        gets ``gensym(taken, prefix)`` if that id is taken."""
+        gets a name from :meth:`_fresh` if that id is taken."""
         if length > 0:
             tip = self._fresh(prefix) if tip in self.taken else tip
             self.taken.add(tip)
@@ -657,7 +626,7 @@ class _TreeBuilder:
         ``1 <= k <= _net_steps(L, mesh)``, of its length ``L``, measured from
         the link's :func:`edge_key`-first end, as :func:`grid_points` measures
         them.  The links are taken in :func:`edge_key` order and the cuts
-        named ``gensym(taken, prefix)`` in that order, so the cuts get the
+        named by :meth:`_fresh` in that order, so the cuts get the
         names :func:`_cut` gives those grid points.  Returns
         ``(cut, x, up)`` for every cut, in that order."""
         parent, h = self.parent, self.h
@@ -689,8 +658,9 @@ def _cut(
     tree: TreeSkeleton, pts: Iterable[PointRef], den: int, prefix: str
 ) -> tuple[_TreeBuilder, dict[PointRef, str]]:
     """A :class:`_TreeBuilder` copy of ``tree`` over a multiple of ``den``,
-    cut at the points in ``point_sort_key`` order, so that the cuts get the
-    names :func:`materialize` gives them; and each normalized point's node."""
+    cut at the points in ``point_sort_key`` order, so that the cuts on an
+    edge are named in order of offset, edges in :func:`edge_key` order; and
+    each normalized point's node."""
     parent, num, _, D = tree._root_data()
     norm = sorted({normalize_point(tree, pt) for pt in pts}, key=point_sort_key)
     rooted = {pt: _rooted(parent, num, D, pt) for pt in norm}
@@ -782,21 +752,19 @@ def canonicalize(tree: TreeSkeleton) -> TreeSkeleton:
     """
     protected = {tree.basepoint} | set(tree.labels)
     adj = {u: dict(nbrs) for u, nbrs in tree._adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(adj):
-            if node in protected or len(adj[node]) != 2:
-                continue
-            (n1, w1), (n2, w2) = sorted(adj[node].items())
-            if n1 == n2 or n2 in adj[n1]:
-                continue  # would create a parallel edge; leave for validate()
-            del adj[node]
-            del adj[n1][node]
-            del adj[n2][node]
-            adj[n1][n2] = w1 + w2
-            adj[n2][n1] = w1 + w2
-            changed = True
+    # one pass: a suppression keeps both neighbours' degrees, and a node
+    # skipped because its neighbours are adjacent keeps them adjacent
+    for node in sorted(adj):
+        if node in protected or len(adj[node]) != 2:
+            continue
+        (n1, w1), (n2, w2) = sorted(adj[node].items())
+        if n2 in adj[n1]:
+            continue  # would create a parallel edge; leave for validate()
+        del adj[node]
+        del adj[n1][node]
+        del adj[n2][node]
+        adj[n1][n2] = w1 + w2
+        adj[n2][n1] = w1 + w2
     edges = [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v]
     isolated = [n for n in adj if not adj[n]]
     return TreeSkeleton(tree.basepoint, edges, labels=dict(tree.labels), extra_nodes=isolated)

@@ -28,8 +28,8 @@ from .skeleton import (
     TreeSkeleton,
     Vertex,
     _cut,
+    _names,
     distance,
-    gensym,
     hang,
     normalize_point,
     point_sort_key,
@@ -508,7 +508,7 @@ def type_distance_search(
             if c2 == c
         ]
         coords = [transfer_point(tree_now, a_points[i]) for i in coords_at(c, child)]
-        tip_name = gensym(set(tree_now.nodes()), f"b{seg_idx}_")
+        tip_name = next(_names(set(tree_now.nodes()), f"b{seg_idx}_"))
         # candidate prefixes: a full overlap onto existing points, fresh,
         # then the mesh multiples below the length
         grid = (k * mesh for k in range(1, -(-length // mesh)))

@@ -5,12 +5,13 @@ import pytest
 
 from rtrees import (
     EdgePoint,
+    Materialization,
     TreeSkeleton,
     Vertex,
-    materialize,
     normalize_point,
     random_tree,
 )
+from rtrees.skeleton import edge_key
 
 
 @pytest.fixture
@@ -27,10 +28,70 @@ def rng_for(seed) -> random.Random:
     return random.Random(f"rtrees-tests-{seed}")
 
 
+def gensym(taken: set, prefix: str) -> str:
+    """The first ``prefix<i>`` not in ``taken``, which it joins."""
+    i = 1
+    while f"{prefix}{i}" in taken:
+        i += 1
+    name = f"{prefix}{i}"
+    taken.add(name)
+    return name
+
+
+def reference_materialize(tree, points, prefix="cut"):
+    """Independent reference for ``materialize``: split each source edge at
+    its sorted offsets, edges in sorted order, naming the cuts with
+    ``gensym``; no rooted search and no tree builder."""
+    norm = [normalize_point(tree, pt) for pt in points]
+    cuts: dict = {}
+    for pt in norm:
+        if isinstance(pt, EdgePoint):
+            cuts.setdefault((pt.u, pt.v), set()).add(pt.offset)
+
+    taken = set(tree.nodes())
+    new_edges = []
+    spans = {}
+    to_source = {n: Vertex(n) for n in tree.nodes()}
+    cut_node = {}
+
+    def record(u, v, length, src, lo, hi):
+        new_edges.append((u, v, length))
+        key = edge_key(u, v)
+        spans[key] = (src, lo, hi) if key == (u, v) else (src, hi, lo)
+
+    for u, v, length in tree.edges():
+        offs = sorted(cuts.get((u, v), ()))
+        if not offs:
+            record(u, v, length, (u, v), Fraction(0), length)
+            continue
+        prev_node, prev_off = u, Fraction(0)
+        for off in offs:
+            node = gensym(taken, prefix)
+            to_source[node] = EdgePoint(u, v, off)
+            cut_node[(u, v, off)] = node
+            record(prev_node, node, off - prev_off, (u, v), prev_off, off)
+            prev_node, prev_off = node, off
+        record(prev_node, v, length - prev_off, (u, v), prev_off, length)
+
+    out = TreeSkeleton(
+        tree.basepoint,
+        new_edges,
+        labels=dict(tree.labels),
+        extra_nodes=[n for n in tree.nodes() if tree.degree(n) == 0],
+    )
+    point_map = {}
+    for pt in norm:
+        if isinstance(pt, Vertex):
+            point_map[pt] = pt.node
+        else:
+            point_map[pt] = cut_node[(pt.u, pt.v, pt.offset)]
+    return Materialization(out, point_map, to_source, spans)
+
+
 def fw_distance(tree, a, b):
     """Independent path-sum oracle: Floyd-Warshall over the materialized
     vertex graph (different algorithm from the library's LCA walk)."""
-    mat = materialize(tree, [a, b], prefix="fw")
+    mat = reference_materialize(tree, [a, b], prefix="fw")
     work = mat.tree
     nodes = list(work.nodes())
     idx = {n: i for i, n in enumerate(nodes)}

@@ -12,7 +12,6 @@ from rtrees import (
     eval_quantified,
     glue_family,
     k_star,
-    materialize,
     normalize_point,
     parse_formula,
     point_on_edge,
@@ -30,7 +29,7 @@ from rtrees.deficiency import _edge_sup, psi_at_with_witness, psi_objective
 from rtrees.pl import PL, _pl, distance_profile
 from rtrees.skeleton import _meet
 from rtrees.cli import main
-from conftest import random_corpus, rng_for, tree_grid
+from conftest import random_corpus, reference_materialize, rng_for, tree_grid
 
 
 R = Fraction(2)
@@ -169,7 +168,8 @@ def test_rb_deficiency_weakly_decreases_under_extension(tripod):
 
 def test_edge_point_in_place_matches_materialized_vertex():
     """psi at an edge point, evaluated in place, equals psi at the degree-2
-    vertex that materialize makes of it: same value, same witness triple."""
+    vertex that the reference materialization makes of it: same value, same
+    witness triple."""
     cases = [random_tree(seed, max_nodes=7) for seed in range(100, 112)]
     cases += [rb_extend(tripod(1, 1, 1), R, k) for k in range(3)]
     rng = rng_for("psi-in-place")
@@ -178,7 +178,7 @@ def test_edge_point_in_place_matches_materialized_vertex():
             for den in (2, 3, 5, 7):
                 x = point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, den), den))
                 val, wits = psi_at_with_witness(tree, x, R)
-                mat = materialize(tree, [x], prefix="x")
+                mat = reference_materialize(tree, [x], prefix="x")
                 mval, mwits = psi_at_with_witness(mat.tree, Vertex(mat.node_for(x)), R)
                 pulled = tuple(normalize_point(tree, mat.pull_back(w)) for w in mwits)
                 assert (val, wits) == (mval, pulled)
@@ -328,7 +328,7 @@ def _full_edge_scan(tree, r, max_refinements_per_edge=200):
         du, dv = tree.dist_to_basepoint(u), tree.dist_to_basepoint(v)
         if min(du, dv) < r < max(du, dv):
             cuts.append(point_on_edge(tree, u, v, abs(r - du)))
-    tree = materialize(tree, cuts, prefix="sphere").tree
+    tree = reference_materialize(tree, cuts, prefix="sphere").tree
     cache = {}
 
     def eval_vertex(node):

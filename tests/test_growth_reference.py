@@ -1,9 +1,10 @@
 """Gluing, amalgamation and net extensions against copy-and-rebuild references.
 
 The library grows each of these trees on one ``skeleton._TreeBuilder``.  The
-references below copy and rebuild whole trees instead, with ``materialize``
-and ``Materialization.graft``; both must give equal trees (node ids
-included), equal embeddings and the same errors on a seeded corpus.
+references below copy and rebuild whole trees instead, with the edge-splitting
+loop ``conftest.reference_materialize`` and ``Materialization.graft``; both
+must give equal trees (node ids included), equal embeddings and the same
+errors on a seeded corpus.
 """
 
 from fractions import Fraction
@@ -23,7 +24,6 @@ from rtrees import (
     degree_family_tree,
     distance,
     glue_family,
-    materialize,
     normalize_point,
     random_tree,
     rb_extend,
@@ -34,8 +34,8 @@ from rtrees import (
 )
 from rtrees.amalgams import MalformedSpecError, RadiusExceededError
 from rtrees.generators import random_point, random_rat
-from rtrees.skeleton import grid_points, gensym
-from conftest import rng_for
+from rtrees.skeleton import grid_points
+from conftest import gensym, reference_materialize, rng_for
 
 
 def _rename_tree(tree, prefix):
@@ -66,7 +66,7 @@ def glue_family_ref(spec, r):
         except SkeletonError as exc:
             raise MalformedSpecError(f"attachment {idx}: {exc}") from exc
         base_dist = distance(base, Vertex(base.basepoint), at_base)
-        mat_sub = materialize(sub, [at_sub], prefix="at")
+        mat_sub = reference_materialize(sub, [at_sub], prefix="at")
         anchor = mat_sub.node_for(normalize_point(sub, at_sub))
         for node in sub.nodes():
             ecc = mat_sub.tree.vertex_distance(anchor, node)
@@ -75,7 +75,7 @@ def glue_family_ref(spec, r):
         attach_base_pts.append(at_base)
         prepared.append((mat_sub.tree, anchor, at_base))
 
-    mat_base = materialize(base, attach_base_pts, prefix="gl")
+    mat_base = reference_materialize(base, attach_base_pts, prefix="gl")
     edges, labels = [], {}
     taken = set(mat_base.tree.nodes())
     for idx, (sub_tree, anchor, at_base) in enumerate(prepared):
@@ -119,7 +119,7 @@ def amalgamate_ref(m1, m2, shared, r):
                 pt = normalize_point(m2, EdgePoint(u, v, off))
                 if isinstance(pt, EdgePoint):
                     boundary.append(pt)
-    mat2 = materialize(m2, boundary, prefix="bd")
+    mat2 = reference_materialize(m2, boundary, prefix="bd")
     work2 = mat2.tree
 
     def work_edge_covered(u, v):
@@ -162,7 +162,7 @@ def amalgamate_ref(m1, m2, shared, r):
         _rename_point(normalize_point(m1, inv.map_point(mat2.to_source[a])), "left:")
         for a, _, _ in comps
     ]
-    mat_left = materialize(left, attach_pts_left, prefix="am")
+    mat_left = reference_materialize(left, attach_pts_left, prefix="am")
     edges, labels = [], {}
     for (attach, comp_edges, nodes), left_pt in zip(comps, attach_pts_left):
         attach_node = mat_left.node_for(normalize_point(left, left_pt))
@@ -204,7 +204,7 @@ def _hang_at_net_ref(tree, r, net, prefix, tip_prefixes, how_many):
     """Materialize ``tree`` at the net and graft ``how_many(work, node, l)``
     fresh edges of length ``l = r - d(p, node)`` at each net node inside
     the sphere, ``work`` being the materialized tree."""
-    mat = materialize(tree, net, prefix=prefix)
+    mat = reference_materialize(tree, net, prefix=prefix)
     work = mat.tree
     taken = set(work.nodes())
     fresh = []

@@ -23,11 +23,11 @@ from rtrees import (
     tree_to_matrix,
     tripod,
 )
-from conftest import fw_distance, random_corpus, rng_for
+from conftest import fw_distance, gensym, random_corpus, reference_materialize, rng_for
 from rtrees.cli import main
 from rtrees.generators import random_point
 from rtrees.matrices import _insertion_tree, node_of_label
-from rtrees.skeleton import gensym, grid_points, materialize, normalize_point, point_on_segment
+from rtrees.skeleton import grid_points, normalize_point, point_on_segment
 
 
 TRIPOD_LEAVES = MetricMatrix(
@@ -461,7 +461,7 @@ def test_realize_empty_matrix():
 def reference_insertion(m, basepoint_label):
     """Independent reference for the insertion: the same construction in
     ``Fraction``s, each step cutting the attachment point with
-    ``materialize`` and hanging the leaf with ``graft``, checked by a
+    ``reference_materialize`` and hanging the leaf with ``graft``, checked by a
     ``distance`` round trip; ``None`` where it gives up."""
     e, labels = m.entries, m.labels
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -485,7 +485,7 @@ def reference_insertion(m, basepoint_label):
         if best_h > base_row[index[anchor]] or leaf_len < 0:
             return None
         at = point_on_segment(tree, Vertex(base), Vertex(node_of[anchor]), best_h)
-        mat = materialize(tree, [at], prefix="s")
+        mat = reference_materialize(tree, [at], prefix="s")
         node, edges = mat.node_for(normalize_point(tree, at)), []
         if leaf_len > 0:
             tip = gensym(set(mat.tree.nodes()), "s") if mat.tree.has_node(lbl) else lbl

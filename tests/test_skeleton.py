@@ -17,7 +17,14 @@ from rtrees import (
     point_on_segment,
     validate,
 )
-from conftest import fw_distance, random_corpus, rng_for, tree_grid
+from conftest import (
+    fw_distance,
+    gensym,
+    random_corpus,
+    reference_materialize,
+    rng_for,
+    tree_grid,
+)
 from rtrees.generators import (
     GeneratorConfig,
     degree_family_tree,
@@ -26,7 +33,8 @@ from rtrees.generators import (
     random_tree,
     rb_extend,
 )
-from rtrees.skeleton import _leaving_point, _TreeBuilder, gensym, grid_points, hang
+import rtrees.skeleton as skeleton
+from rtrees.skeleton import _leaving_point, _TreeBuilder, grid_points, hang
 
 
 def test_constructor_rejects_malformed():
@@ -163,6 +171,57 @@ def test_canonicalize_merges_pass_through_nodes():
     assert "m" in canonicalize(labeled).nodes()
 
 
+def _canonicalize_to_a_fixpoint(tree):
+    """``canonicalize`` as the loop it was: passes over the nodes until one
+    suppresses nothing."""
+    protected = {tree.basepoint} | set(tree.labels)
+    adj = {u: dict(nbrs) for u, nbrs in tree._adj.items()}
+    changed = True
+    while changed:
+        changed = False
+        for node in sorted(adj):
+            if node in protected or len(adj[node]) != 2:
+                continue
+            (n1, w1), (n2, w2) = sorted(adj[node].items())
+            if n1 == n2 or n2 in adj[n1]:
+                continue
+            del adj[node]
+            del adj[n1][node]
+            del adj[n2][node]
+            adj[n1][n2] = w1 + w2
+            adj[n2][n1] = w1 + w2
+            changed = True
+    edges = [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v]
+    isolated = [n for n in adj if not adj[n]]
+    return TreeSkeleton(tree.basepoint, edges, labels=dict(tree.labels), extra_nodes=isolated)
+
+
+def test_canonicalize_in_one_pass_equals_the_fixpoint_loop():
+    rng = rng_for("canonical-one-pass")
+    graphs = []
+    for _ in range(4000):
+        # sparse random graphs: many degree-2 nodes, cycles, some labels
+        nodes = [f"n{i}" for i in range(rng.randint(1, 9))]
+        p = rng.choice([0.2, 0.3, 0.45])
+        edges = [
+            (u, v, Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+            for i, u in enumerate(nodes)
+            for v in nodes[i + 1 :]
+            if rng.random() < p
+        ]
+        labels = {n: "x" for n in nodes if rng.random() < 0.15}
+        graphs.append(TreeSkeleton(rng.choice(nodes), edges, labels, extra_nodes=nodes))
+    # trees whose edges are cut into chains of degree-2 nodes
+    trees = random_corpus("one-pass", 300, max_nodes=6)
+    graphs += [reference_materialize(t, grid_points(t, Fraction(1, 2))).tree for t in trees]
+    suppressed = 0
+    for tree in graphs:
+        got = canonicalize(tree)
+        assert got == _canonicalize_to_a_fixpoint(tree), tree.edges()
+        suppressed += len(tree.nodes()) - len(got.nodes())
+    assert suppressed > 2500
+
+
 def test_point_on_segment(tripod):
     a, b = Vertex("a"), Vertex("b")
     assert point_on_segment(tripod, a, b, Fraction(1)) == Vertex("y")
@@ -204,7 +263,7 @@ def test_net_step_cuts_at_the_grid_points():
         for (c, x, up), pt in zip(cuts, want):
             assert {x, up} == {pt.u, pt.v}
             assert out.dist_to_basepoint(c) == distance(tree, Vertex(tree.basepoint), pt)
-        assert out == materialize(tree, want, prefix="c").tree, k
+        assert out == reference_materialize(tree, want, prefix="c").tree, k
 
 
 def test_point_on_segment_distances_consistent():
@@ -244,10 +303,100 @@ def test_graft_on_single_node_keeps_basepoint(lone_point):
     assert grown.basepoint == "p" and grown.edges() == (("p", "q", Fraction(1)),)
 
 
+def _materialize_corpus():
+    """Trees with point lists for ``materialize`` against its reference: ids
+    that collide with the cuts' names, reversed and boundary edge points,
+    repeated points, whole grids, and a lone point."""
+    lone = TreeSkeleton("p", (), labels={"p": "o"}, extra_nodes=["p"])
+    cases = [(lone, [Vertex("p")]), (lone, [])]
+    for k, tree in enumerate(random_corpus("materialize", 40, max_nodes=8)):
+        rng = rng_for(("materialize", k))
+        rename = {n: f"cut{i}" for i, n in enumerate(tree.nodes()) if i % 2}
+        nodes = [rename.get(n, n) for n in tree.nodes()]
+        tree = TreeSkeleton(
+            rename.get(tree.basepoint, tree.basepoint),
+            [(rename.get(u, u), rename.get(v, v), w) for u, v, w in tree.edges()],
+            labels={n: f"l{i}" for i, n in enumerate(nodes) if rng.random() < 0.3},
+            extra_nodes=nodes,
+        )
+        u, v, w = rng.choice(tree.edges())
+        pts = [random_point(rng, tree) for _ in range(rng.randint(1, 6))]
+        pts += [EdgePoint(v, u, w / 3), EdgePoint(u, v, w), EdgePoint(v, u, w), EdgePoint(u, v, 0)]
+        pts += rng.sample(pts, 3)
+        rng.shuffle(pts)
+        cases.append((tree, pts))
+        cases.append((tree, grid_points(tree, rng.choice([Fraction(1, 3), Fraction(2, 5)]))))
+    return cases
+
+
+def test_materialize_equals_the_reference_loop():
+    # the builder's cuts, frozen, against the edge-splitting loop, field by field
+    checked = 0
+    for tree, pts in _materialize_corpus():
+        for prefix in ("cut", "c"):
+            got, want = materialize(tree, pts, prefix), reference_materialize(tree, pts, prefix)
+            case = (tree, pts, prefix)
+            assert got.tree == want.tree, case
+            assert got.points == want.points, case
+            assert got.to_source == want.to_source, case
+            assert got.spans == want.spans, case
+            checked += len(got.points)
+    assert checked > 1000
+
+
+def test_materialize_refuses_a_skeleton_that_is_not_a_metric_tree():
+    not_trees = {
+        "closes a cycle": TreeSkeleton("p", [("p", "a", 1), ("a", "b", 1), ("b", "p", 1)]),
+        "disconnected": TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)]),
+        "edge a-b has length 0": TreeSkeleton("p", [("p", "a", 1), ("a", "b", 0)]),
+        "edge a-p has length -1": TreeSkeleton("p", [("p", "a", -1)]),
+    }
+    for message, tree in not_trees.items():
+        with pytest.raises(SkeletonError, match=message):
+            materialize(tree, [Vertex("p")])
+        # the reference loop subdivides such input all the same
+        reference_materialize(tree, [Vertex("p")])
+
+
+def test_pull_back_names_unknown_points(tripod):
+    mat = materialize(tripod, [EdgePoint("p", "y", Fraction(1, 2))])
+    with pytest.raises(UnknownPointError, match="unknown node 'zz'"):
+        mat.pull_back(Vertex("zz"))
+    for u, v in (("u", "v"), ("p", "y")):
+        with pytest.raises(UnknownPointError, match=f"unknown edge {u}-{v}"):
+            mat.pull_back(EdgePoint(u, v, Fraction(1, 4)))
+    with pytest.raises(SkeletonError, match="pull_back expects normalized points"):
+        mat.pull_back(EdgePoint("y", "cut1", Fraction(1, 4)))
+    assert mat.pull_back(EdgePoint("cut1", "y", Fraction(1, 4))) == EdgePoint("p", "y", Fraction(3, 4))
+
+
+def test_oracles_do_not_route_through_the_code_they_check(monkeypatch):
+    # the Floyd-Warshall distance and the reference materialization must
+    # run with the rooted search and the tree builder switched off
+    cases = []
+    for k, tree in enumerate(random_corpus("oracle-guard", 5, max_nodes=7)):
+        rng = rng_for(("oracle-guard", k))
+        a, b = random_point(rng, tree), random_point(rng, tree)
+        grid = grid_points(tree, Fraction(1, 2))
+        cases.append((tree, a, b, distance(tree, a, b), materialize(tree, grid), grid))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an oracle ran through the code it checks")
+
+    monkeypatch.setattr(TreeSkeleton, "_search", refuse)
+    monkeypatch.setattr(TreeSkeleton, "_root_data", refuse)
+    monkeypatch.setattr(skeleton, "_TreeBuilder", refuse)
+    for tree, a, b, d, mat, grid in cases:
+        assert fw_distance(tree, a, b) == d
+        assert reference_materialize(tree, grid) == mat
+    with pytest.raises(AssertionError, match="through the code it checks"):
+        materialize(cases[0][0], cases[0][5])
+
+
 def _materialize_and_graft(tree, at, length, tip, prefix, names):
-    """Reference for ``hang``: cut the point with ``materialize``, then hang
-    the segment and merge the names with ``graft``."""
-    mat = materialize(tree, [at], prefix=prefix)
+    """Reference for ``hang``: cut the point with ``reference_materialize``,
+    then hang the segment and merge the names with ``graft``."""
+    mat = reference_materialize(tree, [at], prefix=prefix)
     node = mat.node_for(normalize_point(tree, at))
     edges = []
     if length > 0:
@@ -305,7 +454,8 @@ def test_root_scale_is_the_lcm_of_the_root_distances():
 
 def test_leaving_point_matches_the_materialized_vertex():
     # an edge point is a degree-2 vertex: its directions carry the reaches
-    # of the node that materialize makes of it, and lead to its edge's ends
+    # of the node that the reference materialization makes of it, and lead to
+    # its edge's ends
     checked = 0
     for tree in random_corpus("leaving", 12, max_nodes=7):
         D = tree._root_data()[3]
@@ -314,7 +464,7 @@ def test_leaving_point_matches_the_materialized_vertex():
                 continue
             den = lcm(D, x.offset.denominator)
             leaving = _leaving_point(tree, x, den)
-            mat = materialize(tree, [x])
+            mat = reference_materialize(tree, [x])
             got = sorted(Fraction(reach, den) for reach, _ in leaving)
             assert got == sorted(mat.tree.reaches_at(mat.node_for(x))), (tree, x)
             for _, (end, length, other) in leaving:

@@ -1,10 +1,21 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtrees import EdgePoint, TreeSkeleton, Vertex, random_point, random_tree, tree_to_matrix
+from rtrees import (
+    EdgePoint,
+    TreeSkeleton,
+    Vertex,
+    normalize_point,
+    random_point,
+    random_tree,
+    tree_to_matrix,
+)
+from rtrees.rationals import format_rat
 from rtrees.treeio import (
     FormatError,
     parse_descriptor_text,
@@ -201,3 +212,50 @@ def test_matrix_text_round_trip(seed):
     labels, entries = parse_matrix_text(text)
     assert (labels, tuple(tuple(row) for row in entries)) == (m.labels, m.entries)
     assert serialize_matrix_text(labels, entries) == text
+
+
+def _write_descriptor(rng, tree, radius, closest, offsets, pairs):
+    """Descriptor text for the given data, read against ``dot.tree``: the
+    context first, the other lines shuffled, edge points given from either
+    end and pair indices in either order."""
+    lines = [] if radius is None else [f"radius {format_rat(radius)}"]
+    for i, (pt, off) in enumerate(zip(closest, offsets), start=1):
+        if isinstance(pt, Vertex):
+            loc = f"node {pt.node}"
+        elif rng.random() < 0.5:
+            loc = f"edge {pt.u} {pt.v} {format_rat(pt.offset)}"
+        else:
+            rest = tree.edge_length(pt.u, pt.v) - pt.offset
+            loc = f"edge {pt.v} {pt.u} {format_rat(rest)}"
+        lines += [f"closest {i} {loc}", f"offset {i} {format_rat(off)}"]
+    for (i, j), val in pairs.items():
+        i, j = (i, j) if rng.random() < 0.5 else (j, i)
+        lines.append(f"pair {i} {j} {format_rat(val)}")
+    rng.shuffle(lines)
+    return "\n".join(["# a descriptor", "context dot.tree", *lines]) + "\n"
+
+
+@ROUND_TRIPS
+@given(st.integers(0, 10**6), st.integers(1, 5), st.one_of(st.none(), RADII))
+def test_descriptor_text_round_trip(seed, n, radius):
+    tree, _ = _labelled_tree(seed, ["a", "b"])
+    rng = random.Random(seed)
+    closest = tuple(normalize_point(tree, random_point(rng, tree)) for _ in range(n))
+    offsets = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n))
+    pairs = {
+        (i, j): Fraction(rng.randint(0, 24), rng.randint(1, 4))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < 0.7
+    }
+    text = _write_descriptor(rng, tree, radius, closest, offsets, pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "dot.tree"), "w") as fh:
+            fh.write(serialize_tree(tree, 3))
+        doc, got_radius, got_closest, got_offsets, rho = parse_descriptor_text(text, tmp)
+    assert doc.tree == tree
+    assert got_radius == (3 if radius is None else radius)
+    assert (got_closest, got_offsets) == (closest, offsets)
+    assert rho == [
+        [pairs.get((min(i, j), max(i, j)), 0) for j in range(1, n + 1)] for i in range(1, n + 1)
+    ]
