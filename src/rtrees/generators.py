@@ -9,6 +9,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .rationals import as_rat
@@ -106,15 +107,13 @@ def build_primitive(kind: str, params: Sequence) -> TreeSkeleton:
 # -- random corpus ----------------------------------------------------------------
 
 
-def random_rat(rng: random.Random, lo, hi, max_den: int = 8) -> Fraction:
-    """A random rational in [lo, hi] with denominator <= max_den."""
+def random_rat(rng: random.Random, lo, hi) -> Fraction:
+    """A random rational in [lo, hi] with denominator 1, 2, 3, 4, 6 or 8:
+    the :func:`_draw` of the bounds over 24 times their denominators' lcm."""
     lo, hi = as_rat(lo), as_rat(hi)
-    den = rng.choice([d for d in (1, 2, 3, 4, 6, 8) if d <= max_den])
-    lo_num = (lo * den).__ceil__()
-    hi_num = (hi * den).__floor__()
-    if hi_num < lo_num:
-        return lo
-    return Fraction(rng.randint(lo_num, hi_num), den)
+    n = 24 * lcm(lo.denominator, hi.denominator)
+    lo_n, hi_n = lo.numerator * (n // lo.denominator), hi.numerator * (n // hi.denominator)
+    return Fraction(_draw(rng, lo_n, hi_n, n), n)
 
 
 def random_tree(
@@ -124,7 +123,11 @@ def random_tree(
     min_nodes: int = 2,
 ) -> TreeSkeleton:
     """A random valid skeleton of radius <= the bound, grown by attaching
-    fresh leaves at random existing points (vertices or edge interiors)."""
+    fresh leaves at random existing points (vertices or edge interiors).
+
+    ``min_nodes`` and ``max_nodes`` bound the leaves hung, plus one, not the
+    nodes: at most ``max(1, max_nodes - 1)`` degree-1 nodes besides the
+    basepoint, but a leaf hung inside an edge adds a junction too."""
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     radius = as_rat(radius)
     n_leaves = rng.randint(max(1, min_nodes - 1), max(1, max_nodes - 1))
@@ -136,8 +139,6 @@ def random_tree(
         if budget <= 0:
             continue
         length = random_rat(rng, budget / 4, budget)
-        if length <= 0:
-            continue
         tree, _ = hang(tree, pt, length, f"n{counter}", f"j{counter}_")
         counter += 1
     return canonicalize(tree)
@@ -313,14 +314,11 @@ def _au(f, g):
     return fr + gr - 2 * s
 
 
-def _zero_function() -> StepFunction:
-    return StepFunction((), (), Fraction(0))
-
-
 def _draw(rng: random.Random, lo: int, hi: int, n: int) -> int:
-    """:func:`random_rat` of ``lo / n`` and ``hi / n`` as a numerator over
-    ``n``, a multiple of 24, the lcm of its denominators: the same ``rng``
-    calls, the same bounds and the same fallback to ``lo``."""
+    """A random rational in ``[lo / n, hi / n]`` as a numerator over ``n``, a
+    multiple of 24: a denominator ``den`` is chosen from 1, 2, 3, 4, 6 and 8
+    (24 is their lcm), then a uniform multiple of ``n / den`` in ``[lo,
+    hi]``, or ``lo`` itself if there is none."""
     unit = n // rng.choice((1, 2, 3, 4, 6, 8))
     lo_num, hi_num = -(-lo // unit), hi // unit
     if hi_num < lo_num:
@@ -328,21 +326,17 @@ def _draw(rng: random.Random, lo: int, hi: int, n: int) -> int:
     return rng.randint(lo_num, hi_num) * unit
 
 
-def _random_step_function(rng: random.Random, mu: int, scale) -> StepFunction:
-    """A step function with one to three breakpoints in ``[-scale/2,
-    scale/2]`` and ``rho`` at most ``scale/2`` past the last, drawn as
-    :func:`random_rat` draws them, as numerators over ``24`` times the
-    scale's denominator.  Canonical by construction: each value differs from
-    the one before, the first from 0."""
-    scale = as_rat(scale)
-    n, half = 24 * scale.denominator, 12 * scale.numerator
+def _draw_step(rng: random.Random, mu: int, n: int, half: int):
+    """A step function as integer ``(breakpoints, values, rho)`` over ``n``:
+    one to three breakpoints in ``[-half, half]`` and ``rho`` at most
+    ``half`` past the last.  Canonical by construction: each value differs
+    from the one before, the first from 0."""
     k = rng.randint(1, 3)
     cuts = sorted({_draw(rng, -half, half, n) for _ in range(k)})
     values = [0]
     for _ in cuts:
         values.append(rng.choice([v for v in range(mu) if v != values[-1]]))
-    rho = cuts[-1] + _draw(rng, 0, half, n)
-    return StepFunction(tuple(Fraction(c, n) for c in cuts), tuple(values[1:]), Fraction(rho, n))
+    return tuple(cuts), tuple(values[1:]), cuts[-1] + _draw(rng, 0, half, n)
 
 
 def au_sample_ball(
@@ -351,7 +345,8 @@ def au_sample_ball(
     """Deterministically sample step functions within the given distance of
     the zero basepoint function and realize their exact distance matrix.
     Every breakpoint is drawn as an integer numerator over 24 times the
-    radius's denominator, and every distance is compared in those integers."""
+    radius's denominator, and every distance is compared in those integers;
+    a :class:`StepFunction` is built only for each returned sample."""
     if mu_alphabet < 3:
         raise GeneratorArgumentError("the richly branching regime needs an alphabet >= 3")
     if count < 1:
@@ -359,32 +354,20 @@ def au_sample_ball(
     radius = as_rat(radius)
     if radius <= 0:
         raise GeneratorArgumentError("radius must be positive")
-    n = 24 * radius.denominator
-    top = 24 * radius.numerator  # the radius over n
-
-    def numerators(f: StepFunction):  # its breakpoints and rho over n
-        return (
-            tuple(b.numerator * (n // b.denominator) for b in f.breakpoints),
-            f.values,
-            f.rho.numerator * (n // f.rho.denominator),
-        )
-
+    n, half = 24 * radius.denominator, 12 * radius.numerator  # the radius is 2 * half over n
     rng = random.Random(seed)
-    samples = [_zero_function()]
-    nums = [numerators(samples[0])]
+    nums = [((), (), 0)]  # the zero function
     attempts = 0
-    while len(samples) < count and attempts < 1000 * count:
+    while len(nums) < count and attempts < 1000 * count:
         attempts += 1
-        cand = _random_step_function(rng, mu_alphabet, radius)
-        num = numerators(cand)
-        if _au(num, nums[0]) > top:
+        cand = _draw_step(rng, mu_alphabet, n, half)
+        if _au(cand, nums[0]) > 2 * half:
             continue
         # distance 0, not list equality: a step starting at rho adds no point
-        if any(_au(num, f) == 0 for f in nums):
+        if any(_au(cand, f) == 0 for f in nums):
             continue
-        samples.append(cand)
-        nums.append(num)
-    if len(samples) < count:
+        nums.append(cand)
+    if len(nums) < count:
         raise ValueError("sampling failed to produce enough distinct functions")
 
     labels = tuple(f"f{i}" for i in range(count))
@@ -393,4 +376,7 @@ def au_sample_ball(
         for j in range(i + 1, count):
             ints[i][j] = ints[j][i] = _au(nums[i], nums[j])
     tree = realize_tree(MetricMatrix._of_ints(labels, ints, n), basepoint_label="f0")
-    return tuple(samples), tree
+    samples = tuple(
+        StepFunction(tuple(Fraction(b, n) for b in bs), vs, Fraction(rho, n)) for bs, vs, rho in nums
+    )
+    return samples, tree

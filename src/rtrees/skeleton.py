@@ -485,7 +485,11 @@ class Materialization:
     spans: dict[tuple[str, str], tuple[tuple[str, str], Fraction, Fraction]]
 
     def node_for(self, pt: PointRef) -> str:
-        return self.points[pt]
+        """The node of a normalized point given to :func:`materialize`."""
+        try:
+            return self.points[pt]
+        except KeyError:
+            raise UnknownPointError(f"point {pt!r} was not materialized") from None
 
     def pull_back(self, pt: PointRef) -> PointRef:
         """Map a normalized point of the materialized tree to the source
@@ -502,17 +506,21 @@ class Materialization:
         return EdgePoint(src_key[0], src_key[1], src_off)
 
     def push_forward(self, pt: PointRef) -> PointRef:
-        """Map a point of the source skeleton into the materialized tree."""
+        """Map a point of the source skeleton, in either orientation, into
+        the materialized tree.  The point is normalized on the source edges,
+        each as long as the largest offset its spans reach, so a point off
+        them raises :class:`UnknownPointError` as :func:`normalize_point`."""
+        length: dict = {}
+        for key, o_u, o_v in self.spans.values():
+            length[key] = max(length.get(key, o_u), o_u, o_v)
+        nodes = [n for n, x in self.to_source.items() if x == Vertex(n)]
+        edges = [(u, v, w) for (u, v), w in length.items()]
+        pt = normalize_point(TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes), pt)
         if isinstance(pt, Vertex):
             return pt
         for (wu, wv), (src_key, o_u, o_v) in self.spans.items():
-            if src_key != (pt.u, pt.v):
-                continue
-            lo, hi = (o_u, o_v) if o_u <= o_v else (o_v, o_u)
-            if lo <= pt.offset <= hi:
-                work_off = abs(pt.offset - o_u)
-                return normalize_point(self.tree, EdgePoint(wu, wv, work_off))
-        raise SkeletonError(f"point {pt!r} not found in any span")
+            if src_key == (pt.u, pt.v) and min(o_u, o_v) <= pt.offset <= max(o_u, o_v):
+                return normalize_point(self.tree, EdgePoint(wu, wv, abs(pt.offset - o_u)))
 
     def graft(
         self,

@@ -29,6 +29,7 @@ from .skeleton import (
     Vertex,
     _cut,
     _names,
+    _net_steps,
     distance,
     hang,
     normalize_point,
@@ -511,7 +512,7 @@ def type_distance_search(
         tip_name = next(_names(set(tree_now.nodes()), f"b{seg_idx}_"))
         # candidate prefixes: a full overlap onto existing points, fresh,
         # then the mesh multiples below the length
-        grid = (k * mesh for k in range(1, -(-length // mesh)))
+        grid = (k * mesh for k in range(1, _net_steps(length, mesh) + 1))
         for lam in (length, Fraction(0), *grid):
             if budget <= 0 and best is not None:
                 truncated = True

@@ -6,11 +6,13 @@ import pytest
 from rtrees import (
     EdgePoint,
     Materialization,
+    StepFunction,
     TreeSkeleton,
     Vertex,
     normalize_point,
     random_tree,
 )
+from rtrees.generators import _draw_step
 from rtrees.skeleton import edge_key
 
 
@@ -26,6 +28,20 @@ def lone_point():
 
 def rng_for(seed) -> random.Random:
     return random.Random(f"rtrees-tests-{seed}")
+
+
+def zero_function() -> StepFunction:
+    return StepFunction((), (), Fraction(0))
+
+
+def random_step_function(rng: random.Random, mu: int, scale) -> StepFunction:
+    """A step function with one to three breakpoints in ``[-scale/2,
+    scale/2]`` and ``rho`` at most ``scale/2`` past the last: the sampler's
+    own candidate draw, so the same ``rng`` gives the same functions."""
+    scale = Fraction(scale)
+    n = 24 * scale.denominator
+    bs, vs, rho = _draw_step(rng, mu, n, 12 * scale.numerator)
+    return StepFunction(tuple(Fraction(b, n) for b in bs), vs, Fraction(rho, n))
 
 
 def gensym(taken: set, prefix: str) -> str:

@@ -543,7 +543,7 @@ def test_criterion_12_principal_types():
 
 
 def test_criterion_13_universal_tree_metric():
-    from rtrees.generators import _random_step_function, _zero_function
+    from conftest import random_step_function as _random_step_function, zero_function as _zero_function
 
     rng = rng_for("c13")
     funcs = [_zero_function()] + [_random_step_function(rng, 4, R) for _ in range(60)]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -36,8 +37,8 @@ from rtrees import (
     type_of,
     validate,
 )
-from conftest import rng_for
-from rtrees import treeio
+from conftest import random_step_function, rng_for, zero_function
+from rtrees import generators, treeio
 from rtrees.generators import GeneratorArgumentError, random_rat
 from rtrees.matrices import node_of_label
 from rtrees.skeleton import _TreeBuilder
@@ -76,6 +77,20 @@ def test_random_trees_are_valid():
     for seed in range(20):
         t = random_tree(rng_for(seed), max_nodes=9, radius=R)
         assert validate(t, R).ok
+
+
+def test_random_tree_bounds_its_leaves_not_its_nodes():
+    # max_nodes bounds the leaves hung, plus one: a leaf hung inside an edge
+    # adds a junction too, so the node count may exceed it
+    over = 0
+    for max_nodes in (1, 2, 3, 4, 5, 7, 9, 12):
+        for seed in range(300):
+            t = random_tree(seed, max_nodes=max_nodes, radius=R)
+            leaves = [n for n in t.nodes() if n != t.basepoint and t.degree(n) == 1]
+            assert len(leaves) <= max(1, max_nodes - 1), (max_nodes, seed)
+            over += len(t.nodes()) > max_nodes
+    assert over > 0
+    assert all(len(random_tree(seed, max_nodes=1).nodes()) == 2 for seed in range(20))
 
 
 def test_rb_extend_determinism_and_contract(tripod):
@@ -234,9 +249,7 @@ def test_au_distance_matches_the_pointwise_scan():
 
 def test_au_distance_metric_and_four_point():
     rng = rng_for("au")
-    from rtrees.generators import _random_step_function, _zero_function
-
-    fs = [_zero_function()] + [_random_step_function(rng, 4, R) for _ in range(8)]
+    fs = [zero_function()] + [random_step_function(rng, 4, R) for _ in range(8)]
     for f in fs:
         assert au_distance(f, f) == 0
     for f in fs:
@@ -292,19 +305,31 @@ def _reference_au_distance(f, g):
     return (f.rho - s) + (g.rho - s)
 
 
+def _reference_random_rat(rng, lo, hi):
+    """``random_rat`` as it stood on ``Fraction``s: a denominator from 1, 2,
+    3, 4, 6 and 8, then a numerator between the rounded bounds, or ``lo``."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = rng.choice([1, 2, 3, 4, 6, 8])
+    lo_num, hi_num = math.ceil(lo * den), math.floor(hi * den)
+    if hi_num < lo_num:
+        return lo
+    return Fraction(rng.randint(lo_num, hi_num), den)
+
+
 def _reference_sample_ball(mu_alphabet, count, radius, seed):
     """The step-function sampler as it stood on ``Fraction``s: every draw
-    through ``random_rat``, every comparison on ``Fraction`` distances."""
+    through ``_reference_random_rat``, every comparison on ``Fraction``
+    distances."""
     radius = Fraction(radius)
     rng = random.Random(seed)
 
     def step_function():
         k = rng.randint(1, 3)
-        cuts = sorted({random_rat(rng, -radius / 2, radius / 2, max_den=8) for _ in range(k)})
+        cuts = sorted({_reference_random_rat(rng, -radius / 2, radius / 2) for _ in range(k)})
         values = [0]
         for _ in cuts:
             values.append(rng.choice([v for v in range(mu_alphabet) if v != values[-1]]))
-        rho = cuts[-1] + random_rat(rng, 0, radius / 2, max_den=8)
+        rho = cuts[-1] + _reference_random_rat(rng, 0, radius / 2)
         return StepFunction(tuple(cuts), tuple(values[1:]), rho)
 
     samples = [StepFunction((), (), Fraction(0))]
@@ -354,6 +379,60 @@ def test_au_sample_ball_matches_the_fraction_sampler():
     assert all(type(x) is Fraction for f in drawn for x in (*f.breakpoints, f.rho))
     # some sample ends on its last breakpoint, so the dedupe must compare distances
     assert any(f.breakpoints and f.breakpoints[-1] == f.rho for f in drawn)
+
+
+def test_reference_sampler_does_not_route_through_the_sampler(monkeypatch):
+    cases = [(3, 4, Fraction(2), 5), (4, 7, Fraction(5, 7), 1), (3, 2, Fraction(1, 20), 0)]
+    want = [_outcome(au_sample_ball, *case) for case in cases]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the reference ran through the code it checks")
+
+    for name in ("_draw", "_draw_step", "_au"):
+        monkeypatch.setattr(generators, name, refuse)
+    assert [_outcome(_reference_sample_ball, *case) for case in cases] == want
+    with pytest.raises(AssertionError, match="through the code it checks"):
+        au_sample_ball(*cases[0])
+
+
+def test_random_rat_matches_the_fraction_draw():
+    rng = rng_for("random-rat")
+    bounds = [
+        (Fraction(-3, 2), Fraction(-1, 3)),  # negative
+        (Fraction(-7, 5), Fraction(2, 3)),  # mixed signs and denominators
+        (Fraction(5, 7), Fraction(5, 7)),  # equal, and off every grid
+        (Fraction(3, 4), Fraction(3, 4)),  # equal, on some grids
+        (Fraction(1, 9), Fraction(1, 7)),  # no multiple of 1/8 inside: falls back to lo
+        (Fraction(1, 17), Fraction(1, 16)),
+        (0, 2),
+        (Fraction(1, 8), 2),
+    ]
+    for _ in range(300):
+        lo = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+        bounds.append((lo, lo + Fraction(rng.randint(0, 20), rng.randint(1, 30))))
+    fallbacks = 0
+    for k, (lo, hi) in enumerate(bounds):
+        for seed in range(12):
+            ours, theirs = random.Random(f"{k}-{seed}"), random.Random(f"{k}-{seed}")
+            got, want = random_rat(ours, lo, hi), _reference_random_rat(theirs, lo, hi)
+            assert got == want and type(got) is Fraction, (lo, hi, seed)
+            assert ours.getstate() == theirs.getstate(), (lo, hi, seed)
+            # a drawn value has a denominator dividing 24; lo itself may not
+            fallbacks += 24 % got.denominator != 0
+    assert fallbacks > 100
+
+
+def test_au_sample_ball_builds_a_step_function_per_returned_sample(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        generators, "StepFunction", lambda *args: built.append(args) or StepFunction(*args)
+    )
+    fs, _ = au_sample_ball(3, 6, R, seed=0)
+    assert len(fs) == 6 and len(built) == 6
+    built.clear()
+    with pytest.raises(ValueError, match="enough distinct functions"):
+        au_sample_ball(3, 2, Fraction(1, 20), seed=0)
+    assert built == []
 
 
 def test_au_sample_tripod_from_diverging_functions():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -368,6 +369,40 @@ def test_pull_back_names_unknown_points(tripod):
     with pytest.raises(SkeletonError, match="pull_back expects normalized points"):
         mat.pull_back(EdgePoint("y", "cut1", Fraction(1, 4)))
     assert mat.pull_back(EdgePoint("cut1", "y", Fraction(1, 4))) == EdgePoint("p", "y", Fraction(3, 4))
+
+
+def test_push_forward_and_node_for_name_unknown_points():
+    tree = TreeSkeleton("p", [("p", "q", 2), ("q", "a", 1)])
+    at = EdgePoint("p", "q", Fraction(1))
+    mat = materialize(tree, [at])
+    cut = mat.node_for(at)
+    # either orientation of a source edge, on either side of the cut
+    for pt, want in (
+        (EdgePoint("q", "p", Fraction(1, 2)), EdgePoint(cut, "q", Fraction(1, 2))),
+        (EdgePoint("p", "q", Fraction(1, 2)), EdgePoint(cut, "p", Fraction(1, 2))),
+        (EdgePoint("q", "p", Fraction(1)), Vertex(cut)),
+        (EdgePoint("a", "q", Fraction(1, 4)), EdgePoint("a", "q", Fraction(1, 4))),
+        (EdgePoint("q", "p", Fraction(2)), Vertex("p")),
+        (Vertex("a"), Vertex("a")),
+    ):
+        assert mat.push_forward(pt) == normalize_point(mat.tree, want), pt
+        assert mat.pull_back(mat.push_forward(pt)) == normalize_point(tree, pt), pt
+    # the texts normalize_point gives on the source skeleton
+    for bad in (
+        EdgePoint("p", "zz", Fraction(1, 2)),
+        EdgePoint("p", "a", Fraction(1, 2)),
+        EdgePoint("p", "q", Fraction(5)),
+        EdgePoint("q", "p", Fraction(-1)),
+        Vertex("zz"),
+        Vertex(cut),
+    ):
+        with pytest.raises(UnknownPointError) as exc:
+            mat.push_forward(bad)
+        with pytest.raises(UnknownPointError, match=f"^{re.escape(str(exc.value))}$"):
+            normalize_point(tree, bad)
+    for bad in (Vertex("zz"), Vertex("q"), EdgePoint("q", "p", Fraction(1))):
+        with pytest.raises(UnknownPointError, match=re.escape(f"point {bad!r} was not materialized")):
+            mat.node_for(bad)
 
 
 def test_oracles_do_not_route_through_the_code_they_check(monkeypatch):
