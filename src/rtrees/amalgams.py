@@ -162,7 +162,7 @@ def star_amalgam(trees: Sequence[TreeSkeleton], r) -> TreeSkeleton:
 # -- amalgamation over a shared subtree ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubtreeMap:
     """Basepoint-preserving isometric correspondence between spanned
     subtrees of two skeletons, given by generator pairs."""
@@ -179,7 +179,7 @@ class SubtreeMap:
         bp = (Vertex(self.source.basepoint), Vertex(self.target.basepoint))
         if bp not in norm:
             norm.append(bp)
-        self.pairs = tuple(norm)
+        object.__setattr__(self, "pairs", tuple(norm))
 
     def check(self) -> None:
         """Raise NotIsometricError when some pair distance is distorted."""

@@ -87,7 +87,7 @@ def _radius_arg(text: str) -> Fraction:
 
 
 def _default_mesh(args, radius: Fraction) -> Fraction:
-    if getattr(args, "mesh", None):
+    if args.mesh is not None:
         mesh = _rat_arg(args.mesh, "--mesh")
     elif os.environ.get("RTREE_MESH"):
         mesh = _rat_arg(os.environ["RTREE_MESH"], "RTREE_MESH")
@@ -182,7 +182,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _cmd_check(args) -> int:
     doc = _load_doc(args.tree)
-    radius = _radius_arg(args.radius) if args.radius else doc.radius
+    radius = _radius_arg(args.radius) if args.radius is not None else doc.radius
     report = validate(doc.tree, radius)
     for v in report.violations:
         _emit(f"violation={v.kind} detail={v.detail}", err=True)
@@ -316,7 +316,7 @@ def _cmd_type(args) -> int:
             if args.s is None or args.t is None:
                 raise CliError("type dist --ctx empty needs --s and --t")
             s, t = _rat_arg(args.s, "--s"), _rat_arg(args.t, "--t")
-            radius = _radius_arg(args.radius) if args.radius else max(s, t)
+            radius = _radius_arg(args.radius) if args.radius is not None else max(s, t)
             ctx = spanned_subtree(
                 TreeSkeleton("p", (), extra_nodes=["p"]), [], adjoin_basepoint=True
             )
@@ -419,8 +419,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_psi(args) -> int:
     doc = _load_doc(args.tree)
-    radius = _radius_arg(args.radius) if args.radius else doc.radius
-    if args.at:
+    radius = _radius_arg(args.radius) if args.radius is not None else doc.radius
+    if args.at is not None:
         pt = _resolve_point(doc, args.at)
         if distance(doc.tree, pt, Vertex(doc.tree.basepoint)) > radius:
             raise CliError("point lies outside the radius bound")

@@ -32,6 +32,7 @@ from .skeleton import (
     SkeletonError,
     TreeSkeleton,
     Vertex,
+    _climb,
     distance,
     grid_points,
 )
@@ -653,9 +654,5 @@ def _midpoint(parent, h, x: str, y: str, half: int, m: int):
         node, t = x, hx - half
     else:
         node, t = y, 2 * m - hx + half
-    while h[node] > t:
-        up = parent[node]
-        if h[up] < t:
-            return node, up, t
-        node = up
-    return node, None, t
+    node, up = _climb(parent, h, node, t)
+    return node, up, t

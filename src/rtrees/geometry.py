@@ -90,7 +90,7 @@ def endpoints(tree: TreeSkeleton) -> tuple[PointRef, ...]:
 # -- spanned subtrees -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpannedSubtree:
     """The smallest subtree of ``ambient`` containing the generator points.
 

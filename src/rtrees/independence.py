@@ -55,10 +55,8 @@ def extend_nonforking(
     """The unique nonforking extension of ``q`` to the context spanned by
     its parameters together with ``B``: same closest points, offsets and
     pairwise distances over the enlarged context."""
-    new_gens = tuple(q.context.generators) + tuple(
-        normalize_point(tree, b) for b in B
-    )
-    out = replace(q, context=spanned_subtree(tree, new_gens, adjoin_basepoint=True))
+    gens = (*q.context.generators, *B)
+    out = replace(q, context=spanned_subtree(tree, gens, adjoin_basepoint=True))
     require_valid(out)  # cannot fail for valid inputs
     return out
 
@@ -92,8 +90,4 @@ def is_nonforking_extension(q_small: NTypeDescriptor, q_big: NTypeDescriptor) ->
 
 def canonical_base(q: NTypeDescriptor) -> tuple[PointRef, ...]:
     """The set of closest points; fixing it pointwise fixes the type."""
-    out = []
-    for e in q.closest:
-        if e not in out:
-            out.append(e)
-    return tuple(sorted(out, key=point_sort_key))
+    return tuple(sorted(set(q.closest), key=point_sort_key))

@@ -429,20 +429,29 @@ def _meet(tree: TreeSkeleton, a: PointRef, b: PointRef):
     return na, ha, nb, hb, min(ha, hb, m), da
 
 
+def _climb(parent, h, node: str, t: int, k: int = 1) -> tuple[str, Optional[str]]:
+    """Walk up the root arc of ``node`` to the height ``t``, comparing ``h[x] * k``
+    with it: ``(x, None)`` at a vertex ``x`` of that height, else ``(x, parent[x])``
+    for the link above ``x`` that contains that height."""
+    while h[node] * k > t:
+        up = parent[node]
+        if h[up] * k < t:
+            return node, up
+        node = up
+    return node, None
+
+
 def _at_height(tree: TreeSkeleton, node: str, h: int, hd: int) -> PointRef:
     """The normalized point at height ``h / hd <= d(p, node)`` on the root
     arc of ``node``."""
     parent, num, _, den = tree._root_data()
     h *= den  # heights compared over den * hd: num[x] * hd against h
-    while num[node] * hd > h:
-        up = parent[node]
-        low = num[up] * hd
-        if low < h:
-            if up < node:
-                return EdgePoint(up, node, Fraction(h - low, den * hd))
-            return EdgePoint(node, up, Fraction(num[node] * hd - h, den * hd))
-        node = up
-    return Vertex(node)
+    node, up = _climb(parent, num, node, h, hd)
+    if up is None:
+        return Vertex(node)
+    if up < node:
+        return EdgePoint(up, node, Fraction(h - num[up] * hd, den * hd))
+    return EdgePoint(node, up, Fraction(num[node] * hd - h, den * hd))
 
 
 def distance(tree: TreeSkeleton, a: PointRef, b: PointRef) -> Fraction:
@@ -469,7 +478,7 @@ def point_on_segment(tree: TreeSkeleton, a: PointRef, b: PointRef, t) -> PointRe
 # -- materialization ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Materialization:
     """A skeleton in which a requested set of points has become vertices.
 
@@ -607,15 +616,12 @@ class _TreeBuilder:
     def cut(self, node: str, height: int, prefix: str) -> str:
         """The node at ``0 <= height <= h[node]`` on the root arc of ``node``;
         an edge is cut there, and the cut named by :meth:`_fresh`."""
-        parent, h = self.parent, self.h
-        while h[node] > height:
-            up = parent[node]
-            if h[up] < height:
-                mid = self._fresh(prefix)
-                parent[mid], h[mid], parent[node] = up, height, mid
-                return mid
-            node = up
-        return node
+        node, up = _climb(self.parent, self.h, node, height)
+        if up is None:
+            return node
+        mid = self._fresh(prefix)
+        self.parent[mid], self.h[mid], self.parent[node] = up, height, mid
+        return mid
 
     def hang(self, node: str, length: int, tip: str, prefix: str, names: Iterable[str] = ()) -> str:
         """The end of a segment of ``length >= 0`` hung below ``node``, with

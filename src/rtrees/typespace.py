@@ -68,25 +68,33 @@ class DescriptorViolation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneTypeDescriptor:
-    """A 1-type over a context: closest point and offset."""
+    """A 1-type over a context: closest point (normalized at construction) and offset."""
 
     context: SpannedSubtree
     radius: Fraction
     e: PointRef
     s: Fraction
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "e", normalize_point(self.context.ambient, self.e))
 
-@dataclass
+
+@dataclass(frozen=True)
 class NTypeDescriptor:
-    """An n-type over a context: closest points, offsets, pairwise matrix."""
+    """An n-type over a context: closest points, offsets, pairwise matrix.  The
+    closest points are normalized on the context's ambient tree at construction."""
 
     context: SpannedSubtree
     radius: Fraction
     closest: tuple[PointRef, ...]
     offsets: tuple[Fraction, ...]
     pairwise: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self) -> None:
+        tree = self.context.ambient
+        object.__setattr__(self, "closest", tuple(normalize_point(tree, e) for e in self.closest))
 
     @property
     def n(self) -> int:
@@ -148,6 +156,8 @@ def combined_matrix(q: NTypeDescriptor) -> MetricMatrix:
 def validate_descriptor(q: NTypeDescriptor):
     """True when a (unique) type with this data exists, else a violation."""
     n = q.n
+    if len(q.offsets) != n or len(q.pairwise) != n or any(len(row) != n for row in q.pairwise):
+        return DescriptorViolation("pairwise_shape", "matrix shape does not match labels")
     tree = q.context.ambient
     p = Vertex(tree.basepoint)
     for i in range(n):
@@ -277,7 +287,6 @@ def _marginal_distance(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Fraction:
     tree = q1.context.ambient
     best = Fraction(0)
     for e1, s1, e2, s2 in zip(q1.closest, q1.offsets, q2.closest, q2.offsets):
-        e1, e2 = normalize_point(tree, e1), normalize_point(tree, e2)
         best = max(best, abs(s1 - s2) if e1 == e2 else s1 + distance(tree, e1, e2) + s2)
     return best
 
@@ -314,9 +323,7 @@ def _exact_distance(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fracti
     valid, of one arity and over one context."""
     if q1.n > 3:
         return None
-    tree = q1.context.ambient
-    e1 = [normalize_point(tree, e) for e in q1.closest]
-    e2 = [normalize_point(tree, e) for e in q2.closest]
+    e1, e2 = q1.closest, q2.closest
     s1, s2 = q1.offsets, q2.offsets
     best = _marginal_distance(q1, q2)
     for i in range(q1.n):
@@ -337,13 +344,11 @@ def is_principal(q: NTypeDescriptor) -> bool:
     With all closest points at ``p``, the type is principal iff the deepest
     coordinate ``j`` satisfies ``s_j = s_i + rho_ij`` for every ``i``.
     """
-    tree = q.context.ambient
-    p = Vertex(tree.basepoint)
+    p = Vertex(q.context.ambient.basepoint)
     if q.context.generators != (p,):
         raise ContextMismatchError("principality is defined over the empty context")
-    for e in q.closest:
-        if normalize_point(tree, e) != p:
-            raise ContextMismatchError("descriptor over the empty context must project to p")
+    if any(e != p for e in q.closest):
+        raise ContextMismatchError("descriptor over the empty context must project to p")
     j = max(range(q.n), key=lambda i: (q.offsets[i], -i))
     return all(q.offsets[j] == q.offsets[i] + q.pairwise[i][j] for i in range(q.n))
 
@@ -357,13 +362,10 @@ def apply_context_isometry(
     q: NTypeDescriptor, iso: Callable[[PointRef], PointRef]
 ) -> NTypeDescriptor:
     """Transport a descriptor along an isometry of its context."""
-    new_closest = tuple(
-        normalize_point(q.context.ambient, iso(e)) for e in q.closest
-    )
-    for e in new_closest:
-        if not q.context.covers(e):
-            raise ContextMismatchError("isometry image leaves the context")
-    return replace(q, closest=new_closest)
+    out = replace(q, closest=tuple(iso(e) for e in q.closest))
+    if not all(q.context.covers(e) for e in out.closest):
+        raise ContextMismatchError("isometry image leaves the context")
+    return out
 
 
 # -- certified search for the distance between n-types ------------------------------

@@ -194,6 +194,25 @@ def test_malformed_mesh_env_var_exits_2(tripod_file, capsys, monkeypatch):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_empty_option_values_are_usage_errors(tripod_file, tmp_path, capsys, monkeypatch):
+    # an option given '' is given: it is read, not replaced by its default
+    radius = "--radius: not an exact rational literal: ''"
+    mesh = "--mesh: not an exact rational literal: ''"
+    for argv, message in (
+        (["psi", "--tree", tripod_file, "--at", ""], "unknown point ''"),
+        (["psi", "--tree", tripod_file, "--radius", ""], radius),
+        (["check", "--tree", tripod_file, "--radius", ""], radius),
+        (["type", "dist", "--ctx", "empty", "--s", "1", "--t", "1", "--radius", ""], radius),
+        (["check", "--tree", tripod_file, "--mesh", ""], mesh),
+        (["eval", "--tree", tripod_file, "--formula", "sup x. d(x,p)", "--mesh", ""], mesh),
+        (_dist_argv(tmp_path, "--mesh", ""), mesh),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    # an empty RTREE_MESH still means unset
+    monkeypatch.setenv("RTREE_MESH", "")
+    assert run(capsys, "check", "--tree", tripod_file) == (0, "axiom1=2<=2 axiom2=0 axiom3=0\n", "")
+
+
 def test_indep_verdicts(tripod_file, capsys):
     code, out, err = run(
         capsys, "indep", "--tree", tripod_file, "--A", "b", "--B", "a", "--C", "node:p"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -38,6 +39,18 @@ PUBLIC_NAMES = """
 
 def test_public_names_are_pinned():
     assert sorted(rtrees.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_dataclass_is_frozen():
+    # public values are immutable after construction, so a check or a cache
+    # made on one cannot go stale
+    mutable = [
+        name for name in rtrees.__all__
+        if isinstance(obj := getattr(rtrees, name), type)
+        and dataclasses.is_dataclass(obj)
+        and not obj.__dataclass_params__.frozen
+    ]
+    assert mutable == []
 
 
 def test_package_imports_only_the_standard_library():

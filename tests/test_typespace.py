@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,13 @@ import pytest
 import rtrees.typespace as typespace
 from rtrees import (
     ContextMismatchError,
+    EdgePoint,
     GlueSpec,
     InconsistentDescriptorError,
     NTypeDescriptor,
     OneTypeDescriptor,
     TreeSkeleton,
+    UnknownPointError,
     Vertex,
     apply_context_isometry,
     canonical_base,
@@ -20,6 +24,7 @@ from rtrees import (
     four_point_check,
     glue_family,
     is_principal,
+    normalize_point,
     one_type_distance,
     piecewise_segment_check,
     point_on_edge,
@@ -90,6 +95,82 @@ def test_validate_descriptor_violations(tripod):
     v = validate_descriptor(bad_rho)  # rho > s1 + s2 breaks the 4-point condition
     assert v is not True and v.kind == "four_point"
     assert four_point_check(combined_matrix(bad_rho)) is not True
+
+
+SHAPE = "pairwise_shape: matrix shape does not match labels"
+
+
+@pytest.mark.parametrize(
+    "offsets, pairwise",
+    [
+        ((1, 1), ((0,),)),  # too few rows
+        ((1, 1), ((0, 1), (1,))),  # a short row
+        ((1, 1), ((0, 1, 1), (1, 0, 1))),  # a long row
+        ((1, 1), ((0, 1), (1, 0), (1, 1))),  # an extra row
+        ((1,), ((0, 1), (1, 0))),  # too few offsets
+        ((1, 1, 1), ((0, 1), (1, 0))),  # an extra offset
+        ((5, 1), ((0, 1),)),  # a bad offset too: the shape is reported first
+    ],
+)
+def test_validate_descriptor_reports_a_malformed_shape(tripod, offsets, pairwise):
+    ctx = spanned_subtree(tripod, [Y])
+    q = NTypeDescriptor(ctx, R, (P, P), offsets, pairwise)
+    v = validate_descriptor(q)
+    assert v is not True and str(v) == SHAPE
+    for check in (
+        typespace.require_valid,
+        lambda q: realize_type(tripod, q),
+        lambda q: type_distance_exact(q, q),
+    ):
+        with pytest.raises(InconsistentDescriptorError, match=f"^{SHAPE}$"):
+            check(q)
+
+
+def _two_orientations(tripod):
+    """The midpoint of p-y written in both orientations, over the context
+    spanned by a."""
+    ctx = spanned_subtree(tripod, [A])
+    half = Fraction(1, 2)
+    return ctx, EdgePoint("y", "p", half), EdgePoint("p", "y", half)
+
+
+def test_descriptors_normalize_their_closest_points(tripod):
+    ctx, e1, e2 = _two_orientations(tripod)
+    quarter = Fraction(1, 4)
+    q = NTypeDescriptor(ctx, R, (e1, e2), (quarter, quarter), ((0, quarter), (quarter, 0)))
+    assert q.closest == (e2, e2)
+    # one closest point: one class, realized with rho = 1/4
+    tree, (b1, b2) = realize_type(tripod, q)
+    assert distance(tree, b1, b2) == quarter
+    assert types_equal_transferred(q, type_of(tree, [A], [b1, b2], R))
+    assert canonical_base(q) == (e2,)
+
+    qa, qb = (NTypeDescriptor(ctx, R, (e,), (quarter,), ((0,),)) for e in (e1, e2))
+    assert types_equal(qa, qb) and type_distance_exact(qa, qb) == 0
+    assert OneTypeDescriptor(ctx, R, e1, quarter).e == e2
+
+
+def test_descriptors_are_frozen(tripod):
+    ctx, e1, _ = _two_orientations(tripod)
+    q = NTypeDescriptor(ctx, R, (e1,), (Fraction(0),), ((0,),))
+    q1 = q.marginal(0)
+    for obj, field in ((q, "closest"), (q, "offsets"), (q1, "e"), (q1, "s")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+
+
+@pytest.mark.parametrize(
+    "pt", [Vertex("zz"), EdgePoint("a", "b", Fraction(1, 2)), EdgePoint("p", "y", Fraction(3, 2))]
+)
+def test_descriptors_refuse_unknown_closest_points(tripod, pt):
+    ctx = spanned_subtree(tripod, [A])
+    with pytest.raises(UnknownPointError) as expected:
+        normalize_point(tripod, pt)
+    message = f"^{re.escape(str(expected.value))}$"
+    with pytest.raises(UnknownPointError, match=message):
+        NTypeDescriptor(ctx, R, (P, pt), (Fraction(0),) * 2, ((0, 0), (0, 0)))
+    with pytest.raises(UnknownPointError, match=message):
+        OneTypeDescriptor(ctx, R, pt, Fraction(0))
 
 
 def test_types_equal_same_offsets_distinct_branches(tripod):
