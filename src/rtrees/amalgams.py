@@ -26,6 +26,7 @@ from .rationals import as_rat, format_rat
 from .skeleton import (
     EdgePoint,
     PointRef,
+    RadiusExceededError,
     SkeletonError,
     TreeSkeleton,
     Vertex,
@@ -43,17 +44,6 @@ from .geometry import is_between, project_to_subtree, spanned_subtree
 
 class MalformedSpecError(ValueError):
     pass
-
-
-class RadiusExceededError(ValueError):
-    def __init__(self, point, dist: Fraction, radius: Fraction):
-        self.point = point
-        self.distance = dist
-        self.radius = radius
-        super().__init__(
-            f"point {format_point(point)} would sit at distance "
-            f"{format_rat(dist)} > {format_rat(radius)} from the basepoint"
-        )
 
 
 class NotIsometricError(ValueError):
@@ -261,11 +251,7 @@ def amalgamate(
             at = node_of[exits[y]] if y in exits else "right:" + parent2[y]
             h = num2[y] * (b.den // den2)
             b.hang(at, h - b.h[at], "right:" + y, "right:", m2.labels_of(y))
-    far = min((n for n, h in b.h.items() if h * r.denominator > r.numerator * b.den), default=None)
-    if far is not None:
-        raise RadiusExceededError(Vertex(far), Fraction(b.h[far], b.den), r)
-
-    amalgam = b.freeze()
+    amalgam = b.freeze(r)
     g1 = SubtreeMap(
         source=m1,
         target=amalgam,

@@ -158,9 +158,10 @@ def _point_names(specs: str, what: str) -> list[str]:
 
 
 def _resolve_points(
-    doc: treeio.TreeDocument, specs: Optional[str], what: str
+    doc: treeio.TreeDocument, specs: Optional[str], what: str, empty_set: bool = False
 ) -> tuple[PointRef, ...]:
-    if not specs:
+    """The points an option names; ``''`` is the empty set if ``empty_set``."""
+    if empty_set and not specs:
         return ()
     return tuple(_resolve_point(doc, s) for s in _point_names(specs, what))
 
@@ -301,7 +302,7 @@ def _report_violation(q: NTypeDescriptor) -> bool:
 def _cmd_type(args) -> int:
     if args.type_cmd == "of":
         doc = _load_doc(args.tree)
-        A = _resolve_points(doc, args.params, "--params")
+        A = _resolve_points(doc, args.params, "--params", empty_set=True)
         b = _resolve_points(doc, args.points, "--points")
         q = type_of(doc.tree, A, b, doc.radius)
         for i, (e, s) in enumerate(zip(q.closest, q.offsets), start=1):
@@ -371,8 +372,8 @@ def _cmd_indep(args) -> int:
     query = IndependenceQuery(
         tree=doc.tree,
         A=_resolve_points(doc, args.A, "--A"),
-        B=_resolve_points(doc, args.B, "--B"),
-        C=_resolve_points(doc, args.C, "--C"),
+        B=_resolve_points(doc, args.B, "--B", empty_set=True),
+        C=_resolve_points(doc, args.C, "--C", empty_set=True),
     )
     verdict = is_star_independent(query)
     if verdict.independent:

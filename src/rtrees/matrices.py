@@ -132,29 +132,27 @@ def delta_hyperbolicity(m: MetricMatrix) -> Fraction:
     """Least ``delta >= 0`` such that
     ``min((x.z)_w, (y.z)_w) - delta <= (x.y)_w`` for all quadruples.
 
-    Zero is certified by the exact round trip of :func:`realize_tree`
-    (a metric is 0-hyperbolic iff it is a tree metric); any other value
-    comes from a scan over all quadruples.
-    """
+    ``min((x.z)_w, (y.z)_w) - (x.y)_w`` is half of ``d(x,y) + d(z,w)`` less
+    the larger of the other two pair sums, so ``delta`` is half the largest
+    gap between the two largest pair sums of a 4-multiset, each scanned once.
+    Zero is certified by the exact round trip of :func:`realize_tree` (a
+    metric is 0-hyperbolic iff it is a tree metric)."""
     if _is_tree_metric(m):
         return Fraction(0)
     n = len(m)
     e, scale = m._ints, m._scale
-    # twice the Gromov products, so every value stays an integer
     worst = 0
-    for w in range(n):
-        ew = e[w]
-        gp = [[ex[w] + ew[y] - ex[y] for y in range(n)] for ex in e]
-        for x in range(n):
-            gx = gp[x]
-            for y in range(n):
-                gxy = gx[y]
-                gy = gp[y]
-                for z in range(n):
-                    m1 = gx[z]
-                    m2 = gy[z]
-                    small = m1 if m1 <= m2 else m2
-                    gap = small - gxy
+    for x in range(n):
+        ex = e[x]
+        for y in range(x, n):
+            ey, dxy = e[y], ex[y]
+            for z in range(y, n):
+                ez, dxz, dyz = e[z], ex[z], ey[z]
+                for w in range(z, n):
+                    a, b, c = dxy + ez[w], dxz + ey[w], dyz + ex[w]
+                    if a < b:
+                        a, b = b, a
+                    gap = c - a if c > a else a - (c if c > b else b)
                     if gap > worst:
                         worst = gap
     return Fraction(worst, 2 * scale)
@@ -227,19 +225,28 @@ def realize_tree(m: MetricMatrix, basepoint_label: Optional[str] = None) -> Tree
 def _insertion_tree(
     m: MetricMatrix, labels: tuple[str, ...], basepoint_label: str
 ) -> Optional[_TreeBuilder]:
-    """Insert the labels of ``m`` one by one into a :class:`_TreeBuilder`,
-    each at its Gromov-product height on the path from the base to its best
-    anchor (Culberson and Rudnicki 1989), and return the builder; ``None``
-    if an attachment falls outside its path or a distance between labels in
-    the result differs from ``m``.  Heights are integers over twice the
-    matrix's scale.  A leaf whose label is already a Steiner node's id gets
-    a fresh ``s`` id.  The tree is canonical as built: every Steiner cut
-    gets a leaf or a label."""
-    e, scale = m._ints, m._scale
+    """:func:`_insert` of ``m`` on a one-node builder: the builder, or ``None``."""
+    tree = _TreeBuilder(TreeSkeleton(basepoint_label, ()), 2 * m._scale)
+    nodes = _insert(tree, basepoint_label, m, labels, basepoint_label, "")
+    return None if nodes is None else tree
 
-    # merge zero-distance labels
-    first = labels.index(basepoint_label)
-    order = [first] + [i for i in range(len(labels)) if i != first]
+
+def _insert(
+    b: _TreeBuilder, root: str, m: MetricMatrix, labels: Sequence[str], base_label: str, prefix: str
+) -> Optional[list[str]]:
+    """Insert the labels of ``m`` one by one below ``root`` of the builder
+    ``b``, whose ``den`` is a multiple of twice the matrix's scale:
+    ``base_label`` at ``root``, each other at its Gromov-product height on
+    the path from ``root`` to its best anchor (Culberson and Rudnicki 1989).
+    Returns each label's node, or ``None`` if an attachment falls outside its
+    path or a distance between labels differs from ``m``.  A leaf's id is
+    ``prefix`` and its label, or, if that is taken, the next of the ``prefix
+    s`` walk that names the Steiner cuts.  The subtree is canonical as built:
+    every Steiner cut gets a leaf or a label."""
+    e, k = m._ints, b.den // (2 * m._scale)
+
+    # merge zero-distance labels, the base label's group first
+    order = sorted(range(len(labels)), key=lambda i: labels[i] != base_label)
     groups: dict[int, list[str]] = {}
     rep = [0] * len(labels)
     for i in order:
@@ -247,10 +254,8 @@ def _insertion_tree(
         groups.setdefault(rep[i], []).append(labels[i])
 
     base, *reps = groups
-    base_row = e[base]
-    start = TreeSkeleton(labels[base], (), {labels[base]: groups[base]}, [labels[base]])
-    tree = _TreeBuilder(start, 2 * scale)
-    node_of = {base: labels[base]}
+    base_row, top = e[base], b.h[root]
+    node_of = {base: b.hang(root, 0, root, prefix + "s", groups[base])}
     for i in reps:
         # attachment height along the path from the base toward the deepest
         # already-placed witness of the Gromov product
@@ -264,15 +269,14 @@ def _insertion_tree(
         if best_h > 2 * base_row[anchor] or leaf_len < 0:
             return None
         # a zero-length leaf labels the (possibly Steiner) attachment point
-        at = tree.cut(node_of[anchor], best_h, "s")
-        node_of[i] = tree.hang(at, leaf_len, labels[i], "s", groups[i])
+        at = b.cut(node_of[anchor], top + best_h * k, prefix + "s")
+        node_of[i] = b.hang(at, leaf_len * k, prefix + labels[i], prefix + "s", groups[i])
 
-    # the round trip: the distances between the labels' nodes against twice e
-    got = _arc_distances(tree.parent, tree.h, [(node_of[r], tree.h[node_of[r]]) for r in rep])
-    for i, row in enumerate(got):
-        if row != [2 * x for x in e[i][i + 1:]]:
-            return None
-    return tree
+    # the round trip: the distances between the labels' nodes against e
+    nodes = [node_of[r] for r in rep]
+    got = _arc_distances(b.parent, b.h, [(x, b.h[x]) for x in nodes])
+    same = all(row == [2 * k * x for x in e[i][i + 1:]] for i, row in enumerate(got))
+    return nodes if same else None
 
 
 def node_of_label(tree: TreeSkeleton, name: str) -> str:

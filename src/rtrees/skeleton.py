@@ -49,6 +49,15 @@ class UnknownPointError(SkeletonError):
     """A PointRef does not address a point of the given skeleton."""
 
 
+class RadiusExceededError(ValueError):
+    def __init__(self, point, dist: Fraction, radius: Fraction):
+        self.point, self.distance, self.radius = point, dist, radius
+        super().__init__(
+            f"point {format_point(point)} would sit at distance "
+            f"{format_rat(dist)} > {format_rat(radius)} from the basepoint"
+        )
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A point that coincides with a named node."""
@@ -657,9 +666,13 @@ class _TreeBuilder:
             parent[x] = below
         return cuts
 
-    def freeze(self) -> TreeSkeleton:
-        """The grown tree as one :class:`TreeSkeleton`."""
+    def freeze(self, r: Optional[Fraction] = None) -> TreeSkeleton:
+        """The grown tree as one :class:`TreeSkeleton`; with a radius ``r``, a
+        node past it raises :class:`RadiusExceededError` for the least such id."""
         h, den, src = self.h, self.den, self.src
+        if r is not None:
+            if over := [x for x, y in h.items() if y * r.denominator > r.numerator * den]:
+                raise RadiusExceededError(Vertex(min(over)), Fraction(h[min(over)], den), r)
         edges = [
             (up, x, src[x][up] if up in src.get(x, ()) else Fraction(h[x] - h[up], den))
             for x, up in self.parent.items()
@@ -727,8 +740,8 @@ def _leaving_point(tree: TreeSkeleton, x: PointRef, den: int):
 
 
 def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:
-    """Re-address a point in an extension that kept the original node ids
-    (edges may have been subdivided by gluing)."""
+    """Re-address a point in an extension that kept every node id, its edges
+    perhaps cut, as :func:`realize_type` and :func:`materialize` leave them."""
     if isinstance(pt, Vertex) or dst.has_edge(pt.u, pt.v):
         return normalize_point(dst, pt)
     return point_on_segment(dst, Vertex(pt.u), Vertex(pt.v), pt.offset)

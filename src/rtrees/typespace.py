@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rationals import as_rat, format_rat
@@ -40,11 +41,11 @@ from .geometry import SpannedSubtree, project_to_subtree, spanned_subtree
 from .matrices import (
     FourPointWitness,
     MetricMatrix,
+    _insert,
     four_point_check,
     realize_tree,
     tree_to_matrix,
 )
-from .amalgams import GlueSpec, glue_family
 from .formulas import CertifiedValue
 
 
@@ -208,13 +209,11 @@ def types_equal(q1: NTypeDescriptor, q2: NTypeDescriptor) -> bool:
 
 def types_equal_transferred(q_small: NTypeDescriptor, q_big: NTypeDescriptor) -> bool:
     """Equality of type data across an extension of the ambient tree that
-    kept node ids (as produced by realize_type): closest points are
-    transferred into the larger ambient before comparison."""
+    kept every node id, such as :func:`realize_type` makes: closest points
+    and generators are transferred into the larger ambient before comparison."""
     big = q_big.context.ambient
     transferred = tuple(transfer_point(big, e) for e in q_small.closest)
-    gens_small = {
-        transfer_point(big, g) for g in q_small.context.generators
-    }
+    gens_small = {transfer_point(big, g) for g in q_small.context.generators}
     gens_big = set(q_big.context.generators)
     return (
         gens_small == gens_big
@@ -225,49 +224,45 @@ def types_equal_transferred(q_small: NTypeDescriptor, q_big: NTypeDescriptor) ->
     )
 
 
-def _class_trees(q: NTypeDescriptor) -> list[tuple[PointRef, list[int], TreeSkeleton]]:
+def _classes(q: NTypeDescriptor) -> list[tuple[PointRef, list[int], MetricMatrix]]:
     """The coordinates grouped by closest point ``e``, each class with its
-    realization: a tree whose node labeled ``a`` sits at ``e`` and whose
-    node labeled ``t{i+1}`` realizes coordinate ``i``."""
+    metric on ``a``, at ``e``, and ``t{i+1}`` for each member ``i``."""
     classes: dict[PointRef, list[int]] = {}
     for i, e in enumerate(q.closest):
         classes.setdefault(e, []).append(i)
-
     out = []
     for e, members in classes.items():
         # rows of a, then of each member: offsets, then the pairwise block
         labels = ("a",) + tuple(f"t{i + 1}" for i in members)
         rows = [(0, *(q.offsets[i] for i in members))]
         rows += [(q.offsets[i], *(q.pairwise[i][j] for j in members)) for i in members]
-        k_tree = realize_tree(MetricMatrix(labels, tuple(rows)), "a")
-        out.append((e, members, k_tree))
+        out.append((e, members, MetricMatrix(labels, tuple(rows))))
     return out
 
 
 def realize_type(
     tree: TreeSkeleton, q: NTypeDescriptor
 ) -> tuple[TreeSkeleton, tuple[PointRef, ...]]:
-    """Extend ``tree`` with fresh branches realizing the descriptor.
+    """Extend ``tree`` with fresh branches realizing the descriptor: the
+    extension, which keeps every node of ``tree``, and the realized points.
 
-    Each equivalence class of coordinates sharing a closest point ``e`` is
-    realized as a small tree from its class metric and glued at ``e``;
-    fresh branches never collide with existing ones in a finite skeleton.
-    """
+    The closest points are cut into ``tree`` (cuts ``gl<i>``) and labeled
+    ``a``; each class of coordinates sharing one is inserted below it from
+    its class metric as :func:`realize_tree` inserts a matrix, its nodes
+    named ``g<idx>:`` and its point ``i`` labeled ``t{i+1}``.  A node of
+    ``tree`` past the radius raises :class:`RadiusExceededError`."""
     require_valid(q)
     if tree != q.context.ambient:
         raise ContextMismatchError("realize_type expects the context's ambient tree")
-
-    attachments = tuple(
-        (k_tree, Vertex(k_tree.find_label("a")), e) for e, _members, k_tree in _class_trees(q)
-    )
-    glued = glue_family(GlueSpec(base=tree, attachments=attachments), q.radius)
-    points = []
-    for i in range(q.n):
-        node = glued.find_label(f"t{i + 1}")
-        if node is None:
-            raise AssertionError("realized point label vanished")
-        points.append(Vertex(node))
-    return glued, tuple(points)
+    classes = _classes(q)
+    den = lcm(*(2 * m._scale for *_, m in classes))
+    b, cut_at = _cut(tree, [e for e, *_ in classes], den, "gl")
+    points: dict[int, PointRef] = {}
+    for idx, (e, members, m) in enumerate(classes):
+        # a valid descriptor's class metrics are tree metrics: no insertion fails
+        nodes = _insert(b, cut_at[e], m, m.labels, "a", f"g{idx}:")
+        points.update((i, Vertex(node)) for i, node in zip(members, nodes[1:]))
+    return b.freeze(q.radius), tuple(points[i] for i in range(q.n))
 
 
 def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
@@ -457,7 +452,7 @@ def type_distance_search(
     # realization trees of q2, one per closest-point class; a key
     # ``(class, node)`` names a node of one, and the coordinates landing
     # there are those of its ``t{i+1}`` labels
-    classes = _class_trees(q2)
+    classes = [(e, members, realize_tree(m, "a")) for e, members, m in _classes(q2)]
 
     def coords_at(c: int, node: str) -> list[int]:
         _e, members, k_tree = classes[c]

@@ -4,14 +4,20 @@ from fractions import Fraction
 import pytest
 
 from rtrees import (
+    ContextMismatchError,
     EdgePoint,
+    GlueSpec,
     Materialization,
+    MetricMatrix,
     StepFunction,
     TreeSkeleton,
     Vertex,
+    glue_family,
     normalize_point,
     random_tree,
+    realize_tree,
 )
+from rtrees.typespace import require_valid
 from rtrees.generators import _draw_step
 from rtrees.skeleton import edge_key
 
@@ -150,3 +156,32 @@ def random_corpus(seed, count, max_nodes=8, radius=Fraction(2)):
     return [
         random_tree(rng, max_nodes=max_nodes, radius=radius) for _ in range(count)
     ]
+
+
+def reference_realize_type(tree, q):
+    """Independent reference for ``realize_type``: each closest-point class
+    realized as its own tree by ``realize_tree``, the trees glued on by
+    ``glue_family``, and the points looked up by their labels."""
+    require_valid(q)
+    if tree != q.context.ambient:
+        raise ContextMismatchError("realize_type expects the context's ambient tree")
+
+    classes: dict = {}
+    for i, e in enumerate(q.closest):
+        classes.setdefault(e, []).append(i)
+    attachments = []
+    for e, members in classes.items():
+        # rows of a, then of each member: offsets, then the pairwise block
+        labels = ("a",) + tuple(f"t{i + 1}" for i in members)
+        rows = [(0, *(q.offsets[i] for i in members))]
+        rows += [(q.offsets[i], *(q.pairwise[i][j] for j in members)) for i in members]
+        k_tree = realize_tree(MetricMatrix(labels, tuple(rows)), "a")
+        attachments.append((k_tree, Vertex(k_tree.find_label("a")), e))
+    glued = glue_family(GlueSpec(base=tree, attachments=tuple(attachments)), q.radius)
+    points = []
+    for i in range(q.n):
+        node = glued.find_label(f"t{i + 1}")
+        if node is None:
+            raise AssertionError("realized point label vanished")
+        points.append(Vertex(node))
+    return glued, tuple(points)

@@ -592,6 +592,38 @@ def test_point_lists_reject_empty_names_but_allow_repeats(tripod_file, capsys):
     assert code == 0 and "pair 1 2 0" in out
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["type", "of", "--points", ""], "--points"),
+    (["indep", "--A", "", "--B", "b", "--C", "b"], "--A"),
+])
+def test_empty_required_point_list_is_a_usage_error(tripod_file, capsys, argv, what):
+    code, out, err = run(capsys, *argv, "--tree", tripod_file)
+    assert (code, out, err) == (2, "", f"error: {what}: name 1 of 1 is empty\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["type", "of", "--params", "", "--points", "a"], (0, "closest 1 p\noffset 1 2\n")),
+    (["indep", "--A", "a", "--B", "", "--C", "b"], (0, "independent\n")),
+    (["indep", "--A", "a", "--B", "b", "--C", ""], (1, "dependent\n")),
+])
+def test_empty_parameter_list_is_the_empty_set(tripod_file, capsys, argv, want):
+    code, out, _ = run(capsys, *argv, "--tree", tripod_file)
+    assert (code, out) == want
+
+
+@pytest.mark.parametrize("tree_text, message", [
+    ("radius 3\nnode p basepoint\nnode y\nnode z\nedge p y 1\nedge y z 2\npoint y node y\n",
+     "point z would sit at distance 3 > 2 from the basepoint"),
+    ("radius 2\nnode p basepoint\nnode y\nnode z\nedge p y 1\npoint y node y\n",
+     "distance query across disconnected components"),
+])
+def test_type_realize_rejects_bad_ambients(tmp_path, capsys, tree_text, message):
+    _write(tmp_path, "amb.tree", tree_text)
+    desc = _write(tmp_path, "q.desc", "context amb.tree\nradius 2\nclosest 1 node y\noffset 1 1/2\n")
+    code, out, err = run(capsys, "type", "realize", "--descriptor", desc)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_parser_is_reused_without_carrying_bindings(tripod_file, capsys):
     code, out, _ = run(
         capsys, "eval", "--tree", tripod_file, "--formula", "d(q,p)", "--at", "q=a",

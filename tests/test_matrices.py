@@ -199,6 +199,52 @@ def test_delta_zero_iff_four_point():
     )
 
 
+def ordered_delta(m):
+    """The scan over ordered quadruples that the 4-multiset scan replaced:
+    twice the Gromov products at each ``w``, in integers."""
+    if matrices._is_tree_metric(m):
+        return Fraction(0)
+    n = len(m)
+    e, scale = m._ints, m._scale
+    worst = 0
+    for w in range(n):
+        ew = e[w]
+        gp = [[ex[w] + ew[y] - ex[y] for y in range(n)] for ex in e]
+        for x in range(n):
+            gx = gp[x]
+            for y in range(n):
+                gxy = gx[y]
+                gy = gp[y]
+                for z in range(n):
+                    m1 = gx[z]
+                    m2 = gy[z]
+                    small = m1 if m1 <= m2 else m2
+                    gap = small - gxy
+                    if gap > worst:
+                        worst = gap
+    return Fraction(worst, 2 * scale)
+
+
+def test_delta_multiset_scan_matches_ordered_scan():
+    # symmetric matrices with zero diagonal, most of them not even metrics,
+    # from one point up; and the perturbed tree metrics
+    rng = rng_for("delta-scan")
+    corpus = perturbed_matrices("delta-scan", 40)
+    for k in range(300):
+        n = 1 + k % 8
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))
+        corpus.append(MetricMatrix(tuple(f"v{i}" for i in range(n)), tuple(map(tuple, rows))))
+    nonzero = 0
+    for m in corpus:
+        want = ordered_delta(m)
+        assert delta_hyperbolicity(m) == want, m
+        nonzero += want != 0
+    assert nonzero > 150
+
+
 def test_tree_to_matrix_examples(tripod):
     m = labeled_matrix(tripod, [Vertex("p"), Vertex("a"), Vertex("b")], ["p", "a", "b"])
     assert m.entries == TRIPOD_LEAVES.entries

@@ -13,6 +13,7 @@ from rtrees import (
     InconsistentDescriptorError,
     NTypeDescriptor,
     OneTypeDescriptor,
+    RadiusExceededError,
     TreeSkeleton,
     UnknownPointError,
     Vertex,
@@ -40,7 +41,7 @@ from rtrees import (
     types_equal_transferred,
     validate_descriptor,
 )
-from conftest import random_corpus, rng_for
+from conftest import random_corpus, reference_realize_type, rng_for
 from rtrees.generators import random_point, random_tree
 from rtrees.skeleton import SkeletonError, hang, point_on_segment, point_sort_key
 
@@ -241,6 +242,66 @@ def test_realize_type_uniqueness_of_combined_matrix(tripod):
         for x in anchors + list(pts2)
     ]
     assert m1 == m2
+
+
+def test_realize_type_matches_reference():
+    # the cut-and-insert realization against class trees glued on and
+    # looked up by label: the same tree, node ids included, and points
+    checked = 0
+    for k, tree in enumerate(random_corpus("realize-ref", 70, max_nodes=7)):
+        rng = rng_for(("realize-ref", k))
+        for _ in range(3):
+            A_pts = [random_point(rng, tree) for _ in range(rng.randint(0, 2))]
+            b_pts = [random_point(rng, tree) for _ in range(rng.randint(1, 3))]
+            q = type_of(tree, A_pts, b_pts, R)
+            ext, realized = realize_type(tree, q)
+            want, want_pts = reference_realize_type(tree, q)
+            assert ext.basepoint == want.basepoint
+            assert ext.edges() == want.edges() and ext.labels == want.labels
+            assert realized == want_pts
+            checked += 1
+    assert checked >= 200
+
+
+def test_chained_realization_returns_its_own_points():
+    # the second realization's points carry the labels t1, t2 that the
+    # first one already put on the tree; they must not be confused
+    t = tripod(1, 1, 1)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    q1 = NTypeDescriptor(spanned_subtree(t, [P]), R, (P, P), (half, half), ((0, 1), (1, 0)))
+    ext1, _ = realize_type(t, q1)
+    rho = Fraction(3, 2)
+    q2 = NTypeDescriptor(
+        spanned_subtree(ext1, [A]), R, (P, Y), (quarter, quarter), ((0, rho), (rho, 0))
+    )
+    ext2, pts = realize_type(ext1, q2)
+    back = type_of(ext2, [A], pts, R)
+    assert (back.closest, back.offsets, back.pairwise) == (q2.closest, q2.offsets, q2.pairwise)
+    # a taken tip id gets a fresh id under the class's prefix
+    assert pts == (Vertex("g0:s1"), Vertex("g1:t2"))
+
+
+def test_realize_type_keeps_every_ambient_node():
+    # p - m - q with m unlabeled of degree 2: the extension keeps m
+    amb = TreeSkeleton("p", [("p", "m", 1), ("m", "q", 1)])
+    q = NTypeDescriptor(spanned_subtree(amb, [Vertex("q")]), Fraction(3), (Vertex("q"),),
+                        (Fraction(1),), ((0,),))
+    ext, (b,) = realize_type(amb, q)
+    assert set(amb.nodes()) <= set(ext.nodes())
+    assert transfer_point(ext, Vertex("m")) == Vertex("m")
+    assert distance(ext, Vertex("m"), b) == 2
+
+
+def test_realize_type_rejects_bad_ambients():
+    far = TreeSkeleton("p", [("p", "y", 1), ("y", "z", 2)])
+    apart = TreeSkeleton("p", [("p", "y", 1)], extra_nodes=["z"])
+    for amb, error, text in (
+        (far, RadiusExceededError, "point z would sit at distance 3 > 2 from the basepoint"),
+        (apart, SkeletonError, "distance query across disconnected components"),
+    ):
+        q = NTypeDescriptor(spanned_subtree(amb, [Y]), R, (Y,), (Fraction(1, 2),), ((0,),))
+        with pytest.raises(error, match=f"^{text}$"):
+            realize_type(amb, q)
 
 
 def test_one_type_distance_cases(tripod):
