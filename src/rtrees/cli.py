@@ -124,8 +124,8 @@ def _load_matrix(path: str) -> MetricMatrix:
 
 
 def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
-    """Point syntax: a declared point name, a node id, ``node:<id>``, or
-    ``edge:<u>:<v>:<offset>``."""
+    """Point syntax: a declared point name, a node id, ``node:<id>``,
+    ``edge:<u>:<v>:<offset>``, or a label on exactly one node."""
     if spec in doc.points:
         return doc.points[spec]
     try:
@@ -142,9 +142,11 @@ def _resolve_point(doc: treeio.TreeDocument, spec: str) -> PointRef:
         raise CliError(str(exc))
     if doc.tree.has_node(spec):
         return Vertex(spec)
-    node = doc.tree.find_label(spec)
-    if node is not None:
-        return Vertex(node)
+    nodes = sorted(x for x, names in doc.tree.labels.items() if spec in names)
+    if len(nodes) > 1:
+        raise CliError(f"label {spec!r} is on more than one node: {', '.join(nodes)}")
+    if nodes:
+        return Vertex(nodes[0])
     raise CliError(f"unknown point {spec!r}")
 
 

@@ -596,21 +596,19 @@ def materialize(
 
 
 class _TreeBuilder:
-    """A copy of a connected skeleton grown in place: each node's parent and
-    its height from the basepoint as an integer over ``den``, the labels,
-    and the set of taken node ids.  Every edge has positive length, so
-    heights strictly increase away from the basepoint.  A new parent link
-    always has a new node at one end, so a link between two nodes adjacent
-    in the source tree is a source edge, and keeps its length.  New names
-    come from one :func:`_names` walk per prefix."""
+    """A copy of a skeleton grown in place: each node's parent and its height
+    from the basepoint as an integer over ``den``, on the basepoint's
+    component, the labels, and every taken node id.  Every edge has positive
+    length, so heights strictly increase away from the basepoint.  A new
+    parent link always has a new node at one end, so a link between two
+    nodes adjacent in the source tree is a source edge, and keeps its
+    length.  New names come from one :func:`_names` walk per prefix."""
 
     def __init__(self, tree: TreeSkeleton, den: int) -> None:
         parent, num, _, D = tree._root_data()
-        if len(parent) != len(tree._adj):
-            raise SkeletonError("distance query across disconnected components")
         self.basepoint, self.den, self.src = tree.basepoint, lcm(D, den), tree._adj
         self.h = {x: n * (self.den // D) for x, n in num.items()}
-        self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(parent)
+        self.parent, self.labels, self.taken = dict(parent), dict(tree.labels), set(tree._adj)
         self._walks: dict[str, Iterator[str]] = {}
 
     def _fresh(self, prefix: str) -> str:
@@ -667,9 +665,12 @@ class _TreeBuilder:
         return cuts
 
     def freeze(self, r: Optional[Fraction] = None) -> TreeSkeleton:
-        """The grown tree as one :class:`TreeSkeleton`; with a radius ``r``, a
-        node past it raises :class:`RadiusExceededError` for the least such id."""
+        """The grown tree as one :class:`TreeSkeleton`.  A source node off the
+        basepoint's component raises :class:`SkeletonError`, and with a radius
+        ``r`` a node past it :class:`RadiusExceededError`, each for the least such id."""
         h, den, src = self.h, self.den, self.src
+        if off := src.keys() - self.parent.keys():
+            raise SkeletonError(f"node {min(off)!r} not connected to the basepoint")
         if r is not None:
             if over := [x for x, y in h.items() if y * r.denominator > r.numerator * den]:
                 raise RadiusExceededError(Vertex(min(over)), Fraction(h[min(over)], den), r)

@@ -41,8 +41,9 @@ from .geometry import SpannedSubtree, project_to_subtree, spanned_subtree
 from .matrices import (
     FourPointWitness,
     MetricMatrix,
+    _arc_distances,
+    _four_point_scan,
     _insert,
-    four_point_check,
     realize_tree,
     tree_to_matrix,
 )
@@ -143,7 +144,7 @@ def type_of(
 
 def combined_matrix(q: NTypeDescriptor) -> MetricMatrix:
     """Distances on the symbols ``e_1..e_n, x_1..x_n`` induced by the
-    descriptor data."""
+    descriptor data, built by validation only to name a four-point witness."""
     n = q.n
     labels = tuple(f"e{i + 1}" for i in range(n)) + tuple(f"x{i + 1}" for i in range(n))
     de = tree_to_matrix(q.context.ambient, q.closest).entries
@@ -154,47 +155,59 @@ def combined_matrix(q: NTypeDescriptor) -> MetricMatrix:
     return MetricMatrix(labels, tuple(rows))
 
 
-def validate_descriptor(q: NTypeDescriptor):
-    """True when a (unique) type with this data exists, else a violation."""
+def _realization(q: NTypeDescriptor):
+    """A descriptor's first violation, or the builder :func:`realize_type` freezes and the points:
+    the combined matrix is a tree metric iff each class metric is and each cross-class ``rho_ij``
+    is ``s_i + d(e_i, e_j) + s_j``, iff the insertions and the points' distances round-trip."""
     n = q.n
     if len(q.offsets) != n or len(q.pairwise) != n or any(len(row) != n for row in q.pairwise):
         return DescriptorViolation("pairwise_shape", "matrix shape does not match labels")
     tree = q.context.ambient
-    p = Vertex(tree.basepoint)
     for i in range(n):
         if not q.context.covers(q.closest[i]):
-            return DescriptorViolation(
-                "offset_bound", f"closest point {i + 1} lies outside the context"
-            )
-        bound = q.radius - distance(tree, p, q.closest[i])
+            return DescriptorViolation("offset_bound", f"closest point {i + 1} lies outside the context")
+        bound = q.radius - distance(tree, Vertex(tree.basepoint), q.closest[i])
         if q.offsets[i] < 0 or q.offsets[i] > bound:
-            return DescriptorViolation(
-                "offset_bound",
-                f"offset s_{i + 1}={format_rat(q.offsets[i])} outside [0, {format_rat(bound)}]",
-            )
+            text = f"offset s_{i + 1}={format_rat(q.offsets[i])} outside [0, {format_rat(bound)}]"
+            return DescriptorViolation("offset_bound", text)
     for i in range(n):
         if q.pairwise[i][i] != 0:
             return DescriptorViolation("pairwise_shape", f"rho_{i + 1},{i + 1} != 0")
         for j in range(n):
             if q.pairwise[i][j] != q.pairwise[j][i] or q.pairwise[i][j] < 0:
-                return DescriptorViolation(
-                    "pairwise_shape", f"rho_{i + 1},{j + 1} malformed"
-                )
-    try:
-        m = combined_matrix(q)
-    except ValueError as exc:
-        return DescriptorViolation("pairwise_shape", str(exc))
-    check = four_point_check(m)
-    if check is not True:
-        return DescriptorViolation("four_point", str(check), witness=check)
-    return True
+                return DescriptorViolation("pairwise_shape", f"rho_{i + 1},{j + 1} malformed")
+    classes = _classes(q)
+    b, cut_at = _cut(tree, [e for e, *_ in classes], lcm(*(2 * m._scale for *_, m in classes)), "gl")
+    nodes: dict[int, str] = {}
+    for idx, (e, members, m) in enumerate(classes):
+        if (got := _insert(b, cut_at[e], m, m.labels, "a", f"g{idx}:")) is None:
+            break
+        nodes.update(zip(members, got[1:]))
+    else:
+        pts = [nodes[i] for i in range(n)]
+        rows = _arc_distances(b.parent, b.h, [(x, b.h[x]) for x in pts])
+        if all(r == [as_rat(x) * b.den for x in q.pairwise[i][i + 1:]] for i, r in enumerate(rows)):
+            return b, tuple(map(Vertex, pts))
+    check = _four_point_scan(combined_matrix(q))  # only to name the first witness
+    return DescriptorViolation("four_point", str(check), witness=check)
+
+
+def _realized(q: NTypeDescriptor):
+    """:func:`_realization` of a valid descriptor, else InconsistentDescriptorError."""
+    if isinstance(got := _realization(q), DescriptorViolation):
+        raise InconsistentDescriptorError(got)
+    return got
+
+
+def validate_descriptor(q: NTypeDescriptor):
+    """True when a (unique) type with this data exists (a tree realizes it), else a violation."""
+    got = _realization(q)
+    return got if isinstance(got, DescriptorViolation) else True
 
 
 def require_valid(q: NTypeDescriptor) -> None:
-    """Raise InconsistentDescriptorError unless the descriptor is valid."""
-    check = validate_descriptor(q)
-    if check is not True:
-        raise InconsistentDescriptorError(check)
+    """Raise InconsistentDescriptorError unless the descriptor is valid; it is realized once."""
+    _realized(q)
 
 
 def types_equal(q1: NTypeDescriptor, q2: NTypeDescriptor) -> bool:
@@ -249,20 +262,13 @@ def realize_type(
     The closest points are cut into ``tree`` (cuts ``gl<i>``) and labeled
     ``a``; each class of coordinates sharing one is inserted below it from
     its class metric as :func:`realize_tree` inserts a matrix, its nodes
-    named ``g<idx>:`` and its point ``i`` labeled ``t{i+1}``.  A node of
-    ``tree`` past the radius raises :class:`RadiusExceededError`."""
-    require_valid(q)
+    named ``g<idx>:`` and its point ``i`` labeled ``t{i+1}``: validation's
+    realization, frozen.  A node of ``tree`` past the radius raises
+    :class:`RadiusExceededError`, one off its basepoint's component :class:`SkeletonError`."""
+    b, points = _realized(q)
     if tree != q.context.ambient:
         raise ContextMismatchError("realize_type expects the context's ambient tree")
-    classes = _classes(q)
-    den = lcm(*(2 * m._scale for *_, m in classes))
-    b, cut_at = _cut(tree, [e for e, *_ in classes], den, "gl")
-    points: dict[int, PointRef] = {}
-    for idx, (e, members, m) in enumerate(classes):
-        # a valid descriptor's class metrics are tree metrics: no insertion fails
-        nodes = _insert(b, cut_at[e], m, m.labels, "a", f"g{idx}:")
-        points.update((i, Vertex(node)) for i, node in zip(members, nodes[1:]))
-    return b.freeze(q.radius), tuple(points[i] for i in range(q.n))
+    return b.freeze(q.radius), points
 
 
 def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
@@ -435,7 +441,7 @@ def type_distance_search(
     if mesh <= 0:
         raise ValueError("mesh must be positive")
     _require_same_context(q1, q2)
-    require_valid(q1)
+    b1, a_points = _realized(q1)
     require_valid(q2)
     if q1.n != q2.n:
         raise ContextMismatchError("descriptors have different arities")
@@ -447,7 +453,7 @@ def type_distance_search(
         return CertifiedValue(Fraction(0), Fraction(0), mesh)
 
     exact = _exact_distance(q1, q2)
-    base0, a_points = realize_type(q1.context.ambient, q1)
+    base0 = b1.freeze(q1.radius)
 
     # realization trees of q2, one per closest-point class; a key
     # ``(class, node)`` names a node of one, and the coordinates landing

@@ -478,6 +478,7 @@ def test_criterion_11a_deficiency_convergence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11b_psi_oracle_agreement():
     mesh = R / 128
     ok = True

@@ -615,13 +615,40 @@ def test_empty_parameter_list_is_the_empty_set(tripod_file, capsys, argv, want):
     ("radius 3\nnode p basepoint\nnode y\nnode z\nedge p y 1\nedge y z 2\npoint y node y\n",
      "point z would sit at distance 3 > 2 from the basepoint"),
     ("radius 2\nnode p basepoint\nnode y\nnode z\nedge p y 1\npoint y node y\n",
-     "distance query across disconnected components"),
+     "node 'z' not connected to the basepoint"),
 ])
 def test_type_realize_rejects_bad_ambients(tmp_path, capsys, tree_text, message):
     _write(tmp_path, "amb.tree", tree_text)
     desc = _write(tmp_path, "q.desc", "context amb.tree\nradius 2\nclosest 1 node y\noffset 1 1/2\n")
     code, out, err = run(capsys, "type", "realize", "--descriptor", desc)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+SHARED_LABELS_TEXT = """\
+radius 3
+node p basepoint
+node g0:s1 label=t1
+node g0:t1 label=t1
+node t2 label=t2
+node g1:t2 label=t2
+edge p g0:s1 1
+edge p g0:t1 2
+edge p t2 1
+edge p g1:t2 2
+"""
+
+
+def test_a_label_on_several_nodes_is_a_usage_error(tmp_path, capsys):
+    # as a chained realization leaves t1 on two nodes
+    path = _write(tmp_path, "shared.tree", SHARED_LABELS_TEXT)
+    code, out, err = run(capsys, "type", "of", "--tree", path, "--points", "t1")
+    assert (code, out, err) == (2, "", "error: label 't1' is on more than one node: g0:s1, g0:t1\n")
+    # a declared point name or a node id takes precedence over labels
+    code, out, _ = run(capsys, "type", "of", "--tree", path, "--points", "t2")
+    assert (code, out) == (0, "closest 1 p\noffset 1 1\n")
+    path = _write(tmp_path, "named.tree", SHARED_LABELS_TEXT + "point t1 node g0:t1\n")
+    code, out, _ = run(capsys, "type", "of", "--tree", path, "--points", "t1")
+    assert (code, out) == (0, "closest 1 p\noffset 1 2\n")
 
 
 def test_parser_is_reused_without_carrying_bindings(tripod_file, capsys):

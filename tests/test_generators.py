@@ -105,15 +105,15 @@ def test_rb_extend_determinism_and_contract(tripod):
 
 
 def test_rb_extend_refuses_a_second_component():
-    # one connectivity check, the tree builder's, with the text every
-    # distance query gives
-    for apart in (
-        TreeSkeleton("p", [("p", "a", 1), ("z", "w", 1)]),
-        TreeSkeleton("p", [("p", "a", 1)], extra_nodes=["z"]),
+    # one connectivity check, naming the least node off the basepoint's
+    # component
+    for apart, node in (
+        (TreeSkeleton("p", [("p", "a", 1), ("z", "w", 1)]), "w"),
+        (TreeSkeleton("p", [("p", "a", 1)], extra_nodes=["z"]), "z"),
     ):
         for depth in (0, 2):
             with pytest.raises(
-                SkeletonError, match="^distance query across disconnected components$"
+                SkeletonError, match=f"^node '{node}' not connected to the basepoint$"
             ):
                 rb_extend(apart, R, depth)
 

@@ -348,7 +348,7 @@ def test_materialize_equals_the_reference_loop():
 def test_materialize_refuses_a_skeleton_that_is_not_a_metric_tree():
     not_trees = {
         "closes a cycle": TreeSkeleton("p", [("p", "a", 1), ("a", "b", 1), ("b", "p", 1)]),
-        "disconnected": TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)]),
+        "node 'b' not connected to the basepoint": TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)]),
         "edge a-b has length 0": TreeSkeleton("p", [("p", "a", 1), ("a", "b", 0)]),
         "edge a-p has length -1": TreeSkeleton("p", [("p", "a", -1)]),
     }

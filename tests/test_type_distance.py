@@ -12,11 +12,11 @@ from rtrees import (
     Vertex,
     random_point,
     random_tree,
+    realize_type,
     spanned_subtree,
     type_distance_exact,
     type_distance_search,
     type_of,
-    validate_descriptor,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -70,20 +70,26 @@ def test_exact_inside_full_search_empty_context(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_search_checks_each_descriptor_once(n):
-    # q1 and q2 once at entry and q1 once more by realize_type; the marginal
-    # bound and the early stop reuse those checks
+    # q1 and q2 each realized once at entry, which is their check; the
+    # search grows q1's realization, and the marginal bound and the early
+    # stop reuse those checks
     rng = random.Random(n)
     tree = random_tree(rng, min_nodes=4, max_nodes=6, radius=R)
     q1, q2 = (type_of(tree, [], [random_point(rng, tree) for _ in range(n)], R) for _ in "12")
     assert q1.offsets != q2.offsets
     calls = []
+    realization = typespace._realization
 
     def counting(q):
         calls.append(q)
-        return validate_descriptor(q)
+        return realization(q)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(typespace, "validate_descriptor", counting)
+        mp.setattr(typespace, "_realization", counting)
         got = type_distance_search(q1, q2, MESH)
+        assert [q is q1 for q in calls] == [True, False]
+        calls.clear()
+        realized = realize_type(tree, q1)
+        assert [q is q1 for q in calls] == [True]
     assert got == type_distance_search(q1, q2, MESH)
-    assert [q is q1 for q in calls] == [True, False, True]
+    assert realized == realize_type(tree, q1)

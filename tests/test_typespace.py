@@ -25,10 +25,12 @@ from rtrees import (
     four_point_check,
     glue_family,
     is_principal,
+    materialize,
     normalize_point,
     one_type_distance,
     piecewise_segment_check,
     point_on_edge,
+    rb_extend,
     realize_type,
     segment,
     spanned_subtree,
@@ -43,6 +45,7 @@ from rtrees import (
 )
 from conftest import random_corpus, reference_realize_type, rng_for
 from rtrees.generators import random_point, random_tree
+from rtrees.rationals import format_rat
 from rtrees.skeleton import SkeletonError, hang, point_on_segment, point_sort_key
 
 
@@ -125,6 +128,86 @@ def test_validate_descriptor_reports_a_malformed_shape(tripod, offsets, pairwise
     ):
         with pytest.raises(InconsistentDescriptorError, match=f"^{SHAPE}$"):
             check(q)
+
+
+def _combined_matrix_validation(q):
+    """Validation as a rule on the combined matrix: the structural checks,
+    then the four-point check of :func:`combined_matrix`."""
+    n = q.n
+    if len(q.offsets) != n or len(q.pairwise) != n or any(len(row) != n for row in q.pairwise):
+        return typespace.DescriptorViolation("pairwise_shape", "matrix shape does not match labels")
+    tree = q.context.ambient
+    for i in range(n):
+        if not q.context.covers(q.closest[i]):
+            return typespace.DescriptorViolation(
+                "offset_bound", f"closest point {i + 1} lies outside the context"
+            )
+        bound = q.radius - distance(tree, Vertex(tree.basepoint), q.closest[i])
+        if q.offsets[i] < 0 or q.offsets[i] > bound:
+            return typespace.DescriptorViolation(
+                "offset_bound",
+                f"offset s_{i + 1}={format_rat(q.offsets[i])} outside [0, {format_rat(bound)}]",
+            )
+    for i in range(n):
+        if q.pairwise[i][i] != 0:
+            return typespace.DescriptorViolation("pairwise_shape", f"rho_{i + 1},{i + 1} != 0")
+        for j in range(n):
+            if q.pairwise[i][j] != q.pairwise[j][i] or q.pairwise[i][j] < 0:
+                return typespace.DescriptorViolation("pairwise_shape", f"rho_{i + 1},{j + 1} malformed")
+    try:
+        m = combined_matrix(q)
+    except ValueError as exc:
+        return typespace.DescriptorViolation("pairwise_shape", str(exc))
+    check = four_point_check(m)
+    if check is not True:
+        return typespace.DescriptorViolation("four_point", str(check), witness=check)
+    return True
+
+
+def _perturbed_descriptors(seeds):
+    """Per seed, the type of n = 1..4 points of a random tree over 0-2
+    parameters, and that type with one rho moved by k/8, one offset moved by
+    k/8, and every rho redrawn."""
+    for seed in range(seeds):
+        rng = rng_for(("validation-rule", seed))
+        tree = random_tree(rng, max_nodes=rng.randint(2, 7), radius=R)
+        params = [random_point(rng, tree) for _ in range(rng.randint(0, 2))]
+        n = rng.randint(1, 4)
+        q = type_of(tree, params, [random_point(rng, tree) for _ in range(n)], R)
+        yield q
+        i, j = rng.randrange(n), rng.randrange(n)
+        rho = [list(row) for row in q.pairwise]
+        if i != j:
+            rho[i][j] = rho[j][i] = rho[i][j] + Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 8)
+        yield dataclasses.replace(q, pairwise=tuple(map(tuple, rho)))
+        offsets = list(q.offsets)
+        offsets[i] += Fraction(rng.choice([-2, -1, 1, 2]), 8)
+        yield dataclasses.replace(q, offsets=tuple(offsets))
+        rho = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a):
+                rho[a][b] = rho[b][a] = Fraction(rng.randint(0, 32), 8)
+        yield dataclasses.replace(q, pairwise=tuple(map(tuple, rho)))
+
+
+def test_validation_by_realization_matches_the_combined_matrix_rule():
+    # the same kind, detail and witness as the four-point check of the
+    # combined matrix, on valid and perturbed descriptors alike
+    cases = list(_perturbed_descriptors(300))
+    want = [_combined_matrix_validation(q) for q in cases]
+    assert [validate_descriptor(q) for q in cases] == want
+    kinds = {w if w is True else w.kind for w in want}
+    assert kinds == {True, "four_point", "offset_bound", "pairwise_shape"}
+    assert sum(w is True for w in want) >= 300
+    # a valid descriptor is accepted without building the combined matrix
+    valid = [q for q, w in zip(cases, want) if w is True]
+
+    def refuse(q):
+        raise AssertionError("combined matrix built for a valid descriptor")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typespace, "combined_matrix", refuse)
+        assert all(validate_descriptor(q) is True for q in valid)
 
 
 def _two_orientations(tripod):
@@ -297,11 +380,41 @@ def test_realize_type_rejects_bad_ambients():
     apart = TreeSkeleton("p", [("p", "y", 1)], extra_nodes=["z"])
     for amb, error, text in (
         (far, RadiusExceededError, "point z would sit at distance 3 > 2 from the basepoint"),
-        (apart, SkeletonError, "distance query across disconnected components"),
+        (apart, SkeletonError, "node 'z' not connected to the basepoint"),
     ):
         q = NTypeDescriptor(spanned_subtree(amb, [Y]), R, (Y,), (Fraction(1, 2),), ((0,),))
         with pytest.raises(error, match=f"^{text}$"):
             realize_type(amb, q)
+
+
+def test_an_isolated_ambient_node_is_refused_only_by_a_grown_tree():
+    # validation copies the ambient tree but never freezes it, so its answers
+    # stand; every tree grown from it names the node off the basepoint's
+    # component
+    apart = TreeSkeleton("p", [("p", "y", 1)], extra_nodes=["z"])
+    ctx = spanned_subtree(apart, [Y])
+    half = Fraction(1, 2)
+    q = NTypeDescriptor(ctx, R, (Y, Y), (half, half), ((0, 1), (1, 0)))
+    assert validate_descriptor(q) is True
+    assert type_distance_exact(q, q) == 0
+    assert type_distance_search(q, q, Fraction(1, 4)).upper == 0
+    for grow in (
+        lambda: realize_type(apart, q),
+        lambda: materialize(apart, [EdgePoint("p", "y", half)]),
+        lambda: hang(apart, Y, 1, "w", "c"),
+        lambda: rb_extend(apart, R, 1),
+    ):
+        with pytest.raises(SkeletonError, match="^node 'z' not connected to the basepoint$"):
+            grow()
+
+
+def test_realize_type_reports_a_bad_descriptor_before_a_mismatched_tree(tripod):
+    q = type_of(tripod, [Y], [A], R)
+    bad = dataclasses.replace(q, offsets=(Fraction(3),))
+    with pytest.raises(InconsistentDescriptorError, match="^offset_bound: "):
+        realize_type(segment(R), bad)
+    with pytest.raises(ContextMismatchError):
+        realize_type(segment(R), q)
 
 
 def test_one_type_distance_cases(tripod):
