@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .skeleton import (
     transfer_point,
     validate,
 )
-from .geometry import is_between, project_to_subtree, spanned_subtree
+from .geometry import project_to_subtree, spanned_subtree
 
 
 class MalformedSpecError(ValueError):
@@ -105,7 +106,7 @@ def glue_family(spec: GlueSpec, r) -> TreeSkeleton:
     if cycle or short or len(parent) != len(base.nodes()):
         # not a tree, so validate reports it; an attachment got this far
         # only to a disconnected base, and would add nothing to the report
-        glued = TreeSkeleton(base.basepoint, base.edges(), base.labels, extra_nodes=base.nodes())
+        glued = base
     else:
         den = lcm(*(d.denominator for *_, ecc in prepared for d in ecc.values()))
         b, node_of = _cut(base, [at_base for _, _, at_base, _ in prepared], den, "gl")
@@ -173,29 +174,25 @@ class SubtreeMap:
 
     def check(self) -> None:
         """Raise NotIsometricError when some pair distance is distorted."""
-        for i in range(len(self.pairs)):
-            for j in range(i + 1, len(self.pairs)):
-                a1, b1 = self.pairs[i]
-                a2, b2 = self.pairs[j]
-                d_src = distance(self.source, a1, a2)
-                d_tgt = distance(self.target, b1, b2)
-                if d_src != d_tgt:
-                    raise NotIsometricError((a1, a2), (b1, b2), d_src, d_tgt)
+        for (a1, b1), (a2, b2) in combinations(self.pairs, 2):
+            d_src = distance(self.source, a1, a2)
+            d_tgt = distance(self.target, b1, b2)
+            if d_src != d_tgt:
+                raise NotIsometricError((a1, a2), (b1, b2), d_src, d_tgt)
 
     def map_point(self, z: PointRef) -> PointRef:
-        """Image of a point of the source's shared subtree."""
+        """Image of a point of the source's shared subtree.  The pairs hold the
+        basepoints, so a point of it lies on the arc from the basepoint to some
+        ``a``, and maps as far from the basepoint on the arc to ``a``'s image."""
         z = normalize_point(self.source, z)
         for a, b in self.pairs:
             if z == a:
                 return b
-        for a1, b1 in self.pairs:
-            for a2, b2 in self.pairs:
-                if a1 == a2:
-                    continue
-                if is_between(self.source, a1, z, a2):
-                    return point_on_segment(
-                        self.target, b1, b2, distance(self.source, a1, z)
-                    )
+        p = Vertex(self.source.basepoint)
+        dz = distance(self.source, p, z)
+        for a, b in self.pairs:
+            if distance(self.source, p, a) == dz + distance(self.source, z, a):
+                return point_on_segment(self.target, Vertex(self.target.basepoint), b, dz)
         raise SkeletonError(f"point {format_point(z)} is not in the shared subtree")
 
     def inverse(self) -> "SubtreeMap":

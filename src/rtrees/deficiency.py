@@ -139,7 +139,7 @@ def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -
 def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
     """Exact psi at a normalized point as ``(n, den, maker)``: the value is
     ``n / den``, and ``maker()`` builds an optimal witness triple."""
-    parent, num, _, D = tree._root_data()
+    parent, num, _, D = tree._spanning_data()
     _, h, hd = _rooted(parent, num, D, x)
     den = 3 * lcm(hd, r.denominator)
     l = r.numerator * (den // r.denominator) - h * (den // hd)
@@ -399,11 +399,9 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     of the module docstring (``_edge_sup``); its max is the edge's sup.
     """
     r = as_rat(r)
+    _, num, _, D = tree._spanning_data()
     if not tree.edges():
         return psi_at(tree, Vertex(tree.basepoint), r)
-
-    tree._reach_num()  # raises if a node is not connected to the basepoint
-    _, num, _, D = tree._root_data()
     V = 3 * lcm(D, r.denominator)
     k, rv = V // D, r.numerator * (V // r.denominator)
     vals = {

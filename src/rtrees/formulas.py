@@ -29,7 +29,6 @@ from typing import Mapping, Union
 from .rationals import as_rat, format_rat
 from .skeleton import (
     PointRef,
-    SkeletonError,
     TreeSkeleton,
     Vertex,
     _climb,
@@ -499,7 +498,7 @@ def _exact_single_block(
     pick, sign = (min, -1) if isinstance(f, Inf) else (max, 1)
     cands = [(pick(pl.yn), pl.d) for pl in (_profile(body, leaves, e) for e in tree.edges())]
     for node in tree.nodes():
-        if tree.degree(node) == 0 or not tree.edges():
+        if tree.degree(node) == 0:
             c = eval_qf(tree, body, {**val, var: Vertex(node)})
             cands.append((c.numerator, c.denominator))
     bn, bd = cands[0]
@@ -608,11 +607,8 @@ def check_rt_axioms(tree: TreeSkeleton, r, mesh) -> RtAxiomsReport:
     """
     r = as_rat(r)
     mesh = as_rat(mesh)
-    parent, num, _, den = tree._root_data()
+    parent, num, _, den = tree._spanning_data()
     nodes = tree.nodes()
-    if len(num) != len(nodes):
-        missing = min(set(nodes) - set(num))
-        raise SkeletonError(f"node {missing!r} not connected to the basepoint")
     sup_d = Fraction(max(num.values()), den)
     ax1 = CertifiedValue(sup_d, sup_d, mesh)
 

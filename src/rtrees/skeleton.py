@@ -294,6 +294,15 @@ class TreeSkeleton:
             data = self._cache.setdefault("rooted", (parent, num, depth, den))
         return data
 
+    def _spanning_data(self):
+        """:meth:`_root_data` of a skeleton whose every node is on the basepoint's
+        component, as a model's; else :class:`SkeletonError` names the least node off it."""
+        data = self._root_data()
+        if len(data[0]) != len(self._adj):
+            off = min(self._adj.keys() - data[0].keys())
+            raise SkeletonError(f"node {off!r} not connected to the basepoint")
+        return data
+
     def dist_to_basepoint(self, node: str) -> Fraction:
         _, num, _, den = self._root_data()
         if node not in num:
@@ -317,10 +326,7 @@ class TreeSkeleton:
         fills every edge pointing down and one from the root every edge up."""
         table = self._cache.get("reach_num")
         if table is None:
-            parent, num, _, _ = self._root_data()
-            if len(parent) != len(self._adj):
-                missing = min(set(self._adj) - set(parent))
-                raise SkeletonError(f"node {missing!r} not connected to the basepoint")
+            parent, num, _, _ = self._spanning_data()
             table = {}
             order = [(parent[y], y) for y in parent if parent[y] is not None]
             for x, y in reversed(order):

@@ -271,13 +271,21 @@ def realize_type(
     return b.freeze(q.radius), points
 
 
+def _checked_pair(q1: NTypeDescriptor, q2: NTypeDescriptor):
+    """``q1``'s :func:`_realization` once the pair has one context, one arity and is valid."""
+    _require_same_context(q1, q2)
+    if q1.n != q2.n:
+        raise ContextMismatchError("descriptors have different arities")
+    got = _realized(q1)
+    require_valid(q2)
+    return got
+
+
 def one_type_distance(q1: OneTypeDescriptor, q2: OneTypeDescriptor) -> Fraction:
     """Exact distance between 1-types over a common context.  Raises
     InconsistentDescriptorError for a 1-type that does not exist."""
-    _require_same_context(q1, q2)
     qs = [NTypeDescriptor(q.context, q.radius, (q.e,), (q.s,), ((Fraction(0),),)) for q in (q1, q2)]
-    for q in qs:
-        require_valid(q)
+    _checked_pair(*qs)
     return _marginal_distance(*qs)
 
 
@@ -311,11 +319,7 @@ def type_distance_exact(q1: NTypeDescriptor, q2: NTypeDescriptor) -> Optional[Fr
     bounds ``|s1_i - s2_i|``, the constants above, and, for each pair at
     one ``e`` with ``A_ij != B_ij``, ``min(c_i, c_j) - 2 min(A_ij, B_ij)``.
     """
-    _require_same_context(q1, q2)
-    if q1.n != q2.n:
-        raise ContextMismatchError("descriptors have different arities")
-    require_valid(q1)
-    require_valid(q2)
+    _checked_pair(q1, q2)
     return _exact_distance(q1, q2)
 
 
@@ -428,9 +432,11 @@ def type_distance_search(
     ``upper - L * mesh`` (L = twice the number of placed segments), never
     below the exact marginal bound ``max_i one_type_distance``.
 
-    Every completed configuration realizes both types in one tree, so none
-    scores below ``type_distance_exact``; the search returns as soon as one
-    reaches that value, with the interval the exhaustive search would give.
+    A completed configuration copies ``q2``'s class trees isometrically onto
+    ``q1``'s realization, but may move a closest point onto the context
+    (``_sphere_points``): 8 of 10,660 completed on ROADMAP.md item 5's corpus
+    do not realize ``q2``; none there scores below ``type_distance_exact``.  The
+    search returns once one reaches that value, with the exhaustive interval.
     Otherwise it stops once ``max_configs`` placements are tried and one
     configuration is complete; when that cuts it short, the result is
     marked ``truncated`` and its lower bound is the marginal bound alone.
@@ -440,11 +446,7 @@ def type_distance_search(
     mesh = as_rat(mesh)
     if mesh <= 0:
         raise ValueError("mesh must be positive")
-    _require_same_context(q1, q2)
-    b1, a_points = _realized(q1)
-    require_valid(q2)
-    if q1.n != q2.n:
-        raise ContextMismatchError("descriptors have different arities")
+    b1, a_points = _checked_pair(q1, q2)
 
     marginal = _marginal_distance(q1, q2)
     if q1.n == 1:

@@ -8,22 +8,30 @@ from rtrees import (
     MalformedSpecError,
     NotIsometricError,
     RadiusExceededError,
+    SkeletonError,
     SubtreeMap,
     TreeSkeleton,
     Vertex,
     amalgamate,
     distance,
     glue_family,
+    is_between,
+    normalize_point,
     point_on_edge,
+    point_on_segment,
     project_to_subtree,
+    random_tree,
     segment,
     spanned_subtree,
     star_amalgam,
+    transfer_point,
     tripod,
     validate,
 )
-from conftest import rng_for
+from conftest import rng_for, tree_grid
+from rtrees.amalgams import _rename_point, _rename_tree
 from rtrees.generators import random_point
+from rtrees.skeleton import hang
 
 
 R = Fraction(2)
@@ -234,3 +242,62 @@ def test_amalgamate_soundness_random():
                 mid = distance(m1, e_u, shared.inverse().map_point(e_v))
                 got = distance(amalgam, f1[Vertex(u)], f2[Vertex(v)])
                 assert got == d_u + mid + d_v
+
+
+def test_gluing_and_amalgamation_name_what_they_refuse():
+    left, right, other = tripod(1, 1, 1), tripod(1, 1, 1), segment(2)
+    with pytest.raises(MalformedSpecError, match="^attachment 0: unknown node 'zz'$"):
+        glue_family(GlueSpec(base=left, attachments=((other, Vertex("p"), Vertex("zz")),)), R)
+    with pytest.raises(MalformedSpecError, match="^star of an empty family$"):
+        star_amalgam([], R)
+    shared = SubtreeMap(source=left, target=right, pairs=((Vertex("y"), Vertex("y")),))
+    with pytest.raises(SkeletonError, match="^point a~y@1/2 is not in the shared subtree$"):
+        shared.map_point(EdgePoint("y", "a", Fraction(1, 2)))
+    with pytest.raises(MalformedSpecError, match="^shared map source must be the left tree$"):
+        amalgamate(other, right, shared, R)
+    with pytest.raises(MalformedSpecError, match="^shared map target must be the right tree$"):
+        amalgamate(left, other, shared, R)
+
+
+def _pairwise_image(shared, z):
+    """``map_point`` by the rule it replaced: the point of ``[b1, b2]`` as far
+    from ``b1`` as ``z`` is from ``a1``, for the first two pairs whose source
+    arc holds ``z``; None off the shared subtree."""
+    z = normalize_point(shared.source, z)
+    for a, b in shared.pairs:
+        if z == a:
+            return b
+    for a1, b1 in shared.pairs:
+        for a2, b2 in shared.pairs:
+            if a1 != a2 and is_between(shared.source, a1, z, a2):
+                return point_on_segment(shared.target, b1, b2, distance(shared.source, a1, z))
+    return None
+
+
+def test_map_point_equals_the_pairwise_rule():
+    # isometric maps from a random tree into a renamed copy of it with fresh
+    # branches hung on, at the generators, every vertex and edge points
+    inside = outside = 0
+    for k in range(60):
+        rng = rng_for(("map_point", k))
+        m1 = grown = random_tree(rng, max_nodes=rng.randint(2, 7), radius=R)
+        for i in range(rng.randint(0, 2)):
+            at = random_point(rng, grown)
+            grown, _ = hang(grown, at, Fraction(rng.randint(1, 4), 4), f"h{i}", "c")
+        m2 = _rename_tree(grown, "r:")
+        gens = [random_point(rng, m1) for _ in range(rng.randint(0, 3))]
+        pairs = tuple((g, _rename_point(transfer_point(grown, g), "r:")) for g in gens)
+        shared = SubtreeMap(source=m1, target=m2, pairs=pairs)
+        shared.check()
+        span = spanned_subtree(m1, gens)
+        for z in [a for a, _ in shared.pairs] + tree_grid(m1, 4):
+            want = _pairwise_image(shared, z)
+            assert (want is not None) == span.covers(z)
+            if want is None:
+                with pytest.raises(SkeletonError, match="is not in the shared subtree$"):
+                    shared.map_point(z)
+                outside += 1
+            else:
+                assert shared.map_point(z) == want, (k, z)
+                inside += 1
+    assert inside > 300 and outside > 300

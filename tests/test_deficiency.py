@@ -3,9 +3,12 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
+import pytest
+
 from rtrees import (
     EdgePoint,
     GlueSpec,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
     distance,
@@ -758,3 +761,31 @@ def test_psi_at_builds_no_witness(tmp_path, monkeypatch, capsys):
     )
     assert main(["psi", "--tree", str(path), "--at", "m"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+OFF_COMPONENT = "^node 'z' not connected to the basepoint$"
+
+
+def test_psi_refuses_a_node_off_the_basepoints_component_at_every_point():
+    # a skeleton with a node off the basepoint's component induces no model,
+    # so psi refuses it everywhere, also on the radius sphere where l = 0
+    tree = TreeSkeleton("p", [("p", "a", 1)], extra_nodes=["z"])
+    for x in (Vertex("p"), Vertex("a"), point_on_edge(tree, "p", "a", Fraction(1, 2))):
+        with pytest.raises(SkeletonError, match=OFF_COMPONENT):
+            psi_at(tree, x, 1)
+        with pytest.raises(SkeletonError, match=OFF_COMPONENT):
+            psi_at_with_witness(tree, x, 1)
+    with pytest.raises(SkeletonError, match=OFF_COMPONENT):
+        rb_deficiency(tree, 1)
+
+
+def test_rb_deficiency_refuses_an_edgeless_skeleton_with_a_second_node():
+    tree = TreeSkeleton("p", (), extra_nodes=["p", "z"])
+    for r in (0, 1):
+        with pytest.raises(SkeletonError, match=OFF_COMPONENT):
+            rb_deficiency(tree, r)
+
+
+def test_psi_at_past_the_radius_is_refused(tripod):
+    with pytest.raises(ValueError, match="^point lies outside the radius bound$"):
+        psi_at(tripod, Vertex("a"), Fraction(3, 2))

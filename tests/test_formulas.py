@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,61 @@ def test_nested_quantifiers_certified(tripod):
     cv = eval_quantified(tripod, f, {}, Fraction(1, 2))
     assert cv.lower <= 0 <= cv.upper
     assert cv.upper <= Fraction(3, 2)  # bounded by L * mesh accumulation
+
+
+# two single blocks on the unit tripod: the farthest point from a is at 2,
+# and y is the one point within 1 of both a and b
+SUP_BLOCK, INF_BLOCK = "(sup x. d(x,a))", "(inf z. max(d(z,a), d(z,b)))"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("{s} + {i}", 3),
+        ("{s} -. {i}", 1),
+        ("{i} -. {s}", 0),
+        ("max({i}, {s})", 2),
+        ("min({s}, {i})", 1),
+        ("abs({i} - {s})", 1),
+        ("abs({s} - {i})", 1),
+        ("3/2 * {s}", 3),
+        ("-1/2 * {s}", -1),
+        ("-2 * {i} + {s}", 0),
+    ],
+)
+def test_single_blocks_under_a_connective_combine_exactly(tripod, text, value):
+    val = {"a": A, "b": B}
+    for block, want in ((SUP_BLOCK, 2), (INF_BLOCK, 1)):
+        assert eval_quantified(tripod, parse_formula(block), val, Fraction(1, 2)).upper == want
+    f = parse_formula(text.format(s=SUP_BLOCK, i=INF_BLOCK))
+    got = eval_quantified(tripod, f, val, Fraction(1, 2))
+    assert (got.lower, got.upper) == (value, value)
+
+
+def test_nested_blocks_bracket_their_value_and_scale_as_intervals():
+    seg = segment(2)
+    mesh = Fraction(2, 3)  # the grid misses the midpoint, where the inf is attained
+    radius = eval_quantified(seg, parse_formula("inf x. sup y. d(x,y)"), {}, mesh)
+    assert radius.lower <= 1 <= radius.upper and radius.lower < radius.upper
+    for coeff in (3, -1, Fraction(-1, 2)):
+        f = parse_formula(f"{coeff} * (inf x. sup y. d(x,y))")
+        got = eval_quantified(seg, f, {}, mesh)
+        ends = sorted((coeff * radius.lower, coeff * radius.upper))
+        assert (got.lower, got.upper) == tuple(ends)
+    # a negative multiple swaps the ends
+    got = eval_quantified(seg, parse_formula("-1 * (inf x. sup y. d(x,y))"), {}, mesh)
+    assert (got.lower, got.upper) == (-radius.upper, -radius.lower)
+    hull = eval_quantified(seg, parse_formula("sup x. inf y. max(d(x,y), d(y,p))"), {}, mesh)
+    assert hull.lower <= 1 <= hull.upper
+
+
+def test_eval_quantified_refuses_a_mesh_at_most_zero_and_a_missing_point(tripod):
+    f = parse_formula("sup x. d(x,q)")
+    for mesh in (0, -1):
+        with pytest.raises(ValueError, match="^mesh must be positive$"):
+            eval_quantified(tripod, f, {"q": A}, mesh)
+    with pytest.raises(KeyError, match=re.escape("valuation missing points: ['q']")):
+        eval_quantified(tripod, f, {}, Fraction(1, 2))
 
 
 def test_hyperbolicity_axiom_interval(tripod):

@@ -367,3 +367,10 @@ def test_spanned_subtree_covers_each_edge_with_one_interval():
             ((lo, hi),) = cover
             assert 0 <= lo <= hi <= tree.edge_length(u, v)
     assert spans > 500
+
+
+def test_spanning_nothing_without_the_basepoint_is_refused():
+    tree = make_tripod(1, 1, 1)
+    with pytest.raises(ValueError, match="^cannot span the empty set$"):
+        spanned_subtree(tree, [], adjoin_basepoint=False)
+    assert spanned_subtree(tree, []).vertex_cover == {"p"}

@@ -1,6 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from rtrees import (
+    ContextMismatchError,
     GlueSpec,
     IndependenceQuery,
     Vertex,
@@ -164,6 +168,19 @@ def test_forking_extension_detected(tripod):
     bad = type_of(tripod, [A], [point_on_edge(tripod, "y", "b", Fraction(1, 2))], R)
     assert not is_nonforking_extension(q_small, bad)
     assert is_nonforking_extension(q_small, perturbed)
+
+
+def test_nonforking_extension_refuses_other_ambients_and_unnested_contexts(tripod):
+    q_small = type_of(tripod, [], [B], R)
+    q_big = type_of(tripod, [A], [B], R)
+    # a different radius or arity is not an extension
+    assert not is_nonforking_extension(q_small, dataclasses.replace(q_big, radius=R + 1))
+    assert not is_nonforking_extension(q_small, type_of(tripod, [A], [B, B], R))
+    with pytest.raises(ContextMismatchError, match="^contexts are not nested$"):
+        is_nonforking_extension(q_big, q_small)
+    other = type_of(segment(2), [], [Vertex("q")], R)
+    with pytest.raises(ContextMismatchError, match="^descriptors live in different ambient trees$"):
+        is_nonforking_extension(q_small, other)
 
 
 def test_stationarity_finite_form(tripod):

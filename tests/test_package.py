@@ -1,8 +1,12 @@
 import ast
 import dataclasses
+import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 import rtrees
 
@@ -184,3 +188,31 @@ def test_every_local_is_read():
                 if not name.startswith("_")
             ]
     assert dead == []
+
+
+def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
+    # reporting a failing example imports libcst, whose import warns; under
+    # the suite's warnings-as-errors setting that must not stop the run
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_one.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-rA", "test_one.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "PASSED test_one.py::test_passes" in run.stdout
+    assert "FAILED test_one.py::test_fails" in run.stdout

@@ -11,11 +11,14 @@ from rtrees import (
     UnknownPointError,
     Vertex,
     canonicalize,
+    check_rt_axioms,
     distance,
     materialize,
     normalize_point,
     point_on_edge,
     point_on_segment,
+    psi_at,
+    rb_deficiency,
     validate,
 )
 from conftest import (
@@ -90,6 +93,33 @@ def test_reach_refuses_a_disconnected_skeleton():
     t = TreeSkeleton("p", [("p", "y", 1), ("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
     with pytest.raises(SkeletonError, match="not connected to the basepoint"):
         t.directional_reach()
+
+
+def test_whole_tree_computations_refuse_a_second_component_alike():
+    # one check names the least node off the basepoint's component for the
+    # reach table, the axioms, psi and its sup
+    t = TreeSkeleton("p", [("p", "y", 1), ("d", "c", 1)], extra_nodes=["b"])
+    calls = [
+        t.directional_reach,
+        lambda: t.reaches_at("p"),
+        lambda: check_rt_axioms(t, 2, 1),
+        lambda: rb_deficiency(t, 2),
+        lambda: psi_at(t, Vertex("y"), 1),
+    ]
+    for call in calls:
+        with pytest.raises(SkeletonError, match="^node 'b' not connected to the basepoint$"):
+            call()
+
+
+def test_vertex_queries_name_what_they_refuse():
+    t = TreeSkeleton("p", [("p", "y", 1), ("a", "b", 1)])
+    assert t.dist_to_basepoint("y") == 1
+    with pytest.raises(SkeletonError, match="^node 'a' not connected to the basepoint$"):
+        t.dist_to_basepoint("a")
+    with pytest.raises(UnknownPointError, match="^" + re.escape("unknown node in pair ('y', 'zz')") + "$"):
+        t.vertex_distance("y", "zz")
+    with pytest.raises(SkeletonError, match="^distance query across disconnected components$"):
+        t.vertex_distance("y", "b")
 
 
 def test_normalize_point(tripod):

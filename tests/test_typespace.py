@@ -606,6 +606,71 @@ def test_type_distance_exact_declines_n4():
     assert type_distance_exact(q, q) is None
 
 
+def test_type_distances_refuse_two_arities(tripod):
+    q1, q2 = type_of(tripod, [], [A], R), type_of(tripod, [], [A, B], R)
+    for dist in (type_distance_exact, lambda a, b: type_distance_search(a, b, R / 16)):
+        for a, b in ((q1, q2), (q2, q1)):
+            with pytest.raises(ContextMismatchError, match="^descriptors have different arities$"):
+                dist(a, b)
+
+
+def test_type_distances_check_context_then_arity_then_each_descriptor(tripod):
+    one, two = type_of(tripod, [], [A], R), type_of(tripod, [], [A, B], R)
+    bad_one = dataclasses.replace(one, offsets=(Fraction(3),))
+    bad_rho = dataclasses.replace(two, pairwise=((0, 9), (9, 0)))
+    bad_offset = dataclasses.replace(two, offsets=(Fraction(3), Fraction(2)))
+    other = type_of(tripod, [Y], [A, B], R)
+    assert str(validate_descriptor(bad_one)) == "offset_bound: offset s_1=3 outside [0, 2]"
+    assert validate_descriptor(bad_rho).kind == "four_point"
+    for dist in (type_distance_exact, lambda a, b: type_distance_search(a, b, R / 16)):
+        with pytest.raises(ContextMismatchError, match="^descriptors are over different contexts$"):
+            dist(bad_one, other)
+        # the arity is compared before either descriptor is realized
+        for a, b in ((bad_one, two), (two, bad_one), (bad_one, bad_rho)):
+            with pytest.raises(ContextMismatchError, match="^descriptors have different arities$"):
+                dist(a, b)
+        # then q1, then q2: the first invalid one is reported
+        for a, b, first in ((bad_rho, bad_offset, bad_rho), (bad_offset, bad_rho, bad_offset),
+                            (two, bad_rho, bad_rho)):
+            with pytest.raises(InconsistentDescriptorError) as err:
+                dist(a, b)
+            assert err.value.violation == validate_descriptor(first)
+    with pytest.raises(ContextMismatchError, match="^descriptors are over different contexts$"):
+        one_type_distance(OneTypeDescriptor(one.context, R, A, Fraction(3)), other.marginal(0))
+
+
+def test_type_distance_search_refuses_a_mesh_at_most_zero(tripod):
+    q = type_of(tripod, [], [A, B], R)
+    for mesh in (0, -1):
+        with pytest.raises(ValueError, match="^mesh must be positive$"):
+            type_distance_search(q, q, mesh)
+
+
+def test_validate_descriptor_names_a_point_off_the_context_and_a_diagonal(tripod):
+    ctx = spanned_subtree(tripod, [Y])
+    zero = Fraction(0)
+    off = NTypeDescriptor(ctx, R, (Y, A), (zero, zero), ((zero, 1), (1, zero)))
+    assert str(validate_descriptor(off)) == "offset_bound: closest point 2 lies outside the context"
+    diagonal = NTypeDescriptor(ctx, R, (Y,), (Fraction(1),), ((Fraction(1),),))
+    assert str(validate_descriptor(diagonal)) == "pairwise_shape: rho_1,1 != 0"
+
+
+def test_is_principal_refuses_a_closest_point_off_p():
+    tree = segment(2)
+    q = NTypeDescriptor(spanned_subtree(tree, []), R, (Vertex("q"),), (Fraction(0),), ((0,),))
+    with pytest.raises(
+        ContextMismatchError, match="^descriptor over the empty context must project to p$"
+    ):
+        is_principal(q)
+
+
+def test_apply_context_isometry_refuses_an_image_off_the_context(tripod):
+    q = type_of(tripod, [Y], [A], R)
+    assert q.closest == (Y,)
+    with pytest.raises(ContextMismatchError, match="^isometry image leaves the context$"):
+        apply_context_isometry(q, lambda e: A)
+
+
 def test_is_principal_examples():
     q = empty_context_descriptor([1, 2], [[0, 1], [1, 0]], radius=3)
     assert is_principal(q)
