@@ -80,10 +80,12 @@ make every configuration a max or min of lines in ``z``:
   free``.  So ``F = max(2 t2, l - t2 - v1, min(in, l - t2 - v2))``, with
   ``in`` the min of the path's terms ``l - t1 - R``.
 
-As in the walk, a vertex or edge is cut where ``2 t2`` is at least the
-envelope at every offset, and the walk stops once the envelope, which only
-falls, is at most the sup found; so the envelope is psi wherever psi
-exceeds that sup.
+The walk carries ``in`` as a tuple of lines and builds each configuration
+from its lines in one pass of ``pl.envelope``, the max of some lines and
+the min of others; only psi's envelope is a merged ``PL``.  As in the
+walk, a vertex or edge is cut where ``2 t2`` is at least the envelope at
+every offset, and the walk stops once the envelope, which only falls, is
+at most the sup found; so the envelope is psi wherever psi exceeds it.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ from .skeleton import (
     normalize_point,
     point_on_segment,
 )
-from .pl import PL, _pl
+from .pl import PL, envelope
 
 
 def _g(t: int, reach: int, l: int) -> int:
@@ -328,10 +330,9 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
     """psi along the edge ``u``-``v`` as a ``PL`` of the offset from ``u``,
     over the offsets with ``l >= 0``, or None if there are none: the lower
     envelope of ``_psi_walk``'s configurations for every point of the edge at
-    once (see the module docstring).  Walking stops once the envelope is at
-    most ``best``, so the result is psi wherever psi exceeds ``best``."""
-    parent, num, _, D = tree._root_data()
-    table = tree._reach_num()
+    once, each built from lines (see the module docstring).  Walking stops
+    once the envelope is at most ``best``: it is psi where psi exceeds it."""
+    (parent, num, _, D), table = tree._root_data(), tree._reach_num()
     den = 3 * lcm(D, r.denominator)
     scale = den // D
     length = abs(num[u] - num[v]) * scale
@@ -341,28 +342,27 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
     if lo >= hi:
         return None
 
-    # a distance from x is ``(c, s)``: ``c + s * offset``, over den
-    def line(c: int, s: int) -> PL:
-        return _pl(den, (lo, hi), (c + s * lo, c + s * hi))
+    # a distance from x is ``(c, s)``: ``c + s * offset`` over den; a line, its values at lo, hi
+    def line(c: int, s: int):
+        return c + s * lo, c + s * hi
 
     def cut(c: int, s: int) -> bool:
         """Whether the line ``2 (c, s)`` is at least the envelope at its breakpoints."""
-        d = env.d
-        return all(2 * (c * d + s * x * den) >= y * den for x, y in zip(env.xn, env.yn))
+        return all(2 * (c * env.d + s * x * den) >= y * den for x, y in zip(env.xn, env.yn))
 
-    two_l3 = _pl(den, (lo, hi), (2 * (l0 + sl * lo) // 3, 2 * (l0 + sl * hi) // 3))
+    two_l3 = (2 * (l0 + sl * lo) // 3, 2 * (l0 + sl * hi) // 3)
 
-    def edge_term(ta, tb) -> PL:
-        """The edge term for an edge from distance ``ta`` to ``tb``."""
-        return line(2 * ta[0], 2 * ta[1]).max_with(two_l3).max_with(line(l0 - tb[0], sl - tb[1]))
+    def edge_term(ta, tb) -> PL:  # for an edge from distance ta to tb
+        lines = (line(2 * ta[0], 2 * ta[1]), two_l3, line(l0 - tb[0], sl - tb[1]))
+        return envelope(den, lo, hi, lines)
 
-    # c2 = x, where the third reach is 0, and the half-edges at x, each with
-    # the other one's reach as the inner option; 2 t2 = 0 cuts neither
-    env = line(l0, sl).min_with(edge_term((0, 0), (0, 1)))
-    env = env.min_with(edge_term((0, 0), (length, -1)))
+    # the configs at x: c2 = x gives l (its third reach is 0), and the uncut
+    # half-edge to each end e gives max(2 l / 3, l - d(x, e)) <= l
+    env = envelope(den, lo, hi, (two_l3,), (line(l0, sl - 1), line(l0 - length, sl + 1)))
+    # the inner option, a min of lines, is kept as a tuple of its lines
     stack = [
-        (u, v, (0, 1), line(l0 - table[(u, v)] * scale, sl + 1)),
-        (v, u, (length, -1), line(l0 - table[(v, u)] * scale + length, sl - 1)),
+        (u, v, (0, 1), (line(l0 - table[(u, v)] * scale, sl + 1),)),
+        (v, u, (length, -1), (line(l0 - table[(v, u)] * scale + length, sl - 1),)),
     ]
     while stack and max(env.yn) * best.denominator > best.numerator * env.d:
         b, a, t2, inner = stack.pop()
@@ -371,17 +371,14 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
         leave = _leaving(tree, b, a, scale)
         vals, dirs = _top(leave, 3)
         c, s = l0 - t2[0], sl - t2[1]  # l - t2; a branch term is l - t2 - R
-        config = inner.min_with(line(c - vals[2], s)).max_with(line(2 * t2[0], 2 * t2[1]))
-        env = env.min_with(config.max_with(line(c - vals[1], s)))
-        inners = {}
+        ups = (line(2 * t2[0], 2 * t2[1]), line(c - vals[1], s))
+        env = env.min_with(envelope(den, lo, hi, ups, inner + (line(c - vals[2], s),)))
         for _reach, d in leave:
             if cut(*t2):
                 break  # 2 t2 bounds every config on and below the edges left
             i = 1 if dirs[0] == d else 0  # the deepest branch off the path
-            if i not in inners:
-                inners[i] = inner.min_with(line(c - vals[i], s))
             tb = (t2[0] + d[1], t2[1])
-            stack.append((d[0], b, tb, inners[i]))
+            stack.append((d[0], b, tb, inner + (line(c - vals[i], s),)))
             env = env.min_with(edge_term(t2, tb))
     return env
 
@@ -400,6 +397,8 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     """
     r = as_rat(r)
     _, num, _, D = tree._spanning_data()
+    if r < 0:  # as psi_at refuses it, after the component check
+        raise ValueError("point lies outside the radius bound")
     if not tree.edges():
         return psi_at(tree, Vertex(tree.basepoint), r)
     V = 3 * lcm(D, r.denominator)

@@ -17,6 +17,11 @@ and rescales the whole result once, by the lcm of every such ``f``.
 constructor, ``const``, ``scale``, the ``xs``/``ys`` properties and
 ``argmin``/``argmax``.
 
+Lines over one interval need no PL each: ``envelope`` takes the max of some
+lines and the min of others, each given by its two end values over a shared
+``d``, in one pass, with a breakpoint at each change of line, and reduces
+the result once.
+
 Distances along an edge come from ``distance_table``: one pass over the
 skeleton's integer heights gives ``d(q, n)`` for every node ``n``, over
 ``q``'s rooted denominator, and ``table_profile`` builds an edge's profile
@@ -229,6 +234,62 @@ class PL:
         """Maximum over the domain, with its leftmost argmax."""
         i = max(range(len(self.yn)), key=self.yn.__getitem__)
         return Fraction(self.yn[i], self.d), Fraction(self.xn[i], self.d)
+
+
+def envelope(d: int, lo: int, hi: int, ups, downs=()) -> PL:
+    """``max(ups..., min(downs...))`` over ``[lo / d, hi / d]`` in one pass,
+    a side left out if empty: the upper envelope of ``ups``, or with no
+    ``ups`` the lower one of ``downs``.  A line is ``(a, b)``, its values at
+    ``lo`` and ``hi`` as numerators over ``d``.  From ``lo`` the walk
+    follows the line on top just after ``t = p / q`` of the way to ``hi`` up
+    to the next crossing where another may take over: one steeper than an
+    up line, or an up line steeper than a down line, or a down line less
+    steep than a down line.  So the result has a breakpoint at each change
+    of line, and a crossing off the grid of ``d`` is kept over a finer
+    denominator until the one rescale and reduction at the end."""
+
+    def top(p, q):
+        # by (value, slope) just after t: the max of the ups or the min of
+        # the downs, the ups winning a tie
+        up = max(((a * q + (b - a) * p, b - a, a, b) for a, b in ups), default=None)
+        if downs:
+            dn = min((a * q + (b - a) * p, b - a, a, b) for a, b in downs)
+            if up is None or dn[:2] > up[:2]:
+                return dn[2], dn[3], True
+        return up[2], up[3], False
+
+    a, b, down = top(0, 1)
+    if lo == hi:
+        return _pl(d, (lo,), (a,))
+    xs, ys = [lo], [a]
+    xe, ye = {}, {}
+    p, q, f = 0, 1, 1
+    while True:
+        ep = eq = 1  # the next crossing, at t = ep / eq
+        for lines, sign in ((ups, 1), (downs, -1 if down else 1)):
+            for a2, b2 in lines:
+                k, n = (b2 - a2 - b + a) * sign, (a - a2) * sign
+                if k > 0 and n * eq < ep * k and n * q > p * k:
+                    ep, eq = n, k
+        if ep >= eq:
+            break
+        p, q = ep, eq
+        a2, b2, down = top(p, q)
+        if (a2, b2) != (a, b):
+            xc, yc = lo * q + (hi - lo) * p, a * q + (b - a) * p
+            g = gcd(q, xc, yc)
+            if q != g:
+                xe[len(xs)] = (xc // g, q // g)
+                ye[len(ys)] = (yc // g, q // g)
+                f = lcm(f, q // g)
+            xs.append(xc // g)
+            ys.append(yc // g)
+            a, b = a2, b2
+    xs.append(hi)
+    ys.append(b)
+    if f != 1:
+        xs, ys, d = _rescaled(xs, xe, f), _rescaled(ys, ye, f), d * f
+    return _pl(d, xs, ys)
 
 
 def distance_table(tree: TreeSkeleton, q: PointRef):

@@ -28,9 +28,10 @@ from rtrees import (
     tripod,
 )
 import rtrees.deficiency as deficiency
+import rtrees.pl as pl
 from rtrees.deficiency import _edge_sup, psi_at_with_witness, psi_objective
 from rtrees.pl import PL, _pl, distance_profile
-from rtrees.skeleton import _meet
+from rtrees.skeleton import _leaving, _meet
 from rtrees.cli import main
 from conftest import random_corpus, reference_materialize, rng_for, tree_grid
 
@@ -424,6 +425,42 @@ def test_rb_deficiency_skips_edges_under_the_cap(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_rb_deficiency_builds_no_pl_per_line(monkeypatch):
+    # a guard on the work, not on timing: with one PL per line and per merge
+    # this call built 280 PLs; lines kept as pairs of ints need under half
+    built = []
+    real = pl._pl
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    for mod in (pl, deficiency):  # deficiency too, should it build lines itself again
+        if hasattr(mod, "_pl"):
+            monkeypatch.setattr(mod, "_pl", counted)
+    assert rb_deficiency(rb_extend(tripod(1, 1, 1), R, 4), R) == 1
+    assert 0 < len(built) <= 140
+
+
+def test_the_sup_sits_on_the_two_bare_edges_at_p():
+    # README's account of criterion 11a: on these extensions psi reaches 1
+    # only on the two bare length-2 edges at p, at offset 1/2 from p
+    for k in (2, 3, 4):
+        tree = rb_extend(tripod(1, 1, 1), R, k)
+        reaching = {}
+        for u, v, length in tree.edges():
+            env = _edge_sup(tree, R, u, v, Fraction(-1))
+            if env is not None and max(env.ys) >= 1:
+                top, at = env.argmax()
+                reaching[frozenset((u, v))] = (length, top, at if u == "p" else length - at)
+        assert reaching == {
+            frozenset(("p", "w1_1")): (2, 1, Fraction(1, 2)),
+            frozenset(("p", "w2_1")): (2, 1, Fraction(1, 2)),
+        }, k
+        assert all(len(tree.neighbors(w)) == 1 for w in ("w1_1", "w2_1"))
+        assert rb_deficiency(tree, R) == 1
+
+
 def test_sup_past_the_sphere(tmp_path, capsys):
     # trees that reach past the radius: psi 1/4 from p on a leg is 1/2, which
     # the sup once missed by taking an endpoint bound past the sphere as exact
@@ -737,13 +774,106 @@ def test_edge_envelope_equals_psi_everywhere():
                 xs, ys = env.xs, env.ys
                 assert xs[0] == 0 or max(depths) - xs[0] == r
                 assert xs[-1] == length or min(depths) + xs[-1] == r
+                # the envelope has no redundant breakpoint, so each piece is
+                # probed at its midpoint and at its first third point
                 probes = list(zip(xs, ys))
                 for i in range(len(xs) - 1):
-                    probes.append(((xs[i] + xs[i + 1]) / 2, (ys[i] + ys[i + 1]) / 2))
+                    for w in (Fraction(1, 2), Fraction(1, 3)):
+                        x, y = xs[i] + w * (xs[i + 1] - xs[i]), ys[i] + w * (ys[i + 1] - ys[i])
+                        probes.append((x, y))
                 for x, y in probes:
                     assert psi_at(tree, point_on_edge(tree, u, v, x), r) == y, (u, v, r, x)
                     checked += 1
     assert edges > 1000 and checked > 10000
+
+
+def _fold_edge_sup(tree, r, u, v, best):
+    """``_edge_sup`` as it was with one ``PL`` per line: every line, edge term
+    and configuration a fold of pairwise ``max_with``/``min_with``."""
+    parent, num, _, D = tree._root_data()
+    table = tree._reach_num()
+    den = 3 * lcm(D, r.denominator)
+    scale = den // D
+    length = abs(num[u] - num[v]) * scale
+    l0 = r.numerator * (den // r.denominator) - num[u] * scale
+    sl = -1 if parent.get(v) == u else 1
+    lo, hi = (0, min(length, l0)) if sl < 0 else (max(0, -l0), length)
+    if lo >= hi:
+        return None
+
+    def line(c, s):
+        return _pl(den, (lo, hi), (c + s * lo, c + s * hi))
+
+    def cut(c, s):
+        d = env.d
+        return all(2 * (c * d + s * x * den) >= y * den for x, y in zip(env.xn, env.yn))
+
+    two_l3 = _pl(den, (lo, hi), (2 * (l0 + sl * lo) // 3, 2 * (l0 + sl * hi) // 3))
+
+    def edge_term(ta, tb):
+        return line(2 * ta[0], 2 * ta[1]).max_with(two_l3).max_with(line(l0 - tb[0], sl - tb[1]))
+
+    env = line(l0, sl).min_with(edge_term((0, 0), (0, 1)))
+    env = env.min_with(edge_term((0, 0), (length, -1)))
+    stack = [
+        (u, v, (0, 1), line(l0 - table[(u, v)] * scale, sl + 1)),
+        (v, u, (length, -1), line(l0 - table[(v, u)] * scale + length, sl - 1)),
+    ]
+    while stack and max(env.yn) * best.denominator > best.numerator * env.d:
+        b, a, t2, inner = stack.pop()
+        if cut(*t2):
+            continue
+        leave = _leaving(tree, b, a, scale)
+        vals, dirs = deficiency._top(leave, 3)
+        c, s = l0 - t2[0], sl - t2[1]
+        config = inner.min_with(line(c - vals[2], s)).max_with(line(2 * t2[0], 2 * t2[1]))
+        env = env.min_with(config.max_with(line(c - vals[1], s)))
+        inners = {}
+        for _reach, d in leave:
+            if cut(*t2):
+                break
+            i = 1 if dirs[0] == d else 0
+            if i not in inners:
+                inners[i] = inner.min_with(line(c - vals[i], s))
+            tb = (t2[0] + d[1], t2[1])
+            stack.append((d[0], b, tb, inners[i]))
+            env = env.min_with(edge_term(t2, tb))
+    return env
+
+
+def _value_at(f, x):
+    """A PL's value at a point of its domain, in Fractions."""
+    xs, ys = f.xs, f.ys
+    i = next(i for i in range(len(xs)) if x <= xs[i])
+    if xs[i] == x:
+        return ys[i]
+    return ys[i - 1] + (ys[i] - ys[i - 1]) * (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+
+
+def test_edge_sup_keeps_each_envelope_of_the_fold():
+    # lines in place of PLs change no envelope as a function, with no sup to
+    # beat, and no edge's max with the vertex sup to beat, as rb_deficiency
+    # calls it
+    trees = [rb_extend(tripod(1, 1, 1), R, k) for k in (2, 3, 4)]
+    trees += random_corpus("edge-sup-fold", 30, max_nodes=8)
+    edges = 0
+    for tree in trees:
+        for r in (Fraction(1), Fraction(3, 2), R):
+            inside = [n for n in tree.nodes() if tree.dist_to_basepoint(n) <= r]
+            top = max(psi_at(tree, Vertex(n), r) for n in inside)
+            for u, v, _length in tree.edges():
+                got = _edge_sup(tree, r, u, v, Fraction(-1))
+                want = _fold_edge_sup(tree, r, u, v, Fraction(-1))
+                assert (got is None) == (want is None), (u, v, r)
+                if got is None:
+                    continue
+                edges += 1
+                assert (got.xs[0], got.xs[-1]) == (want.xs[0], want.xs[-1])
+                for x in sorted(set(got.xs) | set(want.xs)):
+                    assert _value_at(got, x) == _value_at(want, x), (u, v, r, x)
+                got, want = _edge_sup(tree, r, u, v, top), _fold_edge_sup(tree, r, u, v, top)
+                assert max(got.ys) == max(want.ys), (u, v, r)
+    assert edges > 500
 
 
 def test_psi_at_builds_no_witness(tmp_path, monkeypatch, capsys):
@@ -789,3 +919,11 @@ def test_rb_deficiency_refuses_an_edgeless_skeleton_with_a_second_node():
 def test_psi_at_past_the_radius_is_refused(tripod):
     with pytest.raises(ValueError, match="^point lies outside the radius bound$"):
         psi_at(tripod, Vertex("a"), Fraction(3, 2))
+
+
+def test_rb_deficiency_refuses_a_negative_radius_on_every_tree():
+    # the basepoint lies outside the radius bound, with or without edges
+    for tree in (segment(2), TreeSkeleton("p", (), extra_nodes=["p"])):
+        for r in (-1, Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="^point lies outside the radius bound$"):
+                rb_deficiency(tree, r)

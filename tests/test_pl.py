@@ -3,9 +3,10 @@ evaluation and the sort-then-evaluate merge the kernel replaced."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
-from rtrees.pl import PL
+from rtrees.pl import PL, _pl, envelope
 
 
 def ref_value_at(xs, ys, x):
@@ -300,3 +301,90 @@ def test_integer_kernel_equals_fraction_kernel_on_certificate_chains():
                 got = steps
         for g, w in zip(got, steps):
             same(g, w)
+
+
+# -- one-pass envelopes of lines against a fold of pairwise merges ----------------
+
+
+def line_pl(d, lo, hi, ab):
+    """The line with values ``ab`` at ``lo`` and ``hi`` (over ``d``) as a PL."""
+    return _pl(d, (lo, hi), ab) if lo != hi else _pl(d, (lo,), (ab[0],))
+
+
+def fold(pls, upper):
+    return reduce(lambda a, b: a.max_with(b) if upper else a.min_with(b), pls)
+
+
+def same_function(got, want):
+    """Equal values at the union of both breakpoint lists, on one domain."""
+    assert (got.xs[0], got.xs[-1]) == (want.xs[0], want.xs[-1])
+    for x in sorted(set(got.xs) | set(want.xs)):
+        assert ref_value_at(got.xs, got.ys, x) == ref_value_at(want.xs, want.ys, x), x
+
+
+def no_redundant_breakpoint(pl):
+    """Each inner breakpoint is a change of slope: a change of line."""
+    pts = list(zip(pl.xn, pl.yn))
+    for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:]):
+        assert (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0), pl
+
+
+def line_cases():
+    """``(d, lo, hi, lines)``: the named special cases, then seeded random
+    lines on seeded intervals and denominators."""
+    yield 1, 0, 6, [(1, 3), (4, 6)]  # parallel
+    yield 2, -3, 5, [(1, 3), (4, 6), (-2, 0)]  # parallel, three of them
+    yield 3, 0, 6, [(2, 5), (2, 5)]  # coincident
+    yield 3, 0, 6, [(2, 5), (7, -1), (2, 5)]  # coincident pair crossed by a third
+    yield 1, 0, 4, [(2, 5), (2, -1)]  # meeting exactly at lo
+    yield 1, 0, 4, [(7, 3), (-2, 3)]  # meeting exactly at hi
+    yield 5, 0, 4, [(2, 5), (2, -1), (0, 3), (6, 3)]  # meeting at lo and at hi
+    yield 1, 0, 3, [(4, 4), (2, 6), (6, 2)]  # three lines through one point, off the grid
+    yield 7, 1, 5, [(0, 6), (3, 3), (6, 0)]  # three lines through one point, on the grid
+    yield 4, 2, 2, [(3, 3), (-1, -1), (5, 5)]  # a one-point interval
+    yield 1, 0, 1, [(0, 3), (2, 0)]  # crossing at 2/5: a finer denominator
+    yield 6, 0, 7, [(0, 5), (3, 1), (4, 4)]  # crossings at sevenths and ninths of d
+    rng = random.Random("rtrees-tests-pl-envelope")
+    for _ in range(400):
+        d = rng.choice((1, 3, 4, 6, 7))
+        lo = rng.randrange(-6, 6)
+        hi = lo + rng.choice((0, 1, 2, 3, 5, 9))
+        lines = []
+        for _ in range(rng.randint(1, 5)):
+            a = rng.randrange(-9, 10)
+            lines.append((a, a) if lo == hi else (a, rng.randrange(-9, 10)))
+        if rng.random() < 0.3:
+            lines.append(rng.choice(lines))  # a coincident copy
+        if rng.random() < 0.3 and lo != hi:
+            a, b = rng.choice(lines)
+            lines.append((a + 2, b + 2))  # a parallel one
+        yield d, lo, hi, lines
+
+
+def test_envelope_equals_a_fold_of_pairwise_merges():
+    finer = 0
+    for d, lo, hi, lines in line_cases():
+        pls = [line_pl(d, lo, hi, ab) for ab in lines]
+        for upper in (True, False):
+            got = envelope(d, lo, hi, lines) if upper else envelope(d, lo, hi, (), lines)
+            same_function(got, fold(pls, upper))
+            no_redundant_breakpoint(got)
+            finer += d % got.d != 0
+    assert finer > 20  # crossings off the grid of d
+
+
+def test_max_of_lines_and_a_min_of_lines_equals_a_fold():
+    rng = random.Random("rtrees-tests-pl-max-min")
+    cases = list(line_cases())
+    for d, lo, hi, lines in cases:
+        for _ in range(3):
+            k = rng.randint(0, len(lines))
+            ups, downs = lines[:k], lines[k:]
+            if rng.random() < 0.3 and ups and downs:
+                downs.append(ups[0])  # a line on both sides
+            parts = [line_pl(d, lo, hi, ab) for ab in ups]
+            if downs:
+                parts.append(fold([line_pl(d, lo, hi, ab) for ab in downs], False))
+            got = envelope(d, lo, hi, ups, downs)
+            same_function(got, fold(parts, True))
+            no_redundant_breakpoint(got)
