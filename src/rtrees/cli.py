@@ -42,6 +42,7 @@ from .formulas import check_rt_axioms, eval_quantified, free_vars, parse_formula
 from .amalgams import SubtreeMap, amalgamate
 from .typespace import (
     ContextMismatchError,
+    InconsistentDescriptorError,
     NTypeDescriptor,
     OneTypeDescriptor,
     is_principal,
@@ -293,11 +294,15 @@ def _descriptor_from_file(path: str) -> NTypeDescriptor:
     )
 
 
+def _emit_violation(check) -> None:
+    _emit(f"violation={check.kind} detail={check.detail}", err=True)
+
+
 def _report_violation(q: NTypeDescriptor) -> bool:
     """Print the descriptor's violation on stderr, if it has one."""
     check = validate_descriptor(q)
     if check is not True:
-        _emit(f"violation={check.kind} detail={check.detail}", err=True)
+        _emit_violation(check)
     return check is not True
 
 
@@ -353,9 +358,11 @@ def _cmd_type(args) -> int:
         return 0 if verdict else 1
     if args.type_cmd == "realize":
         q = _descriptor_from_file(args.descriptor)
-        if _report_violation(q):
+        try:
+            tree, points = realize_type(q.context.ambient, q)
+        except InconsistentDescriptorError as exc:
+            _emit_violation(exc.violation)
             return 1
-        tree, points = realize_type(q.context.ambient, q)
         doc_points = {f"b{i + 1}": pt for i, pt in enumerate(points)}
         _write_output(treeio.serialize_tree(tree, q.radius, doc_points), args.output)
         return 0

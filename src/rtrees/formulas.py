@@ -10,6 +10,18 @@ quantifier block is evaluated exactly by piecewise-linear analysis.  Nested
 quantifiers fall back to exhaustive grid enumeration with a certified
 Lipschitz error interval.
 
+A single block is a branch and bound over the edges.  It first evaluates its
+body at every node in one pass over the formula, one list of ints per
+connective, all over one denominator ``D``: the lcm of the skeleton's
+heights', the distance tables' and the constants' denominators and of each
+``Scale``'s times its body's, so that every scaled value divides exactly.
+The best node value is the starting optimum.  The body is ``L``-Lipschitz in
+the bound point (:func:`lipschitz_bound`), so on an edge ``u-v`` of length
+``l`` a sup is at most ``(f(u) + f(v) + L l) / 2`` and an inf at least
+``(f(u) + f(v) - L l) / 2``.  Only the edges whose cap beats the optimum so
+far strictly get a piecewise-linear profile; an edge whose cap ties it can
+at best attain it, which leaves the value unchanged.
+
 A single block reads its distances from one integer table per named point
 (:func:`rtrees.pl.distance_table`), made by one pass down the basepoint's
 parent map.  The height at which the root arcs of ``q`` and a node ``n``
@@ -24,11 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 from .rationals import as_rat, format_rat
 from .skeleton import (
     PointRef,
+    SkeletonError,
     TreeSkeleton,
     Vertex,
     _climb,
@@ -138,7 +152,9 @@ def is_quantifier_free(f: Formula) -> bool:
 
 
 def lipschitz_bound(f: Formula, var: str) -> Fraction:
-    """Syntactic bound on how fast the value moves when ``var`` moves."""
+    """Syntactic bound ``L`` on how fast the value moves when ``var`` moves:
+    ``|f(x) - f(y)| <= L d(x, y)`` in the tree metric, the other points
+    fixed.  The exact single block relies on it to skip edges."""
     if isinstance(f, Const):
         return Fraction(0)
     if isinstance(f, Dist):
@@ -473,13 +489,59 @@ class CertifiedValue:
         return f"[{format_rat(self.lower)}, {format_rat(self.upper)}]"
 
 
+def _den(f: Formula, leaves) -> int:
+    """A denominator over which ``f`` is an integer at every node: the lcm
+    of its leaves' and constants' denominators, each ``Scale``'s times its
+    body's, so that every scaled value divides exactly."""
+    if isinstance(f, Dist):
+        leaf = leaves[f.a, f.b]
+        return leaf.denominator if isinstance(leaf, Fraction) else leaf[1]
+    if isinstance(f, Const):
+        return f.value.denominator
+    if isinstance(f, Scale):
+        return f.coeff.denominator * _den(f.body, leaves)
+    return lcm(_den(f.left, leaves), _den(f.right, leaves))
+
+
+def _values(f: Formula, leaves, nodes, D: int) -> list[int]:
+    """``f`` with its bound point at each of ``nodes``, as numerators over
+    ``D``, a multiple of :func:`_den`; one list of ints per connective."""
+    if isinstance(f, Dist):
+        leaf = leaves[f.a, f.b]
+        if isinstance(leaf, Fraction):
+            return [leaf.numerator * (D // leaf.denominator)] * len(nodes)
+        dist, den, _ = leaf
+        k = D // den
+        return [dist[n] * k for n in nodes]
+    if isinstance(f, Const):
+        return [f.value.numerator * (D // f.value.denominator)] * len(nodes)
+    if isinstance(f, Scale):
+        p, q = f.coeff.numerator, f.coeff.denominator
+        return [p * y // q for y in _values(f.body, leaves, nodes, D)]
+    left = _values(f.left, leaves, nodes, D)
+    right = _values(f.right, leaves, nodes, D)
+    if isinstance(f, Add):
+        return [a + b for a, b in zip(left, right)]
+    if isinstance(f, TruncSub):
+        return [a - b if a > b else 0 for a, b in zip(left, right)]
+    if isinstance(f, Max):
+        return [a if a > b else b for a, b in zip(left, right)]
+    if isinstance(f, Min):
+        return [a if a < b else b for a, b in zip(left, right)]
+    return [abs(a - b) for a, b in zip(left, right)]
+
+
 def _exact_single_block(
     tree: TreeSkeleton, f: Union[Inf, Sup], val: Valuation
 ) -> Fraction:
-    """Exact optimum of a quantifier over a quantifier-free body.  Each
-    named point gets one distance table and each constant leaf one
-    ``distance`` per call; the optimum is kept as a numerator over the
-    denominator of the profile or value that attains it."""
+    """Exact optimum of a quantifier over a quantifier-free body: the best
+    node value, all nodes evaluated over one denominator ``D``, then a
+    :func:`_profile` on each edge ``u-v`` whose Lipschitz cap ``(f(u) + f(v)
+    +- L l) / 2`` beats the optimum so far strictly; a tie can at best attain
+    it.  Each named point gets one distance table and each constant leaf one
+    ``distance``.  Whatever the body reads, a skeleton with a node off the
+    basepoint's component, a cycle or an edge of length at most 0 is refused
+    with the :class:`SkeletonError` a distance query gives."""
     body, var = f.body, f.var
     leaves: dict[tuple[str, str], object] = {}
     tables: dict[str, tuple] = {}
@@ -495,16 +557,27 @@ def _exact_single_block(
             leaves[a, b] = tables[q]
         else:
             leaves[a, b] = distance(tree, _resolve(tree, a, val), _resolve(tree, b, val))
+    _, num, _, den = tree._root_data()
+    if len(num) != len(tree.nodes()):
+        raise SkeletonError("distance query across disconnected components")
+    D = lcm(den, _den(body, leaves))
+    at = dict(zip(num, _values(body, leaves, num, D)))
     pick, sign = (min, -1) if isinstance(f, Inf) else (max, 1)
-    cands = [(pick(pl.yn), pl.d) for pl in (_profile(body, leaves, e) for e in tree.edges())]
-    for node in tree.nodes():
-        if tree.degree(node) == 0:
-            c = eval_qf(tree, body, {**val, var: Vertex(node)})
-            cands.append((c.numerator, c.denominator))
-    bn, bd = cands[0]
-    for n, d in cands[1:]:
-        if sign * (n * bd - bn * d) > 0:
-            bn, bd = n, d
+    bn, bd = pick(at.values()), D
+    L = lipschitz_bound(body, var)
+    lq, ll = L.denominator, L.numerator * (D // den)
+    # each edge's cap over 2 lq D, times sign so that more is better; those
+    # that beat the best node are then checked against the best so far
+    caps = [
+        (sign * lq * (at[u] + at[v]) + ll * abs(num[u] - num[v]), (u, v, w))
+        for u, v, w in tree.edges()
+    ]
+    for cap, e in [c for c in caps if c[0] > sign * 2 * lq * bn]:
+        if cap * bd > sign * 2 * lq * D * bn:
+            pl = _profile(body, leaves, e)
+            n = pick(pl.yn)
+            if sign * (n * bd - bn * pl.d) > 0:
+                bn, bd = n, pl.d
     return Fraction(bn, bd)
 
 

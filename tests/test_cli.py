@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rtrees import CertifiedValue, cli
+from rtrees import CertifiedValue, cli, typespace
 from rtrees.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -622,6 +622,33 @@ def test_type_realize_rejects_bad_ambients(tmp_path, capsys, tree_text, message)
     desc = _write(tmp_path, "q.desc", "context amb.tree\nradius 2\nclosest 1 node y\noffset 1 1/2\n")
     code, out, err = run(capsys, "type", "realize", "--descriptor", desc)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_type_realize_realizes_its_descriptor_once(tmp_path, capsys, monkeypatch):
+    # the realization is also the validity check, for a valid descriptor
+    # and for each kind of violation
+    _write(tmp_path, "dot.tree", DOT_TEXT)
+    calls = []
+    realization = typespace._realization
+
+    def counting(q):
+        calls.append(q)
+        return realization(q)
+
+    monkeypatch.setattr(typespace, "_realization", counting)
+    good = _write(tmp_path, "good.desc", _descriptor_text([1, 2], {(1, 2): 1}))
+    code, out, err = run(capsys, "type", "realize", "--descriptor", good)
+    assert (code, err) == (0, "") and out.startswith("radius 2\n")
+    assert len(calls) == 1
+    for offsets, pairs, violation in (
+        ([5], {}, "offset_bound detail=offset s_1=5 outside [0, 2]"),
+        ([1, 1], {(1, 2): -1}, "pairwise_shape detail=rho_1,2 malformed"),
+        ([1, 1], {(1, 2): 5}, "four_point detail=4-point violation at (e1,e1,x1,x2): 5 > 2"),
+    ):
+        calls.clear()
+        bad = _write(tmp_path, "bad.desc", _descriptor_text(offsets, pairs))
+        assert run(capsys, "type", "realize", "--descriptor", bad) == (1, "", f"violation={violation}\n")
+        assert len(calls) == 1
 
 
 SHARED_LABELS_TEXT = """\

@@ -28,7 +28,7 @@ from rtrees import (
     tree_to_matrix,
     tripod,
 )
-from rtrees import formulas, skeleton
+from rtrees import formulas, generators, skeleton
 from rtrees.formulas import (
     MAX_DEPTH,
     AbsDiff,
@@ -45,7 +45,7 @@ from rtrees.formulas import (
     TruncSub,
     _resolve,
 )
-from rtrees.pl import PL, _pl
+from rtrees.pl import PL, _pl, table_profile
 from rtrees.skeleton import _meet, normalize_point
 from conftest import random_corpus, rng_for, tree_grid
 
@@ -147,6 +147,8 @@ def test_lipschitz_bounds():
 
 
 def test_eval_qf_is_lipschitz(tripod):
+    # the single block prunes edges by this bound, so it must hold for
+    # every body, in the tree metric, and for pairs on one edge
     f = parse_formula("max(d(x,a), d(x,b)) -. d(x,p)")
     L = lipschitz_bound(f, "x")
     env = {"a": A, "b": B}
@@ -156,6 +158,34 @@ def test_eval_qf_is_lipschitz(tripod):
             v1 = eval_qf(tripod, f, {**env, "x": x1})
             v2 = eval_qf(tripod, f, {**env, "x": x2})
             assert abs(v1 - v2) <= L * distance(tripod, x1, x2)
+    rng = rng_for("lipschitz-bodies")
+    trees = [random_tree(rng, max_nodes=n) for n in (3, 5, 8, 12)]
+    trees.append(rb_extend(generators.tripod(1, 1, 1), 2, 2))
+    scales = set()
+    for tree in trees:
+        for _ in range(15):
+            body = _random_body(rng, 3)
+            scales.update(_scales(body))
+            L = lipschitz_bound(body, "x")
+            env = {"a": random_point(rng, tree), "b": random_point(rng, tree)}
+            for _ in range(6):
+                u, v, length = rng.choice(tree.edges())
+                on_edge = [point_on_edge(tree, u, v, length * Fraction(rng.randint(0, 6), 6)) for _ in "12"]
+                for x1, x2 in (on_edge, (random_point(rng, tree), random_point(rng, tree))):
+                    v1 = eval_qf(tree, body, {**env, "x": x1})
+                    v2 = eval_qf(tree, body, {**env, "x": x2})
+                    assert abs(v1 - v2) <= L * distance(tree, x1, x2), (tree, body, env, x1, x2)
+    assert any(c < 0 for c in scales) and any(c.denominator > 1 for c in scales)
+
+
+def _scales(f):
+    """The coefficients of every ``Scale`` in ``f``."""
+    if isinstance(f, Scale):
+        yield f.coeff
+        yield from _scales(f.body)
+    elif isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
+        yield from _scales(f.left)
+        yield from _scales(f.right)
 
 
 def test_single_block_exact(tripod):
@@ -364,6 +394,56 @@ def test_single_block_on_a_disconnected_skeleton_is_a_skeleton_error():
             eval_quantified(tree, parse_formula(text), val, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("tree", [
+    TreeSkeleton("p", [("p", "a", 1), ("b", "c", 1)]),
+    TreeSkeleton("p", [("p", "a", 1)], extra_nodes=["z"]),
+], ids=["second-edge", "lone-node"])
+@pytest.mark.parametrize("text", [
+    "sup x. d(x,x)", "inf x. 2", "sup x. d(x,p)", "sup x. d(p,p) + 1", "inf x. d(x,q) -. d(q,p)",
+])
+def test_single_block_refuses_every_body_on_a_skeleton_with_a_second_component(tree, text):
+    # whether or not the body reads a distance off the basepoint's component
+    with pytest.raises(SkeletonError, match="^distance query across disconnected components$"):
+        eval_quantified(tree, parse_formula(text), {"q": A}, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("tree, message", [
+    (TreeSkeleton("p", [("p", "a", 1), ("a", "b", 1), ("b", "p", 1)]),
+     "edge b-a closes a cycle: the skeleton is not a tree"),
+    (TreeSkeleton("p", [("p", "a", 0)]), "edge a-p has length 0"),
+], ids=["cycle", "zero-length"])
+@pytest.mark.parametrize("text", ["sup x. d(x,x)", "inf x. 2", "sup x. d(x,p)"])
+def test_single_block_refuses_every_body_on_a_skeleton_that_is_not_a_tree(tree, message, text):
+    # the refusal a distance query on that skeleton makes
+    with pytest.raises(SkeletonError, match=f"^{re.escape(message)}$"):
+        eval_quantified(tree, parse_formula(text), {}, Fraction(1, 2))
+
+
+def test_single_block_profiles_only_the_edges_its_cap_leaves_open(monkeypatch):
+    # a work count: an edge is profiled, one table_profile per distance
+    # leaf, only if its Lipschitz cap beats the best value so far strictly
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return table_profile(*args)
+
+    monkeypatch.setattr(formulas, "table_profile", counting)
+    tree = rb_extend(tripod(1, 1, 1), 2, 4)
+    assert len(tree.edges()) == 54
+    got = eval_quantified(tree, parse_formula("sup x. d(x,p)"), {}, Fraction(1, 4))
+    assert got.lower == max(distance(tree, P, Vertex(n)) for n in tree.nodes())
+    assert calls == []
+    rng = rng_for("single-block-work")
+    f = parse_formula("inf x. max(d(x,a), d(x,b))")
+    for _ in range(20):
+        a, b = random_point(rng, tree), random_point(rng, tree)
+        calls.clear()
+        got = eval_quantified(tree, f, {"a": a, "b": b}, Fraction(1, 4))
+        assert got.lower == distance(tree, a, b) / 2
+        assert len(calls) <= 2
+
+
 def test_single_block_makes_no_meet_per_edge(monkeypatch):
     # one distance table per named point: the only root-arc meet is the one
     # ``distance`` makes for the leaf without the bound variable
@@ -452,6 +532,8 @@ FIXED_BODIES = [
     "-3/2 * abs(d(x,a) - d(x,p)) + 1",
     "min(d(b,x), 1/3) -. d(b,a)",
     "abs(d(a,x) - d(x,b)) + -1/2 * min(d(x,p), d(p,a))",
+    "max(d(a,x), d(x,p))",
+    "max(-4/3 * d(x,a), d(x,b) -. 1/2)",
 ]
 LEAF_NAMES = ("x", "x", "a", "b", "p")
 
