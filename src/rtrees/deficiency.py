@@ -47,19 +47,26 @@ infimum restricted to witness triples on a finite grid.  It never
 undercuts the exact value and exceeds it by at most ``2 * mesh``.
 
 ``rb_deficiency`` computes sup_x psi(x) exactly.  Vertices are scanned
-directly.  Edges are visited in decreasing order of a cap on psi, and the
-scan stops at the first edge whose cap does not beat the sup: every witness
-objective is 2-Lipschitz in ``x``, so psi is, and the triple ``(x, x, x)``
-gives ``psi(x) <= l``; so psi on an edge is at most the 2-Lipschitz tent
-over its endpoint values and at most ``r`` minus its nearer endpoint's
-depth.  On a visited edge the walk runs once for all its points.  At offset
-``z``, ``l``, every ``t_i`` and the two reaches at ``x`` are linear in
-``z``, and the walk meets the same configurations for every ``z``; so psi
-on the edge is their lower envelope, of near-linear size (Sharir and
-Agarwal, *Davenport-Schinzel Sequences*, 1995).  Its domain is the offsets
-with ``l >= 0``: an edge that crosses the radius sphere is cut at the
-sphere point, and one wholly past it is skipped.  There three identities
-make every configuration a max or min of lines in ``z``:
+directly, and one whose third-largest reach is at least its ``l`` is read
+as 0 off the reach table, with no walk: the config ``c2 = v`` costs
+``g(0, R3, l) = 0``.  Edges are visited in decreasing order of a cap on
+psi, and the scan stops at the first edge whose cap does not beat the sup:
+every witness objective is 2-Lipschitz in ``x``, so psi is, and the triple
+``(x, x, x)`` gives ``psi(x) <= l``; so psi on an edge is at most the
+2-Lipschitz tent over its endpoint values and at most ``r`` minus its
+nearer endpoint's depth.  A visited edge is profiled only if the tent and
+the configs at ``x`` that the envelope below starts from, ``max(2 l / 3,
+l - max(d(x, u), d(x, v)))``, both beat the sup at some point of it; on a
+bare edge of length ``L`` hung to the sphere from a vertex of psi 0 the
+lesser of the two is at most ``L / 2``.  On a profiled edge the walk runs
+once for all its points.  At offset ``z``, ``l``, every ``t_i`` and the
+two reaches at ``x`` are linear in ``z``, and the walk meets the same
+configurations for every ``z``; so psi on the edge is their lower
+envelope, of near-linear size (Sharir and Agarwal, *Davenport-Schinzel
+Sequences*, 1995).  Its domain is the offsets with ``l >= 0``: an edge
+that crosses the radius sphere is cut at the sphere point, and one wholly
+past it is skipped.  There three identities make every configuration a
+max or min of lines in ``z``:
 
 * Edge term: ``min over s in [0, L] of max(2 (ta + s), l - ta - s) =
   max(2 ta, 2 l / 3, l - ta - L)``.  The two lines cross at ``s*``, at
@@ -383,17 +390,68 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
     return env
 
 
+def _above_somewhere(lines, lo: int, hi: int, bn: int, bd: int) -> bool:
+    """Whether some offset ``z`` in ``[lo, hi]``, ``lo < hi``, has every line
+    ``c + s z`` of ``lines`` above ``bn / bd``.  Each line bounds an open
+    half-line of ``z``; they meet inside the closed domain iff the largest
+    lower bound is below the least upper one, compared as fractions."""
+    ln, ld, un, ud = lo, 1, hi, 1
+    for c, s in lines:
+        n = bn - c * bd  # c + s z > bn / bd  <=>  s bd z > n
+        if s > 0:
+            if n * ld > ln * s * bd:
+                ln, ld = n, s * bd
+        elif s < 0:
+            if n * ud > un * s * bd:
+                un, ud = -n, -s * bd
+        elif n >= 0:
+            return False
+    return ln * ud < un * ld
+
+
+def _may_beat(
+    tree: TreeSkeleton, r: Fraction, u: str, v: str, a: int, b: int, best: Fraction
+) -> bool:
+    """Whether somewhere on the domain of ``_edge_sup(tree, r, u, v, best)``
+    both the tent ``min(a + 2 z, b + 2 (L - z))`` and the configurations
+    that ``_edge_sup`` starts from, ``max(2 l / 3, min(l - z, l - (L - z)))``,
+    exceed ``best``; ``a`` and ``b`` bound psi at ``u`` and ``v``, over
+    ``V = 3 lcm(D, r_d)``.  Max distributes over min, so that is two calls
+    of :func:`_above_somewhere`, on lines over ``3 V``, where ``2 l / 3``
+    is integral."""
+    parent, num, _, D = tree._root_data()
+    V = 3 * lcm(D, r.denominator)
+    k = V // D
+    length = abs(num[u] - num[v]) * k
+    l0 = r.numerator * (V // r.denominator) - num[u] * k  # l at u; l = l0 + sl * z
+    sl = -1 if parent.get(v) == u else 1
+    lo, hi = (0, min(length, l0)) if sl < 0 else (max(0, -l0), length)
+    if lo >= hi:
+        return False
+    bn, bd = 3 * V * best.numerator, best.denominator
+    tent = ((3 * a, 6), (3 * (b + 2 * length), -6))
+    sides = ((3 * l0, 3 * (sl - 1)), (3 * (l0 - length), 3 * (sl + 1)))
+    two_l3 = (2 * l0, 2 * sl)
+    return _above_somewhere(tent + (two_l3,), lo, hi, bn, bd) or _above_somewhere(
+        tent + sides, lo, hi, bn, bd
+    )
+
+
 def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     """Exact sup of psi over the induced real tree.
 
-    Vertices are scanned directly.  On an edge ``u``-``v`` of length ``L``
-    psi is at most ``min(a + 2L, b + 2L, (a + b)/2 + L, r - min(d(p, u),
-    d(p, v)))`` with ``a = psi(u)``, ``b = psi(v)`` (past the radius sphere
-    the tent runs through the sphere point, where psi is 0 as scanned).
-    Edges are visited in decreasing order of that cap until it no longer
-    beats the sup found.  On a visited edge psi is one exact lower envelope
-    over the offsets with ``l >= 0``, made of lines by the three identities
-    of the module docstring (``_edge_sup``); its max is the edge's sup.
+    Vertices are scanned directly; one whose third-largest reach is at
+    least its ``l`` has psi 0 (config ``c2 = v``) and is not walked.  On an
+    edge ``u``-``v`` of length ``L`` psi is at most ``min(a + 2L, b + 2L,
+    (a + b)/2 + L, r - min(d(p, u), d(p, v)))`` with ``a = psi(u)``, ``b =
+    psi(v)`` (past the radius sphere the tent runs through the sphere point,
+    where psi is 0 as scanned).  Edges are visited in decreasing order of
+    that cap until it no longer beats the sup found.  A visited edge is
+    skipped where ``_may_beat`` finds that the tent and the configurations
+    at ``x`` cannot both beat the sup at one offset.  On the others psi is
+    one exact lower envelope over the offsets with ``l >= 0``, made of lines
+    by the three identities of the module docstring (``_edge_sup``); its max
+    is the edge's sup.
     """
     r = as_rat(r)
     _, num, _, D = tree._spanning_data()
@@ -403,10 +461,19 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
         return psi_at(tree, Vertex(tree.basepoint), r)
     V = 3 * lcm(D, r.denominator)
     k, rv = V // D, r.numerator * (V // r.denominator)
-    vals = {
-        node: 0 if rv <= num[node] * k else _psi_walk(tree, r, Vertex(node))[0]
-        for node in tree.nodes()
-    }
+    table = tree._reach_num()
+
+    def vertex_psi(node) -> int:
+        """psi at a vertex, over ``V``; 0 on and past the sphere."""
+        l = rv - num[node] * k
+        if l <= 0:
+            return 0
+        reaches = sorted(table[(node, nb)] for nb in tree.neighbors(node))
+        if len(reaches) >= 3 and reaches[-3] * k >= l:
+            return 0
+        return _psi_walk(tree, r, Vertex(node))[0]
+
+    vals = {node: vertex_psi(node) for node in tree.nodes()}
     best = Fraction(max(vals.values()), V)
 
     def cap(edge) -> int:
@@ -421,6 +488,8 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     ):
         if bound_cap * best.denominator <= best.numerator * 2 * V:
             break  # no later edge can raise the sup either
+        if not _may_beat(tree, r, u, v, vals[u], vals[v], best):
+            continue
         env = _edge_sup(tree, r, u, v, best)
         if env is not None:
             best = max(best, Fraction(max(env.yn), env.d))

@@ -29,7 +29,7 @@ from rtrees import (
 )
 import rtrees.deficiency as deficiency
 import rtrees.pl as pl
-from rtrees.deficiency import _edge_sup, psi_at_with_witness, psi_objective
+from rtrees.deficiency import _edge_sup, _may_beat, psi_at_with_witness, psi_objective
 from rtrees.pl import PL, _pl, distance_profile
 from rtrees.skeleton import _leaving, _meet
 from rtrees.cli import main
@@ -411,18 +411,80 @@ def test_psi_is_2_lipschitz_and_at_most_l_along_edges():
     assert checked > 500
 
 
+def test_psi_is_at_most_the_configurations_at_x_and_0_on_three_full_branches():
+    # the premises of rb_deficiency's edge filter and vertex shortcut, read
+    # with psi_at only: c2 = x and the two uncut half-edges bound psi at a
+    # point of an edge, and at a vertex with three branches of reach l the
+    # config c2 = v costs 0
+    trees = [(t, R) for t in random_corpus("lipschitz", 12, max_nodes=6)]
+    trees += [(t, Fraction(3, 2)) for t in random_corpus("lipschitz-cut", 6, max_nodes=6)]
+    trees += [(rb_extend(b, R, k), r) for b in (tripod(1, 1, 1), segment(2)) for k in (1, 2, 3)
+              for r in (Fraction(3, 2), R)]
+    points = zeros = 0
+    for tree, r in trees:
+        p = Vertex(tree.basepoint)
+        for u, v, length in tree.edges():
+            for k in range(5):
+                z = length * Fraction(k, 4)
+                x = point_on_edge(tree, u, v, z)
+                l = r - distance(tree, x, p)
+                if l >= 0:
+                    assert psi_at(tree, x, r) <= max(2 * l / 3, l - max(z, length - z)), (u, v, r, z)
+                    points += 1
+        for n in tree.nodes():
+            l = r - tree.dist_to_basepoint(n)
+            reaches = tree.reaches_at(n)
+            if l >= 0 and len(reaches) >= 3 and reaches[2] >= l:
+                assert psi_at(tree, Vertex(n), r) == 0, (n, r)
+                zeros += 1
+    assert points > 800 and zeros > 50
+
+
+def test_rb_deficiency_equals_the_max_over_every_vertex_and_whole_envelope():
+    # the vertex shortcut and the tent filter only skip work: the sup is the
+    # max of psi_at at every vertex within the radius and of every edge's
+    # envelope with no sup to beat.  At the centre of the star two branches
+    # reach l = 2 but the third only 1/2, so psi there is 4/3, the sup, and
+    # two long reaches alone must not read as 0
+    star = TreeSkeleton("p", [("p", "a", 2), ("p", "b", Fraction(1, 2)), ("p", "c", 2)])
+    assert rb_deficiency(star, R) == psi_at(star, Vertex("p"), R) == Fraction(4, 3)
+    cases = [(star, r) for r in (Fraction(3, 2), R)] + [(rb_extend(star, R, 1), R)]
+    cases += [(t, r) for t in random_corpus("unpruned", 60, max_nodes=6) for r in WALK_RADII]
+    for tree, r in cases:
+        want = max(
+            psi_at(tree, Vertex(n), r) for n in tree.nodes() if tree.dist_to_basepoint(n) <= r
+        )
+        for u, v, _length in tree.edges():
+            env = _edge_sup(tree, r, u, v, Fraction(-1))
+            if env is not None:
+                want = max(want, max(env.ys))
+        assert rb_deficiency(tree, r) == want, (tree.edges(), r)
+
+
 def test_rb_deficiency_skips_edges_under_the_cap(monkeypatch):
-    # a guard on the pruning, not on timing: the tree has 54 edges
-    calls = []
-    real = deficiency._edge_sup
+    # a guard on the pruning, not on timing: of the 54 edges at tripod k = 4
+    # only the first bare edge at p is profiled, and every vertex reads 0 off
+    # the reach table
+    calls, walks = [], []
+    real_edge, real_walk = deficiency._edge_sup, deficiency._psi_walk
 
     def counted(*args):
         calls.append(args[2:4])
-        return real(*args)
+        return real_edge(*args)
+
+    def walked(*args):
+        walks.append(args[2])
+        return real_walk(*args)
 
     monkeypatch.setattr(deficiency, "_edge_sup", counted)
-    assert rb_deficiency(rb_extend(tripod(1, 1, 1), R, 4), R) == 1
-    assert len(calls) <= 20
+    monkeypatch.setattr(deficiency, "_psi_walk", walked)
+    for base in (tripod(1, 1, 1), segment(2)):
+        for k in (2, 3, 4):
+            calls.clear()
+            walks.clear()
+            assert rb_deficiency(rb_extend(base, R, k), R) == 1
+            assert len(calls) == 1, (base.edges(), k, calls)
+            assert walks == [], (base.edges(), k)
 
 
 def test_rb_deficiency_builds_no_pl_per_line(monkeypatch):
@@ -873,6 +935,34 @@ def test_edge_sup_keeps_each_envelope_of_the_fold():
                     assert _value_at(got, x) == _value_at(want, x), (u, v, r, x)
                 got, want = _edge_sup(tree, r, u, v, top), _fold_edge_sup(tree, r, u, v, top)
                 assert max(got.ys) == max(want.ys), (u, v, r)
+    assert edges > 500
+
+
+def test_tent_filter_passes_every_edge_that_beats_the_threshold():
+    # rb_deficiency profiles an edge only if _may_beat says the tent and the
+    # configurations at x can beat the sup there; psi is under both, so below
+    # an edge's exact max the answer must be yes
+    trees = [rb_extend(tripod(1, 1, 1), R, k) for k in (2, 3, 4)]
+    trees += random_corpus("edge-sup-fold", 30, max_nodes=8)
+    edges = 0
+    for tree in trees:
+        D = tree._root_data()[3]
+        for r in (Fraction(1), Fraction(3, 2), R):
+            V = 3 * lcm(D, r.denominator)
+            at = {}  # psi at each vertex over V, 0 past the sphere as rb_deficiency scans it
+            for n in tree.nodes():
+                val = psi_at(tree, Vertex(n), r) * V if tree.dist_to_basepoint(n) <= r else 0
+                assert val == int(val)
+                at[n] = int(val)
+            for u, v, _length in tree.edges():
+                env = _edge_sup(tree, r, u, v, Fraction(-1))
+                if env is None:
+                    assert not _may_beat(tree, r, u, v, at[u], at[v], Fraction(-1))
+                    continue
+                edges += 1
+                top = max(env.ys)
+                for t in (top - Fraction(1, 10**9), top - Fraction(1, 7), top - 1):
+                    assert _may_beat(tree, r, u, v, at[u], at[v], t), (u, v, r, t)
     assert edges > 500
 
 

@@ -339,6 +339,10 @@ def line_cases():
     yield 1, 0, 4, [(2, 5), (2, -1)]  # meeting exactly at lo
     yield 1, 0, 4, [(7, 3), (-2, 3)]  # meeting exactly at hi
     yield 5, 0, 4, [(2, 5), (2, -1), (0, 3), (6, 3)]  # meeting at lo and at hi
+    yield 1, 0, 4, [(7, 3), (-2, 3), (3, 3)]  # three lines through one point at hi
+    yield 1, 0, 4, [(2, 5), (2, -1), (2, 2)]  # three lines through one point at lo
+    yield 3, -2, 5, [(1, 4), (7, 4), (-5, 4), (0, 9)]  # three at hi, a fourth crossing them
+    yield 3, -2, 5, [(4, 1), (4, 7), (4, -5), (9, 0)]  # three at lo, a fourth crossing them
     yield 1, 0, 3, [(4, 4), (2, 6), (6, 2)]  # three lines through one point, off the grid
     yield 7, 1, 5, [(0, 6), (3, 3), (6, 0)]  # three lines through one point, on the grid
     yield 4, 2, 2, [(3, 3), (-1, -1), (5, 5)]  # a one-point interval
