@@ -410,17 +410,17 @@ def _above_somewhere(lines, lo: int, hi: int, bn: int, bd: int) -> bool:
 
 
 def _may_beat(
-    tree: TreeSkeleton, r: Fraction, u: str, v: str, a: int, b: int, best: Fraction
+    root, V: int, r: Fraction, u: str, v: str, a: int, b: int, best: Fraction
 ) -> bool:
     """Whether somewhere on the domain of ``_edge_sup(tree, r, u, v, best)``
     both the tent ``min(a + 2 z, b + 2 (L - z))`` and the configurations
     that ``_edge_sup`` starts from, ``max(2 l / 3, min(l - z, l - (L - z)))``,
     exceed ``best``; ``a`` and ``b`` bound psi at ``u`` and ``v``, over
-    ``V = 3 lcm(D, r_d)``.  Max distributes over min, so that is two calls
+    ``V = 3 lcm(D, r_d)``, where ``root = (parent, num, depth, D)`` is the
+    tree's rooted data.  Max distributes over min, so that is two calls
     of :func:`_above_somewhere`, on lines over ``3 V``, where ``2 l / 3``
     is integral."""
-    parent, num, _, D = tree._root_data()
-    V = 3 * lcm(D, r.denominator)
+    parent, num, _, D = root
     k = V // D
     length = abs(num[u] - num[v]) * k
     l0 = r.numerator * (V // r.denominator) - num[u] * k  # l at u; l = l0 + sl * z
@@ -454,7 +454,8 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     is the edge's sup.
     """
     r = as_rat(r)
-    _, num, _, D = tree._spanning_data()
+    root = tree._spanning_data()
+    _, num, _, D = root
     if r < 0:  # as psi_at refuses it, after the component check
         raise ValueError("point lies outside the radius bound")
     if not tree.edges():
@@ -488,7 +489,7 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     ):
         if bound_cap * best.denominator <= best.numerator * 2 * V:
             break  # no later edge can raise the sup either
-        if not _may_beat(tree, r, u, v, vals[u], vals[v], best):
+        if not _may_beat(root, V, r, u, v, vals[u], vals[v], best):
             continue
         env = _edge_sup(tree, r, u, v, best)
         if env is not None:

@@ -10,6 +10,13 @@ quantifier block is evaluated exactly by piecewise-linear analysis.  Nested
 quantifiers fall back to exhaustive grid enumeration with a certified
 Lipschitz error interval.
 
+Every walk of the formula tree is one fold, ``_fold``: ``leaf(g)`` at a
+``Const`` or ``Dist``, ``ops[type(g)](left, right)`` at a binary connective,
+``ops[Scale](coeff, body)`` at a scalar multiple and ``quant(g)`` at a
+quantifier, which folds the body itself.  Each domain is one table ``ops``:
+exact values, node ints, edge profiles, grid intervals, the Lipschitz bound,
+denominators, free variables and quantifier-freeness.
+
 A single block is a branch and bound over the edges.  It first evaluates its
 body at every node in one pass over the formula, one list of ints per
 connective, all over one denominator ``D``: the lcm of the skeleton's
@@ -37,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, and_, mul, or_
 from typing import Mapping, Union
 
 from .rationals import as_rat, format_rat
@@ -126,48 +134,64 @@ Formula = Union[Const, Dist, Add, TruncSub, Scale, Max, Min, AbsDiff, Inf, Sup]
 
 Valuation = Mapping[str, PointRef]
 
+_ZERO = Fraction(0)
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Dist):
-        return frozenset(n for n in (f.a, f.b) if n != "p")
-    if isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Scale):
-        return free_vars(f.body)
-    if isinstance(f, (Inf, Sup)):
-        return free_vars(f.body) - {f.var}
+
+def _fold(f: Formula, leaf, ops, quant):
+    """``f`` folded bottom-up as the module docstring says, dispatching on the
+    node's own class: anything else, a subclass too, is not a formula."""
+    kind = type(f)
+    if kind is Const or kind is Dist:
+        return leaf(f)
+    if kind in (Add, TruncSub, Max, Min, AbsDiff):
+        left = _fold(f.left, leaf, ops, quant)
+        return ops[kind](left, _fold(f.right, leaf, ops, quant))
+    if kind is Scale:
+        return ops[Scale](f.coeff, _fold(f.body, leaf, ops, quant))
+    if kind is Inf or kind is Sup:
+        return quant(f)
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _table(binary, scale=lambda _coeff, x: x) -> dict:
+    """The table whose five binary connectives all apply ``binary``."""
+    return dict.fromkeys((Add, TruncSub, Max, Min, AbsDiff), binary) | {Scale: scale}
+
+
+# the denominator over which a body is an integer at every node (module docstring)
+_DEN = _table(lcm, lambda c, den: c.denominator * den)
+_LIPSCHITZ = _table(add, lambda c, x: abs(c) * x) | {Max: max, Min: max}
+_NAMES, _BOTH = _table(or_), _table(and_)
+
+
+def _not_qf(_g):
+    raise ValueError("formula is not quantifier-free")
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    def leaf(g) -> frozenset[str]:
+        return frozenset() if isinstance(g, Const) else frozenset((g.a, g.b)) - {"p"}
+
+    return _fold(f, leaf, _NAMES, lambda g: free_vars(g.body) - {g.var})
+
+
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Const, Dist)):
-        return True
-    if isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    if isinstance(f, Scale):
-        return is_quantifier_free(f.body)
-    return False
+    return _fold(f, lambda _g: True, _BOTH, lambda _g: False)
 
 
 def lipschitz_bound(f: Formula, var: str) -> Fraction:
     """Syntactic bound ``L`` on how fast the value moves when ``var`` moves:
     ``|f(x) - f(y)| <= L d(x, y)`` in the tree metric, the other points
     fixed.  The exact single block relies on it to skip edges."""
-    if isinstance(f, Const):
-        return Fraction(0)
-    if isinstance(f, Dist):
-        return Fraction(1) if (f.a == var) != (f.b == var) else Fraction(0)
-    if isinstance(f, (Add, TruncSub, AbsDiff)):
-        return lipschitz_bound(f.left, var) + lipschitz_bound(f.right, var)
-    if isinstance(f, (Max, Min)):
-        return max(lipschitz_bound(f.left, var), lipschitz_bound(f.right, var))
-    if isinstance(f, Scale):
-        return abs(f.coeff) * lipschitz_bound(f.body, var)
-    if isinstance(f, (Inf, Sup)):
-        return Fraction(0) if f.var == var else lipschitz_bound(f.body, var)
-    raise TypeError(f"not a formula: {f!r}")
+
+    def leaf(g) -> Fraction:
+        moves = isinstance(g, Dist) and (g.a == var) != (g.b == var)
+        return Fraction(1) if moves else _ZERO
+
+    def quant(g) -> Fraction:
+        return _ZERO if g.var == var else lipschitz_bound(g.body, var)
+
+    return _fold(f, leaf, _LIPSCHITZ, quant)
 
 
 # -- parser -------------------------------------------------------------------
@@ -225,8 +249,9 @@ def _tokenize(text: str):
 
 # The deepest syntax tree the parser accepts.  A parenthesis, a call, a
 # quantifier, a scalar multiple and each operator of a sum count one level.
-# The parser takes three frames per level and every recursive evaluator one,
-# so all of them stay far inside the default recursion limit.
+# The parser takes three frames per level; the fold one per connective and
+# three per quantifier (the fold, its ``quant`` and the function that folds the
+# body, ``rec`` on the grid path), all far inside the default recursion limit.
 MAX_DEPTH = 100
 
 
@@ -395,72 +420,48 @@ def _resolve(tree: TreeSkeleton, name: str, val: Valuation) -> PointRef:
         raise KeyError(f"valuation missing point {name!r}") from None
 
 
+def _atom(tree: TreeSkeleton, g: Union[Const, Dist], val: Valuation) -> Fraction:
+    if isinstance(g, Const):
+        return g.value
+    return distance(tree, _resolve(tree, g.a, val), _resolve(tree, g.b, val))
+
+
+_EXACT = {
+    Add: add, Max: max, Min: min, Scale: mul,
+    TruncSub: lambda a, b: a - b if a > b else _ZERO,
+    AbsDiff: lambda a, b: abs(a - b),
+}
+
+
 def eval_qf(tree: TreeSkeleton, f: Formula, val: Valuation) -> Fraction:
     """Exact value of a quantifier-free formula under a total valuation."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Dist):
-        return distance(tree, _resolve(tree, f.a, val), _resolve(tree, f.b, val))
-    if isinstance(f, Add):
-        return eval_qf(tree, f.left, val) + eval_qf(tree, f.right, val)
-    if isinstance(f, TruncSub):
-        d = eval_qf(tree, f.left, val) - eval_qf(tree, f.right, val)
-        return d if d > 0 else Fraction(0)
-    if isinstance(f, Scale):
-        return f.coeff * eval_qf(tree, f.body, val)
-    if isinstance(f, Max):
-        return max(eval_qf(tree, f.left, val), eval_qf(tree, f.right, val))
-    if isinstance(f, Min):
-        return min(eval_qf(tree, f.left, val), eval_qf(tree, f.right, val))
-    if isinstance(f, AbsDiff):
-        return abs(eval_qf(tree, f.left, val) - eval_qf(tree, f.right, val))
-    raise ValueError("formula is not quantifier-free")
+    return _fold(f, lambda g: _atom(tree, g, val), _EXACT, _not_qf)
 
 
 # -- piecewise-linear profiles along one edge ----------------------------------
 
 
-_ZERO = Fraction(0)
-
-
-def _dists(f: Formula):
-    """The ``(a, b)`` names of every ``Dist`` leaf of a quantifier-free ``f``."""
-    if isinstance(f, Dist):
-        yield f.a, f.b
-    elif isinstance(f, Scale):
-        yield from _dists(f.body)
-    elif isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
-        yield from _dists(f.left)
-        yield from _dists(f.right)
+_PROFILE = {
+    Add: PL.add, Max: PL.max_with, Min: PL.min_with,
+    TruncSub: lambda a, b: a.max_with(b).sub(b),  # a -. b = max(a, b) - b
+    AbsDiff: lambda a, b: abs(a.sub(b)),
+    Scale: lambda c, pl: pl.scale(c),
+}
 
 
 def _profile(f: Formula, leaves, edge: tuple[str, str, Fraction]) -> PL:
     """``f`` along ``edge = (u, v, length)`` as its bound point sweeps from
     ``u``; each ``Dist`` leaf is read from ``leaves``, keyed by its names: a
     constant, or the :func:`distance_table` of its other point."""
-    if isinstance(f, Dist):
-        leaf = leaves[f.a, f.b]
-        if isinstance(leaf, Fraction):
-            return PL.const(_ZERO, edge[2], leaf)
-        return table_profile(leaf, edge[0], edge[1])
-    if isinstance(f, Const):
-        return PL.const(_ZERO, edge[2], f.value)
-    if isinstance(f, Scale):
-        return _profile(f.body, leaves, edge).scale(f.coeff)
-    if isinstance(f, (Add, TruncSub, Max, Min, AbsDiff)):
-        left = _profile(f.left, leaves, edge)
-        right = _profile(f.right, leaves, edge)
-        if isinstance(f, Add):
-            return left.add(right)
-        if isinstance(f, Max):
-            return left.max_with(right)
-        if isinstance(f, Min):
-            return left.min_with(right)
-        diff = left.sub(right)
-        if isinstance(f, TruncSub):
-            return diff.max_with(PL.const(_ZERO, edge[2], _ZERO))
-        return abs(diff)
-    raise ValueError("profile requires a quantifier-free body")
+    u, v, length = edge
+
+    def leaf(g) -> PL:
+        x = g.value if isinstance(g, Const) else leaves[g.a, g.b]
+        if isinstance(x, tuple):
+            return table_profile(x, u, v)
+        return PL.const(_ZERO, length, x)
+
+    return _fold(f, leaf, _PROFILE, _not_qf)
 
 
 # -- certified quantified evaluation ---------------------------------------------
@@ -489,46 +490,33 @@ class CertifiedValue:
         return f"[{format_rat(self.lower)}, {format_rat(self.upper)}]"
 
 
-def _den(f: Formula, leaves) -> int:
-    """A denominator over which ``f`` is an integer at every node: the lcm
-    of its leaves' and constants' denominators, each ``Scale``'s times its
-    body's, so that every scaled value divides exactly."""
-    if isinstance(f, Dist):
-        leaf = leaves[f.a, f.b]
-        return leaf.denominator if isinstance(leaf, Fraction) else leaf[1]
-    if isinstance(f, Const):
-        return f.value.denominator
-    if isinstance(f, Scale):
-        return f.coeff.denominator * _den(f.body, leaves)
-    return lcm(_den(f.left, leaves), _den(f.right, leaves))
+def _scale_ints(c: Fraction, ys: list[int]) -> list[int]:
+    p, q = c.numerator, c.denominator
+    return [p * y // q for y in ys]
+
+
+_NODE_INTS = {
+    Add: lambda a, b: [x + y for x, y in zip(a, b)],
+    TruncSub: lambda a, b: [x - y if x > y else 0 for x, y in zip(a, b)],
+    Max: lambda a, b: [x if x > y else y for x, y in zip(a, b)],
+    Min: lambda a, b: [x if x < y else y for x, y in zip(a, b)],
+    AbsDiff: lambda a, b: [abs(x - y) for x, y in zip(a, b)],
+    Scale: _scale_ints,
+}
 
 
 def _values(f: Formula, leaves, nodes, D: int) -> list[int]:
     """``f`` with its bound point at each of ``nodes``, as numerators over
-    ``D``, a multiple of :func:`_den`; one list of ints per connective."""
-    if isinstance(f, Dist):
-        leaf = leaves[f.a, f.b]
-        if isinstance(leaf, Fraction):
-            return [leaf.numerator * (D // leaf.denominator)] * len(nodes)
-        dist, den, _ = leaf
-        k = D // den
-        return [dist[n] * k for n in nodes]
-    if isinstance(f, Const):
-        return [f.value.numerator * (D // f.value.denominator)] * len(nodes)
-    if isinstance(f, Scale):
-        p, q = f.coeff.numerator, f.coeff.denominator
-        return [p * y // q for y in _values(f.body, leaves, nodes, D)]
-    left = _values(f.left, leaves, nodes, D)
-    right = _values(f.right, leaves, nodes, D)
-    if isinstance(f, Add):
-        return [a + b for a, b in zip(left, right)]
-    if isinstance(f, TruncSub):
-        return [a - b if a > b else 0 for a, b in zip(left, right)]
-    if isinstance(f, Max):
-        return [a if a > b else b for a, b in zip(left, right)]
-    if isinstance(f, Min):
-        return [a if a < b else b for a, b in zip(left, right)]
-    return [abs(a - b) for a, b in zip(left, right)]
+    ``D``, a multiple of its denominator; one list of ints per connective."""
+
+    def leaf(g) -> list[int]:
+        x = g.value if isinstance(g, Const) else leaves[g.a, g.b]
+        if isinstance(x, tuple):
+            dist, k = x[0], D // x[1]
+            return [dist[n] * k for n in nodes]
+        return [x.numerator * (D // x.denominator)] * len(nodes)
+
+    return _fold(f, leaf, _NODE_INTS, _not_qf)
 
 
 def _exact_single_block(
@@ -545,22 +533,30 @@ def _exact_single_block(
     body, var = f.body, f.var
     leaves: dict[tuple[str, str], object] = {}
     tables: dict[str, tuple] = {}
-    for a, b in _dists(body):
-        if (a, b) in leaves:
-            continue
-        if a == var and b == var:
-            leaves[a, b] = _ZERO
-        elif var in (a, b):
-            q = b if a == var else a
-            if q not in tables:
-                tables[q] = distance_table(tree, _resolve(tree, q, val))
-            leaves[a, b] = tables[q]
-        else:
-            leaves[a, b] = distance(tree, _resolve(tree, a, val), _resolve(tree, b, val))
+
+    def leaf_den(g) -> int:
+        """The leaf's denominator; a ``Dist`` is read into ``leaves`` once."""
+        if isinstance(g, Const):
+            return g.value.denominator
+        a, b = g.a, g.b
+        leaf = leaves.get((a, b))
+        if leaf is None:
+            if a == var and b == var:
+                leaf = _ZERO
+            elif var in (a, b):
+                q = b if a == var else a
+                leaf = tables.get(q) or distance_table(tree, _resolve(tree, q, val))
+                tables[q] = leaf
+            else:
+                leaf = distance(tree, _resolve(tree, a, val), _resolve(tree, b, val))
+            leaves[a, b] = leaf
+        return leaf[1] if isinstance(leaf, tuple) else leaf.denominator
+
+    body_den = _fold(body, leaf_den, _DEN, _not_qf)
     _, num, _, den = tree._root_data()
     if len(num) != len(tree.nodes()):
         raise SkeletonError("distance query across disconnected components")
-    D = lcm(den, _den(body, leaves))
+    D = lcm(den, body_den)
     at = dict(zip(num, _values(body, leaves, num, D)))
     pick, sign = (min, -1) if isinstance(f, Inf) else (max, 1)
     bn, bd = pick(at.values()), D
@@ -581,6 +577,22 @@ def _exact_single_block(
     return Fraction(bn, bd)
 
 
+def _interval_abs_diff(a, b) -> tuple[Fraction, Fraction]:
+    lo, hi = max(a[0] - b[1], b[0] - a[1], _ZERO), max(a[1] - b[0], b[1] - a[0])
+    return min(lo, hi), max(lo, hi)
+
+
+# the grid path's rules: each connective on intervals that contain its operands
+_INTERVALS = {
+    Add: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    TruncSub: lambda a, b: (max(a[0] - b[1], _ZERO), max(a[1] - b[0], _ZERO)),
+    Max: lambda a, b: (max(a[0], b[0]), max(a[1], b[1])),
+    Min: lambda a, b: (min(a[0], b[0]), min(a[1], b[1])),
+    AbsDiff: _interval_abs_diff,
+    Scale: lambda c, a: (c * a[0], c * a[1]) if c >= 0 else (c * a[1], c * a[0]),
+}
+
+
 def eval_quantified(
     tree: TreeSkeleton, f: Formula, val: Valuation, mesh
 ) -> CertifiedValue:
@@ -591,46 +603,19 @@ def eval_quantified(
         raise ValueError("mesh must be positive")
 
     def rec(g: Formula, v: Valuation) -> tuple[Fraction, Fraction]:
-        if is_quantifier_free(g):
-            x = eval_qf(tree, g, v)
-            return x, x
-        if isinstance(g, (Inf, Sup)) and is_quantifier_free(g.body):
-            x = _exact_single_block(tree, g, v)
-            return x, x
-        if isinstance(g, (Inf, Sup)):
-            anchors = tuple(v.values())
-            pts = grid_points(tree, mesh, anchors)
-            lows = []
-            highs = []
-            for pt in pts:
-                lo, hi = rec(g.body, {**v, g.var: pt})
-                lows.append(lo)
-                highs.append(hi)
-            L = lipschitz_bound(g.body, g.var)
-            if isinstance(g, Inf):
+        def quant(q) -> tuple[Fraction, Fraction]:
+            if is_quantifier_free(q.body):
+                return (_exact_single_block(tree, q, v),) * 2
+            bounds = []
+            for pt in grid_points(tree, mesh, tuple(v.values())):
+                bounds.append(rec(q.body, {**v, q.var: pt}))
+            lows, highs = zip(*bounds)
+            L = lipschitz_bound(q.body, q.var)
+            if isinstance(q, Inf):
                 return min(lows) - L * mesh, min(highs)
             return max(lows), max(highs) + L * mesh
-        # quantifiers strictly inside connectives: combine sub-intervals
-        if isinstance(g, (Add, TruncSub, Max, Min, AbsDiff)):
-            llo, lhi = rec(g.left, v)
-            rlo, rhi = rec(g.right, v)
-            if isinstance(g, Add):
-                return llo + rlo, lhi + rhi
-            if isinstance(g, TruncSub):
-                return max(llo - rhi, Fraction(0)), max(lhi - rlo, Fraction(0))
-            if isinstance(g, Max):
-                return max(llo, rlo), max(lhi, rhi)
-            if isinstance(g, Min):
-                return min(llo, rlo), min(lhi, rhi)
-            lo = max(llo - rhi, rlo - lhi, Fraction(0))
-            hi = max(lhi - rlo, rhi - llo)
-            return min(lo, hi), max(lo, hi)
-        if isinstance(g, Scale):
-            lo, hi = rec(g.body, v)
-            if g.coeff >= 0:
-                return g.coeff * lo, g.coeff * hi
-            return g.coeff * hi, g.coeff * lo
-        raise TypeError(f"not a formula: {g!r}")
+
+        return _fold(g, lambda x: (_atom(tree, x, v),) * 2, _INTERVALS, quant)
 
     missing = free_vars(f) - set(val)
     if missing:

@@ -946,7 +946,8 @@ def test_tent_filter_passes_every_edge_that_beats_the_threshold():
     trees += random_corpus("edge-sup-fold", 30, max_nodes=8)
     edges = 0
     for tree in trees:
-        D = tree._root_data()[3]
+        root = tree._root_data()
+        D = root[3]
         for r in (Fraction(1), Fraction(3, 2), R):
             V = 3 * lcm(D, r.denominator)
             at = {}  # psi at each vertex over V, 0 past the sphere as rb_deficiency scans it
@@ -957,12 +958,12 @@ def test_tent_filter_passes_every_edge_that_beats_the_threshold():
             for u, v, _length in tree.edges():
                 env = _edge_sup(tree, r, u, v, Fraction(-1))
                 if env is None:
-                    assert not _may_beat(tree, r, u, v, at[u], at[v], Fraction(-1))
+                    assert not _may_beat(root, V, r, u, v, at[u], at[v], Fraction(-1))
                     continue
                 edges += 1
                 top = max(env.ys)
                 for t in (top - Fraction(1, 10**9), top - Fraction(1, 7), top - 1):
-                    assert _may_beat(tree, r, u, v, at[u], at[v], t), (u, v, r, t)
+                    assert _may_beat(root, V, r, u, v, at[u], at[v], t), (u, v, r, t)
     assert edges > 500
 
 

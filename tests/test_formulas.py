@@ -44,6 +44,7 @@ from rtrees.formulas import (
     Sup,
     TruncSub,
     _resolve,
+    is_quantifier_free,
 )
 from rtrees.pl import PL, _pl, table_profile
 from rtrees.skeleton import _meet, normalize_point
@@ -135,6 +136,24 @@ def test_eval_qf_examples(tripod):
 def test_eval_qf_missing_point(tripod):
     with pytest.raises(KeyError):
         eval_qf(tripod, parse_formula("d(x,p)"), {})
+
+
+def test_a_non_formula_is_refused_alike_by_every_walk(tripod):
+    junk = object()
+    sup = Sup("x", Dist("x", "p"))
+    for f in (junk, Add(Dist("x", "p"), junk), Max(junk, sup), Scale(Fraction(2), junk)):
+        for call in (
+            lambda: free_vars(f),
+            lambda: is_quantifier_free(f),
+            lambda: lipschitz_bound(f, "x"),
+            lambda: eval_qf(tripod, f, {"x": A}),
+            lambda: eval_quantified(tripod, f, {"x": A}, Fraction(1)),
+        ):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'not a formula: {junk!r}')}$"):
+                call()
+    # a quantifier is a formula, just not a quantifier-free one
+    with pytest.raises(ValueError, match="^formula is not quantifier-free$"):
+        eval_qf(tripod, Max(sup, junk), {})
 
 
 def test_lipschitz_bounds():
@@ -281,6 +300,32 @@ def test_nested_blocks_bracket_their_value_and_scale_as_intervals():
     assert (got.lower, got.upper) == (-radius.upper, -radius.lower)
     hull = eval_quantified(seg, parse_formula("sup x. inf y. max(d(x,y), d(y,p))"), {}, mesh)
     assert hull.lower <= 1 <= hull.upper
+
+
+def test_every_interval_rule_on_a_non_degenerate_operand():
+    # Q, the radius 1 of segment(2), is bracketed as [2/3, 4/3] at mesh 2/3;
+    # each connective's interval has pinned ends for a constant below, inside
+    # and above that bracket, and contains the value with Q = 1
+    seg, mesh = segment(2), Fraction(2, 3)
+    q = "(inf x. sup y. d(x,y))"
+    radius = eval_quantified(seg, parse_formula(q), {}, mesh)
+    assert (radius.lower, radius.upper) == (Fraction(2, 3), Fraction(4, 3))
+    F = Fraction
+    ends = {  # for c = 1/2, 7/6 and 2
+        "{Q} + {c}": [(F(7, 6), F(11, 6)), (F(11, 6), F(5, 2)), (F(8, 3), F(10, 3))],
+        "{Q} -. {c}": [(F(1, 6), F(5, 6)), (0, F(1, 6)), (0, 0)],
+        "{c} -. {Q}": [(0, 0), (0, F(1, 2)), (F(2, 3), F(4, 3))],
+        "max({Q}, {c})": [(F(2, 3), F(4, 3)), (F(7, 6), F(4, 3)), (2, 2)],
+        "min({Q}, {c})": [(F(1, 2), F(1, 2)), (F(2, 3), F(7, 6)), (F(2, 3), F(4, 3))],
+        "abs({Q} - {c})": [(F(1, 6), F(5, 6)), (0, F(1, 2)), (F(2, 3), F(4, 3))],
+        "abs({c} - {Q})": [(F(1, 6), F(5, 6)), (0, F(1, 2)), (F(2, 3), F(4, 3))],
+    }
+    for text, by_c in ends.items():
+        for c, (lo, hi) in zip(("1/2", "7/6", "2"), by_c):
+            got = eval_quantified(seg, parse_formula(text.format(Q=q, c=c)), {}, mesh)
+            assert (got.lower, got.upper) == (lo, hi), (text, c)
+            true = eval_qf(seg, parse_formula(text.format(Q=1, c=c)), {})
+            assert lo <= true <= hi, (text, c)
 
 
 def test_eval_quantified_refuses_a_mesh_at_most_zero_and_a_missing_point(tripod):

@@ -190,6 +190,41 @@ def test_every_local_is_read():
     assert dead == []
 
 
+_CONNECTIVES = {"Add", "TruncSub", "Max", "Min", "AbsDiff"}
+
+
+def _branches_on_connectives(node) -> bool:
+    """Whether ``node`` is an ``isinstance`` call or a comparison that names
+    a binary connective class of ``rtrees.formulas``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        named = node.args[1:]
+    elif isinstance(node, ast.Compare):
+        named = [node.left, *node.comparators]
+    else:
+        return False
+    return any(
+        isinstance(n, ast.Name) and n.id in _CONNECTIVES for arg in named for n in ast.walk(arg)
+    )
+
+
+def test_only_the_formula_fold_branches_on_the_connectives():
+    # formulas._fold is the one walk of the formula tree; a second function
+    # with its own test of the connective classes regrows a walker
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split(':')[0]}:{node.name}"
+        if _branches_on_connectives(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(rtrees.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.name}:<module>")
+    assert found == {"formulas.py:_fold"}
+
+
 def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
     # reporting a failing example imports libcst, whose import warns; under
     # the suite's warnings-as-errors setting that must not stop the run
