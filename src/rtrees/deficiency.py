@@ -32,15 +32,20 @@ Every configuration costs at least the cross term ``2 t2``, which only
 grows along the walk, so the walk stops below a split, and skips an edge,
 once ``2 t2`` reaches the best value found.  A point inside an edge is
 evaluated in place as a degree-2 vertex: its two reaches come from the
-reach table of the edge's endpoints, and the walk and its witnesses stay
-in the given tree, which is never copied.
+direction table's entries for the edge's endpoints, and the walk and its
+witnesses stay in the given tree, which is never copied.
 
 The walk runs on integers over one denominator ``den = 3 lcm(D q, r_d)``:
 ``D`` is the skeleton's height denominator, ``q`` that of ``x``'s offset
 and ``r_d`` that of ``r``; the factor 3 makes ``l / 3`` integral.  Lengths
-and reaches come from the skeleton's integer heights and reach table.  The
-walk keeps a maker for its best triple, which builds ``Fraction`` points
-only when called; ``psi_at`` never calls it.
+and reaches come from the skeleton's direction table: for each node, filled
+on its first read, every direction leaving it as ``(reach, neighbour,
+length)`` over ``D``, in neighbour-id order, and the same directions
+deepest first, so a visit sorts nothing.  ``x`` itself is the walk's first
+vertex, with an inner option dearer than any configuration, so that its
+vertex configuration is ``c2 = x``.  The walk records its best
+configuration as a plain tuple, and :func:`_witness` turns that record into
+``Fraction`` points; ``psi_at`` never calls it.
 
 ``psi_grid_oracle`` is the independent brute-force check: the same
 infimum restricted to witness triples on a finite grid.  It never
@@ -48,7 +53,7 @@ undercuts the exact value and exceeds it by at most ``2 * mesh``.
 
 ``rb_deficiency`` computes sup_x psi(x) exactly.  Vertices are scanned
 directly, and one whose third-largest reach is at least its ``l`` is read
-as 0 off the reach table, with no walk: the config ``c2 = v`` costs
+as 0 off the direction table, with no walk: the config ``c2 = v`` costs
 ``g(0, R3, l) = 0``.  Edges are visited in decreasing order of a cap on
 psi, and the scan stops at the first edge whose cap does not beat the sup:
 every witness objective is 2-Lipschitz in ``x``, so psi is, and the triple
@@ -99,6 +104,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .rationals import as_rat
 from .skeleton import (
@@ -106,7 +112,6 @@ from .skeleton import (
     PointRef,
     TreeSkeleton,
     Vertex,
-    _leaving,
     _leaving_point,
     _rooted,
     distance,
@@ -117,37 +122,36 @@ from .skeleton import (
 from .pl import PL, envelope
 
 
-def _g(t: int, reach: int, l: int) -> int:
-    """Best branch term for a witness hung at distance t into given reach."""
-    return max(t - l, l - t - reach, 0)
+_PAD = [(0, None, 0, None)] * 3  # a missing direction: reach 0, to no neighbour
 
 
-def _top(leaving, k: int):
-    """The ``k`` largest reaches with their directions, padded with 0 and None."""
-    pairs = (sorted(leaving, reverse=True) + [(0, None)] * k)[:k]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+def _off_path(top, back):
+    """The three deepest entries of a direction table's ``top`` but the one
+    to ``back``, padded with missing directions."""
+    return ([e for e in top if e[1] != back] + _PAD)[:3]
 
 
 def _descend(tree: TreeSkeleton, x: PointRef, direction, depth: int, den: int) -> PointRef:
     """The point at depth ``depth / den`` along a maximal-reach path that
-    leaves ``x`` in the given direction (its length over ``den`` too)."""
-    if depth == 0 or direction is None:
+    leaves ``x`` in the given direction ``(next node, its distance, the node
+    it is left from)``, with that distance over ``den`` too."""
+    if depth == 0:
         return x
-    scale = den // tree._root_data()[3]
+    dirs, k = tree._directions(), den // tree._root_data()[3]
     nxt, length, cur = direction
     rem = depth
     while rem > length:
         rem -= length
-        leave = _leaving(tree, nxt, cur, scale)
-        if not leave:
-            raise AssertionError("descent ran past a leaf")
-        _, (nxt, length, cur) = max(leave, key=lambda pair: pair[0])  # the first deepest
+        # on through the first deepest direction, in neighbour-id order
+        _, nxt, length, cur = max((e for e in dirs[nxt][0] if e[1] != cur), key=itemgetter(0))
+        length *= k
     return normalize_point(tree, EdgePoint(nxt, cur, Fraction(length - rem, den)))
 
 
 def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
-    """Exact psi at a normalized point as ``(n, den, maker)``: the value is
-    ``n / den``, and ``maker()`` builds an optimal witness triple."""
+    """Exact psi at a normalized point as ``(n, den, l, record)``: the value
+    is ``n / den``, ``l`` is ``r - d(p, x)`` over ``den``, and
+    :func:`_witness` turns ``record`` into an optimal witness triple."""
     parent, num, _, D = tree._spanning_data()
     _, h, hd = _rooted(parent, num, D, x)
     den = 3 * lcm(hd, r.denominator)
@@ -155,102 +159,93 @@ def _psi_walk(tree: TreeSkeleton, r: Fraction, x: PointRef):
     if l < 0:
         raise ValueError("point lies outside the radius bound")
     if l == 0:
-        return 0, den, lambda: (x, x, x)
-    scale = den // D
-
-    def inner_witness(desc):
-        if desc[0] == "free":
-            _, t2, c2ref = desc
-            return point_on_segment(tree, x, c2ref, Fraction(min(l, t2), den))
-        _, start, t1, direction, reach = desc
-        return _descend(tree, start, direction, min(max(l - t1, 0), reach), den)
-
-    # config c2 = x: witnesses into the three deepest branches at x itself
-    leave0 = _leaving_point(tree, x, den)
-    vals0, dirs0 = _top(leave0, 3)
-    best_val = _g(0, vals0[2], l)
-
-    def root_witnesses():
-        return tuple(_descend(tree, x, dirs0[i], min(l, vals0[i]), den) for i in range(3))
-
-    best_maker = root_witnesses
-
-    def consider(val, maker):
-        nonlocal best_val, best_maker
-        if val < best_val:
-            best_val, best_maker = val, maker
-
-    # depth-first walk over vertex positions of the outer split, carrying the
-    # best inner (third-witness) option found along the path from x
+        return 0, den, 0, None
+    k, dirs, two_l3 = den // D, tree._directions(), 2 * l // 3
+    # x is the first vertex, with an inner option dearer than any config; every
+    # later one has 2 t2 < best <= l, so a branch term g(t, R, l) is max(l - t - R, 0)
+    nbrs, top, kk = _leaving_point(tree, x, den)
+    c2, back, t2, in_val, in_desc = None, None, 0, l + 1, None
+    best, record = l + 1, None
     stack = []
-
-    def step(direction, ta: int, c_in: int, c_in_desc):
-        """Push the far end of the segment that leaves a point at distance
-        ``ta`` from x in the given direction, and consider the configs with
-        the outer split strictly inside it."""
-        if 2 * ta >= best_val:
-            return  # the cross term alone rules out an improvement below
-        b, L, a = direction
-        far = _leaving(tree, b, a, scale)
-        stack.append((b, far, ta + L, c_in, c_in_desc))
-        val = max(2 * ta, 2 * l // 3, l - ta - L)  # the edge term
-        if val >= best_val:
-            return
-
-        def maker():
-            (H,), (h_dir,) = _top(far, 1)  # the deep witness goes through b
-            s = min(max((l - 3 * ta) // 3, 0), L)
-            t2 = ta + s
-            c2ref = normalize_point(tree, EdgePoint(b, a, Fraction(L - s, den)))
-            u1 = min(max(l - t2, 0), (L - s) + H)
-            if u1 <= L - s:
-                y1 = normalize_point(tree, EdgePoint(b, a, Fraction(L - s - u1, den)))
+    while True:
+        # the vertex config max(2 t2, g(t2, R1), min(in, l - t2, g(t2, R2))), by the
+        # module docstring's identity, over the reaches R0 >= R1 >= R2 off the path
+        (v0, deep, _, _), (v1, _, _, _), (v2, _, _, _) = _off_path(top, back)
+        c, v0, v1, v2 = l - t2, v0 * kk, v1 * kk, v2 * kk
+        val = max(2 * t2, c - v1, min(in_val, c - v2))
+        if val < best:
+            best, record = val, ("vertex", c2, back, t2, in_val, in_desc)
+        # the configs with the outer split inside an edge below c2, and its far end
+        for _reach, nb, L, at in nbrs:
+            if nb == back:
+                continue
+            if 2 * t2 >= best:
+                break  # the cross term alone rules out an improvement below
+            i = 1 if nb == deep else 0  # the deepest branch off the path
+            branch = c - (v1 if i else v0)
+            if branch < 0:
+                branch = 0
+            if branch < in_val:
+                c_in, c_desc = branch, (c2, back, t2, i)
             else:
-                y1 = _descend(tree, Vertex(b), h_dir, u1 - (L - s), den)
-            y3 = inner_witness(c_in_desc if c_in <= max(l - t2, 0) else ("free", t2, c2ref))
-            return (y1, c2ref, y3)
+                c_in, c_desc = in_val, in_desc
+            L *= kk
+            stack.append((nb, at, t2 + L, c_in, c_desc))
+            val = max(2 * t2, two_l3, c - L)  # the edge term
+            if val < best:
+                best, record = val, ("edge", nb, at, L, t2, c_in, c_desc)
+        while stack and 2 * stack[-1][2] >= best:
+            stack.pop()  # t2 only grows below c2, and every config costs 2 t2
+        if not stack:
+            return best, den, l, record
+        c2, back, t2, in_val, in_desc = stack.pop()
+        (nbrs, top), kk = dirs[c2], k
 
-        consider(val, maker)
 
-    for _reach, d in leave0:
-        i = 1 if dirs0[0] == d else 0  # the deepest other branch at x
-        step(d, 0, _g(0, vals0[i], l), ("branch", x, 0, dirs0[i], vals0[i]))
+def _witness(tree: TreeSkeleton, x: PointRef, l: int, den: int, record):
+    """The witness triple of the configuration that :func:`_psi_walk` at
+    ``x`` recorded, as points of the tree."""
+    if record is None:
+        return (x, x, x)
+    dirs, k = tree._directions(), den // tree._root_data()[3]
 
-    while stack:
-        c2, leave, t2, in_val, in_desc = stack.pop()
-        if 2 * t2 >= best_val:
-            continue  # t2 only grows below c2, and every config costs 2 t2
-        C2 = Vertex(c2)
-        vals, dirs = _top(leave, 3)
-        free_val = max(l - t2, 0)
-        third_val = _g(t2, vals[2], l)
-        F = max(2 * t2, _g(t2, vals[1], l), min(in_val, free_val, third_val))
+    def off_path(c2, back):
+        """``c2`` as a point (``x`` if None) and its three deepest ``(reach,
+        direction)`` off the path, over ``den``; a missing one has reach 0."""
+        top, kk = _leaving_point(tree, x, den)[1:] if c2 is None else (dirs[c2][1], k)
+        off = [(R * kk, (nb, L * kk, at)) for R, nb, L, at in _off_path(top, back)]
+        return (x if c2 is None else Vertex(c2)), off
 
-        def vertex_maker(C2=C2, t2=t2, vals=vals, dirs=dirs, in_val=in_val,
-                         in_desc=in_desc, free_val=free_val, third_val=third_val):
-            depth = max(l - t2, 0)
-            y1 = _descend(tree, C2, dirs[0], min(depth, vals[0]), den)
-            y2 = _descend(tree, C2, dirs[1], min(depth, vals[1]), den)
-            m = min(in_val, free_val, third_val)
-            if third_val == m:
-                y3 = inner_witness(("branch", C2, t2, dirs[2], vals[2]))
-            elif in_val == m:
-                y3 = inner_witness(in_desc)
-            else:
-                y3 = inner_witness(("free", t2, C2))
-            return (y1, y2, y3)
+    def branch(c2, back, t1, i):
+        """The third witness in the ``i``-th deepest branch off the path at ``c2``."""
+        start, off = off_path(c2, back)
+        return _descend(tree, start, off[i][1], min(max(l - t1, 0), off[i][0]), den)
 
-        consider(F, vertex_maker)
-
-        for _reach, d in leave:
-            i = 1 if dirs[0] == d else 0  # the deepest branch off the path
-            branch_val = _g(t2, vals[i], l)
-            if branch_val < in_val:
-                step(d, t2, branch_val, ("branch", C2, t2, dirs[i], vals[i]))
-            else:
-                step(d, t2, in_val, in_desc)
-
-    return best_val, den, best_maker
+    if record[0] == "vertex":
+        _, c2, back, t2, in_val, in_desc = record
+        start, off = off_path(c2, back)
+        depth = max(l - t2, 0)
+        y1, y2 = (_descend(tree, start, d, min(depth, R), den) for R, d in off[:2])
+        third_val = max(l - t2 - off[2][0], 0)
+        m = min(in_val, depth, third_val)
+        if third_val == m:
+            return (y1, y2, branch(c2, back, t2, 2))
+        if in_val == m:
+            return (y1, y2, branch(*in_desc))
+        return (y1, y2, point_on_segment(tree, x, start, Fraction(min(l, t2), den)))
+    _, b, a, L, ta, c_in, c_desc = record
+    _, ((H, h_dir), _, _) = off_path(b, a)  # the deep witness goes through b
+    s = min(max((l - 3 * ta) // 3, 0), L)
+    t2 = ta + s
+    c2ref = normalize_point(tree, EdgePoint(b, a, Fraction(L - s, den)))
+    u1 = min(max(l - t2, 0), (L - s) + H)
+    if u1 <= L - s:
+        y1 = normalize_point(tree, EdgePoint(b, a, Fraction(L - s - u1, den)))
+    else:
+        y1 = _descend(tree, Vertex(b), h_dir, u1 - (L - s), den)
+    if c_in <= max(l - t2, 0):
+        return (y1, c2ref, branch(*c_desc))
+    return (y1, c2ref, point_on_segment(tree, x, c2ref, Fraction(min(l, t2), den)))
 
 
 def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
@@ -260,8 +255,9 @@ def psi_at(tree: TreeSkeleton, x: PointRef, r) -> Fraction:
 
 def psi_at_with_witness(tree: TreeSkeleton, x: PointRef, r):
     """Exact psi plus an optimal witness triple (points of the given tree)."""
-    n, den, maker = _psi_walk(tree, as_rat(r), normalize_point(tree, x))
-    return Fraction(n, den), maker()
+    x = normalize_point(tree, x)
+    n, den, l, record = _psi_walk(tree, as_rat(r), x)
+    return Fraction(n, den), _witness(tree, x, l, den, record)
 
 
 def psi_objective(tree: TreeSkeleton, x: PointRef, r, witnesses) -> Fraction:
@@ -339,7 +335,7 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
     envelope of ``_psi_walk``'s configurations for every point of the edge at
     once, each built from lines (see the module docstring).  Walking stops
     once the envelope is at most ``best``: it is psi where psi exceeds it."""
-    (parent, num, _, D), table = tree._root_data(), tree._reach_num()
+    (parent, num, _, D), dirs = tree._root_data(), tree._directions()
     den = 3 * lcm(D, r.denominator)
     scale = den // D
     length = abs(num[u] - num[v]) * scale
@@ -367,25 +363,29 @@ def _edge_sup(tree: TreeSkeleton, r: Fraction, u: str, v: str, best: Fraction):
     # half-edge to each end e gives max(2 l / 3, l - d(x, e)) <= l
     env = envelope(den, lo, hi, (two_l3,), (line(l0, sl - 1), line(l0 - length, sl + 1)))
     # the inner option, a min of lines, is kept as a tuple of its lines
+    to_v = next(e[0] for e in dirs[u][0] if e[1] == v)
+    to_u = next(e[0] for e in dirs[v][0] if e[1] == u)
     stack = [
-        (u, v, (0, 1), (line(l0 - table[(u, v)] * scale, sl + 1),)),
-        (v, u, (length, -1), (line(l0 - table[(v, u)] * scale + length, sl - 1),)),
+        (u, v, (0, 1), (line(l0 - to_v * scale, sl + 1),)),
+        (v, u, (length, -1), (line(l0 - to_u * scale + length, sl - 1),)),
     ]
     while stack and max(env.yn) * best.denominator > best.numerator * env.d:
         b, a, t2, inner = stack.pop()
         if cut(*t2):
             continue
-        leave = _leaving(tree, b, a, scale)
-        vals, dirs = _top(leave, 3)
+        nbrs, top = dirs[b]
+        off = _off_path(top, a)
+        vals, deep = [e[0] * scale for e in off], off[0][1]
         c, s = l0 - t2[0], sl - t2[1]  # l - t2; a branch term is l - t2 - R
         ups = (line(2 * t2[0], 2 * t2[1]), line(c - vals[1], s))
         env = env.min_with(envelope(den, lo, hi, ups, inner + (line(c - vals[2], s),)))
-        for _reach, d in leave:
+        for _reach, nb, L, _ in nbrs:
+            if nb == a:
+                continue
             if cut(*t2):
                 break  # 2 t2 bounds every config on and below the edges left
-            i = 1 if dirs[0] == d else 0  # the deepest branch off the path
-            tb = (t2[0] + d[1], t2[1])
-            stack.append((d[0], b, tb, inner + (line(c - vals[i], s),)))
+            tb = (t2[0] + L * scale, t2[1])
+            stack.append((nb, b, tb, inner + (line(c - vals[nb == deep], s),)))
             env = env.min_with(edge_term(t2, tb))
     return env
 
@@ -440,18 +440,21 @@ def _may_beat(
 def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
     """Exact sup of psi over the induced real tree.
 
-    Vertices are scanned directly; one whose third-largest reach is at
-    least its ``l`` has psi 0 (config ``c2 = v``) and is not walked.  On an
-    edge ``u``-``v`` of length ``L`` psi is at most ``min(a + 2L, b + 2L,
-    (a + b)/2 + L, r - min(d(p, u), d(p, v)))`` with ``a = psi(u)``, ``b =
-    psi(v)`` (past the radius sphere the tent runs through the sphere point,
-    where psi is 0 as scanned).  Edges are visited in decreasing order of
-    that cap until it no longer beats the sup found.  A visited edge is
-    skipped where ``_may_beat`` finds that the tent and the configurations
-    at ``x`` cannot both beat the sup at one offset.  On the others psi is
-    one exact lower envelope over the offsets with ``l >= 0``, made of lines
-    by the three identities of the module docstring (``_edge_sup``); its max
-    is the edge's sup.
+    Vertices are scanned directly; one whose third-largest reach in the
+    skeleton's direction table is at least its ``l`` has psi 0 (config
+    ``c2 = v``) and is not walked, and the others run the walk of
+    :func:`psi_at`, which records its best configuration and builds no
+    witness.  On an edge ``u``-``v`` of length ``L`` psi is at most
+    ``min(a + 2L, b + 2L, (a + b)/2 + L, r - min(d(p, u), d(p, v)))`` with
+    ``a = psi(u)``, ``b = psi(v)`` (past the radius sphere the tent runs
+    through the sphere point, where psi is 0 as scanned).  Edges are
+    visited in decreasing order of that cap until it no longer beats the
+    sup found.  A visited edge is skipped where ``_may_beat`` finds that the
+    tent and the configurations at ``x`` cannot both beat the sup at one
+    offset.  On the others psi is one exact lower envelope over the offsets
+    with ``l >= 0``, made of lines by the three identities of the module
+    docstring (``_edge_sup``, which reads the same direction table); its
+    max is the edge's sup.
     """
     r = as_rat(r)
     root = tree._spanning_data()
@@ -462,31 +465,28 @@ def rb_deficiency(tree: TreeSkeleton, r) -> Fraction:
         return psi_at(tree, Vertex(tree.basepoint), r)
     V = 3 * lcm(D, r.denominator)
     k, rv = V // D, r.numerator * (V // r.denominator)
-    table = tree._reach_num()
+    dirs = tree._directions()
 
     def vertex_psi(node) -> int:
         """psi at a vertex, over ``V``; 0 on and past the sphere."""
         l = rv - num[node] * k
         if l <= 0:
             return 0
-        reaches = sorted(table[(node, nb)] for nb in tree.neighbors(node))
-        if len(reaches) >= 3 and reaches[-3] * k >= l:
+        top = dirs[node][1]
+        if len(top) >= 3 and top[2][0] * k >= l:
             return 0
         return _psi_walk(tree, r, Vertex(node))[0]
 
     vals = {node: vertex_psi(node) for node in tree.nodes()}
     best = Fraction(max(vals.values()), V)
 
-    def cap(edge) -> int:
-        """The cap on psi along the edge, over ``2 V``."""
-        u, v, _ = edge
-        a, b, length = vals[u], vals[v], abs(num[u] - num[v]) * k
-        near = min(num[u], num[v]) * k
-        return min(2 * min(a, b) + 4 * length, a + b + 2 * length, 2 * (rv - near))
-
-    for bound_cap, (u, v, _length) in sorted(
-        ((cap(e), e) for e in tree.edges()), key=lambda item: item[0], reverse=True
-    ):
+    caps = []  # the cap on psi along each edge, over 2 V
+    for u, v, _ in tree.edges():
+        a, b, nu, nv = vals[u], vals[v], num[u], num[v]
+        L = abs(nu - nv) * k
+        caps.append((min(2 * min(a, b) + 4 * L, a + b + 2 * L, 2 * (rv - min(nu, nv) * k)), u, v))
+    caps.sort(key=lambda item: item[0], reverse=True)
+    for bound_cap, u, v in caps:
         if bound_cap * best.denominator <= best.numerator * 2 * V:
             break  # no later edge can raise the sup either
         if not _may_beat(root, V, r, u, v, vals[u], vals[v], best):

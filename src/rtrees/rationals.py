@@ -30,7 +30,15 @@ def as_rat(value: int | str | Fraction) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text or not text:
             raise ValueError(f"not an exact rational literal: {value!r}")
+        num, slash, den = value.partition("/")
         try:
+            # "a" or "a/b" in ASCII digits, b not 0, is two ints; anything else
+            # takes Fraction's own rules for signs, spaces, underscores and digits
+            if num.isascii() and num.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit() and den.strip("0"):
+                    return Fraction(int(num), int(den))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational literal: {value!r}") from exc

@@ -25,9 +25,9 @@ distance query on either raises :class:`SkeletonError` naming that edge.
 All values are immutable after construction and every operation here is a
 pure function, so skeletons are safe to share across threads.  Internal
 caches (rooted data, sorted node and edge tuples, directional reach tables
-as integers over ``D`` like the heights) are filled lazily with
-``dict.setdefault``: each entry is written once, and every caller sees that
-one value.
+and each node's directions, as integers over ``D`` like the heights) are
+filled lazily with ``dict.setdefault``: each entry is written once, and
+every caller sees that one value.
 """
 
 from __future__ import annotations
@@ -327,16 +327,31 @@ class TreeSkeleton:
         table = self._cache.get("reach_num")
         if table is None:
             parent, num, _, _ = self._spanning_data()
-            table = {}
+            adj, table = self._adj, {}
             order = [(parent[y], y) for y in parent if parent[y] is not None]
             for x, y in reversed(order):
-                rest = (table[(y, z)] for z in self._adj[y] if z != x)
-                table[(x, y)] = num[y] - num[x] + max(rest, default=0)
+                far = 0
+                for z in adj[y]:
+                    if z != x and table[(y, z)] > far:
+                        far = table[(y, z)]
+                table[(x, y)] = num[y] - num[x] + far
             for x, y in order:
-                rest = (table[(x, z)] for z in self._adj[x] if z != y)
-                table[(y, x)] = num[y] - num[x] + max(rest, default=0)
+                far = 0
+                for z in adj[x]:
+                    if z != y and table[(x, z)] > far:
+                        far = table[(x, z)]
+                table[(y, x)] = num[y] - num[x] + far
             table = self._cache.setdefault("reach_num", table)
         return table
+
+    def _directions(self) -> "_Directions":
+        """The direction table: ``table[node]`` is ``(nbrs, top)``, each
+        node's entry filled on first read from the reach table."""
+        got = self._cache.get("directions")
+        if got is None:
+            got = _Directions(self._adj, self._root_data()[1], self._reach_num())
+            got = self._cache.setdefault("directions", got)
+        return got
 
     def directional_reach(self) -> dict[tuple[str, str], Fraction]:
         """For each directed edge ``(a, b)``: the farthest distance from ``a``
@@ -352,6 +367,27 @@ class TreeSkeleton:
         vals = [table[(node, nbr)] for nbr in self._adjacent(node) if nbr not in skip]
         vals.sort(reverse=True)
         return [Fraction(n, den) for n in vals]
+
+
+class _Directions(dict):
+    """``table[node]`` is ``(nbrs, top)``: ``nbrs`` holds ``(reach, nb,
+    length, node)`` for every direction leaving the node, in neighbour-id
+    order, with the reach into ``nb``'s branch and the edge's length as
+    integers over ``D``; ``top`` holds the same entries in descending
+    ``(reach, nb)`` order.  An entry is filled on its first read, so a fresh
+    skeleton pays for the nodes a walk visits and for no second pass."""
+
+    __slots__ = ("_src",)
+
+    def __init__(self, adj, num, reach) -> None:
+        super().__init__()
+        self._src = adj, num, reach
+
+    def __missing__(self, node: str):
+        adj, num, reach = self._src
+        hn = num[node]
+        nbrs = tuple((reach[(node, nb)], nb, abs(hn - num[nb]), node) for nb in sorted(adj[node]))
+        return self.setdefault(node, (nbrs, tuple(sorted(nbrs, reverse=True))))
 
 
 # -- point normalization ----------------------------------------------------
@@ -509,11 +545,31 @@ class Materialization:
     spans: dict[tuple[str, str], tuple[tuple[str, str], Fraction, Fraction]]
 
     def node_for(self, pt: PointRef) -> str:
-        """The node of a normalized point given to :func:`materialize`."""
-        try:
-            return self.points[pt]
-        except KeyError:
-            raise UnknownPointError(f"point {pt!r} was not materialized") from None
+        """The node of a point given to :func:`materialize`, in any spelling
+        of it: either edge orientation, or an edge end as its vertex, as
+        :meth:`push_forward` takes them, since ``materialize`` itself took
+        any spelling.  A point that was not materialized raises
+        :class:`UnknownPointError` naming it."""
+        node = self.points.get(pt)
+        if node is None and isinstance(pt, (Vertex, EdgePoint)):
+            try:
+                node = self.points.get(self._on_source(pt))
+            except (ValueError, TypeError):  # off the source, or a bad offset
+                pass
+        if node is None:
+            raise UnknownPointError(f"point {pt!r} was not materialized")
+        return node
+
+    def _on_source(self, pt: PointRef) -> PointRef:
+        """``pt`` normalized on the source edges, each as long as the largest
+        offset its spans reach, so a point off them raises
+        :class:`UnknownPointError` as :func:`normalize_point`."""
+        length: dict = {}
+        for key, o_u, o_v in self.spans.values():
+            length[key] = max(length.get(key, o_u), o_u, o_v)
+        nodes = [n for n, x in self.to_source.items() if x == Vertex(n)]
+        edges = [(u, v, w) for (u, v), w in length.items()]
+        return normalize_point(TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes), pt)
 
     def pull_back(self, pt: PointRef) -> PointRef:
         """Map a normalized point of the materialized tree to the source
@@ -531,15 +587,10 @@ class Materialization:
 
     def push_forward(self, pt: PointRef) -> PointRef:
         """Map a point of the source skeleton, in either orientation, into
-        the materialized tree.  The point is normalized on the source edges,
-        each as long as the largest offset its spans reach, so a point off
-        them raises :class:`UnknownPointError` as :func:`normalize_point`."""
-        length: dict = {}
-        for key, o_u, o_v in self.spans.values():
-            length[key] = max(length.get(key, o_u), o_u, o_v)
-        nodes = [n for n, x in self.to_source.items() if x == Vertex(n)]
-        edges = [(u, v, w) for (u, v), w in length.items()]
-        pt = normalize_point(TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes), pt)
+        the materialized tree.  The point is normalized on the source edges
+        (:meth:`_on_source`), so a point off them raises
+        :class:`UnknownPointError` as :func:`normalize_point`."""
+        pt = self._on_source(pt)
         if isinstance(pt, Vertex):
             return pt
         for (wu, wv), (src_key, o_u, o_v) in self.spans.items():
@@ -716,34 +767,26 @@ def hang(
     return b.freeze(), node
 
 
-def _leaving(tree: TreeSkeleton, node: str, skip: Optional[str], scale: int):
-    """``(reach, direction)`` for every direction leaving a vertex but
-    ``skip``, over ``scale`` times the skeleton's height denominator; a
-    direction is ``(next node, distance to it, node)``."""
-    table, num = tree._reach_num(), tree._root_data()[1]
-    hn = num[node]
-    return [
-        (table[(node, nb)] * scale, (nb, abs(hn - num[nb]) * scale, node))
-        for nb in tree.neighbors(node)
-        if nb != skip
-    ]
-
-
 def _leaving_point(tree: TreeSkeleton, x: PointRef, den: int):
-    """:func:`_leaving` for every direction leaving a normalized point, over
-    ``den``, a multiple of ``D`` and of an edge point's offset denominator.
-    An edge point is a degree-2 vertex whose reach towards one end ``e`` of
-    its edge is the reach from the other end ``o`` through ``e``, less
-    ``d(o, x)``; its direction is ``(e, d(x, e), o)``."""
-    _, num, _, D = tree._root_data()
+    """The directions leaving a normalized point as ``(nbrs, top, k)``, in
+    the direction table's form with every integer over ``den / k``, where
+    ``den`` is a multiple of ``D`` and of an edge point's offset
+    denominator.  A vertex's entry is the table's, with ``k = den / D``.  An
+    edge point is a degree-2 vertex, with ``k = 1``: its reach towards one
+    end ``e`` of its edge is the reach from the other end ``o`` through
+    ``e``, less ``d(o, x)``, and its entry is ``(reach, e, d(x, e), o)``."""
+    dirs, k = tree._directions(), den // tree._root_data()[3]
     if isinstance(x, Vertex):
-        return _leaving(tree, x.node, None, den // D)
-    table, length = tree._reach_num(), abs(num[x.u] - num[x.v]) * (den // D)
-    off = x.offset.numerator * (den // x.offset.denominator)
-    return [
-        (table[(o, e)] * (den // D) - (length - t), (e, t, o))
-        for e, o, t in ((x.u, x.v, off), (x.v, x.u, length - off))
-    ]
+        return (*dirs[x.node], k)
+    for to_v, nb, length, _ in dirs[x.u][0]:  # the edge's entry at each end
+        if nb == x.v:
+            break
+    for to_u, nb, _, _ in dirs[x.v][0]:
+        if nb == x.u:
+            break
+    off, length = x.offset.numerator * (den // x.offset.denominator), length * k
+    nbrs = [(to_u * k - (length - off), x.u, off, x.v), (to_v * k - off, x.v, length - off, x.u)]
+    return nbrs, sorted(nbrs, reverse=True), 1
 
 
 def transfer_point(dst: TreeSkeleton, pt: PointRef) -> PointRef:

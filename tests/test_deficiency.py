@@ -29,9 +29,10 @@ from rtrees import (
 )
 import rtrees.deficiency as deficiency
 import rtrees.pl as pl
+import rtrees.skeleton as skeleton
 from rtrees.deficiency import _edge_sup, _may_beat, psi_at_with_witness, psi_objective
 from rtrees.pl import PL, _pl, distance_profile
-from rtrees.skeleton import _leaving, _meet
+from rtrees.skeleton import _meet
 from rtrees.cli import main
 from conftest import random_corpus, reference_materialize, rng_for, tree_grid
 
@@ -820,6 +821,56 @@ def test_integer_walk_equals_fraction_walk():
     assert checked > 3000
 
 
+def test_the_walk_does_not_depend_on_edge_order():
+    # the direction table follows neighbour-id order, not the order in which
+    # a skeleton was given its edges: psi, its witness and the sup agree on
+    # the walk corpus built from its edges sorted, reversed (each edge turned
+    # round too) and shuffled, with the table cold (a fresh skeleton per
+    # call) and warm (one skeleton for every call)
+    rng = rng_for("psi-walk-order")
+    checked = 0
+    for tree, r, pts in _walk_cases():
+        want = [psi_at_with_witness(tree, x, r) for x in pts]
+        want_sup = rb_deficiency(tree, r)
+        edges = list(tree.edges())
+        shuffled = rng.sample(edges, len(edges))
+        for order in (edges, [(v, u, w) for u, v, w in reversed(edges)], shuffled):
+            def fresh():
+                return TreeSkeleton(tree.basepoint, order, extra_nodes=[tree.basepoint])
+            assert [psi_at_with_witness(fresh(), x, r) for x in pts] == want
+            assert rb_deficiency(fresh(), r) == want_sup
+            warm = fresh()
+            assert rb_deficiency(warm, r) == want_sup
+            assert [psi_at_with_witness(warm, x, r) for x in pts] == want
+            checked += len(pts)
+    assert checked > 9000
+
+
+def test_psi_at_fills_each_direction_entry_once(monkeypatch):
+    # a guard on the work, not on timing: the walk, the witness and the sup
+    # read one direction table per skeleton, each node's entry filled on its
+    # first read, so 100 psi_at calls on one extension, a witness and the sup
+    # fill at most one entry per node
+    filled = []
+    real = skeleton._Directions.__missing__
+
+    def counted(self, node):
+        filled.append(node)
+        return real(self, node)
+
+    monkeypatch.setattr(skeleton._Directions, "__missing__", counted)
+    tree = rb_extend(tripod(1, 1, 1), R, 3)
+    rng = rng_for("direction-fills")
+    edges = tree.edges()
+    for _ in range(100):
+        u, v, length = edges[rng.randrange(len(edges))]
+        psi_at(tree, point_on_edge(tree, u, v, length * Fraction(rng.randrange(1, 4), 4)), R)
+    assert 0 < len(filled) == len(set(filled)) <= len(tree.nodes())
+    psi_at_with_witness(tree, Vertex("p"), R)
+    rb_deficiency(tree, R)
+    assert len(filled) == len(set(filled)) <= len(tree.nodes())
+
+
 def test_edge_envelope_equals_psi_everywhere():
     # with no sup to beat the walk never stops early, so the envelope is psi
     # at every offset within the radius, not only at its max
@@ -847,6 +898,24 @@ def test_edge_envelope_equals_psi_everywhere():
                     assert psi_at(tree, point_on_edge(tree, u, v, x), r) == y, (u, v, r, x)
                     checked += 1
     assert edges > 1000 and checked > 10000
+
+
+def _ref_int_leaving(tree, node, skip, scale):
+    """``(reach, (next node, length, node))`` for every direction leaving a
+    vertex but ``skip``, as ints over ``scale * D``, read off the reach table
+    in neighbour-id order, as the walk read them before the direction table."""
+    table, num = tree._reach_num(), tree._root_data()[1]
+    return [
+        (table[(node, nb)] * scale, (nb, abs(num[node] - num[nb]) * scale, node))
+        for nb in tree.neighbors(node)
+        if nb != skip
+    ]
+
+
+def _ref_int_top(leaving, k):
+    """The ``k`` largest reaches with their directions, padded with 0 and None."""
+    pairs = (sorted(leaving, reverse=True) + [(0, None)] * k)[:k]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _fold_edge_sup(tree, r, u, v, best):
@@ -885,8 +954,8 @@ def _fold_edge_sup(tree, r, u, v, best):
         b, a, t2, inner = stack.pop()
         if cut(*t2):
             continue
-        leave = _leaving(tree, b, a, scale)
-        vals, dirs = deficiency._top(leave, 3)
+        leave = _ref_int_leaving(tree, b, a, scale)
+        vals, dirs = _ref_int_top(leave, 3)
         c, s = l0 - t2[0], sl - t2[1]
         config = inner.min_with(line(c - vals[2], s)).max_with(line(2 * t2[0], 2 * t2[1]))
         env = env.min_with(config.max_with(line(c - vals[1], s)))

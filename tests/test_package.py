@@ -225,6 +225,20 @@ def test_only_the_formula_fold_branches_on_the_connectives():
     assert found == {"formulas.py:_fold"}
 
 
+def test_the_psi_layer_reads_directions_only_off_the_table():
+    # one owner of directions in the psi layer: deficiency.py reads them off
+    # the skeleton's direction table, not off neighbors() or the reach table,
+    # whose order and units it would have to settle again
+    path = Path(rtrees.__file__).parent / "deficiency.py"
+    called = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    assert "_directions" in called
+    assert not called & {"neighbors", "_reach_num", "reaches_at", "directional_reach"}
+
+
 def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
     # reporting a failing example imports libcst, whose import warns; under
     # the suite's warnings-as-errors setting that must not stop the run

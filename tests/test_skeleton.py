@@ -430,8 +430,30 @@ def test_push_forward_and_node_for_name_unknown_points():
             mat.push_forward(bad)
         with pytest.raises(UnknownPointError, match=f"^{re.escape(str(exc.value))}$"):
             normalize_point(tree, bad)
-    for bad in (Vertex("zz"), Vertex("q"), EdgePoint("q", "p", Fraction(1))):
+    for bad in (Vertex("zz"), Vertex("q"), EdgePoint("q", "p", Fraction(1, 2)), "q"):
         with pytest.raises(UnknownPointError, match=re.escape(f"point {bad!r} was not materialized")):
+            mat.node_for(bad)
+
+
+def test_node_for_takes_any_spelling_of_a_materialized_point(tripod):
+    # node_for normalizes its query on the source edges, as push_forward does:
+    # the point given to materialize, in either orientation, and an edge end
+    # given as its vertex; a point that was not materialized is refused
+    at = EdgePoint("y", "p", Fraction(2, 3))
+    mat = materialize(tripod, [at, Vertex("a")])
+    cut = mat.node_for(at)
+    assert mat.to_source[cut] == EdgePoint("p", "y", Fraction(1, 3))
+    assert mat.node_for(EdgePoint("p", "y", Fraction(1, 3))) == cut
+    for end in (Vertex("a"), EdgePoint("y", "a", Fraction(1)), EdgePoint("a", "y", Fraction(0))):
+        assert mat.node_for(end) == "a", end
+    for bad in (
+        EdgePoint("y", "p", Fraction(1, 3)),
+        EdgePoint("p", "y", Fraction(0)),
+        EdgePoint("p", "zz", Fraction(1, 2)),
+        EdgePoint("p", "y", Fraction(2)),
+        Vertex(cut),
+    ):
+        with pytest.raises(UnknownPointError, match=f"^{re.escape(f'point {bad!r} was not materialized')}$"):
             mat.node_for(bad)
 
 
@@ -528,11 +550,13 @@ def test_leaving_point_matches_the_materialized_vertex():
             if not isinstance(x, EdgePoint):
                 continue
             den = lcm(D, x.offset.denominator)
-            leaving = _leaving_point(tree, x, den)
+            leaving, top, k = _leaving_point(tree, x, den)
+            assert k == 1 and list(top) == sorted(leaving, reverse=True)
+            assert [e[1] for e in leaving] == sorted([x.u, x.v])
             mat = reference_materialize(tree, [x])
-            got = sorted(Fraction(reach, den) for reach, _ in leaving)
+            got = sorted(Fraction(reach, den) for reach, *_ in leaving)
             assert got == sorted(mat.tree.reaches_at(mat.node_for(x))), (tree, x)
-            for _, (end, length, other) in leaving:
+            for _, end, length, other in leaving:
                 assert {end, other} == {x.u, x.v}
                 assert Fraction(length, den) == distance(tree, x, Vertex(end))
             checked += 1

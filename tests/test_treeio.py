@@ -15,7 +15,7 @@ from rtrees import (
     random_tree,
     tree_to_matrix,
 )
-from rtrees.rationals import format_rat
+from rtrees.rationals import as_rat, format_rat
 from rtrees.treeio import (
     FormatError,
     parse_descriptor_text,
@@ -259,3 +259,42 @@ def test_descriptor_text_round_trip(seed, n, radius):
     assert rho == [
         [pairs.get((min(i, j), max(i, j)), 0) for j in range(1, n + 1)] for i in range(1, n + 1)
     ]
+
+
+def _fraction_route(value):
+    """``as_rat`` on a string as it read every literal before its plain-digit
+    path: strip, refuse decimals and exponents, then ``Fraction``."""
+    text = value.strip()
+    if "." in text or "e" in text or "E" in text or not text:
+        raise ValueError(f"not an exact rational literal: {value!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational literal: {value!r}") from exc
+
+
+LITERALS = [
+    "0", "3", "007", "3/4", "12/8", "0/5", "1/02", "10/1", "98765432109876543210/3",
+    "+3", "-3", "-3/4", "+0/7", "3/-4", "-0", " 3", "3 ", " 3/4\n", "\t7", "3 /4", "3/ 4",
+    "1_000", "1_0/3", "3/1_0", "_1", "1/0", "0/0", "1/00", "3//4", "3/4/5", "/4", "3/", "/",
+    "", " ", "1.5", "1/2.", "1e3", "1E3", "e", "inf", "nan", "abc", "3a", "0x10",
+    "\u0661\u0662", "\uff11\uff12/3", "3/\u0664", "\u00b2", "1/\u00b2", "\u0663/4",
+    "9" * 4301, "1/" + "7" * 4301, "9" * 4300,
+]
+
+
+def test_plain_literals_read_as_the_fraction_route():
+    # the plain-digit path gives each string the value, or the exception type
+    # and text, of the Fraction route; signs, spaces, underscores, other
+    # digits, zero denominators, decimals and exponents take that route
+    for text in LITERALS:
+        try:
+            want = ("value", _fraction_route(text))
+        except Exception as exc:  # noqa: BLE001 - the type and text are compared
+            want = (type(exc), str(exc))
+        try:
+            got = ("value", as_rat(text))
+        except Exception as exc:  # noqa: BLE001
+            got = (type(exc), str(exc))
+        assert got == want, text
+    assert as_rat("12/8") == Fraction(3, 2) and as_rat("-3/4") == Fraction(-3, 4)
