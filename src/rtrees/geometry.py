@@ -2,7 +2,9 @@
 
 Gromov products, medians, segment interpolation, spanned subtrees and
 closest-point projections, all in exact rational arithmetic.  Distances and
-points on arcs come from :mod:`rtrees.skeleton`.
+points on arcs come from :mod:`rtrees.skeleton`.  Gromov products, medians
+and betweenness read their three points' root arcs once, in integers over
+one denominator (:func:`_three`).
 """
 
 from __future__ import annotations
@@ -20,26 +22,50 @@ from .skeleton import (
     Vertex,
     _at_height,
     _common_ancestor,
+    _meet,
     _rooted,
     distance,
     edge_key,
     normalize_point,
-    point_on_segment,
     point_sort_key,
 )
+
+
+def _three(tree: TreeSkeleton, a: PointRef, b: PointRef, c: PointRef):
+    """Normalized ``a``, ``b`` and ``c`` rooted: the nodes of ``a`` and ``b``,
+    the heights of ``b`` and ``c``, then the heights ``m_ab``, ``m_ac``,
+    ``m_bc`` at which their root arcs part, all as integers over the
+    denominator returned last.  The points are read in the order of
+    ``distance(a, b)`` followed by ``distance(a, c)``, so a fault raises as
+    those calls would."""
+    a = normalize_point(tree, a)
+    b = normalize_point(tree, b)
+    parent, num, depth, den = tree._root_data()
+    na, ha, da = _rooted(parent, num, den, a)
+    nb, hb, db = _rooted(parent, num, den, b)
+    nc, hc, dc = _rooted(parent, num, den, normalize_point(tree, c))
+    d = lcm(da, db, dc)
+    ha, hb, hc, k = ha * (d // da), hb * (d // db), hc * (d // dc), d // den
+    return (
+        na, nb, hb, hc,
+        min(ha, hb, num[_common_ancestor(parent, depth, na, nb)] * k),
+        min(ha, hc, num[_common_ancestor(parent, depth, na, nc)] * k),
+        min(hb, hc, num[_common_ancestor(parent, depth, nb, nc)] * k),
+        d,
+    )
 
 
 def gromov_product(tree: TreeSkeleton, x: PointRef, y: PointRef, w: PointRef) -> Fraction:
     """(x . y)_w = [d(x,w) + d(y,w) - d(x,y)] / 2, the distance from ``w``
     to the segment ``[x, y]``."""
-    return (
-        distance(tree, x, w) + distance(tree, y, w) - distance(tree, x, y)
-    ) / 2
+    _, _, hw, _hy, m_xw, m_xy, m_wy, d = _three(tree, x, w, y)
+    return Fraction(hw - m_xw - m_wy + m_xy, d)
 
 
 def is_between(tree: TreeSkeleton, a: PointRef, b: PointRef, c: PointRef) -> bool:
-    """Whether ``b`` lies on the segment ``[a, c]`` (exact additivity test)."""
-    return distance(tree, a, c) == distance(tree, a, b) + distance(tree, b, c)
+    """Whether ``b`` lies on the segment ``[a, c]``: ``(a . c)_b = 0``."""
+    _, _, _hc, hb, m_ac, m_ab, m_cb, _d = _three(tree, a, c, b)
+    return hb - m_ab - m_cb + m_ac == 0
 
 
 def piecewise_segment_check(tree: TreeSkeleton, points: Sequence[PointRef]) -> bool:
@@ -56,10 +82,15 @@ def piecewise_segment_check(tree: TreeSkeleton, points: Sequence[PointRef]) -> b
 def median(tree: TreeSkeleton, a: PointRef, b: PointRef, c: PointRef) -> PointRef:
     """The unique common point of the three pairwise segments.
 
-    It sits on ``[a, b]`` at distance ``(b . c)_a`` from ``a``.
+    It sits on ``[a, b]`` at distance ``t = (b . c)_a`` from ``a``: on the
+    root arc of ``a`` at height ``h_a - t = m_ab + m_ac - m_bc`` if that is
+    at least ``m_ab``, else on the root arc of ``b`` at height ``m_ab +
+    m_bc - m_ac``.
     """
-    t = gromov_product(tree, b, c, a)
-    return point_on_segment(tree, a, b, t)
+    nb, na, _ha, _hc, m_ab, m_bc, m_ac, d = _three(tree, b, a, c)
+    if m_bc <= m_ac:
+        return _at_height(tree, na, m_ab + m_ac - m_bc, d)
+    return _at_height(tree, nb, m_ab + m_bc - m_ac, d)
 
 
 def interpolate(tree: TreeSkeleton, x1: PointRef, x2: PointRef, s) -> PointRef:
@@ -67,7 +98,13 @@ def interpolate(tree: TreeSkeleton, x1: PointRef, x2: PointRef, s) -> PointRef:
     s = as_rat(s)
     if s < 0 or s > 1:
         raise ValueError("interpolation parameter outside [0, 1]")
-    return point_on_segment(tree, x1, x2, s * distance(tree, x1, x2))
+    n1, h1, n2, h2, m, d = _meet(tree, normalize_point(tree, x1), normalize_point(tree, x2))
+    # the distance from x1, s * (h1 + h2 - 2m), as an integer over d * sd
+    sn, sd = s.numerator, s.denominator
+    t = sn * (h1 + h2 - 2 * m)
+    if t <= (h1 - m) * sd:
+        return _at_height(tree, n1, h1 * sd - t, d * sd)
+    return _at_height(tree, n2, (2 * m - h1) * sd + t, d * sd)
 
 
 def dist_to_center_ball(tree: TreeSkeleton, x: PointRef, s) -> Fraction:

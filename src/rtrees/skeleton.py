@@ -27,13 +27,15 @@ pure function, so skeletons are safe to share across threads.  Internal
 caches (rooted data, sorted node and edge tuples, directional reach tables
 and each node's directions, as integers over ``D`` like the heights) are
 filled lazily with ``dict.setdefault``: each entry is written once, and
-every caller sees that one value.
+every caller sees that one value.  A materialization builds the skeleton of
+its source edges once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -560,16 +562,24 @@ class Materialization:
             raise UnknownPointError(f"point {pt!r} was not materialized")
         return node
 
-    def _on_source(self, pt: PointRef) -> PointRef:
-        """``pt`` normalized on the source edges, each as long as the largest
-        offset its spans reach, so a point off them raises
-        :class:`UnknownPointError` as :func:`normalize_point`."""
+    @cached_property
+    def _source(self) -> TreeSkeleton:
+        """The source skeleton as far as the spans reach: each source edge
+        as long as the largest offset its spans reach, and every source
+        vertex.  Not a field, so ``==`` is unchanged; built once, on first
+        use."""
         length: dict = {}
         for key, o_u, o_v in self.spans.values():
             length[key] = max(length.get(key, o_u), o_u, o_v)
         nodes = [n for n, x in self.to_source.items() if x == Vertex(n)]
         edges = [(u, v, w) for (u, v), w in length.items()]
-        return normalize_point(TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes), pt)
+        return TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes)
+
+    def _on_source(self, pt: PointRef) -> PointRef:
+        """``pt`` normalized on the source edges (:attr:`_source`), so a
+        point off them raises :class:`UnknownPointError` as
+        :func:`normalize_point`."""
+        return normalize_point(self._source, pt)
 
     def pull_back(self, pt: PointRef) -> PointRef:
         """Map a normalized point of the materialized tree to the source

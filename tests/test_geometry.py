@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from rtrees import (
     project_to_subtree,
     spanned_subtree,
 )
-from conftest import random_corpus, rng_for, tree_grid
+from conftest import fw_distance, random_corpus, rng_for, tree_grid
 from rtrees.generators import random_point, rb_extend, segment, tripod as make_tripod
 from rtrees.geometry import _span_top
 from rtrees.skeleton import _at_height, _rooted, edge_key, normalize_point
@@ -71,8 +72,6 @@ def test_median_examples(tripod):
 
 
 def test_median_permutation_invariant():
-    import itertools
-
     for tree in random_corpus("median", 6, max_nodes=6):
         rng = rng_for("medianpts")
         pts = [random_point(rng, tree) for _ in range(3)]
@@ -374,3 +373,167 @@ def test_spanning_nothing_without_the_basepoint_is_refused():
     with pytest.raises(ValueError, match="^cannot span the empty set$"):
         spanned_subtree(tree, [], adjoin_basepoint=False)
     assert spanned_subtree(tree, []).vertex_cover == {"p"}
+
+
+# -- Gromov products, medians and betweenness against Floyd-Warshall -------------
+
+
+def _spellings(rng, tree):
+    """Seeded points of ``tree`` as a caller may spell them: vertices, edge
+    points over denominators 2, 3, 5 and 7 in either orientation, two points
+    on one edge, one point in both orientations and a vertex as an edge end."""
+    u, v, length = rng.choice(tree.edges())
+    o = length * Fraction(rng.randint(1, 4), 5)
+    pts = [
+        Vertex(rng.choice(tree.nodes())),
+        EdgePoint(u, v, o),
+        EdgePoint(v, u, length - o),  # the same point turned round
+        EdgePoint(u, v, length * Fraction(rng.randint(1, 6), 7)),  # beside it
+        rng.choice([EdgePoint(u, v, 0), EdgePoint(v, u, length)]),  # the vertex u
+    ]
+    for den in (2, 3, 5, 7):
+        x, y, w = rng.choice(tree.edges())
+        off = w * Fraction(rng.randint(1, den - 1), den)
+        pts.append(EdgePoint(x, y, off) if rng.random() < 0.5 else EdgePoint(y, x, w - off))
+    return pts
+
+
+def _oracle_cases():
+    trees = random_corpus("gp-oracle", 5, max_nodes=7)
+    trees += [rb_extend(make_tripod(1, 1, 1), 2, 2), rb_extend(segment(2), 2, 2)]
+    for k, tree in enumerate(trees):
+        rng = rng_for(("gp-oracle", k))
+        pts = _spellings(rng, tree)
+        triples = [(pts[1], pts[2], pts[3]), (pts[4], pts[0], pts[1]), (pts[0], pts[0], pts[5])]
+        triples += [tuple(rng.choice(pts) for _ in range(3)) for _ in range(4)]
+        yield tree, triples
+
+
+def test_gromov_median_and_betweenness_match_floyd_warshall():
+    # the three share one rooted read of their points, so each is checked
+    # against path sums of a materialized copy, not against the others;
+    # the median by its definition, on all three pairwise segments
+    cases = 0
+    for tree, triples in _oracle_cases():
+        memo = {}
+
+        def fw(a, b):
+            key = frozenset((normalize_point(tree, a), normalize_point(tree, b)))
+            if key not in memo:
+                memo[key] = fw_distance(tree, a, b)
+            return memo[key]
+
+        for a, b, c in triples:
+            for x, y, w in ((a, b, c), (b, c, a), (c, a, b)):
+                assert gromov_product(tree, x, y, w) == (fw(x, w) + fw(y, w) - fw(x, y)) / 2
+                assert is_between(tree, x, w, y) == (fw(x, w) + fw(w, y) == fw(x, y))
+            m = median(tree, a, b, c)
+            assert m == normalize_point(tree, m)
+            for x, y in ((a, b), (a, c), (b, c)):
+                assert fw(x, m) + fw(m, y) == fw(x, y), (tree, a, b, c, m)
+            z = interpolate(tree, a, c, Fraction(2, 5))
+            assert z == normalize_point(tree, z)
+            assert (fw(a, z), fw(z, c)) == (fw(a, c) * Fraction(2, 5), fw(a, c) * Fraction(3, 5))
+            cases += 1
+    assert cases == 49
+
+
+# the distance queries in whose order each function refuses a fault: it
+# raises what the first of them to refuse raises
+_AS_DISTANCES = {
+    "gromov_product": (gromov_product, lambda x, y, w: [(x, w), (y, w), (x, y)]),
+    "median": (median, lambda a, b, c: [(b, a), (c, a), (a, b)]),
+    "is_between": (is_between, lambda a, b, c: [(a, c), (a, b), (b, c)]),
+    "interpolate": (
+        lambda t, x, y, _: interpolate(t, x, y, Fraction(1, 3)),
+        lambda x, y, _: [(x, y)],
+    ),
+}
+
+
+def _first_refusal(tree, pairs):
+    for pair in pairs:
+        try:
+            distance(tree, *pair)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_each_fault_raises_as_the_first_refusing_distance():
+    # gromov_product, median, is_between and interpolate read their points
+    # in one pass, and refuse with the type and text of the first distance
+    # query in _AS_DISTANCES to refuse, whatever the faults and wherever
+    # they sit
+    edges = [("p", "y", 1), ("y", "a", 1), ("y", "b", Fraction(1, 2)), ("q", "r", 1)]
+    trees = (
+        TreeSkeleton("p", edges),
+        TreeSkeleton("p", edges + [("a", "p", 1)]),  # a cycle
+        TreeSkeleton("p", edges[:1] + [("y", "a", 0)] + edges[2:]),  # an edge of length 0
+    )
+    good = (Vertex("a"), EdgePoint("b", "y", Fraction(1, 3)), Vertex("p"))
+    faults = (
+        Vertex("zz"),  # unknown node
+        EdgePoint("y", "zz", Fraction(1, 2)),  # unknown edge
+        EdgePoint("y", "b", 1),  # offset off its edge
+        Vertex("q"),  # off the basepoint's component
+        EdgePoint("r", "q", Fraction(1, 4)),
+    )
+    refused = 0
+    for tree in trees:
+        for pts in itertools.product(*((g,) + faults for g in good)):
+            for name, (call, as_distances) in _AS_DISTANCES.items():
+                want = _first_refusal(tree, as_distances(*pts))
+                if want is None:
+                    call(tree, *pts)
+                    continue
+                with pytest.raises(ValueError) as got:
+                    call(tree, *pts)
+                assert (type(got.value), str(got.value)) == want, (name, tree, pts)
+                refused += 1
+    # all four return on the three good points, and interpolate whatever the third
+    assert refused == 3 * 4 * 216 - 4 - 5
+
+
+def test_gromov_product_and_median_read_each_point_once(monkeypatch):
+    # a guard on the work, not on timing: routed through distance, a Gromov
+    # product normalized 6 points and found 3 common ancestors, a median 8
+    # and 4, and interpolate 4 and 2
+    import rtrees.geometry as geometry
+    import rtrees.skeleton as skeleton
+
+    tree = rb_extend(make_tripod(1, 1, 1), 2, 3)
+    rng = rng_for("read-once")
+    triples = [tuple(random_point(rng, tree) for _ in range(3)) for _ in range(20)]
+    want = [
+        (gromov_product(tree, *t), median(tree, *t), interpolate(tree, t[0], t[1], Fraction(1, 3)))
+        for t in triples
+    ]
+    counts = {}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        return call
+
+    def refused(*_):
+        raise AssertionError("read through distance or point_on_segment")
+
+    normalize = counted("normalize_point", skeleton.normalize_point)
+    ancestor = counted("_common_ancestor", skeleton._common_ancestor)
+    for mod in (geometry, skeleton):
+        monkeypatch.setattr(mod, "normalize_point", normalize)
+        monkeypatch.setattr(mod, "_common_ancestor", ancestor)
+        monkeypatch.setattr(mod, "distance", refused, raising=False)
+        monkeypatch.setattr(mod, "point_on_segment", refused, raising=False)
+    for t, (gp, m, z) in zip(triples, want):
+        counts.clear()
+        assert gromov_product(tree, *t) == gp
+        assert counts == {"normalize_point": 3, "_common_ancestor": 3}
+        counts.clear()
+        assert median(tree, *t) == m
+        assert counts == {"normalize_point": 3, "_common_ancestor": 3}
+        counts.clear()
+        assert interpolate(tree, t[0], t[1], Fraction(1, 3)) == z
+        assert counts == {"normalize_point": 2, "_common_ancestor": 1}

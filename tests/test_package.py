@@ -239,6 +239,24 @@ def test_the_psi_layer_reads_directions_only_off_the_table():
     assert not called & {"neighbors", "_reach_num", "reaches_at", "directional_reach"}
 
 
+def test_gromov_products_and_medians_read_no_distances():
+    # gromov_product, median and is_between read their three points once,
+    # through geometry._three, and interpolate its two through one _meet; a
+    # distance or point_on_segment call in one of them reads them again
+    path = Path(rtrees.__file__).parent / "geometry.py"
+    called = {}
+    for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(fn, ast.FunctionDef):
+            called[fn.name] = {
+                getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)
+            }
+    for name in ("gromov_product", "median", "is_between"):
+        assert "_three" in called[name], name
+    assert "_meet" in called["interpolate"]
+    for name in ("gromov_product", "median", "is_between", "interpolate"):
+        assert not called[name] & {"distance", "point_on_segment"}, name
+
+
 def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
     # reporting a failing example imports libcst, whose import warns; under
     # the suite's warnings-as-errors setting that must not stop the run
