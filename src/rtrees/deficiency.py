@@ -416,7 +416,7 @@ def _may_beat(
     both the tent ``min(a + 2 z, b + 2 (L - z))`` and the configurations
     that ``_edge_sup`` starts from, ``max(2 l / 3, min(l - z, l - (L - z)))``,
     exceed ``best``; ``a`` and ``b`` bound psi at ``u`` and ``v``, over
-    ``V = 3 lcm(D, r_d)``, where ``root = (parent, num, depth, D)`` is the
+    ``V = 3 lcm(D, r_d)``, where ``root = (parent, num, anc, D)`` is the
     tree's rooted data.  Max distributes over min, so that is two calls
     of :func:`_above_somewhere`, on lines over ``3 V``, where ``2 l / 3``
     is integral."""

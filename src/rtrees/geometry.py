@@ -40,7 +40,7 @@ def _three(tree: TreeSkeleton, a: PointRef, b: PointRef, c: PointRef):
     those calls would."""
     a = normalize_point(tree, a)
     b = normalize_point(tree, b)
-    parent, num, depth, den = tree._root_data()
+    parent, num, anc, den = tree._root_data()
     na, ha, da = _rooted(parent, num, den, a)
     nb, hb, db = _rooted(parent, num, den, b)
     nc, hc, dc = _rooted(parent, num, den, normalize_point(tree, c))
@@ -48,9 +48,9 @@ def _three(tree: TreeSkeleton, a: PointRef, b: PointRef, c: PointRef):
     ha, hb, hc, k = ha * (d // da), hb * (d // db), hc * (d // dc), d // den
     return (
         na, nb, hb, hc,
-        min(ha, hb, num[_common_ancestor(parent, depth, na, nb)] * k),
-        min(ha, hc, num[_common_ancestor(parent, depth, na, nc)] * k),
-        min(hb, hc, num[_common_ancestor(parent, depth, nb, nc)] * k),
+        min(ha, hb, num[_common_ancestor(parent, anc, na, nb)] * k),
+        min(ha, hc, num[_common_ancestor(parent, anc, na, nc)] * k),
+        min(hb, hc, num[_common_ancestor(parent, anc, nb, nc)] * k),
         d,
     )
 
@@ -169,13 +169,13 @@ def _span_top(tree: TreeSkeleton, gens: Sequence[PointRef]):
     """The generators as rooted ``(node, h)`` pairs over one denominator
     ``E``, then the height ``t`` of the span's top over ``E``, then ``E``.
     The top lies on the root arc of the first generator."""
-    parent, num, depth, den = tree._root_data()
+    parent, num, anc, den = tree._root_data()
     rooted = [_rooted(parent, num, den, g) for g in gens]
     big = lcm(*(d for *_, d in rooted))
     pts = [(n, h * (big // d)) for n, h, d in rooted]
     scale = big // den
     n0 = pts[0][0]
-    t = min(min(h, num[_common_ancestor(parent, depth, n0, n)] * scale) for n, h in pts)
+    t = min(min(h, num[_common_ancestor(parent, anc, n0, n)] * scale) for n, h in pts)
     return pts, t, big
 
 

@@ -11,9 +11,11 @@ from the basepoint as an integer numerator over ``D``, the lcm of the
 denominators of the edge lengths; on a tree that is the lcm of the
 denominators of those distances.  A point is ``(node, h, den)``: the point at
 height ``h / den`` on the arc from ``node`` up to its parent.  One
-common-ancestor loop gives the height at which two root arcs part, and one
-ancestor walk finds the point at a given height.  Radius checks compare
-these integers too; a ``Fraction`` is built only for a result or a report.
+common-ancestor walk gives the height at which two root arcs part (by jump
+pointers on a tree taller than ``_JUMP_HEIGHT``, parent by parent on a
+shallower one), and one ancestor walk finds the point at a given height.
+Radius checks compare these integers too; a ``Fraction`` is built only for a
+result or a report.
 A private builder grows a copy of a tree in the same integer heights: it
 cuts edges, one at a time or all at the multiples of a mesh, hangs
 segments and freezes the result once; :func:`materialize` is its cuts at a
@@ -149,8 +151,10 @@ class TreeSkeleton:
         for node in extra_nodes:
             ensure(node)
         for u, v, length in edges:
-            ensure(u)
-            ensure(v)
+            if type(u) is not str or u not in adj:
+                ensure(u)
+            if type(v) is not str or v not in adj:
+                ensure(v)
             if u == v:
                 raise SkeletonError(f"self-loop at {u}")
             if v in adj[u]:
@@ -248,13 +252,16 @@ class TreeSkeleton:
     # -- rooted path data (cached) ------------------------------------------
 
     def _search(self):
-        """``(parent, num, depth, D, cycle, short)`` from one search of the
+        """``(parent, num, anc, D, cycle, short)`` from one search of the
         basepoint's component: ``num[x] / D`` is ``d(p, x)``, summed in
         integers over the lcm ``D`` of the edge lengths' denominators,
-        ``cycle`` is the first edge met that is off the search's spanning
-        tree, as ``(from, to)``, and ``short`` the first spanning-tree edge
-        met of length at most 0, as ``(from, to, length)``; each is ``None``
-        if there is none."""
+        ``anc`` is the ancestor index ``(depth, jump)`` read only by
+        :func:`_common_ancestor`, ``cycle`` is the first edge met that is
+        off the search's spanning tree, as ``(from, to)``, and ``short`` the
+        first spanning-tree edge met of length at most 0, as ``(from, to,
+        length)``; each is ``None`` if there is none.  ``jump`` holds the
+        skew-binary jump pointers of a tree taller than ``_JUMP_HEIGHT``
+        and is ``None`` on a shallower one or off a tree."""
         data = self._cache.get("root")
         if data is None:
             den = lcm(*{w.denominator for nbrs in self._adj.values() for w in nbrs.values()})
@@ -265,27 +272,37 @@ class TreeSkeleton:
             stack = [self.basepoint]
             while stack:
                 cur = stack.pop()
-                up = parent[cur]
+                up, h, below = parent[cur], num[cur], depth[cur] + 1
                 for nbr, w in self._adj[cur].items():
                     if nbr not in parent:
                         if w.numerator <= 0 and short is None:
                             short = (cur, nbr, w)
                         parent[nbr] = cur
-                        num[nbr] = num[cur] + w.numerator * (den // w.denominator)
-                        depth[nbr] = depth[cur] + 1
+                        num[nbr] = h + w.numerator * (den // w.denominator)
+                        depth[nbr] = below
                         stack.append(nbr)
                     elif nbr != up and cycle is None:
                         cycle = (cur, nbr)
-            data = self._cache.setdefault("root", (parent, num, depth, den, cycle, short))
+            jump = None
+            if cycle is None and max(depth.values()) > _JUMP_HEIGHT:
+                # parents come before children in ``parent``, the root first
+                links = iter(parent.items())
+                next(links)
+                jump = {self.basepoint: self.basepoint}
+                for x, u in links:
+                    j = jump[u]
+                    jj = jump[j]
+                    jump[x] = jj if depth[u] + depth[jj] == 2 * depth[j] else u
+            data = self._cache.setdefault("root", (parent, num, (depth, jump), den, cycle, short))
         return data
 
     def _root_data(self):
-        """``(parent, num, depth, D)`` of the tree rooted at the basepoint;
+        """``(parent, num, anc, D)`` of the tree rooted at the basepoint;
         raises :class:`SkeletonError` if the skeleton has a cycle or an edge
         of length at most 0 there."""
         data = self._cache.get("rooted")
         if data is None:
-            parent, num, depth, den, cycle, short = self._search()
+            parent, num, anc, den, cycle, short = self._search()
             if cycle is not None:
                 raise SkeletonError(
                     f"edge {cycle[0]}-{cycle[1]} closes a cycle: the skeleton is not a tree"
@@ -293,7 +310,7 @@ class TreeSkeleton:
             if short is not None:
                 u, v = edge_key(short[0], short[1])
                 raise SkeletonError(f"edge {u}-{v} has length {format_rat(short[2])}")
-            data = self._cache.setdefault("rooted", (parent, num, depth, den))
+            data = self._cache.setdefault("rooted", (parent, num, anc, den))
         return data
 
     def _spanning_data(self):
@@ -314,10 +331,10 @@ class TreeSkeleton:
     def vertex_distance(self, a: str, b: str) -> Fraction:
         if a not in self._adj or b not in self._adj:
             raise UnknownPointError(f"unknown node in pair ({a!r}, {b!r})")
-        parent, num, depth, den = self._root_data()
+        parent, num, anc, den = self._root_data()
         if a not in num or b not in num:
             raise SkeletonError("distance query across disconnected components")
-        return Fraction(num[a] + num[b] - 2 * num[_common_ancestor(parent, depth, a, b)], den)
+        return Fraction(num[a] + num[b] - 2 * num[_common_ancestor(parent, anc, a, b)], den)
 
     # -- directional reach (cached) ------------------------------------------
 
@@ -435,17 +452,48 @@ def point_on_edge(tree: TreeSkeleton, u: str, v: str, offset) -> PointRef:
 # above the height ``m = (a . b)_p`` where they part, so
 # ``d(a, b) = h_a + h_b - 2m`` and each of its points lies at a known height on
 # one of the two root arcs.
+#
+# The common ancestor is found from the ancestor index ``(depth, jump)``.  A
+# tree no taller than ``_JUMP_HEIGHT`` has no ``jump`` and its walk climbs one
+# parent at a time.  A taller one has Myers' skew-binary jump pointers (E. W.
+# Myers, "An applicative random-access stack", IPL 17, 1983): one per node,
+# set from its parent's in the pass after the search, so that a climb to any
+# ancestor takes O(log height) jumps.  The constant is the measured
+# crossover: up to that height the jump walk was no faster than the parent
+# walk on random node pairs, while the pointers add about a fifth to the
+# search.
+
+_JUMP_HEIGHT = 32
 
 
-def _common_ancestor(parent, depth, x: str, y: str) -> str:
+def _common_ancestor(parent, anc, x: str, y: str) -> str:
     """The lowest common ancestor of two nodes in the basepoint's rooted data."""
-    while depth[x] > depth[y]:
-        x = parent[x]
-    while depth[y] > depth[x]:
-        y = parent[y]
-    while x != y:
-        x = parent[x]
-        y = parent[y]
+    depth, jump = anc
+    dx, dy = depth[x], depth[y]
+    if jump is None:
+        while dx > dy:
+            x, dx = parent[x], dx - 1
+        while dy > dx:
+            y, dy = parent[y], dy - 1
+        while x != y:
+            x = parent[x]
+            y = parent[y]
+        return x
+    if dx < dy:
+        x, y, dx, dy = y, x, dy, dx
+    while dx > dy:  # lift x to y's depth, by a jump where it does not overshoot
+        j = jump[x]
+        dj = depth[j]
+        if dj >= dy:
+            x, dx = j, dj
+        else:
+            x, dx = parent[x], dx - 1
+    while x != y:  # jump targets' depths depend on the depth alone
+        jx, jy = jump[x], jump[y]
+        if jx != jy:
+            x, y = jx, jy
+        else:
+            x, y = parent[x], parent[y]
     return x
 
 
@@ -470,7 +518,7 @@ def _meet(tree: TreeSkeleton, a: PointRef, b: PointRef):
     integers over the denominator returned last.  ``m`` is the common
     ancestor's height unless a point on the edge just above that ancestor is
     lower."""
-    parent, num, depth, den = tree._root_data()
+    parent, num, anc, den = tree._root_data()
     na, ha, da = _rooted(parent, num, den, a)
     nb, hb, db = _rooted(parent, num, den, b)
     if da != db:
@@ -478,7 +526,7 @@ def _meet(tree: TreeSkeleton, a: PointRef, b: PointRef):
         ha *= common // da
         hb *= common // db
         da = common
-    m = num[_common_ancestor(parent, depth, na, nb)] * (da // den)
+    m = num[_common_ancestor(parent, anc, na, nb)] * (da // den)
     return na, ha, nb, hb, min(ha, hb, m), da
 
 
@@ -575,6 +623,16 @@ class Materialization:
         edges = [(u, v, w) for (u, v), w in length.items()]
         return TreeSkeleton(self.tree.basepoint, edges, extra_nodes=nodes)
 
+    @cached_property
+    def _spans_of(self) -> dict:
+        """Each source edge's spans, as ``(edge, offset_at_u, offset_at_v)``
+        in the order of :attr:`spans`.  Not a field, so ``==`` is unchanged;
+        built once, on first use."""
+        index: dict = {}
+        for edge, (key, o_u, o_v) in self.spans.items():
+            index.setdefault(key, []).append((edge, o_u, o_v))
+        return index
+
     def _on_source(self, pt: PointRef) -> PointRef:
         """``pt`` normalized on the source edges (:attr:`_source`), so a
         point off them raises :class:`UnknownPointError` as
@@ -603,8 +661,8 @@ class Materialization:
         pt = self._on_source(pt)
         if isinstance(pt, Vertex):
             return pt
-        for (wu, wv), (src_key, o_u, o_v) in self.spans.items():
-            if src_key == (pt.u, pt.v) and min(o_u, o_v) <= pt.offset <= max(o_u, o_v):
+        for (wu, wv), o_u, o_v in self._spans_of.get((pt.u, pt.v), ()):
+            if min(o_u, o_v) <= pt.offset <= max(o_u, o_v):
                 return normalize_point(self.tree, EdgePoint(wu, wv, abs(pt.offset - o_u)))
 
     def graft(

@@ -83,8 +83,12 @@ def parse_tree(text: str) -> TreeDocument:
     edges: list[tuple[str, str, Fraction]] = []
     raw_points: list[tuple[int, str, list[str]]] = []
     radius: Optional[Fraction] = None
+    lengths: dict[str, Fraction] = {}  # each distinct length literal read once
 
-    for lineno, parts in _content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         kind = parts[0]
         try:
             if kind == "node":
@@ -104,7 +108,10 @@ def parse_tree(text: str) -> TreeDocument:
             elif kind == "edge":
                 if len(parts) != 4:
                     raise FormatError("edge needs two node ids and a length", lineno)
-                edges.append((parts[1], parts[2], as_rat(parts[3])))
+                length = lengths.get(parts[3])
+                if length is None:
+                    length = lengths[parts[3]] = as_rat(parts[3])
+                edges.append((parts[1], parts[2], length))
             elif kind == "point":
                 if len(parts) < 3:
                     raise FormatError("point needs a name and a location", lineno)

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+import rtrees.skeleton as skeleton
 from rtrees import (
     EdgePoint,
     SkeletonError,
     TreeSkeleton,
     Vertex,
     distance,
+    gromov_product,
     is_between,
     median,
     normalize_point,
@@ -22,7 +24,10 @@ from rtrees import (
     project_to_subtree,
     random_point,
     random_tree,
+    rb_extend,
+    segment,
     spanned_subtree,
+    tripod,
     validate,
 )
 from conftest import fw_distance, random_corpus, rng_for, tree_grid
@@ -34,9 +39,10 @@ R = Fraction(2)
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def root_path(tree, node):
-    """Nodes from ``node`` up to the basepoint, by a breadth-first search
-    that shares no code with the library's rooted data."""
+def bfs_parents(tree):
+    """Each node's parent, by a breadth-first search from the basepoint
+    that shares no code with the library's rooted data; parents come
+    before their children."""
     parent = {tree.basepoint: None}
     queue = [tree.basepoint]
     for cur in queue:
@@ -44,6 +50,12 @@ def root_path(tree, node):
             if nbr not in parent:
                 parent[nbr] = cur
                 queue.append(nbr)
+    return parent
+
+
+def root_path(tree, node):
+    """Nodes from ``node`` up to the basepoint."""
+    parent = bfs_parents(tree)
     path = [node]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
@@ -177,6 +189,109 @@ def test_cyclic_skeleton_refuses_distances(drawn):
     for call in calls:
         with pytest.raises(SkeletonError, match=r"edge \S+-\S+ closes a cycle"):
             call()
+
+
+J = skeleton._JUMP_HEIGHT
+
+
+def path_tree(height):
+    return TreeSkeleton("n0", [(f"n{i}", f"n{i + 1}", 1) for i in range(height)])
+
+
+def comb_tree(height):
+    """A spine of ``height`` unit edges with a tooth of one to three edges
+    of mixed lengths at every spine node."""
+    edges = [(f"s{i}", f"s{i + 1}", 1) for i in range(height)]
+    for i in range(height):
+        tooth = [f"s{i}"] + [f"t{i}_{j}" for j in range(i % 3 + 1)]
+        edges += [(a, b, Fraction(j + 1, 3)) for j, (a, b) in enumerate(zip(tooth, tooth[1:]))]
+    return TreeSkeleton("s0", edges)
+
+
+ANCESTOR_TREES = {
+    "path J-1": lambda: path_tree(J - 1),
+    "path J": lambda: path_tree(J),
+    "path J+1": lambda: path_tree(J + 1),
+    "path 2J": lambda: path_tree(2 * J),
+    "path 300": lambda: path_tree(300),
+    "comb 2J": lambda: comb_tree(2 * J),
+    "rb_extend tripod 6": lambda: rb_extend(tripod(1, 1, 1), 2, 6),
+    "rb_extend segment 6": lambda: rb_extend(segment(2), 2, 6),
+}
+
+
+def reference_common_ancestors(parent, x):
+    """The common ancestor of ``x`` and each node, by a parent walk: a node
+    on the root path of ``x`` is its own, any other takes its parent's."""
+    on_path = set()
+    while x is not None:
+        on_path.add(x)
+        x = parent[x]
+    out = {}
+    for y, up in parent.items():
+        out[y] = y if y in on_path else out[up]
+    return out
+
+
+@pytest.mark.parametrize("name", ANCESTOR_TREES)
+def test_common_ancestor_matches_a_parent_walk(name):
+    # every node pair, on trees either side of the height at which the
+    # jump pointers are built
+    tree = ANCESTOR_TREES[name]()
+    parent, _, anc, _ = tree._root_data()
+    assert (anc[1] is None) == (max(anc[0].values()) <= J)
+    ref = bfs_parents(tree)
+    for x in ref:
+        got = {y: skeleton._common_ancestor(parent, anc, x, y) for y in ref}
+        assert got == reference_common_ancestors(ref, x), x
+
+
+def test_tall_tree_arcs_match_floyd_warshall():
+    # distances, Gromov products and medians where the walk climbs by
+    # jumps, with edge points in either orientation; the branches part
+    # deep down the spine, so both of the walk's loops run
+    spine = [(f"s{i}", f"s{i + 1}", Fraction(i % 3 + 1, 2)) for i in range(J + 4)]
+    branch = [(f"s{J - 3}" if i == 0 else f"b{i}", f"b{i + 1}", Fraction(i % 2 + 1, 3)) for i in range(5)]
+    tree = TreeSkeleton("s0", spine + branch + [("s9", "c1", 1), ("c1", "c2", Fraction(1, 5))])
+    assert tree._root_data()[2][1] is not None
+    rng = rng_for("tall-arcs")
+    deep = [EdgePoint(f"s{J + 3}", f"s{J + 4}", Fraction(1, 3)), EdgePoint("b5", "b4", Fraction(1, 4))]
+    fw = {}
+
+    def d(p, q):
+        if (p, q) not in fw:
+            fw[p, q] = fw[q, p] = fw_distance(tree, p, q)
+        return fw[p, q]
+
+    def flip(pt):
+        if isinstance(pt, Vertex):
+            return pt
+        return EdgePoint(pt.v, pt.u, tree.edge_length(pt.u, pt.v) - pt.offset)
+
+    for k in range(4):
+        x, y, w = deep[k % 2], deep[1 - k % 2] if k < 2 else random_point(rng, tree), random_point(rng, tree)
+        for a, b, c in ((x, y, w), (flip(y), flip(x), flip(w))):
+            assert distance(tree, a, b) == d(a, b)
+            assert gromov_product(tree, a, b, c) == (d(a, c) + d(b, c) - d(a, b)) / 2
+            m = median(tree, a, b, c)
+            for p, q in ((a, b), (a, c), (b, c)):
+                assert d(p, m) + d(m, q) == d(p, q)
+
+
+def test_tall_skeletons_off_a_tree_are_refused_as_before():
+    edges = [(f"n{i}", f"n{i + 1}", 1) for i in range(2 * J)]
+    cyclic = TreeSkeleton("n0", edges + [(f"n{2 * J}", "n3", 1)])
+    assert cyclic._search()[2][1] is None
+    with pytest.raises(SkeletonError, match="^edge n5-n4 closes a cycle: the skeleton is not a tree$"):
+        distance(cyclic, Vertex("n1"), Vertex(f"n{2 * J}"))
+    apart = TreeSkeleton("n0", edges, extra_nodes=["z"])
+    assert apart._root_data()[2][1] is not None
+    assert distance(apart, Vertex("n1"), Vertex(f"n{2 * J}")) == 2 * J - 1
+    for call in (lambda: distance(apart, Vertex("n5"), Vertex("z")), lambda: apart.vertex_distance("z", "n5")):
+        with pytest.raises(SkeletonError, match="^distance query across disconnected components$"):
+            call()
+    with pytest.raises(SkeletonError, match="^node 'z' not connected to the basepoint$"):
+        apart.directional_reach()
 
 
 EDGE_DENOMINATORS = (2, 3, 5, 7, 11, 13)

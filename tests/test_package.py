@@ -257,6 +257,73 @@ def test_gromov_products_and_medians_read_no_distances():
         assert not called[name] & {"distance", "point_on_segment"}, name
 
 
+_ROOTED_CALLS = {"_search", "_root_data", "_spanning_data"}
+
+
+def test_only_the_search_and_the_walk_read_the_ancestor_index():
+    # the rooted data's third field is the ancestor index (depth, jump):
+    # skeleton._search builds it and skeleton._common_ancestor reads it, so
+    # the choice between the parent walk and the jump walk has one owner;
+    # any other function may only bind it to a name that it passes to that
+    # walk or packs again as the third field of a tuple
+    owners = {"skeleton.py:_search", "skeleton.py:_common_ancestor"}
+    found, passing = set(), set()
+    for path in sorted(Path(rtrees.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+
+        def rooted_call(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _ROOTED_CALLS
+
+        # names bound to the whole rooted data, as deficiency.py's ``root``
+        held = {
+            t.id for node in ast.walk(module) if isinstance(node, ast.Assign) and rooted_call(node.value)
+            for t in node.targets if isinstance(t, ast.Name)
+        }
+
+        def rooted(node):
+            return rooted_call(node) or isinstance(node, ast.Name) and node.id in held
+
+        for fn in ast.walk(module):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.name}:{fn.name}"
+            if where in owners:
+                continue
+            bound, handed = set(), set()
+            for node in _own_nodes(fn):
+                if any(getattr(node, key, None) == "jump" for key in ("id", "attr", "arg")):
+                    found.add(where)
+                if isinstance(node, ast.Subscript) and rooted(node.value):
+                    index = node.slice
+                    if not (isinstance(index, ast.Constant) and type(index.value) is int
+                            and index.value >= 0 and index.value != 2):
+                        found.add(where)
+                if isinstance(node, ast.Assign) and rooted(node.value):
+                    for target in node.targets:
+                        if not isinstance(target, ast.Tuple):
+                            continue
+                        head = target.elts[:3]
+                        if len(head) < 3 or not all(isinstance(e, ast.Name) for e in head):
+                            found.add(where)
+                        elif not head[2].id.startswith("_"):
+                            bound.add(head[2].id)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_common_ancestor":
+                    handed.update(id(arg) for arg in node.args[1:2])
+                if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load) and len(node.elts) > 2:
+                    handed.add(id(node.elts[2]))
+            for node in _own_nodes(fn):
+                if (isinstance(node, ast.Name) and node.id in bound
+                        and isinstance(node.ctx, ast.Load) and id(node) not in handed):
+                    found.add(where)
+            if bound:
+                passing.add(where)
+    assert found == set()
+    assert passing == {
+        "skeleton.py:_root_data", "skeleton.py:vertex_distance", "skeleton.py:_meet",
+        "geometry.py:_three", "geometry.py:_span_top",
+    }
+
+
 def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
     # reporting a failing example imports libcst, whose import warns; under
     # the suite's warnings-as-errors setting that must not stop the run

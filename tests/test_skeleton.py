@@ -50,6 +50,15 @@ def test_constructor_rejects_malformed():
         TreeSkeleton("bad id", ())
 
 
+def test_edge_ids_are_checked_also_when_they_repeat():
+    # only an id that is a str already met skips the check; any other id
+    # is refused with the constructor's text wherever it stands
+    for bad in (["q"], 1, ("p",), None):
+        for edges in ([("p", bad, 1)], [(bad, "p", 1)], [("p", "q", 1), ("q", bad, 1), (bad, "p", 2)]):
+            with pytest.raises(SkeletonError, match=f"^{re.escape(f'bad node id: {bad!r}')}$"):
+                TreeSkeleton("p", edges)
+
+
 def test_validate_accepts_tripod(tripod):
     report = validate(tripod, 2)
     assert report.ok
@@ -433,6 +442,34 @@ def test_push_forward_and_node_for_name_unknown_points():
     for bad in (Vertex("zz"), Vertex("q"), EdgePoint("q", "p", Fraction(1, 2)), "q"):
         with pytest.raises(UnknownPointError, match=re.escape(f"point {bad!r} was not materialized")):
             mat.node_for(bad)
+
+
+def _scan_push_forward(mat, pt):
+    """push_forward as a scan over every span, for a point already
+    normalized on the source edges."""
+    if isinstance(pt, Vertex):
+        return pt
+    for (wu, wv), (src_key, o_u, o_v) in mat.spans.items():
+        if src_key == (pt.u, pt.v) and min(o_u, o_v) <= pt.offset <= max(o_u, o_v):
+            return normalize_point(mat.tree, EdgePoint(wu, wv, abs(pt.offset - o_u)))
+
+
+def test_push_forward_reads_the_spans_of_its_source_edge(tripod):
+    # every span end and midpoint, in both orientations, maps as the scan
+    # over all spans maps it; the index is not a field, so == and repr hold
+    tree = rb_extend(tripod, 2, 4)
+    rng = rng_for("push-forward-index")
+    points = [random_point(rng, tree) for _ in range(12)] + grid_points(tree, Fraction(1, 3))
+    mat, twin = materialize(tree, points), materialize(tree, points)
+    checked = 0
+    for (su, sv), o_u, o_v in mat.spans.values():
+        length = tree.edge_length(su, sv)
+        for off in (o_u, o_v, (o_u + o_v) / 2):
+            for pt in (EdgePoint(su, sv, off), EdgePoint(sv, su, length - off)):
+                assert mat.push_forward(pt) == _scan_push_forward(mat, normalize_point(tree, pt)), pt
+                checked += 1
+    assert checked == 6 * len(mat.spans)
+    assert mat == twin and repr(mat) == repr(twin)
 
 
 def test_node_for_takes_any_spelling_of_a_materialized_point(tripod):

@@ -78,6 +78,19 @@ def test_parse_errors_carry_line_numbers():
         parse_tree("radius 1\nnode p\n")  # no basepoint
 
 
+def test_each_length_literal_is_read_once_with_its_first_line():
+    # a bad literal repeated on two lines is reported at the first, with
+    # as_rat's text; a repeated good literal reads as its spellings do apart
+    with pytest.raises(FormatError, match=r"^line 3: not an exact rational literal: '1/0'$") as err:
+        parse_tree("radius 1\nnode p basepoint\nedge p q 1/0\nedge q a 1/0\n")
+    assert err.value.line == 3
+    head = "radius 2\nnode p basepoint\n"
+    shared = parse_tree(head + "edge p q 1/2\nedge q a 1/2\nedge q b 1/2\npoint m edge q a 1/2\n")
+    spelled = parse_tree(head + "edge p q 1/2\nedge q a 2/4\nedge q b 01/2\npoint m edge q a 1/2\n")
+    assert shared == spelled
+    assert [w for *_, w in shared.tree.edges()] == [Fraction(1, 2)] * 3
+
+
 def test_float_literals_rejected():
     with pytest.raises(FormatError):
         parse_tree("radius 1.5\nnode p basepoint\n")
